@@ -114,7 +114,7 @@ def act_4_floor(backend):
 
 
 def main():
-    with ProcessBackend(4, grain=1) as backend:
+    with ProcessBackend(4) as backend:
         act_1_supervision(backend)
         base = _solve(backend)
         act_2_recovery(backend, base)

@@ -42,7 +42,7 @@ def solve(machine, **extra):
 def act_1_trace(path):
     print("— act 1: trace a process-pool sharded solve —")
     with trace_to(path) as tracer:
-        with ProcessBackend(2, grain=4096) as backend:
+        with ProcessBackend(2) as backend:
             sol = solve(PramMachine(backend=backend, seed=SEED))
         tracer.flush()
     events = load_trace(path)
@@ -63,7 +63,7 @@ def act_3_faults(path):
     plan = FaultPlan([FaultSpec("raise", 2, attempt=1)])  # task 2, first try
     policy = RetryPolicy(max_attempts=3, base_delay=0.01, jitter=0.0)
     with trace_to(path) as tracer:
-        with ProcessBackend(2, grain=4096) as backend:
+        with ProcessBackend(2) as backend:
             sol = solve(
                 PramMachine(backend=backend, seed=SEED),
                 fault_plan=plan, retry_policy=policy,

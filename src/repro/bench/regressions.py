@@ -324,7 +324,7 @@ def main(argv=None) -> None:
         help="comma-separated backend names to sweep (serial,thread,process)",
     )
     parser.add_argument("--workers", type=int, default=None, help="pool worker count")
-    parser.add_argument("--grain", type=int, default=None, help="pool grain (elements/task)")
+    parser.add_argument("--grain", type=int, default=None, help="thread grain (elements/task)")
     parser.add_argument("--repeats", type=int, default=1, help="timed runs per config (min wins)")
     parser.add_argument(
         "--summary",

@@ -254,7 +254,7 @@ def _measure_shard_store(
 
     spill_dir = tempfile.mkdtemp(prefix="repro-shard-store-")
     try:
-        with ProcessBackend(workers, grain=1) as backend:
+        with ProcessBackend(workers) as backend:
             machine = PramMachine(backend=backend, seed=seed)
             sol, wall, peak_rss = _run_with_peak_rss(
                 lambda: shard_and_solve(
@@ -355,7 +355,7 @@ def _measure_fault_recovery(
     # its partial shard build when the crashed worker breaks the pool.
     if workers is None:
         workers = min(4, max(2, os.cpu_count() or 1))
-    with ProcessBackend(workers, grain=1) as backend:
+    with ProcessBackend(workers) as backend:
         def solve(**extra):
             machine = PramMachine(backend=backend, seed=seed)
             t0 = time.perf_counter()

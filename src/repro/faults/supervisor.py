@@ -582,8 +582,11 @@ class Supervisor:
         """One round over the backend's worker pool.
 
         ``sentinel=True`` (process pools) plants the shared flag array
-        for crash attribution; thread pools deliver exceptions in-band
-        and need no flags.
+        for crash attribution and moves the round's large item arrays
+        by shared memory (the zero-copy transport of
+        :meth:`~repro.pram.backends.Backend.submit_batch`, materialized
+        by ``_supervised_call``); thread pools deliver exceptions
+        in-band and share items directly.
         """
         trace = tracer.enabled
         flags_shm = None
@@ -592,14 +595,10 @@ class Supervisor:
             flags_shm = shared_memory.SharedMemory(create=True, size=max(len(pending), 1))
             flags = np.ndarray((flags_shm.size,), dtype=np.uint8, buffer=flags_shm.buf)
             flags[:] = _IDLE
-        # Zero-copy item transport rides under supervision unchanged:
-        # when the backend moves batch items by shared memory, pack the
-        # round's items here and let _supervised_call materialize them.
-        packed = sentinel and getattr(self.backend, "_batch_shm_items", False)
         item_shms: list = []
         round_items = [items[idx] for idx in pending]
         try:
-            if packed:
+            if sentinel:
                 round_items, _ = pack_batch_items(round_items, item_shms)
             submit_ts = tracer.now() if trace else None
             trace_id = current_trace_id()
@@ -612,7 +611,7 @@ class Supervisor:
                     spec,
                     flags_shm.name if sentinel else None,
                     slot,
-                    packed,
+                    sentinel,
                     trace,
                     trace_id,
                 )

@@ -11,13 +11,14 @@ cache-oblivious model the cache complexities are ``O(m/B)`` and
 ``O((m/B) log_{M/B} m)`` respectively.
 
 :class:`PramMachine` executes those primitives with NumPy on a
-swappable backend — serial, thread-parallel (NumPy ufuncs release the
-GIL, so row-blocked threads are genuinely parallel), or
-process-parallel over shared memory — while charging the model costs
-to a :class:`CostLedger`; charges are backend-invariant, so all of the
-paper's asymptotic claims (work bounds, round counts, polylog depth,
-Brent speedup ``T_p = W/p + D``) become directly measurable
-quantities on any substrate.
+swappable backend — serial, or thread-parallel (NumPy ufuncs release
+the GIL, so row-blocked threads are genuinely parallel); the process
+backend pools only the shard subsystem's batch tasks — while charging
+the model costs to a :class:`CostLedger`; charges are
+backend-invariant, so all of the paper's asymptotic claims (work
+bounds, round counts, polylog depth, Brent speedup
+``T_p = W/p + D``) become directly measurable quantities on any
+substrate.
 """
 
 from repro.pram.operators import ADD, AND, MAX, MIN, OR, AssociativeOp, get_operator

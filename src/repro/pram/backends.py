@@ -1,37 +1,38 @@
-"""Execution backends for the PRAM primitives.
+"""Execution backends: the PRAM primitives and the shard task pool.
 
-Three interchangeable backends implement the same tiny kernel
-interface; a :class:`PramMachine` runs every primitive through one of
-them, and the ledger's model charges are identical regardless of which
-(charges are computed from array sizes, never from how the kernel
-executed):
+A backend does two jobs. It runs the PRAM primitives for a
+:class:`PramMachine` (``elementwise``/``reduce``/``scan``/``sort``/
+``count_votes``/``segmented_reduce``/``fused_axpy``), and it runs
+coarse independent tasks through :meth:`Backend.submit_batch` (the
+shard subsystem's per-shard jobs). The ledger's model charges are
+identical regardless of backend (charges are computed from array
+sizes, never from how the kernel executed):
 
 * :class:`SerialBackend` — plain NumPy on the calling thread. The
-  default; also the reference implementation every other backend is
-  property-tested against.
-* :class:`ThreadBackend` — row-blocked ``ThreadPoolExecutor``. NumPy
-  ufuncs release the GIL while crunching, so threads deliver genuine
-  wall-clock parallelism on large arrays (this is the substitution for
-  physical PRAM processors noted in DESIGN.md: the GIL does not
-  serialize NumPy kernels).
-* :class:`ProcessBackend` — row-blocked ``ProcessPoolExecutor`` over
-  ``multiprocessing.shared_memory``. Matrices travel to the workers by
-  shared-memory *name*, never by pickled value, so per-call transport
-  is one copy into (and one out of) a shared segment; the row blocks
-  themselves are computed across cores. Pays off when the per-element
-  arithmetic is heavy enough to beat the copy, or when a NumPy build
-  holds the GIL.
+  default; its kernels are the :class:`Backend` defaults, the
+  reference implementation every other backend is property-tested
+  against.
+* :class:`ThreadBackend` — row-blocked ``ThreadPoolExecutor`` for both
+  jobs. NumPy ufuncs release the GIL while crunching, so threads
+  deliver genuine wall-clock parallelism on large arrays (this is the
+  substitution for physical PRAM processors noted in DESIGN.md: the
+  GIL does not serialize NumPy kernels). Arrays smaller than
+  ``grain × num_workers`` (or with fewer than two rows) run serially,
+  because pool handoff would dominate.
+* :class:`ProcessBackend` — a ``ProcessPoolExecutor`` task pool for
+  :meth:`~Backend.submit_batch`, the shard-parallel fan-out the fault
+  supervisor drives. Large ndarrays inside batch items travel by
+  shared-memory *name*, never by pickled value. Its primitives run the
+  serial kernels in the calling process: copying each primitive's
+  inputs into shared memory and its output back out costs more than
+  the row blocks save, a cost the work–depth model never charges.
 
-All pool backends share one dispatch policy: arrays smaller than
-``grain × num_workers`` (or with fewer than two rows) fall through to
-serial execution, because pool handoff would dominate. That fallback is
-also the pinned-down behavior after :meth:`Backend.close`: a closed
-backend keeps producing correct results, serially.
+A closed pool backend keeps producing correct results, serially.
 
 Backends are constructed directly, through :func:`make_backend`
 (``"serial" | "thread" | "process" | "auto"``), or implicitly via the
-``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS`` / ``REPRO_GRAIN`` environment
-variables consulted by :func:`shared_backend` when a
+``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS`` / ``REPRO_GRAIN`` (thread
+only) environment variables consulted by :func:`shared_backend` when a
 :class:`~repro.pram.machine.PramMachine` is built without an explicit
 backend instance.
 """
@@ -39,13 +40,10 @@ backend instance.
 from __future__ import annotations
 
 import atexit
-import marshal
 import os
 import pickle
-import sys
 import threading
 import time
-import types
 import weakref
 from concurrent.futures import (
     CancelledError,
@@ -250,33 +248,35 @@ def _record_shm_bytes(shms) -> None:
 class Backend:
     """Kernel interface shared by all backends.
 
-    Backends are context managers: ``with make_backend("thread") as b``
-    guarantees the worker pool is released. ``close`` is idempotent,
-    and a closed backend still executes every kernel correctly — it
-    just runs serially (see :attr:`closed`).
+    The default kernels are plain NumPy on the calling thread — the
+    serial reference. Backends are context managers: ``with
+    make_backend("thread") as b`` guarantees the worker pool is
+    released. ``close`` is idempotent, and a closed backend still
+    executes every kernel correctly — it just runs serially (see
+    :attr:`closed`).
     """
 
     name = "abstract"
 
     def elementwise(self, fn, arrays: tuple[np.ndarray, ...]) -> np.ndarray:
         """Apply vectorized ``fn`` to ``arrays`` (already broadcast)."""
-        raise NotImplementedError
+        return fn(*arrays)
 
     def reduce(self, op: AssociativeOp, a: np.ndarray, axis) -> np.ndarray:
-        raise NotImplementedError
+        return op.reduce(a, axis=axis)
 
     def scan(self, op: AssociativeOp, a: np.ndarray, axis: int) -> np.ndarray:
-        raise NotImplementedError
+        return op.scan(a, axis=axis)
 
     def sort(self, a: np.ndarray, axis: int) -> np.ndarray:
-        raise NotImplementedError
+        return np.sort(a, axis=axis, kind="stable")
 
     def argsort(self, a: np.ndarray, axis: int) -> np.ndarray:
-        raise NotImplementedError
+        return np.argsort(a, axis=axis, kind="stable")
 
     def count_votes(self, labels: np.ndarray, minlength: int) -> np.ndarray:
         """Segmented count: ``out[i] = #{j : labels[j] == i}``."""
-        raise NotImplementedError
+        return np.bincount(labels, minlength=minlength)
 
     def segmented_reduce(
         self, op: AssociativeOp, values: np.ndarray, indptr: np.ndarray
@@ -288,26 +288,26 @@ class Backend:
         identity. Segments are never split across workers, so results
         are byte-identical on every backend.
         """
-        raise NotImplementedError
+        return _segmented_reduce_kernel(op, values, indptr)
 
     def fused_axpy(self, a, x, y, *, clamp_min=None, mask=None, fill=0.0) -> np.ndarray:
         """One-pass ``a*x + y`` with optional clamp/mask (a is scalar)."""
-        raise NotImplementedError
+        return _axpy_kernel(a, x, y, clamp_min, mask, fill)
 
     def submit_batch(self, fn, items) -> list:
         """Run ``fn`` over ``items``, one task each, preserving order.
 
-        The coarse-grained counterpart of the row-blocked kernels: used
-        by the shard subsystem to execute independent per-shard jobs
-        (e.g. coreset builds) over whatever worker pool this backend
-        owns. The serial backend — and any closed/pool-less backend —
-        runs the tasks in a plain loop, so results are identical on
-        every backend provided ``fn`` is deterministic per item. On a
-        process pool ``fn`` and each item must be picklable; an
-        unpicklable ``fn`` is detected up front and falls back to the
-        serial loop, while unpicklable *items* (or return values) and
-        exceptions raised by ``fn`` itself propagate to the caller —
-        no task ever runs twice.
+        The coarse-grained counterpart of the primitives: used by the
+        shard subsystem to execute independent per-shard jobs (e.g.
+        coreset builds) over whatever worker pool this backend owns.
+        The serial backend — and any closed/pool-less backend — runs
+        the tasks in a plain loop, so results are identical on every
+        backend provided ``fn`` is deterministic per item. On a process
+        pool ``fn`` and each item must be picklable; an unpicklable
+        ``fn`` is detected up front and falls back to the serial loop,
+        while unpicklable *items* (or return values) and exceptions
+        raised by ``fn`` itself propagate to the caller — no task ever
+        runs twice.
 
         When a tracer is active (``REPRO_TRACE`` / ``set_tracer``) each
         task additionally reports worker-local timing that the driver
@@ -343,60 +343,32 @@ class Backend:
 
 
 class SerialBackend(Backend):
-    """Direct NumPy execution on the calling thread."""
+    """Direct NumPy execution on the calling thread (the default kernels)."""
 
     name = "serial"
 
-    def elementwise(self, fn, arrays):
-        return fn(*arrays)
 
-    def reduce(self, op, a, axis):
-        return op.reduce(a, axis=axis)
+class _PoolBackend(Backend):
+    """Shared scaffolding for worker-pool backends.
 
-    def scan(self, op, a, axis):
-        return op.scan(a, axis=axis)
-
-    def sort(self, a, axis):
-        return np.sort(a, axis=axis, kind="stable")
-
-    def argsort(self, a, axis):
-        return np.argsort(a, axis=axis, kind="stable")
-
-    def count_votes(self, labels, minlength):
-        return np.bincount(labels, minlength=minlength)
-
-    def segmented_reduce(self, op, values, indptr):
-        return _segmented_reduce_kernel(op, values, indptr)
-
-    def fused_axpy(self, a, x, y, *, clamp_min=None, mask=None, fill=0.0):
-        return _axpy_kernel(a, x, y, clamp_min, mask, fill)
-
-
-class _BlockedBackend(Backend):
-    """Shared scaffolding for row-blocked pool backends.
-
-    Owns the dispatch policy (``_pool_worthy``), the row chunking, the
-    serial fallback, and the close/context-manager lifecycle. Concrete
-    backends provide ``_make_pool`` plus the kernels.
+    Owns the pool, the close/context-manager lifecycle, the fault
+    supervisor's respawn hook, and the order-preserving
+    :meth:`submit_batch` fan-out. Concrete backends provide
+    ``_make_pool`` and, optionally, pool-parallel kernels.
     """
 
-    #: Whether batch tasks cross a pickling boundary (process pools);
-    #: gates submit_batch's fn-picklability probe.
+    #: Whether batch tasks cross a pickling boundary (process pools):
+    #: gates submit_batch's fn-picklability probe, and moves ndarray
+    #: item arguments by shared-memory segment name instead of pickled
+    #: value.
     _batch_requires_pickle = False
 
-    #: Whether submit_batch moves ndarray item arguments by
-    #: shared-memory segment name instead of pickled value (process
-    #: pools with ``shm_items=True``).
-    _batch_shm_items = False
-
-    def __init__(self, num_workers: int | None = None, *, grain: int):
+    def __init__(self, num_workers: int | None = None):
         workers = num_workers if num_workers is not None else (os.cpu_count() or 1)
         if workers < 1:
             raise InvalidParameterError(f"num_workers must be >= 1, got {num_workers}")
         self.num_workers = int(workers)
-        self.grain = int(grain)
         self._pool = self._make_pool() if self.num_workers > 1 else None
-        self._serial = SerialBackend()
         self._closed = False
         # Guards the pool handle and the in-flight batch futures against
         # a concurrent close(): batches drain deterministically instead
@@ -460,39 +432,20 @@ class _BlockedBackend(Backend):
                 self._pool = self._make_pool()
             return self._pool
 
-    # -- helpers ----------------------------------------------------------
-
-    def _pool_worthy(self, shape: tuple) -> bool:
-        """Single dispatch policy for every kernel: run on the pool only
-        when there are rows to split and enough elements per worker."""
-        return not (
-            self._pool is None
-            or len(shape) == 0
-            or shape[0] < 2
-            or int(np.prod(shape)) < self.grain * self.num_workers
-        )
-
-    def _too_small(self, a: np.ndarray) -> bool:
-        return not self._pool_worthy(a.shape)
-
-    def _row_chunks(self, n_rows: int):
-        """Split ``range(n_rows)`` into at most ``num_workers`` slices."""
-        per = -(-n_rows // self.num_workers)
-        return [slice(s, min(s + per, n_rows)) for s in range(0, n_rows, per)]
+    # -- task batches -----------------------------------------------------
 
     def _submit_batch(self, fn, items) -> list:
         """Fan independent tasks across the pool (order-preserving).
 
-        Unlike the element-count dispatch of the kernels, batches go to
-        the pool whenever it exists and there is more than one task —
-        per-shard jobs are coarse by construction. On a process pool an
-        unpicklable ``fn`` is detected by a (per-function cached)
-        ``pickle.dumps`` probe *before* anything runs and falls back to
-        the serial loop. When the backend transports items by shared
-        memory (:class:`ProcessBackend` with ``shm_items=True``), large
-        ndarrays inside each item cross by segment name — the pickled
-        task payload carries only refs — and results are byte-identical
-        to the pickled transport (the parity suite asserts it).
+        Batches go to the pool whenever it exists and there is more
+        than one task — per-shard jobs are coarse by construction. On a
+        process pool an unpicklable ``fn`` is detected by a
+        (per-function cached) ``pickle.dumps`` probe *before* anything
+        runs and falls back to the serial loop, and large ndarrays
+        inside each item cross by shared-memory segment name — the
+        pickled task payload carries only refs — with results
+        byte-identical to the serial loop (the backend suite asserts
+        it).
 
         Failure contract (pinned by the backend test suite):
 
@@ -514,20 +467,17 @@ class _BlockedBackend(Backend):
             return self._serial_batch(fn, items)
         item_shms: list = []
         try:
-            if self._batch_shm_items:
+            if self._batch_requires_pickle:
                 packed_items, _ = pack_batch_items(items, item_shms)
                 _record_shm_bytes(item_shms)
+                calls = [(_shm_batch_call, fn, packed) for packed in packed_items]
+            else:
+                calls = [(fn, item) for item in items]
             try:
                 with self._lock:
                     if self._closed or self._pool is None:
                         raise RuntimeError("backend closed under submit_batch")
-                    if self._batch_shm_items:
-                        futures = [
-                            self._pool.submit(_shm_batch_call, fn, packed)
-                            for packed in packed_items
-                        ]
-                    else:
-                        futures = [self._pool.submit(fn, item) for item in items]
+                    futures = [self._pool.submit(*call) for call in calls]
                     self._inflight.update(futures)
             except RuntimeError:
                 # Closed (or pool shut down) between the check and the
@@ -586,7 +536,7 @@ class _BlockedBackend(Backend):
         return results
 
 
-class ThreadBackend(_BlockedBackend):
+class ThreadBackend(_PoolBackend):
     """Row-blocked thread-parallel execution.
 
     Parameters
@@ -601,10 +551,31 @@ class ThreadBackend(_BlockedBackend):
     name = "thread"
 
     def __init__(self, num_workers: int | None = None, *, grain: int = 1 << 14):
-        super().__init__(num_workers, grain=grain)
+        self.grain = int(grain)
+        super().__init__(num_workers)
 
     def _make_pool(self):
         return ThreadPoolExecutor(max_workers=self.num_workers)
+
+    # -- dispatch policy --------------------------------------------------
+
+    def _pool_worthy(self, shape: tuple) -> bool:
+        """Single dispatch policy for every kernel: run on the pool only
+        when there are rows to split and enough elements per worker."""
+        return not (
+            self._pool is None
+            or len(shape) == 0
+            or shape[0] < 2
+            or int(np.prod(shape)) < self.grain * self.num_workers
+        )
+
+    def _too_small(self, a: np.ndarray) -> bool:
+        return not self._pool_worthy(a.shape)
+
+    def _row_chunks(self, n_rows: int):
+        """Split ``range(n_rows)`` into at most ``num_workers`` slices."""
+        per = -(-n_rows // self.num_workers)
+        return [slice(s, min(s + per, n_rows)) for s in range(0, n_rows, per)]
 
     def _parallel_over_rows(self, a: np.ndarray, task):
         chunks = self._row_chunks(a.shape[0])
@@ -619,9 +590,9 @@ class ThreadBackend(_BlockedBackend):
             shape = np.broadcast_shapes(*(a.shape for a in arrs))
         except ValueError:
             # Not mutually broadcastable (fn handles shapes itself).
-            return self._serial.elementwise(fn, arrays)
+            return super().elementwise(fn, arrays)
         if not self._pool_worthy(shape):
-            return self._serial.elementwise(fn, arrays)
+            return super().elementwise(fn, arrays)
         # Broadcast every argument up front (views, no copies) so
         # mixed-shape maps — e.g. an (n_f, 1) cost column against an
         # (n_f, n_c) matrix — run on the pool instead of silently
@@ -633,7 +604,7 @@ class ThreadBackend(_BlockedBackend):
 
     def reduce(self, op, a, axis):
         if self._too_small(a):
-            return self._serial.reduce(op, a, axis)
+            return super().reduce(op, a, axis)
         if axis in (1, -1) and a.ndim == 2:
             # Independent row reductions: perfectly row-parallel.
             parts, _ = self._parallel_over_rows(a, lambda sl: op.reduce(a[sl], axis=1))
@@ -645,23 +616,23 @@ class ThreadBackend(_BlockedBackend):
             # Tree-combine partial column reductions from row blocks.
             parts, _ = self._parallel_over_rows(a, lambda sl: op.reduce(a[sl], axis=0))
             return op.reduce(np.stack(parts, axis=0), axis=0)
-        return self._serial.reduce(op, a, axis)
+        return super().reduce(op, a, axis)
 
     def scan(self, op, a, axis):
         if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return self._serial.scan(op, a, axis)
+            return super().scan(op, a, axis)
         parts, _ = self._parallel_over_rows(a, lambda sl: op.scan(a[sl], axis=1))
         return np.concatenate(parts, axis=0)
 
     def sort(self, a, axis):
         if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return self._serial.sort(a, axis)
+            return super().sort(a, axis)
         parts, _ = self._parallel_over_rows(a, lambda sl: np.sort(a[sl], axis=1, kind="stable"))
         return np.concatenate(parts, axis=0)
 
     def argsort(self, a, axis):
         if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return self._serial.argsort(a, axis)
+            return super().argsort(a, axis)
         parts, _ = self._parallel_over_rows(
             a, lambda sl: np.argsort(a[sl], axis=1, kind="stable")
         )
@@ -669,7 +640,7 @@ class ThreadBackend(_BlockedBackend):
 
     def count_votes(self, labels, minlength):
         if not self._pool_worthy(labels.shape):
-            return self._serial.count_votes(labels, minlength)
+            return super().count_votes(labels, minlength)
         slices = self._row_chunks(labels.size)
         parts = list(
             self._pool.map(lambda sl: np.bincount(labels[sl], minlength=minlength), slices)
@@ -683,7 +654,7 @@ class ThreadBackend(_BlockedBackend):
             or n_seg < 2
             or values.size < self.grain * self.num_workers
         ):
-            return self._serial.segmented_reduce(op, values, indptr)
+            return super().segmented_reduce(op, values, indptr)
         # Chunk by whole segments: each worker runs the serial kernel on
         # its segment range, so per-segment results are bit-identical to
         # a single-threaded pass.
@@ -705,7 +676,7 @@ class ThreadBackend(_BlockedBackend):
         operands = [x] + [np.asarray(v) for v in (y, mask) if isinstance(v, np.ndarray)]
         shape = np.broadcast_shapes(*(v.shape for v in operands))
         if not self._pool_worthy(shape):
-            return self._serial.fused_axpy(a, x, y, clamp_min=clamp_min, mask=mask, fill=fill)
+            return super().fused_axpy(a, x, y, clamp_min=clamp_min, mask=mask, fill=fill)
         xv = np.broadcast_to(x, shape)
         yv = np.broadcast_to(np.asarray(y), shape) if isinstance(y, np.ndarray) else y
         mv = np.broadcast_to(mask, shape) if isinstance(mask, np.ndarray) else mask
@@ -726,54 +697,7 @@ class ThreadBackend(_BlockedBackend):
         return np.concatenate(parts, axis=0)
 
 
-# -- process backend: shared-memory transport ------------------------------
-
-
-class _FnTransportError(Exception):
-    """A transported kernel function could not be rebuilt/run in the
-    worker (e.g. spawn context with an unimportable definition site).
-    The parent catches this and falls back to serial execution."""
-
-
-def _encode_fn(fn):
-    """Serialize a kernel function for a worker process.
-
-    Plain pickle covers module-level callables and NumPy ufuncs.
-    Lambdas and nested functions — the common currency of
-    ``PramMachine.map`` call sites — are rebuilt from their code object
-    plus pickled defaults/closure cells. Same-interpreter only, which
-    is all a worker pool ever is; raises if a closure cell itself
-    resists pickling (the caller then falls back to serial).
-    """
-    try:
-        return ("pickle", pickle.dumps(fn))
-    except Exception:
-        cells = tuple(c.cell_contents for c in (fn.__closure__ or ()))
-        return (
-            "code",
-            marshal.dumps(fn.__code__),
-            fn.__module__,
-            fn.__name__,
-            pickle.dumps(fn.__defaults__),
-            pickle.dumps(cells),
-        )
-
-
-def _decode_fn(spec):
-    """Inverse of :func:`_encode_fn`, run inside a worker."""
-    if spec[0] == "pickle":
-        return pickle.loads(spec[1])
-    _, code_bytes, module, name, defaults_bytes, cells_bytes = spec
-    code = marshal.loads(code_bytes)
-    mod = sys.modules.get(module)
-    if mod is not None:
-        global_ns = mod.__dict__
-    else:
-        # Forked workers inherit the parent's modules; this fallback only
-        # fires under spawn for unimportable definition sites.
-        global_ns = {"np": np, "numpy": np, "__builtins__": __builtins__}
-    closure = tuple(types.CellType(v) for v in pickle.loads(cells_bytes))
-    return types.FunctionType(code, global_ns, name, pickle.loads(defaults_bytes), closure)
+# -- process backend: zero-copy batch transport -----------------------------
 
 
 def _share_array(a: np.ndarray):
@@ -885,132 +809,42 @@ def _shm_batch_call(fn, packed):
             shm.close()
 
 
-def _pool_task(kind, out_spec, out_index, in_specs, sl, payload):
-    """One row-block task, executed inside a worker process.
-
-    Arrays travel by shared-memory name only — the task tuple itself
-    carries a few strings and scalars. ``sl`` is the input row slice;
-    ``out_index`` addresses where this block's result lands in the
-    output segment (the same rows for row-parallel kernels, a partial
-    slot for combine kernels).
-    """
-    shms = []
-    try:
-        arrays = []
-        for spec in in_specs:
-            shm, arr = _attach_array(spec)
-            shms.append(shm)
-            arrays.append(arr)
-        out_shm, out = _attach_array(out_spec)
-        shms.append(out_shm)
-        if kind == "elementwise":
-            shape, fn_spec = payload
-            try:
-                fn = _decode_fn(fn_spec)
-                block = fn(*(np.broadcast_to(a, shape)[sl] for a in arrays))
-            except Exception as exc:
-                # Signal the parent to rerun serially: a function that
-                # survives encoding can still fail to rebuild under a
-                # spawn context (unimportable definition module).
-                raise _FnTransportError(repr(exc)) from exc
-            out[out_index] = block
-        elif kind == "reduce_rows":
-            out[out_index] = payload.reduce(arrays[0][sl], axis=1)
-        elif kind == "reduce_partial":
-            op, axis = payload
-            out[out_index] = op.reduce(arrays[0][sl], axis=axis)
-        elif kind == "scan_rows":
-            out[out_index] = payload.scan(arrays[0][sl], axis=1)
-        elif kind == "sort_rows":
-            out[out_index] = np.sort(arrays[0][sl], axis=1, kind="stable")
-        elif kind == "argsort_rows":
-            out[out_index] = np.argsort(arrays[0][sl], axis=1, kind="stable")
-        elif kind == "count_votes":
-            out[out_index] = np.bincount(arrays[0][sl], minlength=payload)
-        elif kind == "segmented_reduce":
-            vals, iptr = arrays
-            lo, hi = sl.start, sl.stop
-            out[out_index] = _segmented_reduce_kernel(
-                payload, vals[iptr[lo] : iptr[hi]], iptr[lo : hi + 1] - iptr[lo]
-            )
-        elif kind == "fused_axpy":
-            shape, a_scal, y_is_arr, y_val, clamp_min, mask_is_arr, mask_val, fill = payload
-            arr_it = iter(arrays)
-            xv = np.broadcast_to(next(arr_it), shape)
-            yv = np.broadcast_to(next(arr_it), shape) if y_is_arr else y_val
-            mv = np.broadcast_to(next(arr_it), shape) if mask_is_arr else mask_val
-            out[out_index] = _axpy_kernel(
-                a_scal,
-                xv[sl],
-                yv[sl] if isinstance(yv, np.ndarray) else yv,
-                clamp_min,
-                mv[sl] if isinstance(mv, np.ndarray) else mv,
-                fill,
-            )
-        else:
-            raise InvalidParameterError(f"unknown pool task kind {kind!r}")
-    finally:
-        for shm in shms:
-            shm.close()
+#: Start method for the process pool. Forked workers start fast and
+#: inherit the parent's loaded modules; the platform default is used
+#: where fork is unavailable.
+_MP_CONTEXT = "fork"
 
 
-class ProcessBackend(_BlockedBackend):
-    """Row-blocked process-parallel execution over shared memory.
+class ProcessBackend(_PoolBackend):
+    """Process-pool task execution for :meth:`~Backend.submit_batch`.
 
-    Input matrices are copied once into ``multiprocessing.shared_memory``
-    segments; workers attach by name, compute their row block, and write
-    into a shared output segment — no matrix is ever pickled. Kernel
-    functions cross the boundary as pickled callables, or (for lambdas)
-    as marshalled code objects with pickled closure cells; a function
-    that resists both runs serially.
+    The pool runs the shard subsystem's per-shard jobs (under the fault
+    supervisor when one is configured). Large ndarrays inside each
+    batch item are copied once into a ``multiprocessing.shared_memory``
+    segment and cross by name; workers attach read-only views, so no
+    point block is ever pickled. The PRAM primitives run the serial
+    NumPy kernels in the calling process — results and ledger charges
+    are those of :class:`SerialBackend` by construction.
 
     Parameters
     ----------
     num_workers:
         Worker process count; defaults to ``os.cpu_count()``. With one
-        worker no pool is created and everything runs serially.
-    grain:
-        Minimum elements per task. The default is coarser than
-        :class:`ThreadBackend`'s because process dispatch (shm create +
-        copy + task round-trip) costs far more than a thread handoff.
-    mp_context:
-        ``multiprocessing`` start method; ``"fork"`` (default) lets
-        workers inherit loaded modules, which the lambda transport
-        relies on. Falls back to the platform default when unavailable.
-    shm_items:
-        When true (the default), :meth:`submit_batch` moves large
-        ndarrays inside each item by shared-memory segment name —
-        zero-copy end-to-end, never a pickled point block. ``False``
-        restores the pickled transport; the equivalence suite certifies
-        both byte-identical.
+        worker no pool is created and batches run serially.
     """
 
     name = "process"
     _batch_requires_pickle = True
 
-    def __init__(
-        self,
-        num_workers: int | None = None,
-        *,
-        grain: int = 1 << 16,
-        mp_context: str | None = "fork",
-        shm_items: bool = True,
-    ):
-        self._mp_context = mp_context
-        self._batch_shm_items = bool(shm_items)
-        super().__init__(num_workers, grain=grain)
-
     def _make_pool(self):
-        ctx = None
-        if self._mp_context is not None:
-            try:
-                ctx = get_context(self._mp_context)
-            except ValueError:
-                ctx = None
+        try:
+            ctx = get_context(_MP_CONTEXT)
+        except ValueError:
+            ctx = None
         # Start the shared-memory resource tracker *before* any worker
         # forks. Workers fork lazily at first submit; if that first
-        # submit carries no shared memory (e.g. a pickled submit_batch),
-        # the children inherit an unstarted tracker and each spawns its
+        # submit carries no shared memory (a batch of small items), the
+        # children inherit an unstarted tracker and each spawns its
         # own on first attach — an orphan that only ever sees REGISTERs
         # and warns about phantom "leaked" segments at shutdown.
         try:
@@ -1018,215 +852,6 @@ class ProcessBackend(_BlockedBackend):
         except Exception:  # pragma: no cover - tracker unavailable
             pass
         return ProcessPoolExecutor(max_workers=self.num_workers, mp_context=ctx)
-
-    # -- dispatch ---------------------------------------------------------
-
-    def _run_tasks(self, kind, arrays, out_shape, out_dtype, payload, tasks):
-        """Share inputs, fan ``tasks`` (= ``(row_slice, out_index)``)
-        across the pool, and copy the shared output back out."""
-        in_shms: list = []
-        out_shm = None
-        try:
-            in_specs = []
-            for a in arrays:
-                shm, spec = _share_array(np.asarray(a))
-                in_shms.append(shm)
-                in_specs.append(spec)
-            out_shape = tuple(int(s) for s in out_shape)
-            out_dtype = np.dtype(out_dtype)
-            nbytes = max(int(np.prod(out_shape)) * out_dtype.itemsize, 1)
-            out_shm = shared_memory.SharedMemory(create=True, size=nbytes)
-            out_spec = (out_shm.name, out_shape, out_dtype.str)
-            futures = [
-                self._pool.submit(_pool_task, kind, out_spec, oix, in_specs, sl, payload)
-                for sl, oix in tasks
-            ]
-            try:
-                for fut in futures:
-                    fut.result()
-            except BaseException:
-                # Stop touching the segments before the finally block
-                # unlinks them: cancel what hasn't started, then wait out
-                # whatever is already running.
-                for fut in futures:
-                    fut.cancel()
-                wait(futures)
-                raise
-            view = np.ndarray(out_shape, dtype=out_dtype, buffer=out_shm.buf)
-            return np.array(view)  # detach from the segment before unlink
-        finally:
-            for shm in in_shms:
-                shm.close()
-                shm.unlink()
-            if out_shm is not None:
-                out_shm.close()
-                out_shm.unlink()
-
-    def _row_tasks(self, n_rows: int):
-        return [(sl, sl) for sl in self._row_chunks(n_rows)]
-
-    def _partial_tasks(self, n_rows: int):
-        return [(sl, k) for k, sl in enumerate(self._row_chunks(n_rows))]
-
-    # -- kernel interface ---------------------------------------------------
-
-    def elementwise(self, fn, arrays):
-        arrs = [np.asarray(x) for x in arrays]
-        try:
-            shape = np.broadcast_shapes(*(a.shape for a in arrs))
-        except ValueError:
-            return self._serial.elementwise(fn, arrays)
-        if not self._pool_worthy(shape):
-            return self._serial.elementwise(fn, arrays)
-        try:
-            fn_spec = _encode_fn(fn)
-        except Exception:
-            return self._serial.elementwise(fn, arrays)
-        # Probe one row in-process: fixes the output dtype (the shared
-        # segment must be allocated before workers run) and verifies fn
-        # is genuinely elementwise over rows.
-        views = [np.broadcast_to(a, shape) for a in arrs]
-        probe = np.asarray(fn(*(v[:1] for v in views)))
-        if probe.shape != (1,) + tuple(shape[1:]):
-            return self._serial.elementwise(fn, arrays)
-        try:
-            return self._run_tasks(
-                "elementwise",
-                arrs,
-                shape,
-                probe.dtype,
-                (tuple(shape), fn_spec),
-                self._row_tasks(shape[0]),
-            )
-        except _FnTransportError:
-            return self._serial.elementwise(fn, arrays)
-
-    def reduce(self, op, a, axis):
-        if self._too_small(a):
-            return self._serial.reduce(op, a, axis)
-        if axis in (1, -1) and a.ndim == 2:
-            probe = np.asarray(op.reduce(a[:1], axis=1))
-            return self._run_tasks(
-                "reduce_rows", [a], (a.shape[0],), probe.dtype, op, self._row_tasks(a.shape[0])
-            )
-        if axis is None:
-            probe = np.asarray(op.reduce(a[:1], axis=None))
-            chunks = self._row_chunks(a.shape[0])
-            parts = self._run_tasks(
-                "reduce_partial",
-                [a],
-                (len(chunks),),
-                probe.dtype,
-                (op, None),
-                self._partial_tasks(a.shape[0]),
-            )
-            return op.reduce(parts, axis=None)
-        if axis == 0 and a.ndim == 2:
-            probe = np.asarray(op.reduce(a[:1], axis=0))
-            chunks = self._row_chunks(a.shape[0])
-            parts = self._run_tasks(
-                "reduce_partial",
-                [a],
-                (len(chunks), a.shape[1]),
-                probe.dtype,
-                (op, 0),
-                self._partial_tasks(a.shape[0]),
-            )
-            return op.reduce(parts, axis=0)
-        return self._serial.reduce(op, a, axis)
-
-    def scan(self, op, a, axis):
-        if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return self._serial.scan(op, a, axis)
-        probe = np.asarray(op.scan(a[:1], axis=1))
-        return self._run_tasks(
-            "scan_rows", [a], a.shape, probe.dtype, op, self._row_tasks(a.shape[0])
-        )
-
-    def sort(self, a, axis):
-        if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return self._serial.sort(a, axis)
-        return self._run_tasks(
-            "sort_rows", [a], a.shape, a.dtype, None, self._row_tasks(a.shape[0])
-        )
-
-    def argsort(self, a, axis):
-        if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return self._serial.argsort(a, axis)
-        return self._run_tasks(
-            "argsort_rows", [a], a.shape, np.intp, None, self._row_tasks(a.shape[0])
-        )
-
-    def count_votes(self, labels, minlength):
-        if not self._pool_worthy(labels.shape):
-            return self._serial.count_votes(labels, minlength)
-        chunks = self._row_chunks(labels.size)
-        parts = self._run_tasks(
-            "count_votes",
-            [labels],
-            (len(chunks), minlength),
-            np.intp,
-            int(minlength),
-            self._partial_tasks(labels.size),
-        )
-        return np.sum(parts, axis=0)
-
-    def segmented_reduce(self, op, values, indptr):
-        n_seg = indptr.size - 1
-        if (
-            self._pool is None
-            or n_seg < 2
-            or values.size < self.grain * self.num_workers
-        ):
-            return self._serial.segmented_reduce(op, values, indptr)
-        # Synthetic one-element probe pins the output dtype (the shared
-        # segment is allocated before workers run); the kernel's
-        # identity-append promotion rule is the same for every slice, so
-        # the dtype matches what the serial kernel would produce.
-        probe = _segmented_reduce_kernel(op, values[:1], np.array([0, 1], dtype=np.intp))
-        return self._run_tasks(
-            "segmented_reduce",
-            [values, np.asarray(indptr, dtype=np.intp)],
-            (n_seg,),
-            probe.dtype,
-            op,
-            self._row_tasks(n_seg),
-        )
-
-    def fused_axpy(self, a, x, y, *, clamp_min=None, mask=None, fill=0.0):
-        x = np.asarray(x)
-        operands = [x] + [np.asarray(v) for v in (y, mask) if isinstance(v, np.ndarray)]
-        shape = np.broadcast_shapes(*(v.shape for v in operands))
-        if not self._pool_worthy(shape):
-            return self._serial.fused_axpy(a, x, y, clamp_min=clamp_min, mask=mask, fill=fill)
-        y_is_arr = isinstance(y, np.ndarray)
-        mask_is_arr = isinstance(mask, np.ndarray)
-        arrays = [x] + ([np.asarray(y)] if y_is_arr else []) + (
-            [np.asarray(mask)] if mask_is_arr else []
-        )
-        probe = np.asarray(
-            _axpy_kernel(
-                a,
-                np.broadcast_to(x, shape)[:1],
-                np.broadcast_to(y, shape)[:1] if y_is_arr else y,
-                clamp_min,
-                np.broadcast_to(mask, shape)[:1] if mask_is_arr else mask,
-                fill,
-            )
-        )
-        payload = (
-            tuple(shape),
-            a,
-            y_is_arr,
-            None if y_is_arr else y,
-            clamp_min,
-            mask_is_arr,
-            None if mask_is_arr else mask,
-            fill,
-        )
-        return self._run_tasks(
-            "fused_axpy", arrays, shape, probe.dtype, payload, self._row_tasks(shape[0])
-        )
 
 
 # -- registry & factory -----------------------------------------------------
@@ -1238,14 +863,14 @@ class ProcessBackend(_BlockedBackend):
 AUTO_BACKEND_MIN_SIZE = 1 << 16
 
 
-def _pool_kwargs(grain):
+def _thread_kwargs(grain):
     return {} if grain is None else {"grain": int(grain)}
 
 
 _BACKEND_REGISTRY: dict = {
     "serial": lambda num_workers, grain: SerialBackend(),
-    "thread": lambda num_workers, grain: ThreadBackend(num_workers, **_pool_kwargs(grain)),
-    "process": lambda num_workers, grain: ProcessBackend(num_workers, **_pool_kwargs(grain)),
+    "thread": lambda num_workers, grain: ThreadBackend(num_workers, **_thread_kwargs(grain)),
+    "process": lambda num_workers, grain: ProcessBackend(num_workers),
 }
 
 
@@ -1273,9 +898,9 @@ def resolve_backend_name(name: str, size: int | None = None) -> str:
     :func:`repro.core.frontier.resolve_compaction`: serial below
     ``AUTO_BACKEND_MIN_SIZE`` elements (or when the host has a single
     CPU), thread-parallel otherwise. Threads, not processes, are the
-    auto choice because NumPy kernels release the GIL — shared-memory
-    processes only pay off for arithmetic heavy enough to beat a
-    per-call copy, which is a measured, opt-in decision.
+    auto choice: NumPy kernels release the GIL, while the process
+    backend runs every primitive serially and parallelizes only
+    :meth:`~Backend.submit_batch` tasks.
     """
     if name == "auto":
         if (os.cpu_count() or 1) < 2:
@@ -1305,8 +930,11 @@ def make_backend(
         ``"serial"``, ``"thread"``, ``"process"``, ``"auto"`` (see
         :func:`resolve_backend_name`), any :func:`register_backend` name,
         or an existing :class:`Backend` (returned unchanged).
-    num_workers / grain:
-        Forwarded to pool backends; ``None`` keeps their defaults.
+    num_workers:
+        Forwarded to pool backends; ``None`` keeps their default.
+    grain:
+        The thread backend's dispatch threshold (elements per task);
+        other built-in backends ignore it. ``None`` keeps the default.
     size:
         Instance element count steering the ``"auto"`` policy.
 
@@ -1342,7 +970,8 @@ def shared_backend(spec: "str | Backend | None" = None, *, size: int | None = No
     a different substrate. An empty or whitespace-only value counts as
     unset (CI matrices routinely materialize ``REPRO_BACKEND=""`` for
     the default leg), never as a backend literally named ``""``.
-    ``REPRO_NUM_WORKERS`` and ``REPRO_GRAIN`` tune pool backends.
+    ``REPRO_NUM_WORKERS`` sizes pool backends; ``REPRO_GRAIN`` tunes
+    the thread backend only.
     Instances are cached per resolved configuration and shared by every
     :class:`PramMachine` that did not receive an explicit backend
     object, so a test run never stacks up worker pools; they are closed

@@ -211,9 +211,20 @@ class StoredInstance:
     meta: dict = field(default_factory=dict)
 
 
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a contiguous float array; ragged or non-numeric
+    input is a parameter error (a 400 at the HTTP edge), not a crash."""
+    try:
+        return np.ascontiguousarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"{name} must be a rectangular array of numbers: {exc}"
+        ) from exc
+
+
 def store_points(points, weights=None) -> StoredInstance:
     """Validate and freeze a point payload into a :class:`StoredInstance`."""
-    pts = np.ascontiguousarray(points, dtype=float)
+    pts = _float_array("points", points)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise InvalidParameterError(
             f"points must be a non-empty (n, dim) array, got shape {pts.shape}"
@@ -224,7 +235,7 @@ def store_points(points, weights=None) -> StoredInstance:
     payload = {"points": pts}
     nbytes = pts.nbytes
     if weights is not None:
-        w = np.ascontiguousarray(weights, dtype=float)
+        w = _float_array("weights", weights)
         if w.shape != (pts.shape[0],):
             raise InvalidParameterError(
                 f"weights must have shape ({pts.shape[0]},), got {w.shape}"

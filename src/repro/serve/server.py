@@ -324,6 +324,10 @@ class SolveServer:
                 if request is None:
                     break
                 method, path, headers, body = request
+                # body None: the Content-Length was unreadable, so where
+                # this request ends (and the next begins) is unknown —
+                # answer 400 and close the connection
+                framed = body is not None
                 t0 = time.perf_counter()
                 tracer = current_tracer()
                 # honor a well-formed incoming X-Repro-Trace-Id (caller
@@ -340,9 +344,15 @@ class SolveServer:
                             "serve",
                             args := {"method": method, "path": path},
                         ):
-                            status, payload = await self._route(
-                                method, path, body, trace_id=trace_id
-                            )
+                            if framed:
+                                status, payload = await self._route(
+                                    method, path, body, trace_id=trace_id
+                                )
+                            else:
+                                status, payload = 400, {
+                                    "error": "Content-Length must be a "
+                                    "non-negative decimal integer"
+                                }
                             args["status"] = status
                 finally:
                     dur = time.perf_counter() - t0
@@ -370,7 +380,10 @@ class SolveServer:
                             dur_s=round(dur, 6),
                             trace_id=trace_id,
                         )
-                keep = headers.get("connection", "keep-alive").lower() != "close"
+                keep = (
+                    framed
+                    and headers.get("connection", "keep-alive").lower() != "close"
+                )
                 await self._write_response(
                     writer, status, payload, keep_alive=keep, trace_id=trace_id
                 )
@@ -391,6 +404,9 @@ class SolveServer:
                 pass
 
     async def _read_request(self, reader):
+        """One request as ``(method, path, headers, body)``; ``None`` at
+        end of stream. ``body`` is ``None`` when ``Content-Length`` is
+        not a non-negative decimal integer."""
         try:
             line = await asyncio.wait_for(
                 reader.readline(), timeout=self.config.read_timeout_s
@@ -412,7 +428,10 @@ class SolveServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            return method.upper(), path, headers, None
+        length = int(raw_length)
         body = b""
         if length:
             body = await asyncio.wait_for(

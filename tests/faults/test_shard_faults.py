@@ -33,7 +33,7 @@ SOLVE_KW = dict(
 
 
 def _backend(name):
-    return ThreadBackend(3, grain=1) if name == "thread" else ProcessBackend(3, grain=1)
+    return ThreadBackend(3, grain=1) if name == "thread" else ProcessBackend(3)
 
 
 def _solve(backend, **kw):
@@ -263,7 +263,7 @@ class TestRecoveryAtScale:
         )
 
     def test_crash_recovery_and_degradation(self):
-        with ProcessBackend(4, grain=1) as b:
+        with ProcessBackend(4) as b:
             t0 = time.perf_counter()
             base = self._solve(b)
             base_wall = time.perf_counter() - t0

@@ -38,7 +38,7 @@ def backend(request):
     b = {
         "serial": SerialBackend,
         "thread": lambda: ThreadBackend(2, grain=1),
-        "process": lambda: ProcessBackend(2, grain=1),
+        "process": lambda: ProcessBackend(2),
     }[request.param]
     b = b() if request.param != "serial" else SerialBackend()
     yield b
@@ -97,7 +97,7 @@ class TestSupervisorBasics:
             seen.append(x)
             return x + 1
 
-        with ProcessBackend(2, grain=1) as b:
+        with ProcessBackend(2) as b:
             results, failures = Supervisor(b, FAST).submit_batch(closure, [1, 2])
         assert results == [2, 3] and failures == [] and seen == [1, 2]
 
@@ -135,7 +135,7 @@ class TestTransientFaults:
 
 class TestCrashFaults:
     @pytest.mark.parametrize("make", [lambda: ThreadBackend(2, grain=1),
-                                      lambda: ProcessBackend(2, grain=1)])
+                                      lambda: ProcessBackend(2)])
     def test_crash_retried_to_success(self, make):
         with make() as b:
             results, failures = Supervisor(b, FAST, FaultPlan.single("crash", 1)).submit_batch(
@@ -148,7 +148,7 @@ class TestCrashFaults:
         """Pool breakage poisons every future; the sentinel flags must
         pin the failure on the crashed task alone — collateral tasks
         rerun for free even under NO_RETRY."""
-        with ProcessBackend(2, grain=1) as b:
+        with ProcessBackend(2) as b:
             results, failures = Supervisor(
                 b, NO_RETRY, FaultPlan.single("crash", 1, attempt=None)
             ).submit_batch(_square, list(range(8)))
@@ -171,7 +171,7 @@ class TestTimeouts:
         policy = RetryPolicy(
             max_attempts=1, base_delay=0.0, jitter=0.0, timeout=0.2
         )
-        with ProcessBackend(2, grain=1) as b:
+        with ProcessBackend(2) as b:
             t0 = time.perf_counter()
             results, failures = Supervisor(
                 b, policy, FaultPlan.single("sleep", 0, attempt=None, duration=2.0)

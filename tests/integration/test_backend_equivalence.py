@@ -5,8 +5,8 @@ only wall-clock time. The first half sweeps the satellite algorithms
 serial-vs-thread (PR-1 suite); the second half is the PR-2 parity
 gate: seeded runs of greedy, primal–dual, and both dominator variants
 must be **byte-identical** on serial, thread, and process backends, on
-both the dense and frontier-compacted execution paths. Pool grains are
-tiny so the parallel code paths really execute at test sizes.
+both the dense and frontier-compacted execution paths. The thread
+grain is tiny so its row-blocked kernels really execute at test sizes.
 """
 
 import numpy as np
@@ -103,7 +103,7 @@ def backend_set():
     backends = {
         "serial": SerialBackend(),
         "thread": ThreadBackend(2, grain=8),
-        "process": ProcessBackend(2, grain=64),
+        "process": ProcessBackend(2),
     }
     yield backends
     for backend in backends.values():
@@ -198,6 +198,33 @@ def test_maxdom_sparse_byte_identical_across_backends(backend_set):
     A = A | A.T
     results = _sweep(backend_set, lambda m: max_dominator_set_sparse(A, m))
     _assert_all_equal(results, lambda a, b: np.testing.assert_array_equal(a, b))
+
+
+def test_process_primitives_never_reach_the_pool(monkeypatch):
+    """ProcessBackend is a task pool only. A dense primal-dual solve on
+    400 × 400 matrices (160,000 elements, above any row-block dispatch
+    threshold) sends its pool no task, and the answer and ledger equal
+    the serial run's exactly."""
+    inst = euclidean_instance(400, 400, seed=11)
+    serial = PramMachine(seed=5)
+    want = parallel_primal_dual(inst, epsilon=0.1, machine=serial, compaction=False)
+    submitted = []
+    with ProcessBackend(2) as backend:
+        submit = backend._pool.submit
+
+        def spy(fn, *args, **kwargs):
+            submitted.append(fn)
+            return submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(backend._pool, "submit", spy)
+        machine = PramMachine(backend=backend, seed=5)
+        got = parallel_primal_dual(inst, epsilon=0.1, machine=machine, compaction=False)
+    assert submitted == []
+    assert np.array_equal(got.opened, want.opened)
+    assert got.cost == want.cost
+    assert (machine.ledger.work, machine.ledger.depth, machine.ledger.cache) == (
+        serial.ledger.work, serial.ledger.depth, serial.ledger.cache
+    )
 
 
 def test_backend_kwarg_entry_point_parity():

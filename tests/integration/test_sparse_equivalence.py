@@ -43,7 +43,7 @@ def backend_set():
     backends = {
         "serial": SerialBackend(),
         "thread": ThreadBackend(2, grain=8),
-        "process": ProcessBackend(2, grain=64),
+        "process": ProcessBackend(2),
     }
     yield backends
     for backend in backends.values():

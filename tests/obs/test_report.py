@@ -295,7 +295,7 @@ class TestStitchRequestTrace:
         from repro.pram.backends import ProcessBackend
 
         path = tmp_path / "t.jsonl"
-        backend = ProcessBackend(2, grain=1)
+        backend = ProcessBackend(2)
         try:
             with trace_to(path) as t:
                 with trace_context("proc-req"):

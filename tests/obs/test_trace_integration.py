@@ -40,7 +40,7 @@ def traced_run(tmp_path_factory):
     plan = FaultPlan([FaultSpec("raise", 2, attempt=1)])
     policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
     with trace_to(path) as tracer:
-        with ProcessBackend(2, grain=4096) as backend:
+        with ProcessBackend(2) as backend:
             machine = PramMachine(backend=backend, seed=3)
             sol = shard_and_solve(
                 points, 5, shards=8, seed=13, machine=machine,

@@ -4,8 +4,11 @@ Property sweeps over mixed broadcast shapes, fused_axpy mask/clamp
 combinations, and sub-grain inputs (the serial-fallback path). Exact
 equality is asserted wherever the operation sequence is associativity-
 safe (elementwise maps, row-chunked axis-1 reductions, scans, sorts,
-integer counts); allclose only where partial combining legitimately
-reassociates float addition (axis-0 / full add-reductions).
+integer counts); allclose only where the thread pool's partial
+combining legitimately reassociates float addition (axis-0 / full
+add-reductions). ProcessBackend has no kernels of its own — it runs the
+serial ones in the calling process — so it must agree exactly
+everywhere, those reductions included.
 
 Pool backends are module-scoped so the whole sweep shares two worker
 pools instead of spawning one per test.
@@ -22,9 +25,7 @@ SERIAL = SerialBackend()
 
 @pytest.fixture(scope="module", params=["thread", "process"])
 def pool(request):
-    backend = (
-        ThreadBackend(3, grain=4) if request.param == "thread" else ProcessBackend(2, grain=4)
-    )
+    backend = ThreadBackend(3, grain=4) if request.param == "thread" else ProcessBackend(2)
     yield backend
     backend.close()
 
@@ -36,7 +37,7 @@ def data(rng):
 
 # -- elementwise: mixed broadcast shapes --------------------------------------
 
-SCALE = 1.5  # module-level closure target for the pickle-by-code path
+SCALE = 1.5  # a module-level global read inside the mapped lambda
 
 
 @pytest.mark.parametrize(
@@ -54,15 +55,14 @@ SCALE = 1.5  # module-level closure target for the pickle-by-code path
 )
 def test_elementwise_mixed_broadcast(pool, rng, shapes):
     arrays = [rng.random(sh) for sh in shapes]
-    fn = lambda *vs: sum(vs) * SCALE  # noqa: E731 — lambda transport on purpose
+    fn = lambda *vs: sum(vs) * SCALE  # noqa: E731
     assert np.array_equal(
         pool.elementwise(fn, tuple(arrays)), SERIAL.elementwise(fn, tuple(arrays))
     )
 
 
 def test_elementwise_closure_over_arrays(pool, rng):
-    """Lambdas closing over local arrays cross the process boundary via
-    pickled closure cells."""
+    """Lambdas closing over local arrays run block by block unchanged."""
     bias = rng.random(19)
     fn = lambda m: m + bias  # noqa: E731
     a = rng.random((43, 19))
@@ -88,7 +88,7 @@ def test_elementwise_ufunc(pool, data):
 def test_reduce_parity(pool, data, op, axis):
     got = pool.reduce(op, data, axis)
     want = SERIAL.reduce(op, data, axis)
-    if op is ADD and axis in (0, None):
+    if op is ADD and axis in (0, None) and isinstance(pool, ThreadBackend):
         assert np.allclose(got, want)  # partial combine may reassociate
     else:
         assert np.array_equal(got, want)

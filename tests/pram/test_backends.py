@@ -1,10 +1,11 @@
 """Backends agree with plain NumPy — serial, threaded, and process.
 
-The pool backends are exercised with a tiny grain so the parallel code
-paths actually run on test-sized arrays.
+The thread backend is exercised with a tiny grain so its row-blocked
+kernels actually run on test-sized arrays. The process backend is a
+task pool only: its kernels are the serial defaults (pinned below) run
+in the calling process, and its pool serves ``submit_batch``.
 """
 
-import os
 import threading
 import time
 
@@ -14,6 +15,7 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.pram.backends import (
     AUTO_BACKEND_MIN_SIZE,
+    Backend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
@@ -35,7 +37,7 @@ def backend(request):
     elif request.param == "thread3":
         b = ThreadBackend(3, grain=4)
     else:
-        b = ProcessBackend(2, grain=4)
+        b = ProcessBackend(2)
     yield b
     b.close()
 
@@ -100,11 +102,27 @@ def test_pool_backend_worker_validation(cls):
         cls(0)
 
 
+def _pool(cls, grain):
+    """A two-worker pool; ``grain`` applies to the thread backend only."""
+    return cls(2, grain=grain) if cls is ThreadBackend else cls(2)
+
+
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
 def test_pool_backend_small_falls_back(cls, rng):
-    with cls(2, grain=1 << 20) as b:
+    with _pool(cls, grain=1 << 20) as b:
         small = rng.random((4, 4))
         assert np.allclose(b.reduce(ADD, small, 1), small.sum(axis=1))
+
+
+def test_process_backend_runs_the_serial_kernels():
+    """ProcessBackend is a task pool only: every primitive is the
+    serial Backend default, executed in the calling process."""
+    for kernel in (
+        "elementwise", "reduce", "scan", "sort", "argsort",
+        "count_votes", "segmented_reduce", "fused_axpy",
+    ):
+        assert getattr(ProcessBackend, kernel) is getattr(Backend, kernel), kernel
+        assert getattr(SerialBackend, kernel) is getattr(Backend, kernel), kernel
 
 
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
@@ -120,7 +138,7 @@ def test_pool_backend_close_idempotent(cls):
 def test_use_after_close_is_serial_but_correct(cls, rng):
     """Pinned-down contract: a closed pool backend keeps computing every
     kernel correctly via the serial fallback (no exception, no pool)."""
-    b = cls(2, grain=4)
+    b = _pool(cls, grain=4)
     a = rng.random((64, 16))
     before = b.reduce(ADD, a, 1)
     b.close()
@@ -135,7 +153,7 @@ def test_use_after_close_is_serial_but_correct(cls, rng):
 
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
 def test_backend_context_manager(cls, rng):
-    with cls(2, grain=4) as b:
+    with cls(2) as b:
         a = rng.random((32, 8))
         assert np.allclose(b.reduce(ADD, a, None), a.sum())
     assert b.closed
@@ -162,13 +180,13 @@ def test_thread_backend_mixed_shapes_run_on_pool(rng, monkeypatch):
         big = rng.random((211, 67))
         col = rng.random((211, 1))
         calls = {"serial": 0}
-        orig = b._serial.elementwise
+        orig = Backend.elementwise
 
-        def spy(fn, arrays):
+        def spy(self, fn, arrays):
             calls["serial"] += 1
-            return orig(fn, arrays)
+            return orig(self, fn, arrays)
 
-        monkeypatch.setattr(b._serial, "elementwise", spy)
+        monkeypatch.setattr(Backend, "elementwise", spy)
         out = b.elementwise(lambda m, c: m - c, (big, col))
         assert np.allclose(out, big - col)
         assert calls["serial"] == 0, "mixed-shape map fell back to serial"
@@ -224,8 +242,9 @@ def test_make_backend_names_and_passthrough():
         assert isinstance(b, ThreadBackend)
         assert b.num_workers == 2 and b.grain == 16
     with make_backend("process", num_workers=2, grain=32) as b:
+        # grain tunes thread kernels only; the process pool ignores it
         assert isinstance(b, ProcessBackend)
-        assert b.num_workers == 2 and b.grain == 32
+        assert b.num_workers == 2 and not hasattr(b, "grain")
     existing = SerialBackend()
     assert make_backend(existing) is existing
 
@@ -377,7 +396,7 @@ class TestSubmitBatch:
     def test_process_pool_matches_serial(self):
         from repro.pram.backends import ProcessBackend
 
-        with ProcessBackend(num_workers=2, grain=1) as b:
+        with ProcessBackend(num_workers=2) as b:
             assert b.submit_batch(_square, range(6)) == [x * x for x in range(6)]
 
     def test_closed_backend_falls_back_to_serial(self):
@@ -396,7 +415,7 @@ class TestSubmitBatch:
             captured.append(x)
             return x + 1
 
-        with ProcessBackend(num_workers=2, grain=1) as b:
+        with ProcessBackend(num_workers=2) as b:
             assert b.submit_batch(closure, [1, 2]) == [2, 3]
         assert captured == [1, 2]
 
@@ -427,7 +446,7 @@ class TestSubmitBatchFailures:
 
     @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
     def test_failure_carries_batch_index_and_note(self, cls):
-        with cls(num_workers=2, grain=1) as b:
+        with cls(num_workers=2) as b:
             with pytest.raises(ValueError, match="item 2 exploded") as ei:
                 b.submit_batch(_boom_on_two, [0, 1, 2, 3, 4])
         assert ei.value.batch_index == 2
@@ -443,7 +462,7 @@ class TestSubmitBatchFailures:
 
     @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
     def test_backend_usable_after_batch_failure(self, cls):
-        with cls(num_workers=2, grain=1) as b:
+        with cls(num_workers=2) as b:
             with pytest.raises(ValueError):
                 b.submit_batch(_boom_on_two, [2, 3])
             assert b.submit_batch(_square, [3, 4]) == [9, 16]
@@ -456,7 +475,7 @@ class TestCloseUnderInflightBatch:
 
     @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
     def test_close_midbatch_drains_and_completes(self, cls):
-        b = cls(num_workers=2, grain=1)
+        b = cls(num_workers=2)
         out: dict = {}
 
         def run():
@@ -516,8 +535,8 @@ def _col_means(arr):
 
 class TestZeroCopyTransport:
     """ProcessBackend.submit_batch ships large ndarrays by shared-memory
-    name; results must be byte-identical to the pickled transport, and
-    every segment must be unlinked once the batch drains."""
+    name; results must be byte-identical to the serial loop, and every
+    segment must be unlinked once the batch drains."""
 
     @staticmethod
     def _big(seed, rows=6000):
@@ -580,32 +599,31 @@ class TestZeroCopyTransport:
                 shm.close()
                 shm.unlink()
 
-    def test_zero_copy_matches_pickled_transport(self):
+    def test_zero_copy_matches_serial(self):
         blocks = [self._big(s) for s in range(4)]
         items = [(b, 0.5 + s) for s, b in enumerate(blocks)]
-        with ProcessBackend(2, grain=1, shm_items=False) as pickled:
-            want = pickled.submit_batch(_sum_scaled, items)
-        with ProcessBackend(2, grain=1) as zero_copy:
-            assert zero_copy._batch_shm_items
+        want = SerialBackend().submit_batch(_sum_scaled, items)
+        with ProcessBackend(2) as zero_copy:
             got = zero_copy.submit_batch(_sum_scaled, items)
         assert got == want  # float equality: byte-identical transport
 
     def test_worker_views_are_read_only(self):
         items = [(self._big(7), {"w": self._big(8)}), (self._big(9), {"w": self._big(10)})]
-        with ProcessBackend(2, grain=1) as b:
+        with ProcessBackend(2) as b:
             flags = b.submit_batch(_writable_flags, items)
         assert flags == [[False, False], [False, False]]
 
     def test_array_results_are_safe_copies(self):
         blocks = [self._big(s) for s in (3, 4)]
-        with ProcessBackend(2, grain=1) as b:
+        with ProcessBackend(2) as b:
             outs = b.submit_batch(_col_means, blocks)
         for out, block in zip(outs, blocks):
             np.testing.assert_array_equal(out, block.mean(axis=0))
 
-    def test_segments_unlinked_after_batch(self):
+    def test_segments_unlinked_after_batch(self, monkeypatch):
         from multiprocessing import shared_memory
 
+        import repro.pram.backends as backends_mod
         from repro.pram.backends import pack_batch_items
 
         big = self._big(5)
@@ -617,21 +635,36 @@ class TestZeroCopyTransport:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
-        # and the real path: after submit_batch returns, nothing lingers
-        before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else None
-        with ProcessBackend(2, grain=1) as b:
-            b.submit_batch(_sum_scaled, [(self._big(6), 1.0)] * 3)
-        if before is not None:
-            leaked = {
-                n for n in set(os.listdir("/dev/shm")) - before if n.startswith("psm_")
-            }
-            assert not leaked
+        # and the real path: every segment this batch creates is gone
+        # once submit_batch returns (segments other processes create
+        # meanwhile are none of this test's business)
+        created: list = []
+        share = backends_mod._share_array
 
-    def test_thread_backend_never_packs(self):
-        with ThreadBackend(2, grain=1) as b:
-            assert not b._batch_shm_items
-            got = b.submit_batch(_sum_scaled, [(self._big(9), 2.0)])
-        assert got == [pytest.approx(self._big(9).sum() * 2.0)]
+        def recording_share(a):
+            shm, spec = share(a)
+            created.append(shm.name)
+            return shm, spec
+
+        monkeypatch.setattr(backends_mod, "_share_array", recording_share)
+        with ProcessBackend(2) as b:
+            b.submit_batch(_sum_scaled, [(self._big(s), 1.0) for s in (6, 7, 8)])
+        assert len(created) == 3
+        for name in created:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_thread_backend_never_packs(self, monkeypatch):
+        import repro.pram.backends as backends_mod
+
+        def no_pack(*args, **kwargs):
+            raise AssertionError("a thread pool packed its batch items")
+
+        monkeypatch.setattr(backends_mod, "pack_batch_items", no_pack)
+        items = [(self._big(9), 2.0), (self._big(10), 3.0)]
+        with ThreadBackend(2) as b:
+            got = b.submit_batch(_sum_scaled, items)
+        assert got == [_sum_scaled(item) for item in items]
 
 
 class TestPicklabilityProbeCache:

@@ -148,7 +148,7 @@ class TestProviderParityMatrix:
         pool = {
             "serial": SerialBackend(),
             "thread": ThreadBackend(2, grain=4),
-            "process": ProcessBackend(2, grain=8),
+            "process": ProcessBackend(2),
         }
         yield pool
         for b in pool.values():

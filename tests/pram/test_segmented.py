@@ -3,8 +3,8 @@
 The segmented kernels are the sparse subsystem's counterpart of the
 dense row reductions: per-segment min/sum/or over a flat CSR layout,
 frontier-restricted segment gathers, and scatter combines for the
-column axis. Every kernel must be byte-identical across the three
-backends (segments are never split), and the uniform-segment fast path
+column axis. Every kernel must be byte-identical across backends
+(segments are never split), and the uniform-segment fast path
 must match the dense 2-D kernels bit-for-bit.
 """
 
@@ -73,7 +73,7 @@ class TestBackendParity:
         pool = {
             "serial": SerialBackend(),
             "thread": ThreadBackend(2, grain=4),
-            "process": ProcessBackend(2, grain=8),
+            "process": ProcessBackend(2),
         }
         yield pool
         for b in pool.values():

@@ -8,6 +8,8 @@ solver (backpressure, coalescing, shutdown ordering) boot their own.
 
 from __future__ import annotations
 
+import json
+import socket
 import threading
 import time
 
@@ -117,6 +119,34 @@ class TestBasicApi:
         with pytest.raises(ServeError) as err:
             served.submit_points(np.array([[1.0, float("nan")]]))
         assert err.value.status == 400
+
+    @pytest.mark.parametrize("points", [[[0, 1], [2]], [["a", "b"]]], ids=["ragged", "text"])
+    def test_unconvertible_points_400(self, served, points):
+        status, payload = served.raw_request("POST", "/instances", {"points": points})
+        assert status == 400
+        assert "points" in payload["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_400_then_close(self, served, length):
+        """An unreadable Content-Length gets a counted JSON 400, after
+        which the server closes the connection (the request's end is
+        unknown, so nothing after it can be parsed)."""
+        key = 'serve.requests_by_status{status="400"}'
+        before = served.metrics()["counters"].get(key, 0)
+        request = (
+            "POST /instances HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {length}\r\n\r\n" '{"points": [[0, 1]]}'
+        )
+        with socket.create_connection((served.host, served.port), timeout=10) as sock:
+            sock.sendall(request.encode("latin-1"))
+            raw = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        assert served.metrics()["counters"][key] == before + 1
 
 
 class TestConcurrency:

@@ -205,7 +205,7 @@ class TestCoresetParity:
         backend = (
             ThreadBackend(2, grain=1)
             if backend_name == "thread"
-            else ProcessBackend(2, grain=1)
+            else ProcessBackend(2)
         )
         with backend as b:
             m = PramMachine(backend=b, seed=0)
@@ -273,7 +273,7 @@ class TestDriverParity:
         backend = (
             ThreadBackend(3, grain=1)
             if backend_name == "thread"
-            else ProcessBackend(3, grain=1)
+            else ProcessBackend(3)
         )
         kw = {k: v for k, v in SOLVE_KW.items() if k != "shards"}
         with backend as b:
