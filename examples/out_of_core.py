@@ -1,6 +1,6 @@
 """Out-of-core walkthrough — the same bits, wherever they live.
 
-Four acts, one invariant each:
+Three acts, one invariant each:
 
 1. *The shard store*: partitioned blocks spilled to disk as raw
    ``.npy`` files and streamed back as memmaps produce byte-identical
@@ -11,9 +11,6 @@ Four acts, one invariant each:
 3. *Zero-copy process transport*: ``ProcessBackend.submit_batch``
    ships large arrays by shared-memory name instead of pickling them;
    results match the in-process loop exactly.
-4. *Kernel providers*: the segmented primitives behind
-   ``REPRO_KERNELS`` — every provider must match the numpy reference
-   bit-for-bit, so swapping one moves wall-clock, never results.
 
 Run:  python examples/out_of_core.py          (~30 seconds)
       python examples/out_of_core.py --big    (adds a 2M-point spill)
@@ -29,8 +26,6 @@ import numpy as np
 from repro import load_instance, parallel_kmedian, save_instance, shard_and_solve
 from repro.metrics.generators import knn_clustering_instance
 from repro.pram.backends import ProcessBackend, SerialBackend
-from repro.pram.kernels import available_kernel_providers, make_kernel_provider
-from repro.pram.machine import PramMachine
 from repro.shard import ShardStore
 
 
@@ -112,24 +107,8 @@ def act_3_zero_copy():
     )
 
 
-def act_4_kernel_providers():
-    print("\n— act 4: kernel providers move wall-clock, never results —")
-    inst = knn_clustering_instance(1500, 20, neighbors=64, seed=4)
-    baseline = None
-    for spec in available_kernel_providers():
-        machine = PramMachine(seed=0, kernels=make_kernel_provider(spec))
-        sol = parallel_kmedian(inst, machine=machine)
-        if baseline is None:
-            baseline = sol
-        assert np.array_equal(sol.centers, baseline.centers)
-        assert sol.cost == baseline.cost
-        print(f"  {spec:>6}: cost {sol.cost:.4f}, work {machine.ledger.work:.3g}")
-    if "numba" not in available_kernel_providers():
-        print("  (numba not installed here — set REPRO_KERNELS=numba where it is)")
-
-
-def act_5_scale(tmp):
-    print("\n— act 5 (--big): 2M points through the store —")
+def act_4_scale(tmp):
+    print("\n— act 4 (--big): 2M points through the store —")
     points = _blobs(2_000_000, seed=9, clusters=64)
     t0 = time.perf_counter()
     sol = shard_and_solve(
@@ -148,10 +127,9 @@ def main():
         act_1_shard_store(tmp)
         act_2_mmap_archives(tmp)
         act_3_zero_copy()
-        act_4_kernel_providers()
         if "--big" in sys.argv[1:]:
-            act_5_scale(tmp)
-    print("\nevery act: identical bits — the storage/transport/kernel layers are invisible to results")
+            act_4_scale(tmp)
+    print("\nevery act: identical bits — the storage and transport layers are invisible to results")
 
 
 if __name__ == "__main__":

@@ -91,7 +91,6 @@ from repro.pram import (
     brent_time,
     make_backend,
     parallelism,
-    register_backend,
     speedup_curve,
 )
 from repro.core import (
@@ -199,7 +198,6 @@ __all__ = [
     "ThreadBackend",
     "ProcessBackend",
     "make_backend",
-    "register_backend",
     "available_backends",
     "CostLedger",
     "CostSnapshot",

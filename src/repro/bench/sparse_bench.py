@@ -40,10 +40,6 @@ Six tiers, one JSON report (committed as ``BENCH_PR3.json`` /
   sampled) alongside the resident 250k/1M tiers — the acceptance
   evidence that the 10M tier completes and the driver's residency
   stays far below the dataset footprint.
-* **kernel_microbench** (PR 7) — the four segmented primitives
-  (scatter_min/scatter_add/segmented_argmin/segmented_scan_add) timed
-  per :mod:`repro.pram.kernels` provider ({numpy, numba-if-present}),
-  each output checked byte-identical against the numpy reference.
 * **serving** (PR 9) — the :mod:`repro.serve` loadgen against a live
   thread-hosted server on a real process backend: fresh-solve
   throughput/p50/p99 over concurrent clients, the result-cache speedup
@@ -286,50 +282,6 @@ def _measure_shard_store(
         "swap_rounds": int(sol.rounds.get("local_search", 0)),
         "bound": sol.bound.statement if sol.bound else None,
     }
-
-
-def _measure_kernels(*, n, n_seg, repeats, seed) -> dict:
-    """Per-provider timings of the four segmented primitives, each
-    output checked byte-identical against the numpy reference."""
-    from repro.pram.kernels import (
-        NumpyKernels,
-        available_kernel_providers,
-        make_kernel_provider,
-    )
-
-    rng = np.random.default_rng(seed)
-    values = rng.random(int(n))
-    idx = rng.integers(0, int(n_seg), int(n)).astype(np.intp)
-    indptr = np.concatenate(
-        ([0], np.sort(rng.integers(0, int(n), int(n_seg) - 1)), [int(n)])
-    ).astype(np.intp)
-
-    calls = {
-        "scatter_min": lambda p: p.scatter_min(values, idx, int(n_seg)),
-        "scatter_add": lambda p: p.scatter_add(values, idx, int(n_seg)),
-        "segmented_argmin": lambda p: p.segmented_argmin(values, indptr),
-        "segmented_scan_add": lambda p: p.segmented_scan_add(values, indptr),
-    }
-    ref = NumpyKernels()
-    want = {name: call(ref) for name, call in calls.items()}
-
-    out: dict = {"n": int(n), "segments": int(n_seg)}
-    for spec in available_kernel_providers():
-        provider = make_kernel_provider(spec)
-        entry = {}
-        for name, call in calls.items():
-            got = call(provider)  # warm-up: triggers any JIT compile
-            best = float("inf")
-            for _ in range(max(int(repeats), 1)):
-                t0 = time.perf_counter()
-                got = call(provider)
-                best = min(best, time.perf_counter() - t0)
-            entry[name] = {
-                "wall_s": best,
-                "matches_numpy": bool(np.array_equal(np.asarray(got), want[name])),
-            }
-        out[spec] = entry
-    return out
 
 
 def _measure_fault_recovery(
@@ -592,9 +544,6 @@ def run_sparse_bench(
     fault_workers: int | None = None,
     shard_store_sizes=(10_000_000,),
     shard_store_workers: int | None = None,
-    kernel_micro_n: int = 2_000_000,
-    kernel_micro_segments: int = 4_000,
-    kernel_micro_repeats: int = 3,
     serving_n: int = 400,
     serving_dim: int = 2,
     serving_k: int = 8,
@@ -636,8 +585,6 @@ def run_sparse_bench(
             "fault_workers": fault_workers,
             "shard_store_sizes": list(shard_store_sizes),
             "shard_store_workers": shard_store_workers,
-            "kernel_micro_n": kernel_micro_n,
-            "kernel_micro_segments": kernel_micro_segments,
             "serving_n": serving_n,
             "serving_clients": serving_clients,
             "serving_requests": serving_requests,
@@ -831,12 +778,6 @@ def run_sparse_bench(
             "shard": measured,
         }
 
-    # -- kernel microbench: the provider matrix on one big workload --------
-    report["kernel_microbench"] = _measure_kernels(
-        n=kernel_micro_n, n_seg=kernel_micro_segments,
-        repeats=kernel_micro_repeats, seed=seed,
-    )
-
     # -- fault recovery: the same shard workload under injected crashes ----
     for name, pts, k_pts in shard_scaling_suite(seed, sizes=fault_sizes, k=shard_k):
         report["fault_recovery"][name] = _measure_fault_recovery(
@@ -927,8 +868,6 @@ def main(argv=None) -> None:
         help="process-pool workers for the out-of-core tier "
              "(default: min(4, max(2, cpu_count)))",
     )
-    parser.add_argument("--kernel-micro-n", type=int, default=2_000_000)
-    parser.add_argument("--kernel-micro-segments", type=int, default=4_000)
     parser.add_argument(
         "--serving-n", type=int, default=400, help="serving-tier instance size"
     )
@@ -962,7 +901,6 @@ def main(argv=None) -> None:
         shard_k = 8
         fault_scaling = (20_000,)
         shard_store_scaling = (20_000,)
-        kernel_micro_n, kernel_micro_segments = 100_000, 500
         serving_n, serving_requests = 240, 50
         repeats = 1
     else:
@@ -975,8 +913,6 @@ def main(argv=None) -> None:
         shard_k = args.shard_k
         fault_scaling = _sizes(args.fault_scaling)
         shard_store_scaling = _sizes(args.shard_store_scaling)
-        kernel_micro_n = args.kernel_micro_n
-        kernel_micro_segments = args.kernel_micro_segments
         serving_n, serving_requests = args.serving_n, args.serving_requests
         repeats = args.repeats
 
@@ -1002,8 +938,6 @@ def main(argv=None) -> None:
         fault_workers=args.fault_workers,
         shard_store_sizes=shard_store_scaling,
         shard_store_workers=args.shard_store_workers,
-        kernel_micro_n=kernel_micro_n,
-        kernel_micro_segments=kernel_micro_segments,
         serving_n=serving_n,
         serving_requests=serving_requests,
         serving_clients=args.serving_clients,
@@ -1069,19 +1003,6 @@ def main(argv=None) -> None:
             f"{name}: shard_and_solve {sh['wall_s']:.1f}s | true cost {sh['cost_true']:.4g} "
             f"(merged {sh['cost_merged']:.4g}, movement {sh['movement']:.3g}) | "
             f"merged {sh['merged_n']} nodes | " + " | ".join(notes)
-        )
-    micro = report.get("kernel_microbench", {})
-    for spec, entry in micro.items():
-        if spec in ("n", "segments"):
-            continue
-        parts = [
-            f"{kname} {kentry['wall_s'] * 1e3:.1f}ms"
-            + ("" if kentry["matches_numpy"] else " MISMATCH")
-            for kname, kentry in entry.items()
-        ]
-        print(
-            f"kernels[{spec}] n={micro['n']} segs={micro['segments']}: "
-            + " | ".join(parts)
         )
     for name, entry in report["fault_recovery"].items():
         print(

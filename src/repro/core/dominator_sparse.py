@@ -65,8 +65,13 @@ def _segmented_min(machine: PramMachine, A: sparse.csr_matrix, values: np.ndarra
 
 
 def _neighbor_any(machine: PramMachine, A: sparse.csr_matrix, mask: np.ndarray) -> np.ndarray:
-    """``out[i] = any(mask[Γ(i)])`` via a sparse matvec, O(nnz) work."""
-    out = (A @ mask.astype(np.int8)) > 0
+    """``out[i] = any(mask[Γ(i)])`` via a sparse matvec, O(nnz) work.
+
+    scipy accumulates a bool-CSR product in the vector's dtype, so the
+    count must be ``intp``: an ``int8`` sum wraps at 128 hits and would
+    read a node with 128–255 (mod 256) masked neighbours as "not hit".
+    """
+    out = (A @ mask.astype(np.intp)) > 0
     machine.ledger.charge_basic("sparse_neighbor_any", max(int(A.indptr[-1]), 1))
     return out
 

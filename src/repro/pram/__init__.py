@@ -31,7 +31,6 @@ from repro.pram.backends import (
     ThreadBackend,
     available_backends,
     make_backend,
-    register_backend,
     resolve_backend_name,
     shared_backend,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "AUTO_BACKEND_MIN_SIZE",
     "available_backends",
     "make_backend",
-    "register_backend",
     "resolve_backend_name",
     "shared_backend",
     "brent_time",

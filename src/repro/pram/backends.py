@@ -874,18 +874,6 @@ _BACKEND_REGISTRY: dict = {
 }
 
 
-def register_backend(name: str, factory) -> None:
-    """Register a backend factory ``(num_workers, grain) -> Backend``.
-
-    Extension hook for alternative substrates (e.g. an accelerator or a
-    cluster shim); registered names become valid everywhere a backend
-    name is accepted, including ``REPRO_BACKEND``.
-    """
-    if not name or name == "auto":
-        raise InvalidParameterError(f"invalid backend name {name!r}")
-    _BACKEND_REGISTRY[str(name)] = factory
-
-
 def available_backends() -> list:
     """Sorted names accepted by :func:`make_backend` (besides ``"auto"``)."""
     return sorted(_BACKEND_REGISTRY)
@@ -928,8 +916,8 @@ def make_backend(
     ----------
     spec:
         ``"serial"``, ``"thread"``, ``"process"``, ``"auto"`` (see
-        :func:`resolve_backend_name`), any :func:`register_backend` name,
-        or an existing :class:`Backend` (returned unchanged).
+        :func:`resolve_backend_name`), or an existing :class:`Backend`
+        (returned unchanged).
     num_workers:
         Forwarded to pool backends; ``None`` keeps their default.
     grain:

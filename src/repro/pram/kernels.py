@@ -1,301 +1,76 @@
-"""Pluggable kernel providers for the segmented scatter/scan primitives.
+"""NumPy kernels for the segmented scatter/scan primitives.
 
-The hottest sparse-path primitives — :meth:`~repro.pram.machine
-.PramMachine.scatter_min`, :meth:`~repro.pram.machine.PramMachine
-.scatter_add`, :meth:`~repro.pram.machine.PramMachine.segmented_argmin`,
-and the ragged branch of :meth:`~repro.pram.machine.PramMachine
-.segmented_scan` — bottom out in index-chasing loops that NumPy can
-only express through ``ufunc.at`` (notoriously slow: one Python-level
-dispatch per *distinct call*, one cache-missing scalar update per
-element) or a per-position Python loop. This module extracts those
-inner kernels behind a tiny :class:`KernelProvider` interface so a
-compiled implementation can be swapped in without touching the machine,
-the ledger, or any solver:
-
-* :class:`NumpyKernels` — the **reference** implementation, exactly the
-  pre-extraction NumPy code. Every other provider is certified against
-  it byte-for-byte by the provider-parity suites.
-* :class:`NumbaKernels` — optional ``@njit`` loops, import-guarded:
-  constructing it raises :class:`~repro.errors.InvalidParameterError`
-  with a clear message when numba is not installed, and it simply does
-  not appear in :func:`available_kernel_providers` then. The compiled
-  loops process elements in the same flat order as the reference
-  (``np.minimum.at`` / ``np.add.at`` / the left-to-right per-segment
-  accumulation), so results are **byte-identical**, not merely close —
-  the invariant the parity suites pin.
-
-Selection mirrors the backend registry: an explicit provider object or
-name wins, otherwise :func:`shared_kernel_provider` consults the
-``REPRO_KERNELS`` environment variable (``"numpy"`` unless set). Ledger
-charges are computed in the machine from array sizes, never inside a
-provider, so swapping providers moves wall-clock only — work/depth/cache
-totals are provider-invariant by construction.
+The inner loops behind :meth:`~repro.pram.machine.PramMachine
+.scatter_min`, :meth:`~repro.pram.machine.PramMachine.scatter_add`,
+:meth:`~repro.pram.machine.PramMachine.segmented_argmin` and the ragged
+branch of :meth:`~repro.pram.machine.PramMachine.segmented_scan`. Inputs
+arrive validated and canonical (the machine owns validation and ledger
+charging): ``idx`` and ``indptr`` are 1-D ``intp`` arrays. Scatters
+combine elements in flat array order (``ufunc.at``); the ragged scan
+accumulates left-to-right within each segment.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import os
-
 import numpy as np
 
-from repro.errors import InvalidParameterError
 
-#: Environment variable consulted by :func:`shared_kernel_provider`.
-KERNELS_ENV = "REPRO_KERNELS"
+def scatter_min(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+    """``out[i] = min{values[j] : idx[j] == i}`` (``+inf`` if none)."""
+    out = np.full(int(size), np.inf)
+    np.minimum.at(out, idx, values)
+    return out
 
 
-class KernelProvider:
-    """Interface for the segmented scatter/scan inner kernels.
+def scatter_add(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
+    """``out[i] = Σ{values[j] : idx[j] == i}``, accumulated in flat order."""
+    out = np.zeros(int(size))
+    np.add.at(out, idx, values)
+    return out
 
-    All methods receive validated, canonical inputs (the machine owns
-    validation and ledger charging): ``values`` is a 1-D float/any
-    array, ``idx`` a 1-D ``intp`` array of in-range targets, ``indptr``
-    a 1-D ``intp`` CSR segment-boundary array. Implementations must be
-    byte-identical to :class:`NumpyKernels` — combine elements in flat
-    array order (scatter) or left-to-right within each segment (scan).
+
+def segmented_argmin(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Flat position of the *first* per-segment minimum (−1 if empty)."""
+    n_seg = indptr.size - 1
+    lens = np.diff(indptr)
+    # Per-segment min, spread back over entries (identity-append
+    # keeps empty segments well-defined, as in the backend kernel).
+    gathered = np.append(values, np.inf)
+    if values.size == 0:
+        seg_min = np.full(n_seg, np.inf)
+    else:
+        seg_min = np.minimum.reduceat(gathered, indptr[:-1])
+        seg_min[lens == 0] = np.inf
+    hit = values == np.repeat(seg_min, lens)
+    pos = np.where(hit, np.arange(values.size, dtype=float), np.inf)
+    gathered_pos = np.append(pos, np.inf)
+    if values.size == 0:
+        first = np.full(n_seg, np.inf)
+    else:
+        first = np.minimum.reduceat(gathered_pos, indptr[:-1])
+        first[lens == 0] = np.inf
+    return np.where(np.isfinite(first), first, -1.0).astype(np.intp)
+
+
+def segmented_scan_add(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Ragged within-segment inclusive ``+``-scan, left-to-right.
+
+    ``values`` arrives with its output dtype already fixed by the
+    machine (bools promoted to int).
     """
-
-    name = "abstract"
-
-    def scatter_min(self, values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
-        """``out[i] = min{values[j] : idx[j] == i}`` (``+inf`` if none)."""
-        raise NotImplementedError
-
-    def scatter_add(self, values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
-        """``out[i] = Σ{values[j] : idx[j] == i}``, accumulated in flat order."""
-        raise NotImplementedError
-
-    def segmented_argmin(self, values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-        """Flat position of the *first* per-segment minimum (−1 if empty)."""
-        raise NotImplementedError
-
-    def segmented_scan_add(self, values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-        """Ragged within-segment inclusive ``+``-scan, left-to-right.
-
-        ``values`` arrives with its output dtype already fixed by the
-        machine (bools promoted to int); the provider accumulates
-        sequentially within each segment — the exact association a
-        per-segment loop would produce.
-        """
-        raise NotImplementedError
-
-
-class NumpyKernels(KernelProvider):
-    """Reference NumPy implementation (the pre-extraction code paths)."""
-
-    name = "numpy"
-
-    def scatter_min(self, values, idx, size):
-        out = np.full(int(size), np.inf)
-        np.minimum.at(out, idx, values)
+    out = values.copy()
+    if out.size == 0:
         return out
-
-    def scatter_add(self, values, idx, size):
-        out = np.zeros(int(size))
-        np.add.at(out, idx, values)
-        return out
-
-    def segmented_argmin(self, values, indptr):
-        n_seg = indptr.size - 1
-        lens = np.diff(indptr)
-        # Per-segment min, spread back over entries (identity-append
-        # keeps empty segments well-defined, as in the backend kernel).
-        gathered = np.append(values, np.inf)
-        if values.size == 0:
-            seg_min = np.full(n_seg, np.inf)
-        else:
-            seg_min = np.minimum.reduceat(gathered, indptr[:-1])
-            seg_min[lens == 0] = np.inf
-        hit = values == np.repeat(seg_min, lens)
-        pos = np.where(hit, np.arange(values.size, dtype=float), np.inf)
-        gathered_pos = np.append(pos, np.inf)
-        if values.size == 0:
-            first = np.full(n_seg, np.inf)
-        else:
-            first = np.minimum.reduceat(gathered_pos, indptr[:-1])
-            first[lens == 0] = np.inf
-        return np.where(np.isfinite(first), first, -1.0).astype(np.intp)
-
-    def segmented_scan_add(self, values, indptr):
-        out = values.copy()
-        if out.size == 0:
-            return out
-        lens = np.diff(indptr)
-        # Longest-first segment order makes "segments still live at
-        # position k" a shrinking prefix, so each position advances with
-        # one gather-add over exactly those segments: Σ_k |live_k| = nnz.
-        order = np.argsort(-lens, kind="stable")
-        sorted_lens = lens[order]
-        sorted_starts = indptr[:-1][order]
-        neg_lens = -sorted_lens
-        for pos in range(1, int(sorted_lens[0]) if sorted_lens.size else 0):
-            live = int(np.searchsorted(neg_lens, -pos, side="left"))  # len > pos
-            idx = sorted_starts[:live] + pos
-            out[idx] += out[idx - 1]
-        return out
-
-
-def _build_numba_kernels():
-    """Compile the numba loops (deferred so import stays cheap and the
-    module imports fine without numba installed)."""
-    import numba
-
-    @numba.njit(cache=True)
-    def _scatter_min(values, idx, size):
-        out = np.full(size, np.inf)
-        for j in range(values.shape[0]):
-            v = values[j]
-            i = idx[j]
-            if v < out[i]:
-                out[i] = v
-        return out
-
-    @numba.njit(cache=True)
-    def _scatter_add(values, idx, size):
-        out = np.zeros(size)
-        for j in range(values.shape[0]):
-            out[idx[j]] += values[j]
-        return out
-
-    @numba.njit(cache=True)
-    def _segmented_argmin(values, indptr):
-        n_seg = indptr.shape[0] - 1
-        out = np.empty(n_seg, dtype=np.intp)
-        for s in range(n_seg):
-            lo, hi = indptr[s], indptr[s + 1]
-            if lo == hi:
-                out[s] = -1
-                continue
-            best = lo
-            for j in range(lo + 1, hi):
-                if values[j] < values[best]:
-                    best = j
-            out[s] = best
-        return out
-
-    @numba.njit(cache=True)
-    def _segmented_scan_add(values, indptr):
-        out = values.copy()
-        for s in range(indptr.shape[0] - 1):
-            for j in range(indptr[s] + 1, indptr[s + 1]):
-                out[j] += out[j - 1]
-        return out
-
-    return _scatter_min, _scatter_add, _segmented_argmin, _segmented_scan_add
-
-
-class NumbaKernels(KernelProvider):
-    """Compiled (``@njit``) kernels — optional, byte-identical.
-
-    Element-processing order matches the reference exactly: scatter
-    combines run in flat array order (what ``ufunc.at`` does), the
-    ragged scan accumulates left-to-right per segment (what the
-    reference's position-wise gather-add computes), and argmin keeps
-    the first minimum under exact float comparison — so seeded solver
-    outputs are byte-identical across providers, which the parity
-    suites assert rather than assume.
-    """
-
-    name = "numba"
-
-    def __init__(self):
-        if not numba_available():
-            raise InvalidParameterError(
-                "kernel provider 'numba' requires the numba package, which "
-                "is not installed; pip install numba or use REPRO_KERNELS=numpy"
-            )
-        (
-            self._scatter_min,
-            self._scatter_add,
-            self._segmented_argmin,
-            self._segmented_scan_add,
-        ) = _build_numba_kernels()
-
-    def scatter_min(self, values, idx, size):
-        return self._scatter_min(values, np.asarray(idx, dtype=np.intp), int(size))
-
-    def scatter_add(self, values, idx, size):
-        return self._scatter_add(values, np.asarray(idx, dtype=np.intp), int(size))
-
-    def segmented_argmin(self, values, indptr):
-        return self._segmented_argmin(
-            np.ascontiguousarray(values), np.asarray(indptr, dtype=np.intp)
-        )
-
-    def segmented_scan_add(self, values, indptr):
-        return self._segmented_scan_add(
-            np.ascontiguousarray(values), np.asarray(indptr, dtype=np.intp)
-        )
-
-
-def numba_available() -> bool:
-    """Whether the optional numba provider can be constructed here."""
-    return importlib.util.find_spec("numba") is not None
-
-
-_PROVIDER_REGISTRY: dict = {
-    "numpy": NumpyKernels,
-    "numba": NumbaKernels,
-}
-
-
-def register_kernel_provider(name: str, factory) -> None:
-    """Register a provider factory ``() -> KernelProvider`` under ``name``.
-
-    Extension hook mirroring :func:`repro.pram.backends.register_backend`
-    (e.g. a cython or GPU provider); registered names become valid
-    everywhere a provider name is accepted, including ``REPRO_KERNELS``.
-    """
-    if not name:
-        raise InvalidParameterError(f"invalid kernel provider name {name!r}")
-    _PROVIDER_REGISTRY[str(name)] = factory
-
-
-def available_kernel_providers() -> list:
-    """Sorted provider names constructible *on this host* (numba is
-    listed only when importable)."""
-    names = []
-    for name in _PROVIDER_REGISTRY:
-        if name == "numba" and not numba_available():
-            continue
-        names.append(name)
-    return sorted(names)
-
-
-def make_kernel_provider(spec: "str | KernelProvider | None" = None) -> KernelProvider:
-    """Construct a provider from a name (instances pass through).
-
-    ``None`` reads ``REPRO_KERNELS`` (default ``"numpy"``) — the hook
-    the optional-numba CI leg uses to run the whole suite on compiled
-    kernels.
-    """
-    if isinstance(spec, KernelProvider):
-        return spec
-    name = spec if spec is not None else os.environ.get(KERNELS_ENV, "numpy").strip()
-    if name not in _PROVIDER_REGISTRY:
-        raise InvalidParameterError(
-            f"unknown kernel provider {name!r}; expected one of "
-            f"{sorted(_PROVIDER_REGISTRY)}"
-        )
-    return _PROVIDER_REGISTRY[name]()
-
-
-_SHARED_PROVIDERS: dict = {}
-
-
-def shared_kernel_provider(spec: "str | KernelProvider | None" = None) -> KernelProvider:
-    """Process-wide cached provider for machines built without one.
-
-    Providers are stateless (compiled function handles only), so one
-    instance per name is shared by every machine — numba's JIT warmup
-    then happens once per process, not once per machine.
-    """
-    if isinstance(spec, KernelProvider):
-        return spec
-    name = spec if spec is not None else os.environ.get(KERNELS_ENV, "numpy").strip()
-    provider = _SHARED_PROVIDERS.get(name)
-    if provider is None:
-        provider = make_kernel_provider(name)
-        _SHARED_PROVIDERS[name] = provider
-    return provider
+    lens = np.diff(indptr)
+    # Longest-first segment order makes "segments still live at
+    # position k" a shrinking prefix, so each position advances with
+    # one gather-add over exactly those segments: Σ_k |live_k| = nnz.
+    order = np.argsort(-lens, kind="stable")
+    sorted_lens = lens[order]
+    sorted_starts = indptr[:-1][order]
+    neg_lens = -sorted_lens
+    for pos in range(1, int(sorted_lens[0]) if sorted_lens.size else 0):
+        live = int(np.searchsorted(neg_lens, -pos, side="left"))  # len > pos
+        idx = sorted_starts[:live] + pos
+        out[idx] += out[idx - 1]
+    return out

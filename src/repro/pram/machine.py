@@ -48,8 +48,8 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.obs.tracer import current_tracer
+from repro.pram import kernels
 from repro.pram.backends import Backend, resolve_backend_name, shared_backend
-from repro.pram.kernels import KernelProvider, shared_kernel_provider
 from repro.pram.ledger import CostLedger, CostSnapshot
 from repro.pram.operators import AssociativeOp, get_operator
 from repro.util.rng import ensure_rng
@@ -168,13 +168,6 @@ class PramMachine:
         Cost accumulator; a fresh :class:`CostLedger` by default.
     seed:
         Seed/Generator for the machine's random primitives.
-    kernels:
-        Segmented scatter/scan kernel provider: a
-        :class:`~repro.pram.kernels.KernelProvider` instance, a provider
-        name (``"numpy"``/``"numba"``), or ``None`` for the environment
-        default (``REPRO_KERNELS``, numpy unless set). Providers are
-        byte-identical by contract — swapping one moves wall-clock only;
-        ledger charges are computed here, never inside a provider.
     tracer:
         Observability sink (:class:`repro.obs.Tracer`), or ``None`` for
         the process default (``REPRO_TRACE`` env / :func:`~repro.obs.set_tracer`,
@@ -190,7 +183,6 @@ class PramMachine:
         backend: "Backend | str | None" = None,
         ledger: CostLedger | None = None,
         seed=None,
-        kernels: "KernelProvider | str | None" = None,
         tracer=None,
     ):
         if backend is None or isinstance(backend, str):
@@ -199,7 +191,6 @@ class PramMachine:
         else:
             self.backend = backend
             self._owns_backend = True
-        self.kernels = shared_kernel_provider(kernels)
         self.ledger = ledger if ledger is not None else CostLedger()
         self.rng = ensure_rng(seed)
         self.tracer = tracer if tracer is not None else current_tracer()
@@ -479,13 +470,13 @@ class PramMachine:
             return values.copy()
         # Preserve the input dtype so uniform and ragged structures give
         # consistent results (bool accumulates through int, like the
-        # dense scan kernel's add.accumulate would). The provider
+        # dense scan kernel's add.accumulate would). The kernel
         # accumulates left-to-right within each segment — bit-identical
-        # to a sequential per-segment pass on every provider.
+        # to a sequential per-segment pass.
         prepared = values.astype(
             np.int_ if values.dtype.kind == "b" else values.dtype, copy=False
         )
-        out = self.kernels.segmented_scan_add(prepared, indptr)
+        out = kernels.segmented_scan_add(prepared, indptr)
         self.ledger.charge_basic("segmented_scan[add]", max(values.size + n_seg, 1))
         return np.asarray(out)
 
@@ -494,14 +485,13 @@ class PramMachine:
 
         A min-reduction carrying indices: segment minima, an equality
         map, and a position min — three basic operations, ``O(nnz)``.
-        Executed by the kernel provider; charged here as the reference
-        composition (two segmented min-reductions, a spread, two maps),
-        so ledger totals are provider-invariant.
+        Charged as that composition (two segmented min-reductions, a
+        spread, two maps).
         """
         values = np.asarray(values)
         indptr = np.asarray(indptr, dtype=np.intp)
         n_seg = indptr.size - 1
-        out = self.kernels.segmented_argmin(values, indptr)
+        out = kernels.segmented_argmin(values, indptr)
         self.ledger.charge_basic("segmented_reduce[min]", max(values.size + n_seg, 1))
         self.ledger.charge_basic("segment_spread", max(values.size, 1), depth=1)
         if values.size:
@@ -561,7 +551,7 @@ class PramMachine:
             raise InvalidParameterError(
                 f"scatter_min values shape {values.shape} != idx shape {idx.shape}"
             )
-        out = self.kernels.scatter_min(values, idx, int(size))
+        out = kernels.scatter_min(values, idx, int(size))
         self.ledger.charge_basic("scatter_min", max(values.size + int(size), 1))
         return np.asarray(out)
 
@@ -578,7 +568,7 @@ class PramMachine:
             raise InvalidParameterError(
                 f"scatter_add values shape {values.shape} != idx shape {idx.shape}"
             )
-        out = self.kernels.scatter_add(values, idx, int(size))
+        out = kernels.scatter_add(values, idx, int(size))
         self.ledger.charge_basic("scatter_add", max(values.size + int(size), 1))
         return np.asarray(out)
 

@@ -77,7 +77,8 @@ class ServerConfig:
     the pool) or a live :class:`~repro.pram.backends.Backend` (borrowed;
     the caller keeps ownership). ``queue_size`` bounds accepted-but-
     unstarted jobs — the backpressure knob. ``budget_bytes`` gates
-    admission, ``cache_bytes`` bounds each LRU cache. ``fault_plan``
+    admission (a request whose ``Content-Length`` exceeds it is refused
+    unread), ``cache_bytes`` bounds each LRU cache. ``fault_plan``
     injects deterministic faults into every served solve (tests/CI;
     ``None`` defers to ``REPRO_FAULT_PLAN``). ``solve_fn`` overrides
     the runner for tests: a callable ``(instance, params) -> dict``.
@@ -324,10 +325,10 @@ class SolveServer:
                 if request is None:
                     break
                 method, path, headers, body = request
-                # body None: the Content-Length was unreadable, so where
-                # this request ends (and the next begins) is unknown —
-                # answer 400 and close the connection
-                framed = body is not None
+                # body an _HttpError: the request is unframed or refused
+                # unread, so where it ends (and the next begins) is
+                # unknown — answer the error and close the connection
+                framed = not isinstance(body, _HttpError)
                 t0 = time.perf_counter()
                 tracer = current_tracer()
                 # honor a well-formed incoming X-Repro-Trace-Id (caller
@@ -349,10 +350,7 @@ class SolveServer:
                                     method, path, body, trace_id=trace_id
                                 )
                             else:
-                                status, payload = 400, {
-                                    "error": "Content-Length must be a "
-                                    "non-negative decimal integer"
-                                }
+                                status, payload = body.status, {"error": body.message}
                             args["status"] = status
                 finally:
                     dur = time.perf_counter() - t0
@@ -405,8 +403,14 @@ class SolveServer:
 
     async def _read_request(self, reader):
         """One request as ``(method, path, headers, body)``; ``None`` at
-        end of stream. ``body`` is ``None`` when ``Content-Length`` is
-        not a non-negative decimal integer."""
+        end of stream.
+
+        ``body`` is an :class:`_HttpError` instead of bytes when the body
+        is left unread: a 400 for any ``Transfer-Encoding`` (only
+        ``Content-Length`` framing is spoken) or a ``Content-Length``
+        that is not a non-negative decimal integer, a counted 413 for
+        one above ``budget_bytes``.
+        """
         try:
             line = await asyncio.wait_for(
                 reader.readline(), timeout=self.config.read_timeout_s
@@ -428,16 +432,30 @@ class SolveServer:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        method = method.upper()
+        if "transfer-encoding" in headers:
+            return method, path, headers, _HttpError(
+                400, "Transfer-Encoding is not supported; send a Content-Length body"
+            )
         raw_length = headers.get("content-length", "0") or "0"
         if not (raw_length.isascii() and raw_length.isdigit()):
-            return method.upper(), path, headers, None
+            return method, path, headers, _HttpError(
+                400, "Content-Length must be a non-negative decimal integer"
+            )
         length = int(raw_length)
+        if length > self.config.budget_bytes:
+            self.metrics.counter("serve.rejected_admission").inc()
+            return method, path, headers, _HttpError(
+                413,
+                f"Content-Length {length} is over the "
+                f"{self.config.budget_bytes}-byte admission budget",
+            )
         body = b""
         if length:
             body = await asyncio.wait_for(
                 reader.readexactly(length), timeout=self.config.read_timeout_s
             )
-        return method.upper(), path, headers, body
+        return method, path, headers, body
 
     async def _write_response(
         self, writer, status, payload, *, keep_alive, trace_id=None

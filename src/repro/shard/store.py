@@ -12,6 +12,7 @@ time instead of keeping the dataset resident.
 Layout of a store directory::
 
     manifest.json             # schema, shard count, sizes, weight totals
+                              # (written to a temp file, then os.replace'd)
     shard_00000.points.npy    # (n_s, dim) float64 block
     shard_00000.origin.npy    # (n_s,) intp global point ids
     shard_00000.weights.npy   # (n_s,) float64 (only for weighted stores)
@@ -49,6 +50,21 @@ _FORMAT = "repro-shard-store"
 
 def _block_name(shard: int, part: str) -> str:
     return f"shard_{shard:05d}.{part}.npy"
+
+
+def _write_manifest(directory: str, manifest: dict) -> None:
+    """Dump the manifest to a temp file in ``directory``, then
+    ``os.replace`` it into place: a writer killed mid-dump leaves the
+    previous manifest (or none), never a truncated one."""
+    path = os.path.join(directory, _MANIFEST)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(manifest, fh, indent=1)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @dataclass(frozen=True)
@@ -176,39 +192,84 @@ class ShardStore:
             "sizes": sizes,
             "weight_totals": weight_totals,
         }
-        with open(os.path.join(directory, _MANIFEST), "w") as fh:
-            json.dump(manifest, fh, indent=1)
+        _write_manifest(directory, manifest)
         return cls(directory, manifest)
 
     @classmethod
     def open(cls, directory: str) -> "ShardStore":
-        """Reopen an existing store, verifying manifest and blocks."""
+        """Reopen an existing store, verifying the manifest and every
+        block's ``.npy`` header (shape and dtype) against it."""
         path = os.path.join(directory, _MANIFEST)
         if not os.path.isfile(path):
             raise InvalidInstanceError(
                 f"{directory!r} is not a shard store (no {_MANIFEST})"
             )
-        with open(path) as fh:
-            manifest = json.load(fh)
-        if manifest.get("format") != _FORMAT:
+        try:
+            with open(path) as fh:
+                manifest = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise InvalidInstanceError(
-                f"{directory!r} manifest has format "
-                f"{manifest.get('format')!r}, expected {_FORMAT!r}"
+                f"shard store {directory!r} has an unreadable {_MANIFEST}: {exc}"
+            ) from None
+        fmt = manifest.get("format") if isinstance(manifest, dict) else None
+        if fmt != _FORMAT:
+            raise InvalidInstanceError(
+                f"{directory!r} manifest has format {fmt!r}, expected {_FORMAT!r}"
             )
         if int(manifest.get("version", -1)) > STORE_VERSION:
             raise InvalidInstanceError(
                 f"shard store {directory!r} has schema version "
                 f"{manifest['version']}, newer than supported {STORE_VERSION}"
             )
-        store = cls(directory, manifest)
+        try:
+            store = cls(directory, manifest)
+        except KeyError as exc:
+            raise InvalidInstanceError(
+                f"shard store {directory!r} manifest lacks key {exc}"
+            ) from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidInstanceError(
+                f"shard store {directory!r} manifest is malformed: {exc}"
+            ) from None
+        per_shard = (store.shards,)
+        if store.sizes.shape != per_shard or store.weight_totals.shape != per_shard:
+            raise InvalidInstanceError(
+                f"shard store {directory!r} manifest needs one size and one "
+                f"weight total per shard ({store.shards})"
+            )
         for s in range(store.shards):
-            ref = store.shard_ref(s)
-            for p in (ref.points_path, ref.origin_path, ref.weights_path):
-                if p is not None and not os.path.isfile(p):
-                    raise InvalidInstanceError(
-                        f"shard store {directory!r} is missing block file {p!r}"
-                    )
+            store._verify_blocks(s)
         return store
+
+    def _verify_blocks(self, s: int) -> None:
+        """Check shard ``s``'s block headers against the manifest and the
+        dtypes :meth:`create` writes. The read-only memmap load parses
+        the header and maps the data without reading it, so a block
+        whose file is too short fails here as well."""
+        ref = self.shard_ref(s)
+        blocks = (
+            (ref.points_path, (ref.size, ref.dim), np.dtype(np.float64)),
+            (ref.origin_path, (ref.size,), np.dtype(np.intp)),
+            (ref.weights_path, (ref.size,), np.dtype(np.float64)),
+        )
+        for path, shape, dtype in blocks:
+            if path is None:
+                continue
+            if not os.path.isfile(path):
+                raise InvalidInstanceError(
+                    f"shard store {self.directory!r} is missing block file {path!r}"
+                )
+            try:
+                block = np.load(path, mmap_mode="r")
+            except (OSError, ValueError) as exc:
+                raise InvalidInstanceError(
+                    f"shard store {self.directory!r} block {path!r} is unreadable: {exc}"
+                ) from None
+            if block.shape != shape or block.dtype != dtype:
+                raise InvalidInstanceError(
+                    f"shard store {self.directory!r} block {path!r} holds "
+                    f"{block.dtype}{block.shape}, the manifest expects {dtype}{shape}"
+                )
 
     # -- access -------------------------------------------------------------
 

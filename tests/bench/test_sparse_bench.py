@@ -42,9 +42,6 @@ def test_report_structure_and_feasibility_marker():
         shard_coreset_size=40,
         shard_store_sizes=(500,),
         shard_store_workers=2,
-        kernel_micro_n=20_000,
-        kernel_micro_segments=100,
-        kernel_micro_repeats=1,
     )
     (overlap_entry,) = report["overlap"].values()
     for algorithm in ("parallel_greedy", "parallel_primal_dual"):
@@ -91,17 +88,6 @@ def test_report_structure_and_feasibility_marker():
     assert st["cost_merged"] == sh["cost_merged"]
     assert st["peak_rss_mib"] > 0
     assert st["store_bytes"] > 0 and st["workers"] == 2
-    # kernel microbench (PR 7): every provider byte-identical to numpy
-    micro = report["kernel_microbench"]
-    assert micro["n"] == 20_000 and "numpy" in micro
-    for spec, entry in micro.items():
-        if spec in ("n", "segments"):
-            continue
-        assert set(entry) == {
-            "scatter_min", "scatter_add", "segmented_argmin", "segmented_scan_add"
-        }
-        for kentry in entry.values():
-            assert kentry["matches_numpy"] is True and kentry["wall_s"] >= 0
     # the whole report must serialize as-is (the committed BENCH_PR5.json)
     json.dumps(report)
 
@@ -123,9 +109,6 @@ def test_round_traces_are_summaries_not_samples():
         shard_coreset_size=40,
         shard_store_sizes=(400,),
         shard_store_workers=2,
-        kernel_micro_n=20_000,
-        kernel_micro_segments=100,
-        kernel_micro_repeats=1,
     )
     for tier in ("overlap", "sparse_scaling"):
         for entry in report[tier].values():

@@ -45,12 +45,45 @@ class TestCorrectness:
         A = ~np.eye(8, dtype=bool)
         assert max_dominator_set_sparse(A, machine).sum() == 1
 
+    @pytest.mark.parametrize("h", [128, 200])
+    def test_complete_bipartite_selects_one(self, h):
+        """Any two nodes of K_{h,h} are within two hops, so MaxDom keeps
+        exactly one. Each node then has h ≥ 128 hit neighbours: the
+        two-hop exclusion count must not wrap in a narrow integer."""
+        A = np.zeros((2 * h, 2 * h), dtype=bool)
+        A[:h, h:] = True
+        A[h:, :h] = True
+        sel = max_dominator_set_sparse(sparse.csr_matrix(A), PramMachine(seed=0))
+        assert sel.sum() == 1
+
     def test_zero_nodes(self, machine):
         assert max_dominator_set_sparse(sparse.csr_matrix((0, 0)), machine).size == 0
 
     def test_self_loops_removed(self, machine):
         A = sparse.csr_matrix(np.eye(4, dtype=bool))
         assert max_dominator_set_sparse(A, machine).all()
+
+
+class TestClusteringParityAtScale:
+    def test_dense_and_csr_clustering_identical_at_n1200(self):
+        """Seeded k-center and k-median give the same answer on a dense
+        instance and on its full CSR twin at n=1200, where threshold-graph
+        degrees pass 128 and sparse MaxDom's hit counts must not wrap."""
+        from repro.core.kcenter import parallel_kcenter
+        from repro.core.local_search import parallel_kmedian
+        from repro.metrics.generators import euclidean_clustering
+        from repro.metrics.sparse import SparseClusteringInstance
+
+        dense = euclidean_clustering(1200, 8, seed=0)
+        csr = SparseClusteringInstance.from_instance(dense)
+        a = parallel_kcenter(dense, machine=PramMachine(seed=1))
+        b = parallel_kcenter(csr, machine=PramMachine(seed=1))
+        assert a.extra["threshold"] == b.extra["threshold"]
+        assert np.array_equal(a.centers, b.centers)
+        a = parallel_kmedian(dense, machine=PramMachine(seed=1))
+        b = parallel_kmedian(csr, machine=PramMachine(seed=1))
+        assert np.array_equal(a.centers, b.centers)
+        assert a.cost == b.cost
 
 
 class TestCosts:

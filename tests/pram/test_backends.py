@@ -21,7 +21,6 @@ from repro.pram.backends import (
     ThreadBackend,
     available_backends,
     make_backend,
-    register_backend,
     resolve_backend_name,
     shared_backend,
 )
@@ -272,22 +271,6 @@ def test_auto_policy_mirrors_compaction(monkeypatch):
     # Single-CPU host: always serial, regardless of size.
     monkeypatch.setattr(backends_mod.os, "cpu_count", lambda: 1)
     assert resolve_backend_name("auto", 10**9) == "serial"
-
-
-def test_register_backend_extension_hook():
-    class NullBackend(SerialBackend):
-        name = "null-test"
-
-    register_backend("null-test", lambda num_workers, grain: NullBackend())
-    try:
-        assert isinstance(make_backend("null-test"), NullBackend)
-        assert "null-test" in available_backends()
-    finally:
-        from repro.pram.backends import _BACKEND_REGISTRY
-
-        _BACKEND_REGISTRY.pop("null-test")
-    with pytest.raises(InvalidParameterError):
-        register_backend("auto", lambda num_workers, grain: NullBackend())
 
 
 def test_shared_backend_env_default(monkeypatch):

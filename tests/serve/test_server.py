@@ -24,6 +24,18 @@ def _points(seed=0, n=120, dim=2):
     return np.random.default_rng(seed).normal(size=(n, dim))
 
 
+def _raw_exchange(client, request: bytes, timeout=10.0):
+    """Send raw request bytes and read until the server closes;
+    returns the response ``(head, body)``."""
+    with socket.create_connection((client.host, client.port), timeout=timeout) as sock:
+        sock.sendall(request)
+        raw = b""
+        while chunk := sock.recv(65536):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return head, body
+
+
 @pytest.fixture(scope="module")
 def served():
     config = ServerConfig(backend="thread", backend_workers=2, workers=2)
@@ -137,16 +149,49 @@ class TestBasicApi:
             "POST /instances HTTP/1.1\r\nHost: test\r\n"
             f"Content-Length: {length}\r\n\r\n" '{"points": [[0, 1]]}'
         )
-        with socket.create_connection((served.host, served.port), timeout=10) as sock:
-            sock.sendall(request.encode("latin-1"))
-            raw = b""
-            while chunk := sock.recv(65536):  # until the server closes
-                raw += chunk
-        head, _, body = raw.partition(b"\r\n\r\n")
+        head, body = _raw_exchange(served, request.encode("latin-1"))
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
         assert "Content-Length" in json.loads(body)["error"]
         assert served.metrics()["counters"][key] == before + 1
+
+    def test_transfer_encoding_400_then_close(self, served):
+        """A chunked body has no Content-Length framing: the request gets
+        a counted 400 and the connection closes, so the chunk bytes are
+        never parsed as a next request."""
+        key = 'serve.requests_by_status{status="400"}'
+        before = served.metrics()["counters"].get(key, 0)
+        chunk = b'{"points": [[0, 1]]}'
+        request = (
+            b"POST /instances HTTP/1.1\r\nHost: test\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(chunk) + chunk + b"\r\n0\r\n\r\n"
+        )
+        head, body = _raw_exchange(served, request)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert b"HTTP/1.1" not in body  # one response, nothing after it
+        assert "Transfer-Encoding" in json.loads(body)["error"]
+        assert served.metrics()["counters"][key] == before + 1
+
+    def test_content_length_over_budget_413_unread(self, served):
+        """A Content-Length above the byte budget is refused before any
+        of the body is read: a prompt counted 413, then close."""
+        counters = served.metrics()["counters"]
+        key = 'serve.requests_by_status{status="413"}'
+        before = counters.get(key, 0)
+        rejected = counters.get("serve.rejected_admission", 0)
+        request = (
+            b"POST /instances HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 10000000000\r\n\r\n" b'{"points": '
+        )
+        head, body = _raw_exchange(served, request, timeout=3.0)
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
+        assert "admission budget" in json.loads(body)["error"]
+        counters = served.metrics()["counters"]
+        assert counters[key] == before + 1
+        assert counters["serve.rejected_admission"] == rejected + 1
 
 
 class TestConcurrency:

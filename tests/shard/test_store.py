@@ -170,6 +170,76 @@ class TestValidation:
         with pytest.raises(InvalidInstanceError, match="missing block"):
             ShardStore.open(store.directory)
 
+    def test_open_rejects_truncated_manifest(self, store):
+        mpath = os.path.join(store.directory, "manifest.json")
+        with open(mpath) as fh:
+            text = fh.read()
+        with open(mpath, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        with pytest.raises(InvalidInstanceError, match="unreadable manifest"):
+            ShardStore.open(store.directory)
+
+    def test_open_rejects_manifest_missing_key(self, store):
+        mpath = os.path.join(store.directory, "manifest.json")
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        del manifest["sizes"]
+        with open(mpath, "w") as fh:
+            json.dump(manifest, fh)
+        with pytest.raises(InvalidInstanceError, match="lacks.*sizes"):
+            ShardStore.open(store.directory)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda m: [m], "format None"),
+            (lambda m: {**m, "shards": "four"}, "malformed"),
+            (lambda m: {**m, "sizes": m["sizes"][:-1]}, "one size"),
+        ],
+        ids=["not-an-object", "non-integer-shards", "short-sizes"],
+    )
+    def test_open_rejects_malformed_manifest(self, store, edit, match):
+        mpath = os.path.join(store.directory, "manifest.json")
+        with open(mpath) as fh:
+            manifest = json.load(fh)
+        with open(mpath, "w") as fh:
+            json.dump(edit(manifest), fh)
+        with pytest.raises(InvalidInstanceError, match=match):
+            ShardStore.open(store.directory)
+
+    def test_open_rejects_truncated_block(self, store):
+        path = os.path.join(store.directory, "shard_00000.points.npy")
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 16)
+        with pytest.raises(InvalidInstanceError, match="unreadable"):
+            ShardStore.open(store.directory)
+
+    def test_open_rejects_block_of_wrong_shape(self, store):
+        np.save(os.path.join(store.directory, "shard_00001.points.npy"), np.zeros((3, 5)))
+        with pytest.raises(InvalidInstanceError, match=r"float64\(3, 5\)"):
+            ShardStore.open(store.directory)
+
+    def test_open_rejects_block_of_wrong_dtype(self, wstore):
+        path = os.path.join(wstore.directory, "shard_00002.weights.npy")
+        np.save(path, np.load(path).astype(np.float32))
+        with pytest.raises(InvalidInstanceError, match="float32"):
+            ShardStore.open(wstore.directory)
+
+    def test_manifest_write_is_atomic(self, tmp_path, monkeypatch):
+        """A writer that dies mid-dump leaves no manifest at all (so
+        ``open`` reports "not a shard store"), never a truncated one."""
+        import repro.shard.store as store_mod
+
+        def dump_then_die(obj, fh, **kw):
+            fh.write('{"format": "repro-shard-store", "shar')
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(store_mod.json, "dump", dump_then_die)
+        d = str(tmp_path / "dying")
+        with pytest.raises(KeyboardInterrupt):
+            ShardStore.create(d, POINTS, LABELS, SHARDS)
+        assert not any(name.startswith("manifest") for name in os.listdir(d))
+
     def test_shard_index_bounds(self, store):
         with pytest.raises(InvalidParameterError, match="shard index"):
             store.load_shard(SHARDS)
