@@ -1,28 +1,27 @@
-"""Perf-regression harness: backends × {dense, frontier-compacted}.
+"""Perf-regression harness: the dense FL solvers on every backend.
 
 Runs ``parallel_greedy`` and ``parallel_primal_dual`` on the same
 seeded workload for every requested backend (serial / thread /
-process), once with ``compaction=False`` (the reference full-matrix
-path) and once with ``compaction=True``, and records per (algorithm,
-backend):
+process) and records per (algorithm, backend):
 
 * total wall-clock (min over ``repeats`` runs) and ledger charges
   (work/depth/cache — identical across backends by construction, which
-  the report asserts);
+  the report asserts as ``charges_invariant``);
 * a per-round trace of ledger work and wall-clock, differenced from
   :attr:`repro.pram.ledger.CostLedger.round_log`, so the trajectory
   "per-round cost shrinks with the frontier" is visible, not just the
   totals;
-* the compacted-vs-dense wall-clock speedup and charged-work ratio;
-* exact-equality checks of the solutions across *all* backends and
-  both execution paths (opened set, cost, α).
+* an exact-equality check of the solutions across *all* backends
+  (opened set, cost, α).
 
-The CLI writes the result as JSON (committed as ``BENCH_PR2.json`` at
-the repo root for this PR's baseline; ``BENCH_PR1.json`` holds the
-serial-only PR-1 schema) so later PRs can diff the perf trajectory::
+The CLI writes the result as JSON so runs can be diffed over time::
 
     PYTHONPATH=src python -m repro.bench.regressions --nf 1500 --nc 1500 \
-        --backends serial,thread,process --repeats 3 --out BENCH_PR2.json
+        --backends serial,thread,process --repeats 3 --out bench.json
+
+(``BENCH_PR1.json`` and ``BENCH_PR2.json`` at the repo root are
+earlier schemas of this report, with a serial-only layout and with
+separate full-matrix and frontier-compacted rows respectively.)
 
 Fixed seeds throughout: the numbers move only when the algorithms (or
 the host) change.
@@ -84,7 +83,6 @@ def _run_once(
     *,
     epsilon: float,
     seed: int,
-    compaction: bool,
     backend,
     repeats: int = 1,
     summary: bool = False,
@@ -103,9 +101,7 @@ def _run_once(
     for _ in range(max(int(repeats), 1)):
         machine = PramMachine(backend=backend, seed=seed)
         t0 = time.perf_counter()
-        sol = _ALGORITHMS[algorithm](
-            instance, epsilon=epsilon, machine=machine, compaction=compaction
-        )
+        sol = _ALGORITHMS[algorithm](instance, epsilon=epsilon, machine=machine)
         wall = time.perf_counter() - t0
         if wall >= best_wall:
             continue
@@ -154,16 +150,16 @@ def run_regression(
     repeats: int = 1,
     summary: bool = False,
 ) -> dict:
-    """Run the backend × compaction sweep and return the report dict.
+    """Run the backend sweep and return the report dict.
 
     Backends are named (``"serial"``/``"thread"``/``"process"``); each
     gets a private pool (closed before the next backend runs) so sweeps
     never overlap worker sets. ``solutions_identical`` per algorithm
-    covers every (backend, compaction) combination against the dense
-    run of the **first listed backend** — list serial first (as the
-    committed baseline does) to make that the serial-parity claim.
-    ``cost``/``opened`` and the ``charges_invariant`` reference come
-    from the same first-listed run.
+    compares every backend's solution against the run of the **first
+    listed backend** — list serial first to make that the
+    serial-parity claim. ``cost``/``opened`` and the
+    ``charges_invariant`` reference come from the same first-listed
+    run.
     """
     instance = euclidean_instance(nf, nc, seed=seed)
     report = {
@@ -186,28 +182,16 @@ def run_regression(
     }
     for algorithm in algorithms:
         entry = {"backends": {}}
-        reference = None  # first listed backend's dense solution
+        reference = None  # first listed backend's run
         identical = True
-        ref_work = {}
         for backend_name in backends:
             backend = make_backend(backend_name, num_workers=num_workers, grain=grain)
             try:
-                dense = _run_once(
+                run = _run_once(
                     algorithm,
                     instance,
                     epsilon=epsilon,
                     seed=machine_seed,
-                    compaction=False,
-                    backend=backend,
-                    repeats=repeats,
-                    summary=summary,
-                )
-                compacted = _run_once(
-                    algorithm,
-                    instance,
-                    epsilon=epsilon,
-                    seed=machine_seed,
-                    compaction=True,
                     backend=backend,
                     repeats=repeats,
                     summary=summary,
@@ -215,29 +199,15 @@ def run_regression(
             finally:
                 backend.close()
             if reference is None:
-                reference = dense["solution"]
-                entry["cost"] = reference.cost
-                entry["opened"] = int(reference.opened.size)
-                ref_work = {
-                    "dense": dense["measure"]["ledger_work"],
-                    "compacted": compacted["measure"]["ledger_work"],
-                }
-            identical = (
-                identical
-                and _same_solution(reference, dense["solution"])
-                and _same_solution(reference, compacted["solution"])
-            )
+                reference = run
+                entry["cost"] = run["solution"].cost
+                entry["opened"] = int(run["solution"].opened.size)
+            identical = identical and _same_solution(reference["solution"], run["solution"])
             # Ledger charges are backend-invariant; flag any drift.
-            charges_invariant = dense["measure"]["ledger_work"] == ref_work["dense"] and (
-                compacted["measure"]["ledger_work"] == ref_work["compacted"]
-            )
             entry["backends"][backend_name] = {
-                "dense": dense["measure"],
-                "compacted": compacted["measure"],
-                "speedup_wall": dense["measure"]["wall_s"] / compacted["measure"]["wall_s"],
-                "work_ratio": dense["measure"]["ledger_work"]
-                / max(compacted["measure"]["ledger_work"], 1.0),
-                "charges_invariant": bool(charges_invariant),
+                **run["measure"],
+                "charges_invariant": run["measure"]["ledger_work"]
+                == reference["measure"]["ledger_work"],
             }
         entry["solutions_identical"] = bool(identical)
         report["algorithms"][algorithm] = entry
@@ -371,11 +341,8 @@ def main(argv=None) -> None:
         print(f"{name}: identical={entry['solutions_identical']}")
         for backend_name, row in entry["backends"].items():
             print(
-                f"  {backend_name:>8}: dense {row['dense']['wall_s']:.2f}s "
-                f"(work {row['dense']['ledger_work']:.3g}) | "
-                f"compacted {row['compacted']['wall_s']:.2f}s "
-                f"(work {row['compacted']['ledger_work']:.3g}) | "
-                f"speedup {row['speedup_wall']:.2f}x | "
+                f"  {backend_name:>8}: {row['wall_s']:.2f}s "
+                f"(work {row['ledger_work']:.3g}) | "
                 f"charges_invariant={row['charges_invariant']}"
             )
     if args.out:

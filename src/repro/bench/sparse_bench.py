@@ -4,9 +4,8 @@ Six tiers, one JSON report (committed as ``BENCH_PR3.json`` /
 ``BENCH_PR4.json`` / ``BENCH_PR5.json`` / ``BENCH_PR6.json``):
 
 * **overlap** — facility-location sizes where the dense path still
-  fits: the same seeded geometry is solved by the dense
-  (frontier-compacted) path and by the sparse path on its k-NN
-  truncation. Records wall-clock (min over ``repeats``), solve-phase
+  fits: the same seeded geometry is solved by the dense path and by
+  the sparse path on its k-NN truncation. Records wall-clock (min over ``repeats``), solve-phase
   peak memory (tracemalloc), ledger work, and both objectives (plus the
   dense objective of the sparse solution, so the truncation error is
   visible).

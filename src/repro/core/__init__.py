@@ -40,7 +40,7 @@ every algorithm in the repo.
 from repro.core.result import ClusteringSolution, FacilityLocationSolution
 from repro.core.dominator import max_dominator_set, max_u_dominator_set
 from repro.core.dominator_sparse import max_dominator_set_sparse, max_u_dominator_set_sparse
-from repro.core.stars import cheapest_star_prices_masked, presort_distances, star_members
+from repro.core.stars import presort_distances, star_members
 from repro.core.greedy import parallel_greedy
 from repro.core.primal_dual import parallel_primal_dual
 from repro.core.kcenter import parallel_kcenter
@@ -57,7 +57,6 @@ __all__ = [
     "max_dominator_set_sparse",
     "max_u_dominator_set_sparse",
     "presort_distances",
-    "cheapest_star_prices_masked",
     "star_members",
     "parallel_greedy",
     "parallel_primal_dual",

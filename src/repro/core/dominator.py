@@ -23,13 +23,12 @@ a removed midpoint still connects two live candidates.
 
 **Frontier compaction.** Only candidates carry finite priorities, so
 every masked min above is really a reduction over the candidate rows of
-the adjacency matrix: with ``compaction`` on (the default for
-non-trivial graphs), rounds after the first gather those rows into a
-``|candidates| × n`` strip and run the propagation there — per-round
-work ``O(n·|candidates|)`` instead of ``O(n²)``, with bit-identical
-selections (the reductions see exactly the same finite values and the
-RNG stream is unchanged). Relays still pass through all ``n`` columns,
-preserving the subtlety above.
+the adjacency matrix: each round gathers those rows into a
+``|candidates| × n`` strip (while every node is a candidate the strip
+is the matrix itself, used without a gather) and runs the propagation
+there — per-round work ``O(n·|candidates|)`` instead of ``O(n²)``.
+Relays still pass through all ``n`` columns, preserving the subtlety
+above.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ import math
 
 import numpy as np
 
-from repro.core.frontier import resolve_compaction
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.pram.machine import PramMachine, ensure_machine
 
@@ -55,19 +53,12 @@ def _as_adjacency(A: np.ndarray) -> np.ndarray:
     return A
 
 
-def _neighbor_min(machine: PramMachine, A: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """``out[i] = min_{j ∈ Γ(i)} values[j]`` — one distribute + masked min."""
-    spread = machine.where(A, values[None, :], np.inf)
-    return machine.reduce(spread, "min", axis=1)
-
-
 def max_dominator_set(
     adjacency: np.ndarray,
     machine: PramMachine | None = None,
     *,
     backend=None,
     max_rounds: int | None = None,
-    compaction: "bool | str" = "auto",
 ) -> np.ndarray:
     """Maximal dominator set of a simple graph (MIS of ``G²``), §3.
 
@@ -85,10 +76,6 @@ def max_dominator_set(
         Safety bound; defaults to ``n + 1`` (every round selects the
         globally minimum-priority candidate, so ≥ 1 node leaves per
         round). Expected rounds are ``O(log n)``.
-    compaction:
-        ``"auto"``, ``True``, or ``False`` — run each round on the
-        candidate-row strip once the pool shrinks (see module
-        docstring). Selections are identical either way.
 
     Returns
     -------
@@ -101,7 +88,6 @@ def max_dominator_set(
     if n == 0:
         return np.zeros(0, dtype=bool)
     limit = (n + 1) if max_rounds is None else int(max_rounds)
-    compact = resolve_compaction(compaction, n * n)
 
     candidate = np.ones(n, dtype=bool)
     selected = np.zeros(n, dtype=bool)
@@ -110,58 +96,47 @@ def max_dominator_set(
             return selected
         machine.bump_round("maxdom")
         pi = machine.random_priorities(n).astype(float)
-        if compact and not candidate.all():
-            # Candidate-strip round: gather the candidate rows once and
-            # propagate over |cand| × n instead of n × n. Non-candidates
-            # contribute only +inf to every masked min, so the strip
-            # sees exactly the same finite values as the full matrix.
+        # Candidate-strip round: propagate over |cand| × n instead of
+        # n × n. Non-candidates contribute only +inf to every masked
+        # min, so the strip sees exactly the finite values of the full
+        # matrix; while every node is a candidate the strip is A itself.
+        if candidate.all():
+            cand_idx, pim_c, A_rows = np.arange(n), pi, A
+        else:
             cand_idx = np.flatnonzero(candidate)
             pim_c = machine.take_rows(pi, cand_idx)
             A_rows = machine.take_rows(A, cand_idx)
-            # hop1[j] = min over candidate neighbors of j (A symmetric).
-            hop1 = machine.reduce(
-                machine.where(A_rows, pim_c[:, None], np.inf), "min", axis=0
-            )
-            val = machine.map(np.minimum, machine.where(candidate, pi, np.inf), hop1)
-            hop2_c = machine.reduce(
-                machine.where(A_rows, val[None, :], np.inf), "min", axis=1
-            )
-            sel_c = machine.map(
-                lambda p, h: np.isfinite(p) & (p <= h), pim_c, hop2_c
-            )
-            sel_local = np.flatnonzero(sel_c)
-            sel_idx = cand_idx[sel_local]
-            selected[sel_idx] = True
-            # Exclude the selected and everything within two hops.
-            hop1_hit = (
-                machine.reduce(machine.take_rows(A_rows, sel_local), "or", axis=0)
-                if sel_idx.size
-                else np.zeros(n, dtype=bool)
-            )
-            hop2_hit_c = machine.reduce(
-                machine.where(A_rows, hop1_hit[None, :], False), "or", axis=1
-            )
-            candidate[cand_idx] = ~(sel_c | hop1_hit[cand_idx] | hop2_hit_c)
-            machine.ledger.charge_basic("scatter", max(cand_idx.size, 1), depth=1)
-            continue
-        pim = machine.where(candidate, pi, np.inf)
         # Two-hop minimum with all nodes as relays (see module docstring):
-        # hop1[j] = min over Γ(j); hop2[i] = min over Γ(i) of min(pim, hop1).
-        hop1 = _neighbor_min(machine, A, pim)
-        hop2 = _neighbor_min(machine, A, machine.map(np.minimum, pim, hop1))
+        # hop1[j] = min over candidate neighbors of j (A symmetric);
+        # hop2[i] = min over Γ(i) of min(pim, hop1), with pim the
+        # candidates' priorities and +inf elsewhere.
+        hop1 = machine.reduce(
+            machine.where(A_rows, pim_c[:, None], np.inf), "min", axis=0
+        )
+        val = machine.map(np.minimum, machine.where(candidate, pi, np.inf), hop1)
+        hop2_c = machine.reduce(
+            machine.where(A_rows, val[None, :], np.inf), "min", axis=1
+        )
         # i's own priority flows back through any neighbor, so hop2 ≤ pim
         # for non-isolated candidates; equality ⇔ strict two-hop minimum
         # (priorities are distinct). Isolated candidates see +inf ⇒ chosen.
-        sel = machine.map(
-            lambda c, p, h: c & np.isfinite(p) & (p <= h), candidate, pim, hop2
+        sel_c = machine.map(
+            lambda p, h: np.isfinite(p) & (p <= h), pim_c, hop2_c
         )
-        selected |= sel
-        # Exclude the selected and everything within two hops of them.
-        hop1_hit = machine.reduce(machine.where(A, sel[None, :], False), "or", axis=1)
-        hop2_hit = machine.reduce(machine.where(A, hop1_hit[None, :], False), "or", axis=1)
-        candidate = machine.map(
-            lambda c, s, h1, h2: c & ~(s | h1 | h2), candidate, sel, hop1_hit, hop2_hit
+        sel_local = np.flatnonzero(sel_c)
+        sel_idx = cand_idx[sel_local]
+        selected[sel_idx] = True
+        # Exclude the selected and everything within two hops.
+        hop1_hit = (
+            machine.reduce(machine.take_rows(A_rows, sel_local), "or", axis=0)
+            if sel_idx.size
+            else np.zeros(n, dtype=bool)
         )
+        hop2_hit_c = machine.reduce(
+            machine.where(A_rows, hop1_hit[None, :], False), "or", axis=1
+        )
+        candidate[cand_idx] = ~(sel_c | hop1_hit[cand_idx] | hop2_hit_c)
+        machine.ledger.charge_basic("scatter", max(cand_idx.size, 1), depth=1)
     if candidate.any():
         raise ConvergenceError(f"MaxDom exceeded {limit} rounds (n={n})")
     return selected
@@ -174,7 +149,6 @@ def max_u_dominator_set(
     backend=None,
     candidates: np.ndarray | None = None,
     max_rounds: int | None = None,
-    compaction: "bool | str" = "auto",
 ) -> np.ndarray:
     """Maximal U-dominator set of a bipartite graph (MIS of ``H'``), §3.
 
@@ -192,10 +166,6 @@ def max_u_dominator_set(
         are still relayed through every V node.
     max_rounds:
         Safety bound, default ``|U| + 1``.
-    compaction:
-        ``"auto"``, ``True``, or ``False`` — run each round on the
-        candidate rows of ``H`` once the pool shrinks (see module
-        docstring). Selections are identical either way.
 
     Returns
     -------
@@ -218,7 +188,6 @@ def max_u_dominator_set(
             f"candidates mask must have shape ({nu},), got {candidate.shape}"
         )
     limit = (nu + 1) if max_rounds is None else int(max_rounds)
-    compact = resolve_compaction(compaction, B.size)
 
     selected = np.zeros(nu, dtype=bool)
     for _ in range(limit):
@@ -226,56 +195,41 @@ def max_u_dominator_set(
             return selected
         machine.bump_round("maxudom")
         pi = machine.random_priorities(nu).astype(float)
-        if compact and not candidate.all():
-            # Candidate-strip round over |cand| × |V|: non-candidate
-            # rows only ever contribute +inf/False to the V-side
-            # reductions, so the strip reproduces the full-matrix
-            # selections exactly.
+        # Candidate-strip round over |cand| × |V|: non-candidate rows
+        # only ever contribute +inf/False to the V-side reductions, so
+        # they are left out (no gather while every row is a candidate).
+        if candidate.all():
+            cand_idx, pim_c, B_c = np.arange(nu), pi, B
+        else:
             cand_idx = np.flatnonzero(candidate)
             pim_c = machine.take_rows(pi, cand_idx)
             B_c = machine.take_rows(B, cand_idx)
-            down = machine.reduce(
-                machine.where(B_c, pim_c[:, None], np.inf), "min", axis=0
-            )
-            up_c = machine.reduce(
-                machine.where(B_c, down[None, :], np.inf), "min", axis=1
-            )
-            sel_c = machine.map(
-                lambda p, h: np.isfinite(p) & ((p <= h) | ~np.isfinite(h)),
-                pim_c,
-                up_c,
-            )
-            sel_local = np.flatnonzero(sel_c)
-            selected[cand_idx[sel_local]] = True
-            v_hit = (
-                machine.reduce(machine.take_rows(B_c, sel_local), "or", axis=0)
-                if sel_local.size
-                else np.zeros(B.shape[1], dtype=bool)
-            )
-            u_conflict_c = machine.reduce(
-                machine.where(B_c, v_hit[None, :], False), "or", axis=1
-            )
-            candidate[cand_idx] = ~(sel_c | u_conflict_c)
-            machine.ledger.charge_basic("scatter", max(cand_idx.size, 1), depth=1)
-            continue
-        pim = machine.where(candidate, pi, np.inf)
         # down[v] = min priority among candidate U-neighbors of v;
         # up[u]   = min over v ∈ Γ(u) of down[v]  (covers u itself).
-        down = machine.reduce(machine.where(B, pim[:, None], np.inf), "min", axis=0)
-        up = machine.reduce(machine.where(B, down[None, :], np.inf), "min", axis=1)
-        sel = machine.map(
-            lambda c, p, h: c & np.isfinite(p) & ((p <= h) | ~np.isfinite(h)),
-            candidate,
-            pim,
-            up,
+        down = machine.reduce(
+            machine.where(B_c, pim_c[:, None], np.inf), "min", axis=0
         )
-        selected |= sel
-        # Conflict exclusion: U-nodes sharing a V-neighbor with a pick.
-        v_hit = machine.reduce(machine.where(B, sel[:, None], False), "or", axis=0)
-        u_conflict = machine.reduce(machine.where(B, v_hit[None, :], False), "or", axis=1)
-        candidate = machine.map(
-            lambda c, s, uc: c & ~(s | uc), candidate, sel, u_conflict
+        up_c = machine.reduce(
+            machine.where(B_c, down[None, :], np.inf), "min", axis=1
         )
+        sel_c = machine.map(
+            lambda p, h: np.isfinite(p) & ((p <= h) | ~np.isfinite(h)),
+            pim_c,
+            up_c,
+        )
+        sel_local = np.flatnonzero(sel_c)
+        selected[cand_idx[sel_local]] = True
+        # Conflict exclusion: candidates sharing a V-neighbor with a pick.
+        v_hit = (
+            machine.reduce(machine.take_rows(B_c, sel_local), "or", axis=0)
+            if sel_local.size
+            else np.zeros(B.shape[1], dtype=bool)
+        )
+        u_conflict_c = machine.reduce(
+            machine.where(B_c, v_hit[None, :], False), "or", axis=1
+        )
+        candidate[cand_idx] = ~(sel_c | u_conflict_c)
+        machine.ledger.charge_basic("scatter", max(cand_idx.size, 1), depth=1)
     if candidate.any():
         raise ConvergenceError(f"MaxUDom exceeded {limit} rounds (|U|={nu})")
     return selected

@@ -10,12 +10,13 @@ The kernel is segmented minimum over the CSR row structure
 (``np.minimum.reduceat``), i.e., a prefix-sum-style basic operation in
 the §2 sense — charged as work ``|E|``, depth ``log n``.
 
-**Frontier compaction.** Once the candidate pool shrinks, each round
-only touches the candidate rows and their one-hop halo (the relay
+**Frontier compaction.** The first round, with every node a
+candidate, is one plain pass over the whole CSR structure. Every later
+round only touches the candidate rows and their one-hop halo (the relay
 nodes): the segmented reductions run over those rows' CSR segments, so
 per-round work is ``O(n + nnz(frontier rows))`` instead of
-``O(nnz)`` — the sparse counterpart of the dense candidate-strip
-rounds in :mod:`repro.core.dominator`, with identical selections.
+``O(nnz)`` — the sparse counterpart of the candidate-strip rounds in
+:mod:`repro.core.dominator`, with identical selections.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.core.frontier import resolve_compaction
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.pram.machine import PramMachine, ensure_machine
 from repro.util.csr import csr_drop_diagonal, validate_csr
@@ -60,7 +60,7 @@ def _segmented_min(machine: PramMachine, A: sparse.csr_matrix, values: np.ndarra
     starts = np.minimum(A.indptr[:-1], nnz)
     out = np.minimum.reduceat(gathered, starts)
     out[np.diff(A.indptr) == 0] = np.inf
-    machine.ledger.charge_basic("sparse_neighbor_min", int(nnz))
+    machine.ledger.charge_basic("sparse_segmented_min", int(nnz))
     return out
 
 
@@ -96,12 +96,12 @@ def _segmented_min_rows(
     frontier rows' segments — ``O(nnz(rows))`` work."""
     cols, lens, seg = _row_segments(A, rows)
     if cols is None:
-        machine.ledger.charge_basic("sparse_neighbor_min", max(rows.size, 1))
+        machine.ledger.charge_basic("sparse_segmented_min", max(rows.size, 1))
         return np.full(rows.size, np.inf)
     gathered = np.append(values[cols], np.inf)
     out = np.minimum.reduceat(gathered, seg)
     out[lens == 0] = np.inf
-    machine.ledger.charge_basic("sparse_neighbor_min", int(cols.size))
+    machine.ledger.charge_basic("sparse_segmented_min", int(cols.size))
     return out
 
 
@@ -126,7 +126,6 @@ def max_dominator_set_sparse(
     *,
     backend=None,
     max_rounds: int | None = None,
-    compaction: "bool | str" = "auto",
 ) -> np.ndarray:
     """Sparse ``MaxDom`` — identical semantics to
     :func:`repro.core.dominator.max_dominator_set`, ``O(|E| log |V|)``
@@ -140,10 +139,6 @@ def max_dominator_set_sparse(
         Execution backend name or instance for a freshly constructed
         machine; mutually exclusive with ``machine``. Selections are
         backend-invariant.
-    compaction:
-        ``"auto"``, ``True``, or ``False`` — restrict each round to the
-        candidate rows and their relay halo once the pool shrinks (see
-        module docstring). Selections are identical either way.
 
     Returns
     -------
@@ -156,7 +151,6 @@ def max_dominator_set_sparse(
     if n == 0:
         return np.zeros(0, dtype=bool)
     limit = (n + 1) if max_rounds is None else int(max_rounds)
-    compact = resolve_compaction(compaction, max(int(A.indptr[-1]), n))
 
     candidate = np.ones(n, dtype=bool)
     selected = np.zeros(n, dtype=bool)
@@ -165,7 +159,7 @@ def max_dominator_set_sparse(
             return selected
         machine.bump_round("maxdom_sparse")
         pi = machine.random_priorities(n).astype(float)
-        if compact and not candidate.all():
+        if not candidate.all():
             # Frontier round: candidate rows + their one-hop halo. The
             # halo relays priorities/hits exactly like the full pass —
             # any row outside it can neither select nor affect a
@@ -227,9 +221,8 @@ def max_u_dominator_set_sparse(
     V-side priority minimum is a :meth:`~repro.pram.machine.PramMachine.scatter_min`
     over those edges, and the U-side conflict relays are segmented
     min/or reductions over the same segments. Non-candidate rows never
-    contribute anything but the operator identity in the dense
-    formulation, so restricting to candidate segments reproduces the
-    full-matrix selections exactly.
+    contribute anything but the operator identity, so restricting to
+    candidate segments reproduces the dense selections exactly.
 
     Parameters
     ----------

@@ -26,17 +26,16 @@ Dual artifacts: each removed client records ``α_j = τ`` of its removal
 round; Lemma 4.3 (``cost ≤ 2(1+ε)² Σ α_j``) and Lemma 4.7 (``α/3`` is
 dual feasible) are then executable — the tests run both.
 
-**Execution paths.** The default (``compaction="auto"``) runs a
-frontier-compacted variant of the loop above on non-trivial instances:
-the presorted structure is packed down to the still-active clients
-after every removal, the subselection graph lives on a
-``|I| × |C_active|`` submatrix, and votes are counted with a segmented
-bincount instead of an ``n_f × n_c`` vote matrix. Per-round work —
-wall-clock and ledger-charged — is then proportional to the remaining
-instance, which is exactly the §4 cost analysis ("``O(m)`` work over
-the remaining instance"). ``compaction=False`` keeps the original
-full-matrix execution; seeded runs of both paths return identical
-solutions on every tested workload (asserted exactly by the
+**Execution.** Every round runs on the frontier: the presorted
+structure is packed down to the still-active clients after every
+removal, the subselection graph lives on a ``|I| × |C_active|``
+submatrix, and votes are counted with a segmented bincount instead of
+an ``n_f × n_c`` vote matrix. Per-round work — wall-clock and
+ledger-charged — is then proportional to the remaining instance, which
+is exactly the §4 cost analysis ("``O(m)`` work over the remaining
+instance"). Sparse instances run the CSR path
+(:mod:`repro.core.greedy_sparse`); on dense-representable instances
+the two return identical seeded solutions (asserted exactly by the
 equivalence suite — only instances engineered so a star price sits
 within an ulp of the admission cut could in principle diverge).
 """
@@ -47,11 +46,9 @@ import math
 
 import numpy as np
 
-from repro.core.frontier import resolve_compaction
 from repro.core.result import FacilityLocationSolution
 from repro.core.stars import (
     cheapest_star_prices_compact,
-    cheapest_star_prices_masked,
     compact_sorted_columns,
     presort_distances,
 )
@@ -81,7 +78,6 @@ def parallel_greedy(
     preprocess: bool = True,
     max_outer_rounds: int | None = None,
     max_subselect_rounds: int | None = None,
-    compaction: "bool | str" = "auto",
 ) -> FacilityLocationSolution:
     """Run Algorithm 4.1 to completion.
 
@@ -106,12 +102,6 @@ def parallel_greedy(
         removes ≥ 1 client — and a large multiple of the Lemma 4.8
         expectation for subselection); exceeding them raises
         :class:`~repro.errors.ConvergenceError`.
-    compaction:
-        ``"auto"`` (default), ``True``, or ``False`` — whether per-round
-        work runs on frontier-compacted submatrices (see module
-        docstring). Both paths return identical seeded solutions.
-        Sparse instances always execute the (inherently compacted)
-        sparse path, whatever this is set to.
 
     Returns
     -------
@@ -127,7 +117,7 @@ def parallel_greedy(
     algorithm then runs over the candidate-edge structure in
     ``O(nnz(frontier rows))`` work per round
     (:mod:`repro.core.greedy_sparse`) and returns byte-identical seeded
-    solutions to the dense paths on dense-representable instances.
+    solutions to the dense path on dense-representable instances.
     """
     eps = check_epsilon(epsilon, upper=1.0)
     machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.m)
@@ -144,8 +134,7 @@ def parallel_greedy(
 
         return _parallel_greedy_sparse(instance, eps, machine, preprocess, outer_cap, sub_cap)
 
-    run = _parallel_greedy_compact if resolve_compaction(compaction, instance.m) else _parallel_greedy_dense
-    return run(instance, eps, machine, preprocess, outer_cap, sub_cap)
+    return _parallel_greedy_dense(instance, eps, machine, preprocess, outer_cap, sub_cap)
 
 
 def _apply_preprocessing(
@@ -160,8 +149,7 @@ def _apply_preprocessing(
     """§4 ``γ/m²`` preprocessing: open every star priced ≤ threshold.
 
     Mutates ``opened``/``active`` in place, returns the updated opening
-    costs and the served-client count. Shared verbatim by both
-    execution paths (identical ops ⇒ identical results).
+    costs and the served-client count.
     """
     pre_open = machine.map(lambda p: p <= threshold * _REL_TOL, prices)
     preprocessed = 0
@@ -192,7 +180,7 @@ def _build_solution(
     preprocessed: int,
     eps: float,
 ) -> FacilityLocationSolution:
-    """Assemble the §4 solution object (shared by both paths)."""
+    """Assemble the §4 solution object (shared with the CSR path)."""
     opened_idx = np.flatnonzero(opened)
     return FacilityLocationSolution(
         opened=opened_idx,
@@ -219,163 +207,7 @@ def _parallel_greedy_dense(
     outer_cap: int,
     sub_cap: int,
 ) -> FacilityLocationSolution:
-    """Reference full-matrix execution (every round touches ``n_f × n_c``)."""
-    D = instance.D
-    f_cur = instance.f.astype(float).copy()
-    nf, nc = D.shape
-    m = max(instance.m, 2)
-    # Client multiplicities generalize star prices to (f + Σwd)/Σw and
-    # subselection degrees/votes to weighted sums; None keeps the exact
-    # unweighted code path (byte-identical seeded runs). The weighted
-    # distance matrix is loop-invariant — built (and ledger-charged)
-    # once.
-    w = None if instance.has_unit_weights else instance.client_weights
-    wD = None if w is None else machine.map(lambda d, ww: d * ww, D, w[None, :])
-
-    start = machine.snapshot()
-    order, D_sorted = presort_distances(machine, D)
-    active = np.ones(nc, dtype=bool)
-    opened = np.zeros(nf, dtype=bool)
-    alpha = np.zeros(nc, dtype=float)
-    tau_trace: list[float] = []
-    gamma = _instance_gamma(machine, D, instance.f.astype(float))
-    preprocessed = 0
-
-    if preprocess:
-        prices = cheapest_star_prices_masked(
-            machine, D_sorted, order, f_cur, active, weights=w
-        )
-        f_cur, preprocessed = _apply_preprocessing(
-            machine, D, prices, gamma / (m * m), opened, f_cur, active
-        )
-
-    while active.any():
-        outer = machine.bump_round("greedy_outer")
-        if outer > outer_cap:
-            raise ConvergenceError(
-                f"greedy exceeded {outer_cap} outer rounds (m={m}, eps={eps})"
-            )
-        prices = cheapest_star_prices_masked(
-            machine, D_sorted, order, f_cur, active, weights=w
-        )
-        tau = float(machine.reduce(prices, "min"))
-        tau_trace.append(tau)
-        cut = tau * (1.0 + eps) * _REL_TOL
-        I = machine.map(lambda p: p <= cut, prices)
-        E = machine.map(
-            lambda d, Ii, a: Ii & a & (d <= cut),
-            D,
-            np.broadcast_to(I[:, None], D.shape),
-            np.broadcast_to(active[None, :], D.shape),
-        )
-
-        sub = 0
-        while True:
-            if w is None:
-                deg = machine.reduce(E.astype(float), "add", axis=1)
-            else:
-                deg = machine.reduce(
-                    machine.where(E, np.broadcast_to(w[None, :], E.shape), 0.0),
-                    "add",
-                    axis=1,
-                )
-            I = machine.map(lambda Ii, dg: Ii & (dg > 0), I, deg)
-            E = machine.map(lambda e, Ii: e & Ii, E, np.broadcast_to(I[:, None], E.shape))
-            if not I.any():
-                break
-            sub += 1
-            machine.bump_round("greedy_subselect")
-            if sub > sub_cap:
-                raise ConvergenceError(
-                    f"greedy subselection exceeded {sub_cap} rounds (m={m}, eps={eps})"
-                )
-
-            # 4(a–b): random permutation; every client picks its
-            # minimum-priority admitted neighbor.
-            Pi = machine.random_priorities(nf).astype(float)
-            col_priorities = machine.where(E, Pi[:, None], np.inf)
-            phi = machine.argmin(col_priorities, axis=0)
-            has_edge = machine.reduce(E, "or", axis=0)
-
-            # 4(c): votes per facility; open the well-supported ones.
-            vote_matrix = machine.map(
-                lambda ph, he, row: (ph == row) & he,
-                np.broadcast_to(phi[None, :], E.shape),
-                np.broadcast_to(has_edge[None, :], E.shape),
-                np.broadcast_to(np.arange(nf)[:, None], E.shape),
-            )
-            if w is None:
-                votes = machine.reduce(vote_matrix.astype(float), "add", axis=1)
-            else:
-                votes = machine.reduce(
-                    machine.where(
-                        vote_matrix, np.broadcast_to(w[None, :], E.shape), 0.0
-                    ),
-                    "add",
-                    axis=1,
-                )
-            open_now = machine.map(
-                lambda Ii, v, dg: Ii & (dg > 0) & (v * (2.0 * (1.0 + eps)) >= dg * (1.0 - 1e-12)),
-                I,
-                votes,
-                deg,
-            )
-            if open_now.any():
-                served = machine.reduce(
-                    machine.where(E, np.broadcast_to(open_now[:, None], E.shape), False),
-                    "or",
-                    axis=0,
-                )
-                opened |= open_now
-                f_cur = machine.where(open_now, 0.0, f_cur)
-                I = machine.map(lambda Ii, o: Ii & ~o, I, open_now)
-                alpha = machine.where(served & active, tau, alpha)
-                active &= ~served
-                E = machine.map(
-                    lambda e, srv, Ii: e & ~srv & Ii,
-                    E,
-                    np.broadcast_to(served[None, :], E.shape),
-                    np.broadcast_to(I[:, None], E.shape),
-                )
-
-            # 4(d): drop facilities whose reduced star price exceeds the cut.
-            if w is None:
-                wsum = machine.reduce(machine.where(E, D, 0.0), "add", axis=1)
-                deg_now = machine.reduce(E.astype(float), "add", axis=1)
-            else:
-                wsum = machine.reduce(machine.where(E, wD, 0.0), "add", axis=1)
-                deg_now = machine.reduce(
-                    machine.where(E, np.broadcast_to(w[None, :], E.shape), 0.0),
-                    "add",
-                    axis=1,
-                )
-            drop = machine.map(
-                lambda Ii, dg, ws, fc: Ii & (dg > 0) & ((fc + ws) > cut * dg * _REL_TOL),
-                I,
-                deg_now,
-                wsum,
-                f_cur,
-            )
-            if drop.any():
-                I = machine.map(lambda Ii, dr: Ii & ~dr, I, drop)
-                E = machine.map(lambda e, Ii: e & Ii, E, np.broadcast_to(I[:, None], E.shape))
-
-    return _build_solution(
-        instance, machine, start, opened, alpha, gamma, tau_trace, preprocessed, eps
-    )
-
-
-def _parallel_greedy_compact(
-    instance: FacilityLocationInstance,
-    eps: float,
-    machine: PramMachine,
-    preprocess: bool,
-    outer_cap: int,
-    sub_cap: int,
-) -> FacilityLocationSolution:
-    """Frontier-compacted execution: per-round work ∝ remaining instance.
-
-    Differences from the dense path (results are identical):
+    """Dense execution on the frontier: per-round work ∝ remaining instance.
 
     * the presorted structure is packed to the live clients after every
       removal, so star pricing costs ``O(n_f · |C_active|)``;
@@ -383,18 +215,19 @@ def _parallel_greedy_compact(
       gathered per outer round; open/served/drop updates compact it
       further instead of masking a full matrix;
     * votes are a segmented :meth:`~repro.pram.machine.PramMachine.count_votes`
-      over client choices — ``O(|C_active|)`` instead of three broadcast
-      ``n_f × n_c`` temporaries.
+      over client choices — ``O(|C_active|)``, with no vote matrix.
 
-    Random priorities are still drawn over the full facility set each
+    Random priorities are drawn over the full facility set each
     subselection round, which keeps the RNG stream — and therefore every
-    decision — bit-identical to the dense path.
+    decision — bit-identical to the CSR path.
     """
     D = instance.D
     f_cur = instance.f.astype(float).copy()
     nf, nc = D.shape
     m = max(instance.m, 2)
-    # Client multiplicities (see the dense path); None = unweighted.
+    # Client multiplicities generalize star prices to (f + Σwd)/Σw and
+    # subselection degrees/votes to weighted sums; None keeps the exact
+    # unweighted code path (byte-identical seeded runs).
     w = None if instance.has_unit_weights else instance.client_weights
 
     start = machine.snapshot()
@@ -477,7 +310,7 @@ def _parallel_greedy_compact(
                 )
 
             # 4(a–b): the permutation is drawn over *all* facilities
-            # (RNG parity with the dense path); only the admitted rows'
+            # (RNG parity with the CSR path); only the admitted rows'
             # priorities are consumed.
             Pi = machine.random_priorities(nf).astype(float)
             pi_adm = machine.take_rows(Pi, adm)

@@ -7,7 +7,7 @@ so work per round is ``O(nnz(frontier rows))`` — the paper's input-size
 parameter ``m`` is the edge count here, exactly as the Lemma 3.1 remark
 ("for sparse matrices … this can easily be improved") invites.
 
-Structure mirrors the frontier-compacted dense path one-for-one:
+Structure mirrors the dense path (:mod:`repro.core.greedy`) one-for-one:
 
 * the live sorted structure holds each facility's *remaining* candidate
   clients ascending by distance, packed after every removal round;
@@ -22,11 +22,11 @@ Structure mirrors the frontier-compacted dense path one-for-one:
 **Parity.** On dense-representable instances the live structure keeps
 uniform segment lengths throughout the run (every facility's segment
 contains every active client), so every segmented primitive takes its
-rectangular fast path — bit-identical arithmetic to the dense compacted
-kernels. Seeded solutions are therefore byte-identical to both dense
-paths; the RNG stream is preserved by drawing the subselection
+rectangular fast path — bit-identical arithmetic to the dense
+kernels. Seeded solutions are therefore byte-identical to the dense
+path; the RNG stream is preserved by drawing the subselection
 permutation over the full facility set each round, exactly as the dense
-paths do. Clients with no candidate facility are never active: they pay
+path does. Clients with no candidate facility are never active: they pay
 their fallback cost in the objective regardless of what opens, and
 their dual ``α`` stays 0.
 """
@@ -227,7 +227,7 @@ def _parallel_greedy_sparse(
                 )
 
             # 4(a–b): permutation over *all* facilities (RNG parity with
-            # the dense paths); each client votes for its minimum-
+            # the dense path); each client votes for its minimum-
             # priority admitted neighbor.
             Pi = machine.random_priorities(nf).astype(float)
             pi_adm = machine.take_rows(Pi, adm)

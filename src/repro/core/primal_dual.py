@@ -19,20 +19,19 @@ Preprocessing opens every facility payable at level ``γ/m²`` for free
 (total damage ≤ 3γ/m) which pins the iteration count at
 ``≤ 3·log_{1+ε} m + O(1)``.
 
-**Execution paths.** With ``compaction="auto"`` (default on non-trivial
-instances) each iteration runs on the raise/freeze frontier instead of
-the full matrix: frozen clients' payments are folded into a running
-per-facility total the moment they freeze, the freeze test consults a
-maintained nearest-open-facility distance instead of re-scanning all
-open rows, and ``H`` edges are accumulated incrementally (full row once
-when a facility opens; raised columns only afterwards). Per-iteration
-work is then ``O(|F_closed| · |C_unfrozen|)`` — the §5 "remaining
-instance" — rather than ``O(m)`` regardless of progress.
-``compaction=False`` keeps the original full-matrix execution; seeded
-runs of both paths return identical solutions on every tested workload
-(exact equality is asserted in the equivalence suite; in principle the
-reassociated payment sums could differ in the last ulp for instances
-engineered to sit exactly on an opening threshold).
+**Execution.** Each iteration runs on the raise/freeze frontier:
+frozen clients' payments are folded into a running per-facility total
+the moment they freeze, the freeze test consults a maintained
+nearest-open-facility distance instead of re-scanning all open rows,
+and ``H`` edges are accumulated incrementally (full row once when a
+facility opens; raised columns only afterwards). Per-iteration work is
+then ``O(|F_closed| · |C_unfrozen|)`` — the §5 "remaining instance" —
+rather than ``O(m)`` regardless of progress. Sparse instances run the
+CSR path (:mod:`repro.core.primal_dual_sparse`); on dense-representable
+instances the two return identical seeded solutions (exact equality is
+asserted in the equivalence suite; in principle the batched payment
+sums could differ in the last ulp for instances engineered to sit
+exactly on an opening threshold).
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import math
 import numpy as np
 
 from repro.core.dominator import max_u_dominator_set
-from repro.core.frontier import resolve_compaction
 from repro.core.greedy import _instance_gamma
 from repro.core.result import FacilityLocationSolution
 from repro.errors import ConvergenceError
@@ -63,7 +61,6 @@ def parallel_primal_dual(
     backend=None,
     preprocess: bool = True,
     max_iterations: int | None = None,
-    compaction: "bool | str" = "auto",
 ) -> FacilityLocationSolution:
     """Run Algorithm 5.1 to completion.
 
@@ -85,10 +82,6 @@ def parallel_primal_dual(
         Safety bound; the default is the analysis bound
         ``3·log_{1+ε}(m) + 8`` when preprocessing is on, and a spread-
         dependent bound otherwise.
-    compaction:
-        ``"auto"`` (default), ``True``, or ``False`` — whether the
-        raise/freeze loop runs on the frontier (see module docstring).
-        Both paths return identical seeded solutions.
 
     Returns
     -------
@@ -115,18 +108,13 @@ def parallel_primal_dual(
                 iter_cap += math.ceil(math.log(1.0 / w_min) / math.log1p(eps))
 
     if isinstance(instance, SparseFacilityLocationInstance):
-        # Sparse instances always execute the (inherently compacted)
-        # O(nnz)-per-iteration path; see repro.core.primal_dual_sparse.
+        # Sparse instances execute the O(nnz)-per-iteration path; see
+        # repro.core.primal_dual_sparse.
         from repro.core.primal_dual_sparse import _parallel_primal_dual_sparse
 
         return _parallel_primal_dual_sparse(instance, eps, machine, preprocess, iter_cap)
 
-    run = (
-        _parallel_primal_dual_compact
-        if resolve_compaction(compaction, instance.m)
-        else _parallel_primal_dual_dense
-    )
-    return run(instance, eps, machine, preprocess, iter_cap)
+    return _parallel_primal_dual_dense(instance, eps, machine, preprocess, iter_cap)
 
 
 def _parallel_primal_dual_dense(
@@ -136,119 +124,9 @@ def _parallel_primal_dual_dense(
     preprocess: bool,
     iter_cap: int,
 ) -> FacilityLocationSolution:
-    """Reference full-matrix execution (every iteration touches ``m``)."""
-    D = instance.D
-    f = instance.f.astype(float)
-    nf, nc = D.shape
-    m = max(instance.m, 2)
-    # Client multiplicities scale each client's payment contribution
-    # w_j·max(0, (1+ε)α_j − d) — the continuous-time view of w_j
-    # co-located duals rising together. Freeze/H-edge conditions stay
-    # per-client. None keeps the exact unweighted code path.
-    w = None if instance.has_unit_weights else instance.client_weights
+    """Dense execution on the frontier: per-iteration work ∝ closed × unfrozen.
 
-    start = machine.snapshot()
-    gamma = _instance_gamma(machine, D, f)
-    # Degenerate but legal: γ = 0 means every client has a zero-cost,
-    # zero-distance facility; the preprocessing opens them all below.
-    base = gamma / (m * m) if gamma > 0 else 0.0
-
-    alpha = np.zeros(nc, dtype=float)
-    frozen = np.zeros(nc, dtype=bool)
-    free_open = np.zeros(nf, dtype=bool)  # F0
-    tent_open = np.zeros(nf, dtype=bool)  # F_T (opened during main loop)
-    H = np.zeros((nf, nc), dtype=bool)
-
-    if preprocess or gamma == 0.0:
-        pay0 = machine.map(lambda d: np.maximum(0.0, base * _REL_TOL - d), D)
-        if w is not None:
-            pay0 = machine.map(lambda p, ww: p * ww, pay0, w[None, :])
-        paid0 = machine.reduce(pay0, "add", axis=1)
-        free_open = machine.map(lambda p, ff: p >= ff / _REL_TOL, paid0, f)
-        if free_open.any():
-            near = machine.map(
-                lambda d, fo: fo & (d <= base * _REL_TOL),
-                D,
-                np.broadcast_to(free_open[:, None], D.shape),
-            )
-            freely = machine.reduce(near, "or", axis=0)
-            frozen |= freely  # α stays 0 for freely connected clients
-
-    if gamma == 0.0:
-        frozen[:] = True  # everyone has a free zero-distance facility
-
-    iterations = 0
-    while not frozen.all():
-        iterations += 1
-        machine.bump_round("pd_iterations")
-        if iterations > iter_cap:
-            raise ConvergenceError(
-                f"primal–dual exceeded {iter_cap} iterations (m={m}, eps={eps})"
-            )
-        t = base * (1.0 + eps) ** (iterations - 1) if base > 0 else 0.0
-        # Step 1: raise unfrozen duals to the schedule level.
-        alpha = machine.where(frozen, alpha, t)
-        # Step 2: open facilities whose (1+ε)-lookahead payment covers f.
-        pay = machine.map(
-            lambda d, a: np.maximum(0.0, (1.0 + eps) * a - d),
-            D,
-            np.broadcast_to(alpha[None, :], D.shape),
-        )
-        if w is not None:
-            pay = machine.map(lambda p, ww: p * ww, pay, w[None, :])
-        paid = machine.reduce(pay, "add", axis=1)
-        openable = machine.map(
-            lambda p, ff, fo, to: (p * _REL_TOL >= ff) & ~fo & ~to, paid, f, free_open, tent_open
-        )
-        tent_open |= openable
-        # Step 3: freeze unfrozen clients reaching any open facility.
-        any_open = machine.map(lambda fo, to: fo | to, free_open, tent_open)
-        if any_open.any():
-            reachable = machine.reduce(
-                machine.map(
-                    lambda d, a, op: op & ((1.0 + eps) * a * _REL_TOL >= d),
-                    D,
-                    np.broadcast_to(alpha[None, :], D.shape),
-                    np.broadcast_to(any_open[:, None], D.shape),
-                ),
-                "or",
-                axis=0,
-            )
-            frozen |= reachable
-        # Step 4: accumulate contribution edges to tentatively open facilities.
-        H |= machine.map(
-            lambda d, a, to: to & ((1.0 + eps) * a > d),
-            D,
-            np.broadcast_to(alpha[None, :], D.shape),
-            np.broadcast_to(tent_open[:, None], D.shape),
-        )
-        # Exhaustion rule: if every facility is open but clients remain
-        # unfrozen, connect them directly (α_j = min_i d(j,i)).
-        if not frozen.all() and bool(np.all(free_open | tent_open)):
-            nearest = machine.reduce(D, "min", axis=0)
-            alpha = machine.where(frozen, alpha, np.maximum(nearest, alpha))
-            frozen[:] = True
-            H |= machine.map(
-                lambda d, a, to: to & ((1.0 + eps) * a > d),
-                D,
-                np.broadcast_to(alpha[None, :], D.shape),
-                np.broadcast_to(tent_open[:, None], D.shape),
-            )
-
-    return _finish(instance, machine, start, gamma, eps, alpha, free_open, tent_open, H, f)
-
-
-def _parallel_primal_dual_compact(
-    instance: FacilityLocationInstance,
-    eps: float,
-    machine: PramMachine,
-    preprocess: bool,
-    iter_cap: int,
-) -> FacilityLocationSolution:
-    """Frontier execution: per-iteration work ∝ closed × unfrozen.
-
-    Invariants maintained between iterations (all exact, so results are
-    identical to the dense path):
+    Invariants maintained between iterations (all exact):
 
     * ``paid_frozen[i] = Σ_{j frozen} max(0, (1+ε)α_j − d(j,i))`` —
       folded in the iteration each client freezes, so step 2 only sums
@@ -257,13 +135,17 @@ def _parallel_primal_dual_compact(
       opened rows only, so step 3 is ``O(|C_unfrozen|)``;
     * ``H`` rows are written once in full when a facility opens, and
       extended on raised (unfrozen) columns afterwards — together these
-      cover exactly the pairs the dense recomputation flags.
+      cover exactly the pairs with ``(1+ε)α_j > d(j,i)`` to a
+      tentatively open facility.
     """
     D = instance.D
     f = instance.f.astype(float)
     nf, nc = D.shape
     m = max(instance.m, 2)
-    # Client multiplicities (see the dense path); None = unweighted.
+    # Client multiplicities scale each client's payment contribution
+    # w_j·max(0, (1+ε)α_j − d) — the continuous-time view of w_j
+    # co-located duals rising together. Freeze/H-edge conditions stay
+    # per-client. None keeps the exact unweighted code path.
     w = None if instance.has_unit_weights else instance.client_weights
 
     start = machine.snapshot()
@@ -377,12 +259,12 @@ def _parallel_primal_dual_compact(
             )
 
         # Fold the payments of clients frozen this iteration into the
-        # per-facility running totals (their α is now final). This
-        # reassociates the dense path's single row-sum into batch
-        # partial sums, so the two paths can differ in the last ulp; a
-        # divergence requires a payment within an ulp of the tolerance-
-        # shifted opening threshold, which no tested workload exhibits
-        # (the equivalence suite asserts exact equality).
+        # per-facility running totals (their α is now final). A client's
+        # payment thus enters as one batch partial sum rather than one
+        # row-sum over all clients; a payment within an ulp of the
+        # tolerance-shifted opening threshold could therefore decide
+        # differently from an unbatched sum, which no tested workload
+        # exhibits.
         if newly_frozen.size:
             contrib = machine.masked_axpy(
                 -1.0,

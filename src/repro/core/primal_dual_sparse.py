@@ -10,8 +10,8 @@ column acts as a virtual always-open facility at distance
 ``fallback_j``, which keeps every client freezable and the objective
 well-defined on truncated instances. On dense-representable instances
 (``fallback ≡ +inf``) the virtual facility is unreachable and the
-execution mirrors the dense frontier-compacted path decision-for-
-decision:
+execution mirrors the dense path (:mod:`repro.core.primal_dual`)
+decision-for-decision:
 
 * ``paid_frozen`` folds each client's payment into its candidate
   facilities the iteration it freezes (``scatter_add`` over the
@@ -27,9 +27,9 @@ decision:
 
 The dual values ``α`` are schedule levels and exact minima — no
 reassociated float sums feed them — so seeded sparse solutions are
-byte-identical to the dense paths on every dense-representable workload
+byte-identical to the dense path on every dense-representable workload
 the equivalence suite runs (the same threshold-robustness caveat the
-dense compacted path documents applies).
+dense path documents applies).
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def _parallel_primal_dual_sparse(
 
     iterations = 0
     # The closed × unfrozen candidate-edge frontier is cached across
-    # iterations, exactly like the dense compacted path: the geometric
+    # iterations, exactly like the dense path: the geometric
     # schedule runs many levels where nothing opens or freezes.
     unfro = closed = fe_pos = fe_rlocal = fe_w = None
     frontier_dirty = True

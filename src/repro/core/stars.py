@@ -29,77 +29,6 @@ def presort_distances(machine: PramMachine, D: np.ndarray) -> tuple[np.ndarray, 
     return order, D_sorted
 
 
-def cheapest_star_prices_masked(
-    machine: PramMachine,
-    D_sorted: np.ndarray,
-    order: np.ndarray,
-    f_current: np.ndarray,
-    active: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> np.ndarray:
-    """Price of the cheapest (maximal) star at every facility.
-
-    Parameters
-    ----------
-    D_sorted, order:
-        Output of :func:`presort_distances`.
-    f_current:
-        Current opening costs (zero for already-open facilities).
-    active:
-        Boolean client mask; inactive clients are excluded from stars.
-    weights:
-        Optional client multiplicities: the star price generalizes to
-        ``(f_i + Σ w_j d(j,i)) / Σ w_j`` over the ``κ`` closest active
-        clients (the same exchange argument holds — for any weighted
-        client budget the cheapest fill is ascending by distance).
-        ``None`` runs the exact unweighted computation.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``prices[i] = min_k (f_i + Σ of k closest active distances)/k``,
-        ``+inf`` for facilities with no active client.
-
-    Notes
-    -----
-    With ``rank = prefix-count`` of active clients in sorted order and
-    ``psum = prefix-sum`` of active distances, the candidate price at an
-    active position is ``(f_i + psum)/rank``; minimizing over positions
-    minimizes over ``k``. Three basic matrix operations per call.
-    """
-    active_sorted = machine.gather_rows(
-        np.broadcast_to(np.asarray(active, dtype=bool), D_sorted.shape), order
-    )
-    if weights is None:
-        contrib = machine.where(active_sorted, D_sorted, 0.0)
-        psum = machine.scan(contrib, "add", axis=1)
-        rank = machine.scan(active_sorted.astype(float), "add", axis=1)
-        candidate = machine.map(
-            lambda a, p, r, fc: np.where(a, (fc + p) / np.maximum(r, 1.0), np.inf),
-            active_sorted,
-            psum,
-            rank,
-            np.asarray(f_current, dtype=float)[:, None],
-        )
-        return machine.reduce(candidate, "min", axis=1)
-    w_sorted = machine.gather_rows(
-        np.broadcast_to(np.asarray(weights, dtype=float), D_sorted.shape), order
-    )
-    contrib = machine.where(active_sorted, machine.map(np.multiply, D_sorted, w_sorted), 0.0)
-    psum = machine.scan(contrib, "add", axis=1)
-    rank = machine.scan(machine.where(active_sorted, w_sorted, 0.0), "add", axis=1)
-    candidate = machine.map(
-        # Fractional weights can sit below 1, so the zero-guard must not
-        # clamp genuine ranks; inactive positions read +inf regardless.
-        lambda a, p, r, fc: np.where(a, (fc + p) / np.where(r > 0, r, 1.0), np.inf),
-        active_sorted,
-        psum,
-        rank,
-        np.asarray(f_current, dtype=float)[:, None],
-    )
-    return machine.reduce(candidate, "min", axis=1)
-
-
 def compact_sorted_columns(
     machine: PramMachine,
     sorted_ids: np.ndarray,
@@ -134,19 +63,21 @@ def cheapest_star_prices_compact(
     f_current: np.ndarray,
     live_w: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Cheapest-star prices when the sorted structure is pre-compacted.
+    """Price of the cheapest (maximal) star at every facility.
 
     ``live_d`` is the frontier-compacted ``n_f × |C_active|`` sorted
-    distance matrix from :func:`compact_sorted_columns` — every column
-    is live, so the masked prefix-count of
-    :func:`cheapest_star_prices_masked` collapses to the column index
-    and the whole computation is one scan, one map, and one reduce over
-    the remaining instance. Produces bit-identical prices: the masked
-    variant's prefix sums skip exactly the zero contributions this
-    layout never materializes.
+    distance matrix from :func:`compact_sorted_columns` (initially
+    :func:`presort_distances`' ``D_sorted``). Every column is live, so
+    the prefix count of a star's clients is the column index and the
+    whole computation is one scan, one map, and one reduce over the
+    remaining instance: ``prices[i] = min_k (f_i + Σ of the k closest
+    active distances)/k``, ``+inf`` for every facility once no client
+    is active.
 
     ``live_w`` (same layout, weighted instances only) switches the
-    price to ``(f_i + Σ w·d) / Σ w`` over each prefix.
+    price to ``(f_i + Σ w·d) / Σ w`` over each prefix — the same
+    exchange argument holds: for any weighted client budget the
+    cheapest fill is ascending by distance.
     """
     nf, live = live_d.shape
     if live == 0:

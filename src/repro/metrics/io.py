@@ -27,9 +27,11 @@ entry point of the shard pipeline).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import zipfile
+import zlib
 
 import numpy as np
 from numpy.lib import format as _npy_format
@@ -161,6 +163,23 @@ def _check_schema(data, kind: str, path) -> None:
         )
 
 
+#: What zipfile, zlib, struct and NumPy's ``.npy`` reader raise on a
+#: damaged archive: a truncated stream, a bad CRC, header or offset, an
+#: unsupported compression method or encryption flag, a missing member,
+#: an object or non-scalar member where a scalar belongs.
+_PARSE_ERRORS = (
+    zipfile.BadZipFile,
+    zlib.error,
+    struct.error,
+    EOFError,
+    OSError,
+    KeyError,
+    ValueError,
+    TypeError,
+    RuntimeError,
+    NotImplementedError,
+)
+
 #: ``mmap_mode`` values accepted by :func:`load_instance`. ``r+`` is
 #: deliberately rejected: the maps point *into the archive file*, so a
 #: writable map would corrupt the zip structure around the payload.
@@ -244,6 +263,12 @@ def load_instance(path, *, mmap_mode: str | None = None):
     uncompressed archive (``save_instance(..., compressed=False)``);
     a compressed one is rejected with instructions, never silently
     loaded resident.
+
+    A path that cannot be opened raises its ``OSError`` (e.g.
+    ``FileNotFoundError``); any failure to parse an opened file —
+    truncated or corrupt zip, missing or malformed members, an unknown
+    kind — raises :class:`~repro.errors.InvalidInstanceError` naming the
+    path, with the underlying error chained.
     """
     if mmap_mode is not None:
         if mmap_mode not in _MMAP_MODES:
@@ -255,9 +280,20 @@ def load_instance(path, *, mmap_mode: str | None = None):
             raise InvalidParameterError(
                 "mmap_mode requires a filesystem path, not a file object"
             )
-        return _build_instance(_mmap_npz_members(path, mmap_mode), path)
-    with np.load(path, allow_pickle=False) as data:
-        return _build_instance(data, path)
+    # Opened outside the parse guard, so a missing or unreadable path
+    # keeps its own OSError. np.load reads through this handle: given a
+    # path, it leaks the file it opened when the zip directory is bad.
+    is_path = isinstance(path, (str, os.PathLike))
+    with open(path, "rb") if is_path else contextlib.nullcontext(path) as fh:
+        try:
+            if mmap_mode is not None:
+                return _build_instance(_mmap_npz_members(path, mmap_mode), path)
+            with np.load(fh, allow_pickle=False) as data:
+                return _build_instance(data, path)
+        except _PARSE_ERRORS as exc:
+            raise InvalidInstanceError(
+                f"{path} is not a readable instance archive: {type(exc).__name__}: {exc}"
+            ) from exc
 
 
 def _build_instance(data, path):

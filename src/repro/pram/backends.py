@@ -857,9 +857,8 @@ class ProcessBackend(_PoolBackend):
 # -- registry & factory -----------------------------------------------------
 
 #: Instance sizes (elements) below which ``make_backend("auto")`` keeps
-#: the serial backend: pool dispatch has a much higher constant than the
-#: frontier bookkeeping governed by ``AUTO_COMPACTION_MIN_SIZE``, so the
-#: floor sits correspondingly higher.
+#: the serial backend: on smaller inputs the pool's dispatch constant
+#: costs more than the row-blocked kernels save.
 AUTO_BACKEND_MIN_SIZE = 1 << 16
 
 
@@ -882,8 +881,7 @@ def available_backends() -> list:
 def resolve_backend_name(name: str, size: int | None = None) -> str:
     """Resolve ``"auto"`` (and validate any other name) to a registry key.
 
-    The ``"auto"`` policy mirrors
-    :func:`repro.core.frontier.resolve_compaction`: serial below
+    The ``"auto"`` policy is a size threshold: serial below
     ``AUTO_BACKEND_MIN_SIZE`` elements (or when the host has a single
     CPU), thread-parallel otherwise. Threads, not processes, are the
     auto choice: NumPy kernels release the GIL, while the process

@@ -35,10 +35,17 @@ class AssociativeOp:
     identity: float | int | bool
 
     def reduce(self, a: np.ndarray, axis=None) -> np.ndarray:
-        """Reduce ``a`` along ``axis`` (all axes when ``None``)."""
-        if a.size == 0 and axis is None:
-            return np.asarray(self.identity, dtype=a.dtype if a.dtype.kind != "b" else bool)
-        return self.ufunc.reduce(a, axis=axis) if axis is not None else self.ufunc.reduce(a, axis=None)
+        """Reduce ``a`` along ``axis`` (all axes when ``None``).
+
+        Reducing an empty axis gives the identity in the output shape.
+        NumPy already does so for ufuncs that define an identity (add,
+        or, and); for ``min``/``max`` it raises, so those are filled
+        here, in a dtype that can hold ``±inf``.
+        """
+        if self.ufunc.identity is None and a.size == 0 and (axis is None or a.shape[axis] == 0):
+            shape = () if axis is None else np.delete(a.shape, axis)
+            return np.full(shape, self.identity, dtype=np.result_type(a.dtype, self.identity))
+        return self.ufunc.reduce(a, axis=axis)
 
     def scan(self, a: np.ndarray, axis: int = -1) -> np.ndarray:
         """Inclusive prefix combine of ``a`` along ``axis``."""

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.reporting import summarize_rounds
 from repro.core.dominator import (
     expected_round_bound,
     max_dominator_set,
@@ -135,6 +136,18 @@ class TestMaxDom:
         a = max_dominator_set(A, PramMachine(seed=42))
         b = max_dominator_set(A, PramMachine(seed=42))
         assert np.array_equal(a, b)
+
+    def test_late_rounds_charge_only_the_candidate_strip(self):
+        """Eliminated nodes stop costing work: the last round runs on the
+        candidate strip and charges less than one pass over the
+        ``n × n`` matrix, which a full-matrix round makes several times
+        over."""
+        A = random_graph(80, 0.1, 1)
+        m = PramMachine(seed=4)
+        max_dominator_set(A, m)
+        trace = summarize_rounds(m.ledger.round_log, "maxdom", m.ledger.work)
+        assert trace["rounds"] >= 2
+        assert trace["work_last"] < A.size
 
 
 class TestMaxUDom:

@@ -6,6 +6,7 @@ import pytest
 from repro.analysis.rounds import round_envelopes
 from repro.baselines.brute_force import brute_force_facility_location
 from repro.baselines.greedy_jms import greedy_jms
+from repro.bench.reporting import summarize_rounds
 from repro.core.greedy import parallel_greedy
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.lp.duality import check_dual_feasible, dual_fitting_slack
@@ -94,6 +95,17 @@ class TestRounds:
     def test_round_cap_raises(self, small_fl):
         with pytest.raises(ConvergenceError, match="outer"):
             parallel_greedy(small_fl, epsilon=0.1, seed=0, max_outer_rounds=0)
+
+    def test_late_rounds_charge_only_the_frontier(self):
+        """Served clients stop costing work: the last outer round charges
+        less than one pass over the ``n_f × n_c`` matrix, which a
+        full-matrix round makes several times over."""
+        inst = euclidean_instance(60, 240, seed=2)
+        m = PramMachine(seed=5)
+        parallel_greedy(inst, epsilon=0.1, machine=m)
+        trace = summarize_rounds(m.ledger.round_log, "greedy_outer", m.ledger.work)
+        assert trace["rounds"] >= 3
+        assert trace["work_last"] < inst.m
 
 
 class TestMechanics:

@@ -5,11 +5,14 @@ import pytest
 
 from repro.analysis.rounds import round_envelopes
 from repro.baselines.brute_force import brute_force_facility_location
+from repro.bench.reporting import summarize_rounds
 from repro.core.primal_dual import parallel_primal_dual
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.lp.duality import check_dual_feasible
 from repro.lp.solve import lp_lower_bound
+from repro.metrics.generators import euclidean_instance
 from repro.metrics.instance import FacilityLocationInstance
+from repro.pram.machine import PramMachine
 
 FIXTURES = ["tiny_fl", "small_fl", "clustered_fl", "nongeometric_fl", "star_fl", "two_scale_fl"]
 
@@ -79,6 +82,18 @@ class TestIterations:
     def test_iteration_cap_raises(self, small_fl):
         with pytest.raises(ConvergenceError):
             parallel_primal_dual(small_fl, epsilon=0.1, max_iterations=1)
+
+    def test_late_iterations_charge_only_the_frontier(self):
+        """Frozen clients and open facilities stop costing work: the last
+        iteration, post-processing included, charges less than the
+        first. A full-matrix iteration re-touches every pair, so its
+        last iteration charges at least as much as its first."""
+        inst = euclidean_instance(60, 240, seed=2)
+        m = PramMachine(seed=5)
+        parallel_primal_dual(inst, epsilon=0.1, machine=m)
+        trace = summarize_rounds(m.ledger.round_log, "pd_iterations", m.ledger.work)
+        assert trace["rounds"] >= 3
+        assert trace["work_last"] < trace["work_first"]
 
 
 class TestStructure:

@@ -131,15 +131,6 @@ class TestEntryPoints:
         assert np.array_equal(via_machine.opened, via_backend.opened)
         assert via_machine.cost == via_backend.cost
 
-    def test_compaction_argument_is_ignored_for_sparse(self):
-        inst = knn_instance(12, 50, k=4, seed=1)
-        a = parallel_greedy(inst, epsilon=0.1, machine=PramMachine(seed=7))
-        b = parallel_greedy(
-            inst, epsilon=0.1, machine=PramMachine(seed=7), compaction=False
-        )
-        assert np.array_equal(a.opened, b.opened)
-        assert a.cost == b.cost
-
     def test_solution_metadata(self):
         inst = knn_instance(12, 50, k=4, seed=2)
         sol = parallel_primal_dual(inst, epsilon=0.2, machine=PramMachine(seed=9))

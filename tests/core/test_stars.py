@@ -6,8 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.greedy_jms import cheapest_star_prices
-from repro.core.stars import cheapest_star_prices_masked, presort_distances, star_members
+from repro.core.stars import (
+    cheapest_star_prices_compact,
+    compact_sorted_columns,
+    presort_distances,
+    star_members,
+)
 from repro.pram.machine import PramMachine
+
+
+def _prices(m, Ds, order, f, active):
+    """Cheapest-star prices over the ``active`` clients: pack the
+    presorted structure down to them, then price the live prefix."""
+    _, live_d = compact_sorted_columns(m, order, Ds, active)
+    return cheapest_star_prices_compact(m, live_d, f)
 
 
 @pytest.fixture
@@ -28,7 +40,7 @@ def test_presort_rows_sorted(setup):
 def test_prices_match_sequential_reference(setup):
     m, D, f, order, Ds = setup
     active = np.ones(9, dtype=bool)
-    got = cheapest_star_prices_masked(m, Ds, order, f, active)
+    got = _prices(m, Ds, order, f, active)
     want, _ = cheapest_star_prices(D, f)
     assert np.allclose(got, want)
 
@@ -36,20 +48,20 @@ def test_prices_match_sequential_reference(setup):
 def test_prices_with_mask_match_submatrix(setup):
     m, D, f, order, Ds = setup
     active = np.array([True, False, True, True, False, True, False, True, True])
-    got = cheapest_star_prices_masked(m, Ds, order, f, active)
+    got = _prices(m, Ds, order, f, active)
     want, _ = cheapest_star_prices(D[:, active], f)
     assert np.allclose(got, want)
 
 
 def test_no_active_clients_inf(setup):
     m, D, f, order, Ds = setup
-    got = cheapest_star_prices_masked(m, Ds, order, f, np.zeros(9, dtype=bool))
+    got = _prices(m, Ds, order, f, np.zeros(9, dtype=bool))
     assert np.all(np.isinf(got))
 
 
 def test_zero_facility_cost_price_is_min_distance(setup):
     m, D, _, order, Ds = setup
-    got = cheapest_star_prices_masked(m, Ds, order, np.zeros(5), np.ones(9, dtype=bool))
+    got = _prices(m, Ds, order, np.zeros(5), np.ones(9, dtype=bool))
     assert np.allclose(got, D.min(axis=1))
 
 
@@ -57,7 +69,7 @@ def test_single_active_client(setup):
     m, D, f, order, Ds = setup
     active = np.zeros(9, dtype=bool)
     active[4] = True
-    got = cheapest_star_prices_masked(m, Ds, order, f, active)
+    got = _prices(m, Ds, order, f, active)
     assert np.allclose(got, f + D[:, 4])
 
 
@@ -81,7 +93,7 @@ def test_star_members_respect_active(setup):
 def test_charges_only_basic_ops_per_call(setup):
     m, D, f, order, Ds = setup
     before = m.snapshot()
-    cheapest_star_prices_masked(m, Ds, order, f, np.ones(9, dtype=bool))
+    _prices(m, Ds, order, f, np.ones(9, dtype=bool))
     d = m.ledger.since(before)
     # O(m) work: a handful of basic ops over the 45-element matrix.
     assert d.work <= 12 * D.size
@@ -101,7 +113,7 @@ def test_property_masked_prices_match_reference(nf, nc, seed):
     active = rng.random(nc) < 0.7
     m = PramMachine(seed=0)
     order, Ds = presort_distances(m, D)
-    got = cheapest_star_prices_masked(m, Ds, order, f, active)
+    got = _prices(m, Ds, order, f, active)
     if active.any():
         want, _ = cheapest_star_prices(D[:, active], f)
         assert np.allclose(got, want)

@@ -4,9 +4,9 @@ The execution backend must never change results or model charges —
 only wall-clock time. The first half sweeps the satellite algorithms
 serial-vs-thread (PR-1 suite); the second half is the PR-2 parity
 gate: seeded runs of greedy, primal–dual, and both dominator variants
-must be **byte-identical** on serial, thread, and process backends, on
-both the dense and frontier-compacted execution paths. The thread
-grain is tiny so its row-blocked kernels really execute at test sizes.
+must be **byte-identical** on serial, thread, and process backends. The
+thread grain is tiny so its row-blocked kernels really execute at test
+sizes.
 """
 
 import numpy as np
@@ -130,13 +130,9 @@ def _assert_all_equal(results, check):
         assert costs == ref_costs, f"ledger charges drifted on {name}"
 
 
-@pytest.mark.parametrize("compaction", [False, True], ids=["dense", "compacted"])
-def test_greedy_byte_identical_across_backends(backend_set, compaction):
+def test_greedy_byte_identical_across_backends(backend_set):
     inst = euclidean_instance(16, 48, seed=5)
-    results = _sweep(
-        backend_set,
-        lambda m: parallel_greedy(inst, epsilon=0.1, machine=m, compaction=compaction),
-    )
+    results = _sweep(backend_set, lambda m: parallel_greedy(inst, epsilon=0.1, machine=m))
 
     def check(a, b):
         assert np.array_equal(a.opened, b.opened)
@@ -148,13 +144,9 @@ def test_greedy_byte_identical_across_backends(backend_set, compaction):
     _assert_all_equal(results, check)
 
 
-@pytest.mark.parametrize("compaction", [False, True], ids=["dense", "compacted"])
-def test_primal_dual_byte_identical_across_backends(backend_set, compaction):
+def test_primal_dual_byte_identical_across_backends(backend_set):
     inst = euclidean_instance(16, 48, seed=6)
-    results = _sweep(
-        backend_set,
-        lambda m: parallel_primal_dual(inst, epsilon=0.1, machine=m, compaction=compaction),
-    )
+    results = _sweep(backend_set, lambda m: parallel_primal_dual(inst, epsilon=0.1, machine=m))
 
     def check(a, b):
         assert np.array_equal(a.opened, b.opened)
@@ -169,26 +161,19 @@ def test_primal_dual_byte_identical_across_backends(backend_set, compaction):
     _assert_all_equal(results, check)
 
 
-@pytest.mark.parametrize("compaction", [False, True], ids=["dense", "compacted"])
-def test_maxdom_byte_identical_across_backends(backend_set, compaction):
+def test_maxdom_byte_identical_across_backends(backend_set):
     rng = np.random.default_rng(2)
     A = np.triu(rng.random((40, 40)) < 0.15, 1)
     A = A | A.T
-    results = _sweep(
-        backend_set, lambda m: max_dominator_set(A, m, compaction=compaction)
-    )
+    results = _sweep(backend_set, lambda m: max_dominator_set(A, m))
     _assert_all_equal(results, lambda a, b: np.testing.assert_array_equal(a, b))
 
 
-@pytest.mark.parametrize("compaction", [False, True], ids=["dense", "compacted"])
-def test_maxudom_byte_identical_across_backends(backend_set, compaction):
+def test_maxudom_byte_identical_across_backends(backend_set):
     rng = np.random.default_rng(3)
     B = rng.random((30, 18)) < 0.25
     cand = rng.random(30) < 0.6
-    results = _sweep(
-        backend_set,
-        lambda m: max_u_dominator_set(B, m, candidates=cand, compaction=compaction),
-    )
+    results = _sweep(backend_set, lambda m: max_u_dominator_set(B, m, candidates=cand))
     _assert_all_equal(results, lambda a, b: np.testing.assert_array_equal(a, b))
 
 
@@ -207,7 +192,7 @@ def test_process_primitives_never_reach_the_pool(monkeypatch):
     the serial run's exactly."""
     inst = euclidean_instance(400, 400, seed=11)
     serial = PramMachine(seed=5)
-    want = parallel_primal_dual(inst, epsilon=0.1, machine=serial, compaction=False)
+    want = parallel_primal_dual(inst, epsilon=0.1, machine=serial)
     submitted = []
     with ProcessBackend(2) as backend:
         submit = backend._pool.submit
@@ -218,7 +203,7 @@ def test_process_primitives_never_reach_the_pool(monkeypatch):
 
         monkeypatch.setattr(backend._pool, "submit", spy)
         machine = PramMachine(backend=backend, seed=5)
-        got = parallel_primal_dual(inst, epsilon=0.1, machine=machine, compaction=False)
+        got = parallel_primal_dual(inst, epsilon=0.1, machine=machine)
     assert submitted == []
     assert np.array_equal(got.opened, want.opened)
     assert got.cost == want.cost

@@ -1,24 +1,27 @@
-"""Sparse-vs-dense equivalence suite (the PR-3/PR-4 parity gate).
+"""Sparse-vs-dense equivalence suite.
 
 On dense-representable instances (full CSR, no finite fallback) the
 sparse execution paths must return **byte-identical** seeded solutions
-to the dense paths on all three execution backends:
+to the dense paths on all three execution backends. The CSR paths are
+an independent second implementation, so this suite is the oracle for
+the dense ones:
 
-* PR 3: greedy and primal–dual facility location — opened set, cost,
-  duals, traces, and round counters; sparse ``MaxUDom``
-  selection-for-selection.
-* PR 4: the clustering stack — k-center (centers, radius, threshold,
-  probe schedule), §7 local search for k-median/k-means (centers,
-  final and warm-start costs, swap sequence, round count), and the
-  Lagrangian k-median (centers, cost, full λ-probe trace).
+* greedy and primal–dual facility location — opened set, cost, duals,
+  traces, and round counters — on random and adversarial workloads,
+  both ε settings, with and without preprocessing, and at bench size;
+* ``MaxDom`` and ``MaxUDom`` selection-for-selection;
+* the clustering stack — k-center (centers, radius, threshold, probe
+  schedule), §7 local search for k-median/k-means (centers, final and
+  warm-start costs, swap sequence, round count), and the Lagrangian
+  k-median (centers, cost, full λ-probe trace).
 """
 
 import numpy as np
 import pytest
 
 from repro import PramMachine, ProcessBackend, SerialBackend, ThreadBackend
-from repro.core.dominator import max_u_dominator_set
-from repro.core.dominator_sparse import max_u_dominator_set_sparse
+from repro.core.dominator import max_dominator_set, max_u_dominator_set
+from repro.core.dominator_sparse import max_dominator_set_sparse, max_u_dominator_set_sparse
 from repro.core.greedy import parallel_greedy
 from repro.core.kcenter import parallel_kcenter
 from repro.core.kmedian_lagrangian import parallel_kmedian_lagrangian
@@ -29,6 +32,9 @@ from repro.metrics.generators import (
     clustered_instance,
     euclidean_clustering,
     euclidean_instance,
+    random_metric_instance,
+    star_instance,
+    two_scale_instance,
 )
 from repro.metrics.sparse import (
     SparseClusteringInstance,
@@ -75,33 +81,58 @@ def _pd_check(a, b):
     assert a.rounds == b.rounds
 
 
+# Random + adversarial: stars tie every rim facility exactly, two-scale
+# stresses the preprocessing floor, the random metric is non-geometric.
 WORKLOADS = [
     ("euclid-16x48", lambda: euclidean_instance(16, 48, seed=5)),
     ("euclid-12x40", lambda: euclidean_instance(12, 40, seed=9)),
     ("clustered-10x50", lambda: clustered_instance(10, 50, n_clusters=4, seed=2)),
+    ("euclid-8x24", lambda: euclidean_instance(8, 24, seed=7)),
+    ("euclid-40x160", lambda: euclidean_instance(40, 160, seed=9)),
+    ("clustered-16x100", lambda: clustered_instance(16, 100, n_clusters=5, seed=3)),
+    ("random-metric-9x27", lambda: random_metric_instance(9, 27, seed=31)),
+    ("star-12", lambda: star_instance(12, seed=41)),
+    ("two-scale-4x10", lambda: two_scale_instance(4, 10, seed=51)),
 ]
 
 
 @pytest.mark.parametrize("name,make", WORKLOADS, ids=[w[0] for w in WORKLOADS])
-@pytest.mark.parametrize("compaction", [False, True], ids=["dense", "compacted"])
-def test_sparse_greedy_matches_dense_paths(name, make, compaction):
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+@pytest.mark.parametrize("preprocess", [True, False])
+def test_sparse_greedy_matches_dense(name, make, eps, preprocess):
     dense = make()
     sp = SparseFacilityLocationInstance.from_instance(dense)
-    a = parallel_greedy(dense, epsilon=0.1, machine=PramMachine(seed=123), compaction=compaction)
-    b = parallel_greedy(sp, epsilon=0.1, machine=PramMachine(seed=123))
+    kw = dict(epsilon=eps, preprocess=preprocess)
+    a = parallel_greedy(dense, machine=PramMachine(seed=123), **kw)
+    b = parallel_greedy(sp, machine=PramMachine(seed=123), **kw)
     _greedy_check(a, b)
 
 
 @pytest.mark.parametrize("name,make", WORKLOADS, ids=[w[0] for w in WORKLOADS])
-@pytest.mark.parametrize("compaction", [False, True], ids=["dense", "compacted"])
-def test_sparse_primal_dual_matches_dense_paths(name, make, compaction):
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+@pytest.mark.parametrize("preprocess", [True, False])
+def test_sparse_primal_dual_matches_dense(name, make, eps, preprocess):
     dense = make()
     sp = SparseFacilityLocationInstance.from_instance(dense)
-    a = parallel_primal_dual(
-        dense, epsilon=0.1, machine=PramMachine(seed=123), compaction=compaction
-    )
-    b = parallel_primal_dual(sp, epsilon=0.1, machine=PramMachine(seed=123))
+    kw = dict(epsilon=eps, preprocess=preprocess)
+    a = parallel_primal_dual(dense, machine=PramMachine(seed=123), **kw)
+    b = parallel_primal_dual(sp, machine=PramMachine(seed=123), **kw)
     _pd_check(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "algorithm,check",
+    [(parallel_greedy, _greedy_check), (parallel_primal_dual, _pd_check)],
+    ids=["greedy", "primal_dual"],
+)
+def test_sparse_matches_dense_at_bench_size(algorithm, check, seed):
+    """The equivalence claim at the size the benchmarks solve (400²)."""
+    dense = euclidean_instance(400, 400, seed=seed)
+    sp = SparseFacilityLocationInstance.from_instance(dense)
+    a = algorithm(dense, epsilon=0.1, machine=PramMachine(seed=123))
+    b = algorithm(sp, epsilon=0.1, machine=PramMachine(seed=123))
+    check(a, b)
 
 
 @pytest.mark.parametrize("algorithm", [parallel_greedy, parallel_primal_dual])
@@ -154,15 +185,57 @@ def test_sparse_maxudom_byte_identical_across_backends(backend_set):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("compaction", [False, True], ids=["dense", "compacted"])
-def test_sparse_maxudom_matches_dense(seed, compaction):
+def test_sparse_maxudom_matches_dense(seed):
     rng = np.random.default_rng(seed)
     B = rng.random((25, 15)) < 0.3
     cand = rng.random(25) < 0.7
-    a = max_u_dominator_set(
-        B, PramMachine(seed=99), candidates=cand, compaction=compaction
-    )
+    a = max_u_dominator_set(B, PramMachine(seed=99), candidates=cand)
     b = max_u_dominator_set_sparse(B, PramMachine(seed=99), candidates=cand)
+    np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_maxudom_matches_dense_with_candidates(seed):
+    rng = np.random.default_rng(seed)
+    B = rng.random((30, 18)) < 0.25
+    cand = rng.random(30) < 0.6
+    a = max_u_dominator_set(B, PramMachine(seed=seed), candidates=cand)
+    b = max_u_dominator_set_sparse(B, PramMachine(seed=seed), candidates=cand)
+    np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["all", "masked"])
+def test_sparse_maxudom_matches_dense_without_v_nodes(masked):
+    """|V| = 0: no U-node conflicts with any other, so every candidate
+    is selected (the dense path used to raise on the empty min)."""
+    B = np.zeros((4, 0), dtype=bool)
+    cand = np.array([True, False, True, True]) if masked else None
+    a = max_u_dominator_set(B, PramMachine(seed=3), candidates=cand)
+    b = max_u_dominator_set_sparse(B, PramMachine(seed=3), candidates=cand)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a, np.ones(4, dtype=bool) if cand is None else cand)
+
+
+def _random_graph(n, p, seed):
+    rng = np.random.default_rng(seed)
+    A = np.triu(rng.random((n, n)) < p, 1)
+    return A | A.T
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("p", [0.05, 0.2, 0.6])
+def test_sparse_maxdom_matches_dense(seed, p):
+    A = _random_graph(40, p, seed)
+    a = max_dominator_set(A, PramMachine(seed=seed))
+    b = max_dominator_set_sparse(A, PramMachine(seed=seed))
+    np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sparse_maxdom_matches_dense_on_sparse_graphs(seed):
+    A = _random_graph(60, 0.08, seed)
+    a = max_dominator_set(A, PramMachine(seed=seed))
+    b = max_dominator_set_sparse(A, PramMachine(seed=seed))
     np.testing.assert_array_equal(a, b)
 
 

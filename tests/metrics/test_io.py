@@ -1,7 +1,16 @@
-"""Instance serialization round-trips."""
+"""Instance serialization round-trips and malformed-archive rejection."""
+
+import io
+import os
+import re
+import struct
+import tempfile
+import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidInstanceError
 from repro.metrics.generators import euclidean_clustering, euclidean_instance, knn_instance
@@ -342,3 +351,102 @@ def test_uncompressed_weighted_roundtrip(tmp_path):
     for kwargs in ({}, {"mmap_mode": "r"}):
         back = load_instance(path, **kwargs)
         assert np.array_equal(np.asarray(back.weights), inst.weights)
+
+
+# -- malformed archives: every parse failure is an InvalidInstanceError -------
+
+
+def _archive_bytes(*, compressed: bool) -> bytes:
+    buf = io.BytesIO()
+    save_instance(buf, euclidean_instance(5, 9, seed=1), compressed=compressed)
+    return buf.getvalue()
+
+
+def _npz_bytes(**members) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
+
+
+def _npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _npy_magic_flipped() -> bytes:
+    """A stored archive whose ``D`` member starts with a corrupt magic."""
+    data = bytearray(_archive_bytes(compressed=False))
+    with zipfile.ZipFile(io.BytesIO(bytes(data))) as zf:
+        info = zf.getinfo("D.npy")
+    fname_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    data[info.header_offset + 30 + fname_len + extra_len] ^= 0xFF
+    return bytes(data)
+
+
+MALFORMED = {
+    "empty-file": lambda: b"",
+    "plain-text": lambda: b"not an archive\n" * 8,
+    "truncated-compressed": lambda: _archive_bytes(compressed=True)[:300],
+    "truncated-stored": lambda: _archive_bytes(compressed=False)[:300],
+    "central-directory-cut": lambda: _archive_bytes(compressed=False)[:-30],
+    "npy-magic-flipped": _npy_magic_flipped,
+    "missing-kind": lambda: _npz_bytes(D=np.zeros((2, 2)), f=np.ones(2)),
+    "object-member": lambda: _npz_bytes(
+        kind=np.asarray("facility-location"), D=np.array([None, 1.0], dtype=object)
+    ),
+    "bare-npy": lambda: _npy_bytes(np.zeros(3)),
+}
+
+
+@pytest.mark.parametrize("mmap_mode", [None, "r"], ids=["eager", "mmap"])
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_archive_raises_invalid_instance(tmp_path, name, mmap_mode):
+    path = tmp_path / f"{name}.npz"
+    path.write_bytes(MALFORMED[name]())
+    with pytest.raises(InvalidInstanceError, match=re.escape(str(path))):
+        load_instance(path, mmap_mode=mmap_mode)
+
+
+def test_parse_failure_is_chained(tmp_path):
+    path = tmp_path / "empty.npz"
+    path.write_bytes(b"")
+    with pytest.raises(InvalidInstanceError) as info:
+        load_instance(path)
+    assert isinstance(info.value.__cause__, EOFError)
+
+
+@pytest.mark.parametrize("mmap_mode", [None, "r"], ids=["eager", "mmap"])
+def test_missing_archive_still_raises_file_not_found(tmp_path, mmap_mode):
+    with pytest.raises(FileNotFoundError):
+        load_instance(tmp_path / "absent.npz", mmap_mode=mmap_mode)
+
+
+_BASE_ARCHIVES = {c: _archive_bytes(compressed=c) for c in (True, False)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    compressed=st.booleans(),
+    mmap=st.booleans(),
+    cut=st.none() | st.floats(0.0, 1.0, exclude_max=True),
+    flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(1, 255)), max_size=4),
+)
+def test_mutated_archive_loads_or_raises_invalid_instance(compressed, mmap, cut, flips):
+    """Truncated or byte-flipped archives either still parse (flipped
+    payload bytes can, and mmap loads skip the zip CRC by design) or
+    raise :class:`InvalidInstanceError` — never a raw zip/zlib/numpy
+    error."""
+    data = bytearray(_BASE_ARCHIVES[compressed])
+    for where, mask in flips:
+        data[int(where * len(data))] ^= mask
+    if cut is not None:
+        data = data[: int(cut * len(data))]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.npz")
+        with open(path, "wb") as fh:
+            fh.write(bytes(data))
+        try:
+            load_instance(path, mmap_mode="r" if mmap and not compressed else None)
+        except InvalidInstanceError as exc:
+            assert path in str(exc)

@@ -260,7 +260,7 @@ def test_available_backends_lists_builtins():
     assert {"serial", "thread", "process"} <= set(names)
 
 
-def test_auto_policy_mirrors_compaction(monkeypatch):
+def test_auto_policy_size_threshold(monkeypatch):
     import repro.pram.backends as backends_mod
 
     # Multicore host: size decides.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.pram.machine import PramMachine
 from repro.pram.operators import ADD, AND, MAX, MIN, OR, get_operator
 
 ALL_OPS = [ADD, MIN, MAX, OR, AND]
@@ -39,6 +40,17 @@ def test_reduce_empty_returns_identity():
     assert ADD.reduce(np.empty(0)) == 0
     assert MIN.reduce(np.empty(0)) == np.inf
     assert MAX.reduce(np.empty(0)) == -np.inf
+
+
+@pytest.mark.parametrize("op", ALL_OPS, ids=lambda op: op.name)
+@pytest.mark.parametrize("shape,axis", [((3, 0), 1), ((0, 3), 0)], ids=["rows", "columns"])
+def test_reduce_over_empty_axis_returns_identity(op, shape, axis):
+    """An empty reduced axis yields the identity once per output slot,
+    through the machine as well as the operator."""
+    a = np.zeros(shape, dtype=bool if op.name in ("or", "and") else float)
+    want = np.full(3, op.identity)
+    assert np.array_equal(op.reduce(a, axis=axis), want)
+    assert np.array_equal(PramMachine().reduce(a, op.name, axis=axis), want)
 
 
 def test_scan_inclusive_semantics():
