@@ -2,9 +2,10 @@
 
 Five acts against an embedded server (``serve_in_thread``):
 
-1. *Submit and solve*: upload points, solve by ``instance_id``, poll to
-   the result. Instances are content-addressed — uploading the same
-   payload twice yields the same id.
+1. *Submit and solve*: upload points, then solve by ``instance_id`` in
+   one long-polled request (``POST /solve?wait=``) that answers with the
+   result. Instances are content-addressed — uploading the same payload
+   twice yields the same id.
 2. *The result cache*: an identical request is answered immediately
    (``cached: true``), without touching the queue.
 3. *Coalescing*: concurrent identical requests share one solve — every
@@ -33,16 +34,20 @@ PARAMS = dict(k=4, shards=3, coreset_size=96, seed=SEED)
 
 
 def act_1_submit_and_solve(client):
-    print("— act 1: submit, solve, poll —")
+    print("— act 1: submit, then solve in one round trip —")
     first = client.submit_points(POINTS)
     again = client.submit_points(POINTS.copy())
     assert first["instance_id"] == again["instance_id"] and again["cached"]
     print(f"  instance {first['instance_id']} ({first['n']} points); "
           "re-upload deduped by content hash")
+    before = client.metrics()["counters"]["serve.requests_total"]
     job = client.solve_and_wait(instance_id=first["instance_id"], **PARAMS)
+    # the first /metrics GET is counted after its own snapshot
+    requests = client.metrics()["counters"]["serve.requests_total"] - before - 1
     result = job["result"]
     print(f"  solved: {len(result['centers'])} centers, "
-          f"true cost {result['true_cost']:.1f}, {result['solve_s'] * 1e3:.0f}ms")
+          f"true cost {result['true_cost']:.1f}, {result['solve_s'] * 1e3:.0f}ms, "
+          f"{requests} HTTP request(s) — the server held the answer until done")
     return first["instance_id"], result
 
 

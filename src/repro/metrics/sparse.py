@@ -631,15 +631,20 @@ def _symmetrized_clustering_csr(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Union the edge list with its transpose and the zero diagonal,
     dedupe, and return a sorted node-major CSR — the shared tail of
-    every clustering sparsifier. ``O(nnz log nnz)``."""
+    every clustering sparsifier. ``O(nnz log nnz)``.
+
+    One stable sort on the key ``r·n + c`` orders the entries exactly as
+    a stable two-key sort on ``(r, c)`` would (``0 <= c < n``), and a
+    duplicate pair keeps its first occurrence."""
     diag = np.arange(n, dtype=np.intp)
     r = np.concatenate([rows, cols, diag])
     c = np.concatenate([cols, rows, diag])
     v = np.concatenate([vals, vals, np.zeros(n)])
-    order = np.lexsort((c, r))
+    key = r.astype(np.int64, copy=False) * n + c
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    order = order[np.concatenate(([True], key[1:] != key[:-1]))]
     r, c, v = r[order], c[order], v[order]
-    keep = np.concatenate(([True], (np.diff(r) != 0) | (np.diff(c) != 0)))
-    r, c, v = r[keep], c[keep], v[keep]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n)))).astype(np.intp)
     return indptr, c.astype(np.intp), v
 

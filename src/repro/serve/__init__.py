@@ -4,11 +4,11 @@ Turns the library's batch solve path into a long-lived service:
 
 - :mod:`repro.serve.server` — stdlib asyncio HTTP/1.1 server (no web
   framework dependency) with submit-instance / solve / poll / health
-  endpoints, an async job queue draining into a worker pool that shares
-  one execution backend across requests, supervised-retry fault
-  tolerance (a crashed solve retries with the PR 6 byte-identity
-  guarantee), and content-hash instance/result caches behind byte-budget
-  admission control.
+  endpoints (solve and poll long-poll with ``?wait=``), an async job
+  queue draining into a worker pool that shares one execution backend
+  across requests, supervised-retry fault tolerance (a crashed solve
+  retries with byte-identical recovery), and content-hash
+  instance/result caches behind byte-budget admission control.
 - :mod:`repro.serve.client` — blocking :class:`ServeClient` for tests,
   examples, and scripts.
 - :mod:`repro.serve.loadgen` — ``python -m repro.serve.loadgen``, the

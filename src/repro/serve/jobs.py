@@ -5,8 +5,8 @@ A :class:`Job` is one accepted solve request moving through
 job the server has seen, plus the **in-flight index**: a map from
 result-cache key to the job currently computing it, so concurrent
 identical requests coalesce onto one solve instead of racing the cache
-(the second client polls the first client's job and both read the same
-result).
+(the second client waits on the first client's job and both read the
+same result).
 
 :class:`SolveRunner` is the blocking worker-side entry point executed
 on the server's executor threads. It runs
@@ -21,6 +21,8 @@ what makes results cacheable and reruns identical.
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 import time
 from dataclasses import dataclass, field
@@ -34,6 +36,12 @@ from repro.obs.log import current_log
 from repro.pram.machine import PramMachine
 from repro.serve.cache import StoredInstance, result_key
 from repro.shard.solve import _SOLVERS, shard_and_solve
+from repro.util.validation import (
+    check_epsilon,
+    check_k,
+    check_nonnegative,
+    check_positive_int,
+)
 
 #: Request parameters a client may set, with server-side defaults filled
 #: by :func:`normalize_params`. The normalized dict *is* the cacheable
@@ -49,12 +57,54 @@ _PARAM_DEFAULTS = {
 }
 
 
-def normalize_params(body: dict, *, defaults: dict | None = None) -> dict:
+#: The ``epsilon`` ceiling each solver's own check enforces
+#: (``check_epsilon``'s ``upper``): local search needs ε < 1, the
+#: Lagrangian k-median any ε > 0, and k-center takes no ε at all.
+_EPSILON_UPPER = {
+    "kmedian": 1.0 - 1e-9,
+    "kmeans": 1.0 - 1e-9,
+    "kmedian_lagrangian": None,
+}
+
+
+def _as_int(name: str, value) -> int:
+    """A JSON integer (``3``, or an integral number such as ``3.0``);
+    bools, text and fractional or non-finite numbers are malformed."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+    raise InvalidParameterError(
+        f"malformed solve parameter {name!r}: expected an integer, got {value!r}"
+    )
+
+
+def _as_finite(name: str, value) -> float:
+    """A finite JSON number; bools, text, NaN and infinities are malformed."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise InvalidParameterError(
+        f"malformed solve parameter {name!r}: expected a finite number, got {value!r}"
+    )
+
+
+def normalize_params(
+    body: dict, *, defaults: dict | None = None, n: int | None = None
+) -> dict:
     """Validate and canonicalize a solve request's parameters.
 
     Unknown keys are rejected (a typo'd parameter silently falling back
     to a default would cache the wrong identity); the result is a flat
-    JSON-safe dict usable directly as the cache-key payload.
+    JSON-safe dict usable directly as the cache-key payload. Counts and
+    the seed must be integers and ``epsilon``/``fallback_slack`` finite
+    numbers — never truncated or coerced from text — and each value must
+    pass the check its solver would run, so a bad request is refused at
+    submit rather than failing as a job. ``n`` (the instance's point
+    count) adds ``1 <= k <= n``.
     """
     merged = dict(_PARAM_DEFAULTS)
     if defaults:
@@ -68,33 +118,35 @@ def normalize_params(body: dict, *, defaults: dict | None = None) -> dict:
             f"unknown solve parameter(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
         )
     merged.update(body)
-    try:
-        params = {
-            "k": int(merged["k"]),
-            "solver": str(merged["solver"]),
-            "shards": int(merged["shards"]),
-            "coreset_size": (
-                None if merged["coreset_size"] is None else int(merged["coreset_size"])
-            ),
-            "neighbors": int(merged["neighbors"]),
-            "epsilon": float(merged["epsilon"]),
-            "seed": int(merged["seed"]),
-            "fallback_slack": float(merged["fallback_slack"]),
-        }
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed solve parameter: {exc}") from exc
+    params = {
+        "k": _as_int("k", merged["k"]),
+        "solver": str(merged["solver"]),
+        "shards": _as_int("shards", merged["shards"]),
+        "coreset_size": (
+            None
+            if merged["coreset_size"] is None
+            else _as_int("coreset_size", merged["coreset_size"])
+        ),
+        "neighbors": _as_int("neighbors", merged["neighbors"]),
+        "epsilon": _as_finite("epsilon", merged["epsilon"]),
+        "seed": _as_int("seed", merged["seed"]),
+        "fallback_slack": _as_finite("fallback_slack", merged["fallback_slack"]),
+    }
     if params["solver"] not in _SOLVERS:
         raise InvalidParameterError(
             f"unknown solver {params['solver']!r}; expected one of {sorted(_SOLVERS)}"
         )
-    if params["k"] < 1:
-        raise InvalidParameterError(f"k must be >= 1, got {params['k']}")
-    if params["shards"] < 1:
-        raise InvalidParameterError(f"shards must be >= 1, got {params['shards']}")
-    if params["neighbors"] < 1:
-        raise InvalidParameterError(
-            f"neighbors must be >= 1, got {params['neighbors']}"
-        )
+    for name in ("k", "shards", "neighbors"):
+        check_positive_int(params[name], name=name)
+    if params["coreset_size"] is not None:
+        check_positive_int(params["coreset_size"], name="coreset_size")
+    if params["seed"] < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {params['seed']}")
+    if params["solver"] in _EPSILON_UPPER:
+        check_epsilon(params["epsilon"], upper=_EPSILON_UPPER[params["solver"]])
+    check_nonnegative(params["fallback_slack"], name="fallback_slack")
+    if n is not None:
+        check_k(params["k"], n)
     return params
 
 

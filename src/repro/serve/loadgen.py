@@ -5,8 +5,10 @@ optional target request rate for a fixed request count or duration, and
 reports the serving metrics the llm-d-style load harnesses emit:
 **throughput (requests/s)**, **time-per-request**, **failure rate**,
 and **p50/p90/p99 latency** measured client-side from submit to
-terminal job state (so queue wait, solve time, and polling overhead are
-all inside the number — it is the latency a user would see).
+terminal job state (so the HTTP edge, queue wait and solve time are all
+inside the number — it is the latency a user would see). Each request
+long-polls (``POST /solve?wait=``), so a solve that finishes within the
+hold costs one HTTP request.
 
 Each request is a fresh solve by default (the seed varies per request,
 so every request exercises the full queue → worker → solver path);
@@ -29,6 +31,7 @@ import time
 import numpy as np
 
 from repro.errors import ReproError
+from repro.serve.client import hold_seconds, with_wait
 
 
 async def _http(host, port, method, path, body=None, *, timeout=30.0):
@@ -73,30 +76,23 @@ async def _http(host, port, method, path, body=None, *, timeout=30.0):
             pass
 
 
-async def _run_one(host, port, body, *, poll_interval, timeout):
-    """Submit one solve and poll to a terminal state; returns
+async def _run_one(host, port, body, *, timeout):
+    """Submit one solve and long-poll it to a terminal state; returns
     ``(ok, latency_s, status)``."""
     t0 = time.perf_counter()
-    status, payload = await _http(host, port, "POST", "/solve", body, timeout=timeout)
-    if status not in (200, 202):
-        return False, time.perf_counter() - t0, status
-    if payload.get("status") == "done":
-        return True, time.perf_counter() - t0, status
-    job_id = payload["job_id"]
     deadline = t0 + timeout
-    while True:
-        await asyncio.sleep(poll_interval)
-        status, payload = await _http(
-            host, port, "GET", f"/jobs/{job_id}", timeout=timeout
-        )
-        if status != 200:
-            return False, time.perf_counter() - t0, status
-        if payload["status"] == "done":
-            return True, time.perf_counter() - t0, 200
-        if payload["status"] == "failed":
-            return False, time.perf_counter() - t0, 500
+    path = with_wait("/solve", hold_seconds(deadline, timeout))
+    status, payload = await _http(host, port, "POST", path, body, timeout=timeout)
+    while status in (200, 202) and payload["status"] in ("queued", "running"):
         if time.perf_counter() >= deadline:
             return False, time.perf_counter() - t0, 504
+        path = with_wait(f"/jobs/{payload['job_id']}", hold_seconds(deadline, timeout))
+        status, payload = await _http(host, port, "GET", path, timeout=timeout)
+    if status not in (200, 202):
+        return False, time.perf_counter() - t0, status
+    if payload["status"] == "failed":
+        return False, time.perf_counter() - t0, 500
+    return True, time.perf_counter() - t0, status
 
 
 async def _loadgen_async(
@@ -112,7 +108,6 @@ async def _loadgen_async(
     k,
     seed,
     identical,
-    poll_interval,
     timeout,
     solve_params,
 ):
@@ -152,7 +147,7 @@ async def _loadgen_async(
             body = {"instance_id": instance_id, "k": k, **(solve_params or {})}
             body["seed"] = int(seed) if identical else int(seed) + i
             ok, latency, http_status = await _run_one(
-                host, port, body, poll_interval=poll_interval, timeout=timeout
+                host, port, body, timeout=timeout
             )
             records.append((ok, latency, http_status))
 
@@ -208,7 +203,6 @@ def run_loadgen(
     k: int = 4,
     seed: int = 0,
     identical: bool = False,
-    poll_interval: float = 0.01,
     timeout: float = 60.0,
     solve_params: dict | None = None,
 ) -> dict:
@@ -232,7 +226,6 @@ def run_loadgen(
             k=k,
             seed=seed,
             identical=identical,
-            poll_interval=poll_interval,
             timeout=timeout,
             solve_params=solve_params,
         )
@@ -261,7 +254,6 @@ def main(argv=None) -> int:
     parser.add_argument("--shards", type=int, default=None)
     parser.add_argument("--coreset-size", type=int, default=None)
     parser.add_argument("--neighbors", type=int, default=None)
-    parser.add_argument("--poll-interval", type=float, default=0.01)
     parser.add_argument("--timeout", type=float, default=60.0)
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument(
@@ -319,7 +311,6 @@ def main(argv=None) -> int:
             k=args.k,
             seed=args.seed,
             identical=args.identical,
-            poll_interval=args.poll_interval,
             timeout=args.timeout,
             solve_params=solve_params or None,
         )

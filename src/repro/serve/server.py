@@ -14,8 +14,18 @@ as an always-on service:
                             immediately, identical in-flight requests
                             coalesce, queue-full is 429 backpressure
 ``GET /jobs/<id>``          poll a job: queued/running/done/failed
+``?wait=<seconds>``         on ``/solve`` and ``/jobs/<id>``: long-poll —
+                            hold the answer until the job is terminal
 ``POST /shutdown``          stop the server (drains the queue first)
 ==========================  ================================================
+
+With ``?wait=``, a solve that finishes within the hold costs one HTTP
+request: the server parks the request on the job's terminal signal (one
+``asyncio.Event`` per unfinished job, shared by every request held on
+it) and answers 200 with the terminal payload, ``done`` or ``failed``.
+A hold that expires first answers as the request would without
+``wait`` (202 for a fresh submit, 200 for a poll) with the job still
+``queued`` or ``running``. Holds are capped at ``read_timeout_s``.
 
 Requests flow **admission → cache → queue → worker pool**: an async
 job queue (bounded — the 429 is real backpressure, not a buffer) drains
@@ -36,7 +46,9 @@ reflect the whole run, not its warm-up.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import math
 import re
 import threading
 import time
@@ -179,6 +191,13 @@ class SolveServer:
         self._server: asyncio.AbstractServer | None = None
         self._worker_tasks: list = []
         self._stop_event: asyncio.Event | None = None
+        #: job id -> the event set when that job turns terminal; an entry
+        #: lives exactly as long as its job is queued or running
+        self._waiters: dict[str, asyncio.Event] = {}
+        #: requests read but not yet answered, and an event set whenever
+        #: that count is zero (shutdown waits on it)
+        self._answering = 0
+        self._quiet: asyncio.Event | None = None
         self._started_s = time.perf_counter()
         self.host = self.config.host
         self.port = self.config.port
@@ -193,6 +212,8 @@ class SolveServer:
             max_workers=self.config.workers, thread_name_prefix="serve-worker"
         )
         self._stop_event = asyncio.Event()
+        self._quiet = asyncio.Event()
+        self._quiet.set()
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port
         )
@@ -234,6 +255,13 @@ class SolveServer:
             await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks = []
         self.jobs.fail_queued("server stopped before the job ran")
+        # every job is terminal now: release the requests still held on
+        # one, then let each request already read get its answer out
+        for event in self._waiters.values():
+            event.set()
+        self._waiters.clear()
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._quiet.wait(), self.config.read_timeout_s)
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
@@ -254,7 +282,15 @@ class SolveServer:
                 with trace_context(job.trace_id):
                     await self._run_job(loop, job)
             finally:
+                self._wake(job)
                 self._queue.task_done()
+
+    def _wake(self, job) -> None:
+        """Release every request held on ``job``, which just turned
+        terminal, and drop its waiter entry."""
+        event = self._waiters.pop(job.job_id, None)
+        if event is not None:
+            event.set()
 
     async def _run_job(self, loop, job) -> None:
         job.status = "running"
@@ -324,67 +360,14 @@ class SolveServer:
                 request = await self._read_request(reader)
                 if request is None:
                     break
-                method, path, headers, body = request
-                # body an _HttpError: the request is unframed or refused
-                # unread, so where it ends (and the next begins) is
-                # unknown — answer the error and close the connection
-                framed = not isinstance(body, _HttpError)
-                t0 = time.perf_counter()
-                tracer = current_tracer()
-                # honor a well-formed incoming X-Repro-Trace-Id (caller
-                # joins this hop into a wider trace); mint otherwise
-                offered = headers.get("x-repro-trace-id", "").strip()
-                trace_id = (
-                    offered if _TRACE_ID_RE.fullmatch(offered) else new_trace_id()
-                )
-                status = 500
+                self._answering += 1
+                self._quiet.clear()
                 try:
-                    with trace_context(trace_id):
-                        with tracer.span(
-                            "serve.request",
-                            "serve",
-                            args := {"method": method, "path": path},
-                        ):
-                            if framed:
-                                status, payload = await self._route(
-                                    method, path, body, trace_id=trace_id
-                                )
-                            else:
-                                status, payload = body.status, {"error": body.message}
-                            args["status"] = status
+                    keep = await self._answer(writer, *request)
                 finally:
-                    dur = time.perf_counter() - t0
-                    self.metrics.counter("serve.requests_total").inc()
-                    self.metrics.counter(
-                        "serve.requests_by_status", labels={"status": str(status)}
-                    ).inc()
-                    if status >= 400:
-                        self.metrics.counter("serve.requests_errored").inc()
-                    self.metrics.histogram(
-                        "serve.request_latency_s",
-                        buckets=DEFAULT_LATENCY_BUCKETS_S,
-                    ).observe(dur)
-                    if self.slo is not None and status >= 500:
-                        # infra errors count against the SLO even when
-                        # no job ever existed to record a terminal
-                        self.slo.record(dur, error=True)
-                    log = current_log()
-                    if log.enabled:
-                        log.event(
-                            "serve.request",
-                            method=method,
-                            path=path,
-                            status=status,
-                            dur_s=round(dur, 6),
-                            trace_id=trace_id,
-                        )
-                keep = (
-                    framed
-                    and headers.get("connection", "keep-alive").lower() != "close"
-                )
-                await self._write_response(
-                    writer, status, payload, keep_alive=keep, trace_id=trace_id
-                )
+                    self._answering -= 1
+                    if not self._answering:
+                        self._quiet.set()
                 if not keep:
                     break
         except (
@@ -400,6 +383,66 @@ class SolveServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass
+
+    async def _answer(self, writer, method, path, headers, body) -> bool:
+        """Route, count, trace and write one response; returns whether
+        the connection stays open for another request."""
+        # body an _HttpError: the request is unframed or refused
+        # unread, so where it ends (and the next begins) is
+        # unknown — answer the error and close the connection
+        framed = not isinstance(body, _HttpError)
+        t0 = time.perf_counter()
+        tracer = current_tracer()
+        # honor a well-formed incoming X-Repro-Trace-Id (caller
+        # joins this hop into a wider trace); mint otherwise
+        offered = headers.get("x-repro-trace-id", "").strip()
+        trace_id = offered if _TRACE_ID_RE.fullmatch(offered) else new_trace_id()
+        status = 500
+        try:
+            with trace_context(trace_id):
+                with tracer.span(
+                    "serve.request",
+                    "serve",
+                    args := {"method": method, "path": path},
+                ):
+                    if framed:
+                        status, payload = await self._route(
+                            method, path, body, trace_id=trace_id
+                        )
+                    else:
+                        status, payload = body.status, {"error": body.message}
+                    args["status"] = status
+        finally:
+            dur = time.perf_counter() - t0
+            self.metrics.counter("serve.requests_total").inc()
+            self.metrics.counter(
+                "serve.requests_by_status", labels={"status": str(status)}
+            ).inc()
+            if status >= 400:
+                self.metrics.counter("serve.requests_errored").inc()
+            self.metrics.histogram(
+                "serve.request_latency_s",
+                buckets=DEFAULT_LATENCY_BUCKETS_S,
+            ).observe(dur)
+            if self.slo is not None and status >= 500:
+                # infra errors count against the SLO even when
+                # no job ever existed to record a terminal
+                self.slo.record(dur, error=True)
+            log = current_log()
+            if log.enabled:
+                log.event(
+                    "serve.request",
+                    method=method,
+                    path=path,
+                    status=status,
+                    dur_s=round(dur, 6),
+                    trace_id=trace_id,
+                )
+        keep = framed and headers.get("connection", "keep-alive").lower() != "close"
+        await self._write_response(
+            writer, status, payload, keep_alive=keep, trace_id=trace_id
+        )
+        return keep
 
     async def _read_request(self, reader):
         """One request as ``(method, path, headers, body)``; ``None`` at
@@ -495,9 +538,12 @@ class SolveServer:
             if path == "/instances" and method == "POST":
                 return self._post_instance(_parse_json(body))
             if path == "/solve" and method == "POST":
-                return self._post_solve(_parse_json(body), trace_id=trace_id)
+                wait_s = _wait_seconds(query_str)
+                answer = self._post_solve(_parse_json(body), trace_id=trace_id)
+                return await self._hold(*answer, wait_s)
             if path.startswith("/jobs/") and method == "GET":
-                return self._get_job(path[len("/jobs/"):])
+                wait_s = _wait_seconds(query_str)
+                return await self._hold(*self._get_job(path[len("/jobs/"):]), wait_s)
             if path.startswith("/trace/") and method == "GET":
                 return self._get_trace(path[len("/trace/"):])
             if path == "/shutdown" and method == "POST":
@@ -515,6 +561,29 @@ class SolveServer:
             return 400, {"error": str(exc)}
         except Exception as exc:  # pragma: no cover - last-resort guard
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
+
+    async def _hold(self, status, payload, wait_s: float):
+        """Long-poll one ``/solve`` or ``/jobs/<id>`` answer.
+
+        A queued or running job's answer waits up to ``wait_s`` seconds
+        (at most ``read_timeout_s``) for the job's terminal signal. A
+        job that is terminal by then answers 200 with its payload; one
+        that is not keeps the request's own status with its current
+        state. Anything else (no hold asked, no job, a job already
+        terminal, an error) passes through unchanged.
+        """
+        event = self._waiters.get(payload.get("job_id")) if wait_s > 0 else None
+        if event is None:
+            return status, payload
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(
+                event.wait(), min(wait_s, self.config.read_timeout_s)
+            )
+        job = self.jobs.get(payload["job_id"])
+        if job.status in ("done", "failed"):
+            return 200, job.to_json()
+        payload["status"] = job.status
+        return status, payload
 
     def _health(self):
         payload = {
@@ -587,7 +656,9 @@ class SolveServer:
             stored = self.instances.get(instance_id)
             if stored is None:
                 raise _HttpError(404, f"unknown instance_id {instance_id!r}")
-        params = normalize_params(body, defaults=self.config.defaults)
+        params = normalize_params(
+            body, defaults=self.config.defaults, n=stored.meta["n"]
+        )
         self.admission.admit_solve(
             stored.meta["n"],
             stored.meta["dim"],
@@ -612,10 +683,12 @@ class SolveServer:
             payload = job.to_json()
             payload["coalesced"] = True
             return 202, payload
+        self._waiters[job.job_id] = asyncio.Event()
         try:
             self._queue.put_nowait(job)
         except asyncio.QueueFull:
             self.jobs.finish(job, error="queue full (backpressure)")
+            self._wake(job)
             self.metrics.counter("serve.rejected_backpressure").inc()
             return 429, {
                 "error": (
@@ -671,12 +744,36 @@ def _parse_json(body: bytes) -> dict:
     if not body:
         raise _HttpError(400, "empty request body; expected JSON")
     try:
-        parsed = json.loads(body)
+        parsed = json.loads(body.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _HttpError(400, f"request body is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise _HttpError(400, f"malformed JSON body: {exc}")
+    except RecursionError:
+        raise _HttpError(400, "malformed JSON body: nested too deeply")
     if not isinstance(parsed, dict):
         raise _HttpError(400, "JSON body must be an object")
     return parsed
+
+
+def _wait_seconds(query: str) -> float:
+    """The ``?wait=<seconds>`` long-poll hold of a request (0: no hold)."""
+    values = urllib.parse.parse_qs(query, keep_blank_values=True).get("wait", [])
+    if not values:
+        return 0.0
+    if len(values) > 1:
+        raise _HttpError(400, "query parameter 'wait' is given more than once")
+    try:
+        wait_s = float(values[0])
+    except ValueError:
+        wait_s = math.nan
+    if not (math.isfinite(wait_s) and wait_s >= 0):
+        raise _HttpError(
+            400,
+            "query parameter 'wait' must be a finite number of seconds >= 0, "
+            f"got {values[0]!r}",
+        )
+    return wait_s
 
 
 def _result_nbytes(result: dict) -> int:

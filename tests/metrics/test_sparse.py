@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidInstanceError, InvalidParameterError
 from repro.metrics.generators import euclidean_instance, knn_instance
@@ -467,3 +469,49 @@ class TestKnnClusteringInstance:
         assert np.array_equal(back.data, sp.data)
         assert np.array_equal(back.fallback, sp.fallback)
         assert back.k == sp.k
+
+
+def _symmetrized_reference(n, rows, cols, vals):
+    """The two-key ``np.lexsort`` form of ``_symmetrized_clustering_csr``,
+    kept as the oracle for its single-key sort."""
+    diag = np.arange(n, dtype=np.intp)
+    r = np.concatenate([rows, cols, diag])
+    c = np.concatenate([cols, rows, diag])
+    v = np.concatenate([vals, vals, np.zeros(n)])
+    order = np.lexsort((c, r))
+    r, c, v = r[order], c[order], v[order]
+    keep = np.concatenate(([True], (np.diff(r) != 0) | (np.diff(c) != 0)))
+    r, c, v = r[keep], c[keep], v[keep]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n)))).astype(np.intp)
+    return indptr, c.astype(np.intp), v
+
+
+@st.composite
+def _edge_lists(draw):
+    """``(n, rows, cols, vals)``: few distinct endpoints, so duplicate
+    pairs in both orientations, self-loops and empty rows are common."""
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(0, 40))
+    node = st.integers(0, n - 1)
+    rows = draw(st.lists(node, min_size=m, max_size=m))
+    cols = draw(st.lists(node, min_size=m, max_size=m))
+    vals = draw(st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m))
+    dtype = draw(st.sampled_from([np.intp, np.int32]))
+    return (
+        n,
+        np.asarray(rows, dtype=dtype),
+        np.asarray(cols, dtype=dtype),
+        np.asarray(vals, dtype=float),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists())
+def test_symmetrized_csr_matches_lexsort_reference(edges):
+    from repro.metrics.sparse import _symmetrized_clustering_csr
+
+    got = _symmetrized_clustering_csr(*edges)
+    want = _symmetrized_reference(*edges)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)

@@ -32,6 +32,26 @@ def test_fresh_load_completes_everything(served):
     assert 0 < lat["min"] <= lat["p50"] <= lat["p90"] <= lat["p99"] <= lat["max"]
 
 
+def test_fresh_load_is_one_request_per_solve(served):
+    """Each solve long-polls its submit, so a solve that finishes within
+    the hold is one HTTP request; the report keeps its keys."""
+    client = ServeClient(served.host, served.port)
+    before = client.metrics()["counters"]["serve.requests_total"]
+    report = run_loadgen(
+        served.host, served.port, clients=2, requests=8, n=160, k=3, seed=700
+    )
+    after = client.metrics()["counters"]["serve.requests_total"]
+    assert set(report) == {
+        "clients", "requests_sent", "completed", "failed", "failure_rate",
+        "wall_s", "throughput_rps", "time_per_request_s", "latency_s",
+        "instance_id", "identical_requests", "n", "dim", "k", "qps_target",
+    }
+    assert report["completed"] == 8
+    # besides the solves: the instance upload, the /health scrape and the
+    # first /metrics GET (counted after its own snapshot)
+    assert after - before - 3 == report["completed"]
+
+
 def test_identical_load_hits_the_result_cache(served):
     client = ServeClient(served.host, served.port)
     before = client.metrics()["counters"].get("serve.result_cache_hits", 0)

@@ -194,6 +194,95 @@ class TestBasicApi:
         assert counters["serve.rejected_admission"] == rejected + 1
 
 
+def _post_bytes(client, path, body: bytes):
+    """POST raw body bytes; returns ``(status, payload)``."""
+    import http.client
+
+    conn = http.client.HTTPConnection(client.host, client.port, timeout=10)
+    try:
+        conn.request(
+            "POST", path, body=body,
+            headers={"Content-Type": "application/json", "Connection": "close"},
+        )
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+class TestStrictSolveSchema:
+    """A malformed or out-of-domain solve parameter is a 400 at submit:
+    never truncated, coerced, answered from another request's cache
+    entry, or accepted as a job that can only fail."""
+
+    @pytest.fixture(scope="class")
+    def sixty(self, served):
+        return served.submit_points(_points(seed=50, n=60))["instance_id"]
+
+    @pytest.mark.parametrize(
+        "params",
+        [{"k": 2.5}, {"k": True}, {"k": 2, "seed": 1.7}, {"k": 2, "shards": 2.9},
+         {"k": 61}, {"k": 2, "epsilon": -1}, {"k": 2, "coreset_size": 0},
+         {"k": 2, "fallback_slack": -1.0}, {"k": "2"}, {"k": 2, "seed": -3}],
+        ids=["k-fraction", "k-bool", "seed-fraction", "shards-fraction",
+             "k-over-n", "epsilon-negative", "coreset-zero", "slack-negative",
+             "k-text", "seed-negative"],
+    )
+    def test_rejected_at_submit(self, served, sixty, params):
+        jobs_before = served.health()["jobs"]["total"]
+        status, payload = served.raw_request(
+            "POST", "/solve", {"instance_id": sixty, **params}
+        )
+        assert status == 400, payload
+        assert served.health()["jobs"]["total"] == jobs_before  # no job made
+
+    def test_fraction_is_not_served_from_a_neighbours_cache_entry(self, served, sixty):
+        served.solve_and_wait(instance_id=sixty, k=2, shards=2)
+        status, payload = served.raw_request(
+            "POST", "/solve", {"instance_id": sixty, "k": 2, "shards": 2.9}
+        )
+        assert status == 400 and "shards" in payload["error"]
+
+    def test_integral_float_keeps_the_integer_cache_key(self, served, sixty):
+        first = served.solve_and_wait(instance_id=sixty, k=3, seed=4)
+        again = served.solve(instance_id=sixty, k=3.0, seed=4.0)
+        assert again["cached"] is True
+        assert again["params"] == first["params"]
+        assert again["result"] == first["result"]
+
+
+class TestTypedEdgeErrors:
+    @pytest.mark.parametrize(
+        "query", ["wait=abc", "wait=nan", "wait=inf", "wait=-1", "wait=", "wait=1&wait=2"]
+    )
+    @pytest.mark.parametrize("route", ["solve", "jobs"])
+    def test_malformed_wait_400(self, served, query, route):
+        inst = served.submit_points(_points(seed=51))
+        jobs_before = served.health()["jobs"]["total"]
+        if route == "solve":
+            status, payload = served.raw_request(
+                "POST", f"/solve?{query}", {"instance_id": inst["instance_id"], "k": 2}
+            )
+        else:
+            job = served.solve_and_wait(instance_id=inst["instance_id"], k=2)
+            jobs_before += 1
+            status, payload = served.raw_request("GET", f"/jobs/{job['job_id']}?{query}")
+        assert status == 400
+        assert "'wait'" in payload["error"]
+        assert served.health()["jobs"]["total"] == jobs_before
+
+    @pytest.mark.parametrize("path", ["/solve", "/instances"])
+    def test_non_utf8_body_400(self, served, path):
+        status, payload = _post_bytes(served, path, b'{"points": [[0, 1]], "k": "\xff"}')
+        assert status == 400
+        assert "UTF-8" in payload["error"]
+
+    def test_deeply_nested_body_400(self, served):
+        status, payload = _post_bytes(served, "/solve", b"[" * 100_000 + b"]" * 100_000)
+        assert status == 400
+        assert "nested too deeply" in payload["error"]
+
+
 class TestConcurrency:
     def test_concurrent_identical_submits_share_one_solve(self):
         config = ServerConfig(backend="thread", backend_workers=2, workers=2)
