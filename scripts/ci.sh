@@ -8,7 +8,7 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # Backend matrix hook: REPRO_BACKEND=serial|thread|process makes every
 # default-constructed PramMachine run on that backend (see
 # repro.pram.backends.shared_backend). Unset means serial.
-echo "== backend: ${REPRO_BACKEND:-serial} (workers=${REPRO_NUM_WORKERS:-auto}, grain=${REPRO_GRAIN:-default}) =="
+echo "== backend: ${REPRO_BACKEND:-serial} (workers=${REPRO_NUM_WORKERS:-auto}) =="
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff check =="

@@ -146,7 +146,6 @@ def run_regression(
     algorithms=("parallel_greedy", "parallel_primal_dual"),
     backends=("serial",),
     num_workers: int | None = None,
-    grain: int | None = None,
     repeats: int = 1,
     summary: bool = False,
 ) -> dict:
@@ -172,7 +171,6 @@ def run_regression(
             "machine_seed": machine_seed,
             "backends": list(backends),
             "num_workers": num_workers if num_workers is not None else (os.cpu_count() or 1),
-            "grain": grain,
             "repeats": repeats,
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
@@ -185,7 +183,7 @@ def run_regression(
         reference = None  # first listed backend's run
         identical = True
         for backend_name in backends:
-            backend = make_backend(backend_name, num_workers=num_workers, grain=grain)
+            backend = make_backend(backend_name, num_workers=num_workers)
             try:
                 run = _run_once(
                     algorithm,
@@ -294,7 +292,6 @@ def main(argv=None) -> None:
         help="comma-separated backend names to sweep (serial,thread,process)",
     )
     parser.add_argument("--workers", type=int, default=None, help="pool worker count")
-    parser.add_argument("--grain", type=int, default=None, help="thread grain (elements/task)")
     parser.add_argument("--repeats", type=int, default=1, help="timed runs per config (min wins)")
     parser.add_argument(
         "--summary",
@@ -318,7 +315,6 @@ def main(argv=None) -> None:
         epsilon=args.epsilon,
         backends=tuple(b.strip() for b in args.backends.split(",") if b.strip()),
         num_workers=args.workers,
-        grain=args.grain,
         repeats=args.repeats,
         summary=args.summary,
     )

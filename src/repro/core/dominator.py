@@ -84,7 +84,7 @@ def max_dominator_set(
     """
     A = _as_adjacency(adjacency)
     n = A.shape[0]
-    machine = ensure_machine(machine, backend=backend, size=n * n)
+    machine = ensure_machine(machine, backend=backend)
     if n == 0:
         return np.zeros(0, dtype=bool)
     limit = (n + 1) if max_rounds is None else int(max_rounds)
@@ -176,7 +176,7 @@ def max_u_dominator_set(
     B = np.asarray(biadjacency, dtype=bool)
     if B.ndim != 2:
         raise InvalidParameterError(f"biadjacency must be 2-D, got shape {B.shape}")
-    machine = ensure_machine(machine, backend=backend, size=B.size)
+    machine = ensure_machine(machine, backend=backend)
     nu = B.shape[0]
     if nu == 0:
         return np.zeros(0, dtype=bool)

@@ -147,7 +147,7 @@ def max_dominator_set_sparse(
     """
     A = _to_csr(adjacency)
     n = A.shape[0]
-    machine = ensure_machine(machine, backend=backend, size=max(int(A.indptr[-1]), n))
+    machine = ensure_machine(machine, backend=backend)
     if n == 0:
         return np.zeros(0, dtype=bool)
     limit = (n + 1) if max_rounds is None else int(max_rounds)
@@ -240,7 +240,7 @@ def max_u_dominator_set_sparse(
     else:
         B = sparse.csr_matrix(np.asarray(biadjacency, dtype=bool))
     nu, nv = B.shape
-    machine = ensure_machine(machine, backend=backend, size=max(int(B.indptr[-1]), nu))
+    machine = ensure_machine(machine, backend=backend)
     if nu == 0:
         return np.zeros(0, dtype=bool)
     candidate = (

@@ -97,7 +97,7 @@ def parallel_fl_local_search(
         initial cost.
     """
     eps = check_epsilon(epsilon, upper=1.0)
-    machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.m)
+    machine = ensure_machine(machine, backend=backend, seed=seed)
     D = instance.D
     f = instance.f.astype(float)
     nf, nc = D.shape

@@ -91,7 +91,7 @@ def parallel_greedy(
         ``seed``/``backend`` are only used when constructing it).
     backend:
         Execution backend for the fresh machine — a name
-        (``"serial"``/``"thread"``/``"process"``/``"auto"``) or a
+        (``"serial"``/``"thread"``/``"process"``) or a
         :class:`~repro.pram.backends.Backend` instance. Mutually
         exclusive with ``machine``. Results are backend-invariant.
     preprocess:
@@ -120,7 +120,7 @@ def parallel_greedy(
     solutions to the dense path on dense-representable instances.
     """
     eps = check_epsilon(epsilon, upper=1.0)
-    machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.m)
+    machine = ensure_machine(machine, backend=backend, seed=seed)
     m = max(instance.m, 2)
 
     outer_cap = max_outer_rounds if max_outer_rounds is not None else instance.n_clients + 8

@@ -64,9 +64,9 @@ def parallel_kcenter(
     if isinstance(instance, SparseClusteringInstance):
         from repro.core.kcenter_sparse import _parallel_kcenter_sparse
 
-        machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.m)
+        machine = ensure_machine(machine, backend=backend, seed=seed)
         return _parallel_kcenter_sparse(instance, machine)
-    machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.D.size)
+    machine = ensure_machine(machine, backend=backend, seed=seed)
     D, k, n = instance.D, instance.k, instance.n
     start = machine.snapshot()
 

@@ -128,8 +128,7 @@ def parallel_kmedian_lagrangian(
     """
     eps = check_epsilon(epsilon)
     check_positive_int(max_probes, name="max_probes")
-    size = instance.m if isinstance(instance, SparseClusteringInstance) else instance.D.size
-    machine = ensure_machine(machine, backend=backend, seed=seed, size=size)
+    machine = ensure_machine(machine, backend=backend, seed=seed)
     n, k = instance.n, instance.k
     if k >= n:
         centers = np.arange(n)

@@ -148,11 +148,11 @@ def parallel_local_search(
     if isinstance(instance, SparseClusteringInstance):
         from repro.core.local_search_sparse import _parallel_local_search_sparse
 
-        machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.m)
+        machine = ensure_machine(machine, backend=backend, seed=seed)
         return _parallel_local_search_sparse(
             instance, objective, eps, machine, initial, max_rounds
         )
-    machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.D.size)
+    machine = ensure_machine(machine, backend=backend, seed=seed)
     n, k = instance.n, instance.k
     beta = eps / (1.0 + eps)
 

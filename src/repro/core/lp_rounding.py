@@ -83,7 +83,7 @@ def parallel_lp_rounding(
     a = float(filter_alpha)
     if not 0.0 < a < 1.0:
         raise InvalidParameterError(f"filter_alpha must lie in (0,1), got {filter_alpha}")
-    machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.m)
+    machine = ensure_machine(machine, backend=backend, seed=seed)
     if primal is None:
         primal = solve_primal(instance)
     D = instance.D

@@ -71,7 +71,7 @@ def parallel_primal_dual(
         with ``ε′ → 0`` as ``ε → 0``.
     backend:
         Execution backend for a freshly constructed machine — a name
-        (``"serial"``/``"thread"``/``"process"``/``"auto"``) or a
+        (``"serial"``/``"thread"``/``"process"``) or a
         :class:`~repro.pram.backends.Backend` instance. Mutually
         exclusive with ``machine``. Results are backend-invariant.
     preprocess:
@@ -91,7 +91,7 @@ def parallel_primal_dual(
         surviving independent set ``I``.
     """
     eps = check_epsilon(epsilon)
-    machine = ensure_machine(machine, backend=backend, seed=seed, size=instance.m)
+    machine = ensure_machine(machine, backend=backend, seed=seed)
     m = max(instance.m, 2)
     if max_iterations is not None:
         iter_cap = max_iterations

@@ -14,7 +14,8 @@ Activation mirrors the tracer, cheapest-first:
   ``enabled`` is ``False`` — the disabled path is a guard on that flag,
   not a formatting call.
 - ``REPRO_LOG=/path/to/log.jsonl``: a process-wide log, closed at
-  interpreter exit.
+  interpreter exit. A path that cannot be opened for writing raises
+  :class:`~repro.errors.InvalidParameterError` from :func:`current_log`.
 - explicit: :func:`set_log` / the :func:`log_to` context manager;
   explicit wins over the environment.
 
@@ -32,7 +33,7 @@ import threading
 import time
 from contextlib import contextmanager
 
-from repro.obs.tracer import current_trace_id
+from repro.obs.tracer import check_env_path, current_trace_id
 
 #: Environment variable holding the structured-log output path.
 LOG_ENV = "REPRO_LOG"
@@ -153,7 +154,12 @@ def set_log(log) -> "EventLog | NullLog | None":
 
 
 def current_log():
-    """The active event log: explicit > ``REPRO_LOG`` env > disabled."""
+    """The active event log: explicit > ``REPRO_LOG`` env > disabled.
+
+    A ``REPRO_LOG`` path that cannot be opened for writing raises
+    :class:`~repro.errors.InvalidParameterError` (see
+    :func:`~repro.obs.tracer.check_env_path`).
+    """
     if _explicit is not None:
         return _explicit
     path = os.environ.get(LOG_ENV, "").strip()
@@ -162,6 +168,7 @@ def current_log():
     global _env_log, _env_path
     with _env_lock:
         if _env_log is None or _env_path != path:
+            check_env_path(LOG_ENV, path)
             _env_log = EventLog(path)
             _env_path = path
         return _env_log

@@ -26,7 +26,9 @@ Activation, cheapest-first:
   on that flag and skip instrumentation entirely — the disabled path
   is the uninstrumented code, not a stack of no-op calls.
 - ``REPRO_TRACE=/path/to/trace.jsonl``: a process-wide tracer writing
-  to that path, closed at interpreter exit.
+  to that path, closed at interpreter exit. A path that cannot be
+  opened for writing raises :class:`~repro.errors.InvalidParameterError`
+  from :func:`current_tracer`, before any work starts.
 - explicit: ``set_tracer(Tracer(path))`` or the :func:`trace_to`
   context manager; explicit wins over the environment.
 
@@ -48,10 +50,28 @@ import threading
 import time
 from contextlib import contextmanager
 
+from repro.errors import InvalidParameterError
 from repro.obs.metrics import MetricsRegistry
 
 #: Environment variable holding the trace output path.
 TRACE_ENV = "REPRO_TRACE"
+
+
+def check_env_path(variable: str, path: str) -> None:
+    """Raise :class:`InvalidParameterError` unless ``path``, the value
+    of the environment ``variable``, opens for writing.
+
+    Opens in append mode and writes nothing, so an existing file — the
+    driver's trace, when a forked worker checks the same path — is
+    never truncated. The ``OSError`` is chained.
+    """
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise InvalidParameterError(
+            f"{variable}={path!r} cannot be opened for writing: {exc}"
+        ) from exc
 
 
 def _now_us() -> int:
@@ -426,7 +446,8 @@ def current_tracer():
     The environment is consulted on every call (cheap dict lookup), so
     setting ``REPRO_TRACE`` before the first solve is enough — no
     import-order dance. The env-derived tracer is cached per path and
-    closed at interpreter exit.
+    closed at interpreter exit; a path that cannot be opened for writing
+    raises :class:`InvalidParameterError` (see :func:`check_env_path`).
     """
     if _explicit is not None:
         return _explicit
@@ -436,6 +457,7 @@ def current_tracer():
     global _env_tracer, _env_path
     with _env_lock:
         if _env_tracer is None or _env_path != path:
+            check_env_path(TRACE_ENV, path)
             _env_tracer = Tracer(path)
             _env_path = path
         return _env_tracer

@@ -10,28 +10,24 @@ operators). On an EREW PRAM a basic operation on ``m`` elements costs
 cache-oblivious model the cache complexities are ``O(m/B)`` and
 ``O((m/B) log_{M/B} m)`` respectively.
 
-:class:`PramMachine` executes those primitives with NumPy on a
-swappable backend — serial, or thread-parallel (NumPy ufuncs release
-the GIL, so row-blocked threads are genuinely parallel); the process
-backend pools only the shard subsystem's batch tasks — while charging
-the model costs to a :class:`CostLedger`; charges are
-backend-invariant, so all of the paper's asymptotic claims (work
-bounds, round counts, polylog depth, Brent speedup
-``T_p = W/p + D``) become directly measurable quantities on any
-substrate.
+:class:`PramMachine` executes those primitives as plain NumPy in the
+calling thread while charging the model costs to a :class:`CostLedger`,
+so all of the paper's asymptotic claims (work bounds, round counts,
+polylog depth, Brent speedup ``T_p = W/p + D``) become directly
+measurable quantities. A backend (serial, thread, or process) is only
+a task pool for the shard subsystem's batch jobs; no primitive depends
+on it, so results and charges are identical on every backend.
 """
 
 from repro.pram.operators import ADD, AND, MAX, MIN, OR, AssociativeOp, get_operator
 from repro.pram.ledger import CostLedger, CostSnapshot, RoundMark
 from repro.pram.backends import (
-    AUTO_BACKEND_MIN_SIZE,
     Backend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     available_backends,
     make_backend,
-    resolve_backend_name,
     shared_backend,
 )
 from repro.pram.machine import PramMachine, ensure_machine
@@ -54,10 +50,8 @@ __all__ = [
     "PramMachine",
     "ensure_machine",
     "ProcessBackend",
-    "AUTO_BACKEND_MIN_SIZE",
     "available_backends",
     "make_backend",
-    "resolve_backend_name",
     "shared_backend",
     "brent_time",
     "parallelism",

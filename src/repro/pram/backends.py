@@ -1,38 +1,26 @@
-"""Execution backends: the PRAM primitives and the shard task pool.
+"""Execution backends: task pools for independent batch tasks.
 
-A backend does two jobs. It runs the PRAM primitives for a
-:class:`PramMachine` (``elementwise``/``reduce``/``scan``/``sort``/
-``count_votes``/``segmented_reduce``/``fused_axpy``), and it runs
-coarse independent tasks through :meth:`Backend.submit_batch` (the
-shard subsystem's per-shard jobs). The ledger's model charges are
-identical regardless of backend (charges are computed from array
-sizes, never from how the kernel executed):
+A backend runs coarse independent tasks through
+:meth:`Backend.submit_batch` — the shard subsystem's per-shard jobs,
+under the fault supervisor when one is configured. It runs no PRAM
+primitive: :class:`~repro.pram.machine.PramMachine` executes those as
+plain NumPy in the calling thread, so seeded results and the ledger's
+model charges are identical on every backend by construction.
 
-* :class:`SerialBackend` — plain NumPy on the calling thread. The
-  default; its kernels are the :class:`Backend` defaults, the
-  reference implementation every other backend is property-tested
-  against.
-* :class:`ThreadBackend` — row-blocked ``ThreadPoolExecutor`` for both
-  jobs. NumPy ufuncs release the GIL while crunching, so threads
-  deliver genuine wall-clock parallelism on large arrays (this is the
-  substitution for physical PRAM processors noted in DESIGN.md: the
-  GIL does not serialize NumPy kernels). Arrays smaller than
-  ``grain × num_workers`` (or with fewer than two rows) run serially,
-  because pool handoff would dominate.
-* :class:`ProcessBackend` — a ``ProcessPoolExecutor`` task pool for
-  :meth:`~Backend.submit_batch`, the shard-parallel fan-out the fault
-  supervisor drives. Large ndarrays inside batch items travel by
-  shared-memory *name*, never by pickled value. Its primitives run the
-  serial kernels in the calling process: copying each primitive's
-  inputs into shared memory and its output back out costs more than
-  the row blocks save, a cost the work–depth model never charges.
+* :class:`SerialBackend` — a plain loop on the calling thread. The
+  default, and the reference every pool's batches are tested against.
+* :class:`ThreadBackend` — a ``ThreadPoolExecutor`` task pool. Tasks
+  share the caller's memory; NumPy work inside a task releases the GIL.
+* :class:`ProcessBackend` — a ``ProcessPoolExecutor`` task pool. Large
+  ndarrays inside batch items travel by shared-memory *name*, never by
+  pickled value.
 
-A closed pool backend keeps producing correct results, serially.
+A closed pool backend keeps running batches correctly, serially.
 
 Backends are constructed directly, through :func:`make_backend`
-(``"serial" | "thread" | "process" | "auto"``), or implicitly via the
-``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS`` / ``REPRO_GRAIN`` (thread
-only) environment variables consulted by :func:`shared_backend` when a
+(``"serial" | "thread" | "process"``), or implicitly via the
+``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS`` environment variables
+consulted by :func:`shared_backend` when a
 :class:`~repro.pram.machine.PramMachine` is built without an explicit
 backend instance.
 """
@@ -57,47 +45,6 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.obs.tracer import current_trace_id, current_tracer
-from repro.pram.operators import AssociativeOp
-
-
-def _segmented_reduce_kernel(op, values, indptr):
-    """Per-segment reduction over a flat CSR-style array (the shared
-    serial kernel behind ``segmented_reduce``).
-
-    ``out[s] = op.reduce(values[indptr[s]:indptr[s+1]])``, with the
-    operator identity for empty segments. One ``reduceat`` pass —
-    ``O(nnz + n_segments)`` work. ``reduceat`` combines each segment
-    left-to-right, so results are deterministic and independent of how
-    segments are chunked across workers (a segment is never split).
-    """
-    n = indptr.size - 1
-    lens = np.diff(indptr)
-    # Appending the identity keeps the trailing segment well-defined and
-    # gives empty segments at position nnz a valid index to read; it
-    # also fixes the output dtype by the same promotion rule on every
-    # slice (so chunked and whole-array passes agree).
-    gathered = np.append(values, np.asarray(op.identity))
-    if values.size == 0:
-        return np.full(n, op.identity, dtype=gathered.dtype)
-    out = op.ufunc.reduceat(gathered, indptr[:-1])
-    if np.any(lens == 0):
-        out[lens == 0] = op.identity
-    return out
-
-
-def _axpy_kernel(a, x, y, clamp_min, mask, fill):
-    """``a*x + y`` with optional lower clamp and mask-select, minimizing
-    temporaries (the shared serial kernel behind ``fused_axpy``)."""
-    x = np.asarray(x)
-    operands = [x] + [np.asarray(v) for v in (y, mask) if isinstance(v, np.ndarray)]
-    shape = np.broadcast_shapes(*(v.shape for v in operands))
-    out = np.multiply(np.broadcast_to(x, shape), a)
-    out += y
-    if clamp_min is not None:
-        np.maximum(out, clamp_min, out=out)
-    if mask is not None:
-        out = np.where(mask, out, fill)
-    return out
 
 
 _PICKLABLE_FNS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -246,60 +193,23 @@ def _record_shm_bytes(shms) -> None:
 
 
 class Backend:
-    """Kernel interface shared by all backends.
+    """Task-pool interface shared by all backends.
 
-    The default kernels are plain NumPy on the calling thread — the
-    serial reference. Backends are context managers: ``with
-    make_backend("thread") as b`` guarantees the worker pool is
-    released. ``close`` is idempotent, and a closed backend still
-    executes every kernel correctly — it just runs serially (see
-    :attr:`closed`).
+    The default runs every batch task in a plain loop on the calling
+    thread — the serial reference. Backends are context managers:
+    ``with make_backend("thread") as b`` guarantees the worker pool is
+    released. ``close`` is idempotent, and a closed backend still runs
+    every batch correctly — it just runs serially (see :attr:`closed`).
     """
 
     name = "abstract"
 
-    def elementwise(self, fn, arrays: tuple[np.ndarray, ...]) -> np.ndarray:
-        """Apply vectorized ``fn`` to ``arrays`` (already broadcast)."""
-        return fn(*arrays)
-
-    def reduce(self, op: AssociativeOp, a: np.ndarray, axis) -> np.ndarray:
-        return op.reduce(a, axis=axis)
-
-    def scan(self, op: AssociativeOp, a: np.ndarray, axis: int) -> np.ndarray:
-        return op.scan(a, axis=axis)
-
-    def sort(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return np.sort(a, axis=axis, kind="stable")
-
-    def argsort(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return np.argsort(a, axis=axis, kind="stable")
-
-    def count_votes(self, labels: np.ndarray, minlength: int) -> np.ndarray:
-        """Segmented count: ``out[i] = #{j : labels[j] == i}``."""
-        return np.bincount(labels, minlength=minlength)
-
-    def segmented_reduce(
-        self, op: AssociativeOp, values: np.ndarray, indptr: np.ndarray
-    ) -> np.ndarray:
-        """Per-segment reduction over a flat CSR-style array.
-
-        ``indptr`` (length ``n_segments + 1``) delimits contiguous
-        segments of ``values``; empty segments reduce to the operator
-        identity. Segments are never split across workers, so results
-        are byte-identical on every backend.
-        """
-        return _segmented_reduce_kernel(op, values, indptr)
-
-    def fused_axpy(self, a, x, y, *, clamp_min=None, mask=None, fill=0.0) -> np.ndarray:
-        """One-pass ``a*x + y`` with optional clamp/mask (a is scalar)."""
-        return _axpy_kernel(a, x, y, clamp_min, mask, fill)
-
     def submit_batch(self, fn, items) -> list:
         """Run ``fn`` over ``items``, one task each, preserving order.
 
-        The coarse-grained counterpart of the primitives: used by the
-        shard subsystem to execute independent per-shard jobs (e.g.
-        coreset builds) over whatever worker pool this backend owns.
+        Used by the shard subsystem to execute independent per-shard
+        jobs (e.g. coreset builds) over whatever worker pool this
+        backend owns.
         The serial backend — and any closed/pool-less backend — runs
         the tasks in a plain loop, so results are identical on every
         backend provided ``fn`` is deterministic per item. On a process
@@ -328,7 +238,7 @@ class Backend:
 
     @property
     def closed(self) -> bool:
-        """Whether :meth:`close` has run (kernels then execute serially)."""
+        """Whether :meth:`close` has run (batches then run serially)."""
         return False
 
     def close(self) -> None:
@@ -343,7 +253,7 @@ class Backend:
 
 
 class SerialBackend(Backend):
-    """Direct NumPy execution on the calling thread (the default kernels)."""
+    """Batch tasks in a plain loop on the calling thread (the default)."""
 
     name = "serial"
 
@@ -354,7 +264,7 @@ class _PoolBackend(Backend):
     Owns the pool, the close/context-manager lifecycle, the fault
     supervisor's respawn hook, and the order-preserving
     :meth:`submit_batch` fan-out. Concrete backends provide
-    ``_make_pool`` and, optionally, pool-parallel kernels.
+    ``_make_pool``.
     """
 
     #: Whether batch tasks cross a pickling boundary (process pools):
@@ -388,7 +298,7 @@ class _PoolBackend(Backend):
     def close(self):
         """Shut the worker pool down (idempotent, thread-safe).
 
-        After closing, every kernel keeps working via the serial
+        After closing, every batch keeps working via the serial
         fallback — the pinned-down use-after-close contract, asserted
         by the backend test suite. A close racing an in-flight
         :meth:`submit_batch` is deterministic: batch tasks already
@@ -537,164 +447,21 @@ class _PoolBackend(Backend):
 
 
 class ThreadBackend(_PoolBackend):
-    """Row-blocked thread-parallel execution.
+    """Thread-pool task execution for :meth:`~Backend.submit_batch`.
+
+    Batch items are passed by reference, never copied or pickled.
 
     Parameters
     ----------
     num_workers:
-        Worker thread count; defaults to ``os.cpu_count()``.
-    grain:
-        Minimum elements per task; arrays smaller than
-        ``grain * num_workers`` run serially to avoid dispatch overhead.
+        Worker thread count; defaults to ``os.cpu_count()``. With one
+        worker no pool is created and batches run serially.
     """
 
     name = "thread"
 
-    def __init__(self, num_workers: int | None = None, *, grain: int = 1 << 14):
-        self.grain = int(grain)
-        super().__init__(num_workers)
-
     def _make_pool(self):
         return ThreadPoolExecutor(max_workers=self.num_workers)
-
-    # -- dispatch policy --------------------------------------------------
-
-    def _pool_worthy(self, shape: tuple) -> bool:
-        """Single dispatch policy for every kernel: run on the pool only
-        when there are rows to split and enough elements per worker."""
-        return not (
-            self._pool is None
-            or len(shape) == 0
-            or shape[0] < 2
-            or int(np.prod(shape)) < self.grain * self.num_workers
-        )
-
-    def _too_small(self, a: np.ndarray) -> bool:
-        return not self._pool_worthy(a.shape)
-
-    def _row_chunks(self, n_rows: int):
-        """Split ``range(n_rows)`` into at most ``num_workers`` slices."""
-        per = -(-n_rows // self.num_workers)
-        return [slice(s, min(s + per, n_rows)) for s in range(0, n_rows, per)]
-
-    def _parallel_over_rows(self, a: np.ndarray, task):
-        chunks = self._row_chunks(a.shape[0])
-        parts = list(self._pool.map(task, chunks))
-        return parts, chunks
-
-    # -- kernel interface ---------------------------------------------------
-
-    def elementwise(self, fn, arrays):
-        arrs = [np.asarray(x) for x in arrays]
-        try:
-            shape = np.broadcast_shapes(*(a.shape for a in arrs))
-        except ValueError:
-            # Not mutually broadcastable (fn handles shapes itself).
-            return super().elementwise(fn, arrays)
-        if not self._pool_worthy(shape):
-            return super().elementwise(fn, arrays)
-        # Broadcast every argument up front (views, no copies) so
-        # mixed-shape maps — e.g. an (n_f, 1) cost column against an
-        # (n_f, n_c) matrix — run on the pool instead of silently
-        # dropping to serial.
-        views = [np.broadcast_to(a, shape) for a in arrs]
-        chunks = self._row_chunks(shape[0])
-        parts = list(self._pool.map(lambda sl: fn(*(v[sl] for v in views)), chunks))
-        return np.concatenate(parts, axis=0)
-
-    def reduce(self, op, a, axis):
-        if self._too_small(a):
-            return super().reduce(op, a, axis)
-        if axis in (1, -1) and a.ndim == 2:
-            # Independent row reductions: perfectly row-parallel.
-            parts, _ = self._parallel_over_rows(a, lambda sl: op.reduce(a[sl], axis=1))
-            return np.concatenate(parts, axis=0)
-        if axis is None:
-            parts, _ = self._parallel_over_rows(a, lambda sl: op.reduce(a[sl], axis=None))
-            return op.reduce(np.asarray(parts), axis=None)
-        if axis == 0 and a.ndim == 2:
-            # Tree-combine partial column reductions from row blocks.
-            parts, _ = self._parallel_over_rows(a, lambda sl: op.reduce(a[sl], axis=0))
-            return op.reduce(np.stack(parts, axis=0), axis=0)
-        return super().reduce(op, a, axis)
-
-    def scan(self, op, a, axis):
-        if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return super().scan(op, a, axis)
-        parts, _ = self._parallel_over_rows(a, lambda sl: op.scan(a[sl], axis=1))
-        return np.concatenate(parts, axis=0)
-
-    def sort(self, a, axis):
-        if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return super().sort(a, axis)
-        parts, _ = self._parallel_over_rows(a, lambda sl: np.sort(a[sl], axis=1, kind="stable"))
-        return np.concatenate(parts, axis=0)
-
-    def argsort(self, a, axis):
-        if self._too_small(a) or not (a.ndim == 2 and axis in (1, -1)):
-            return super().argsort(a, axis)
-        parts, _ = self._parallel_over_rows(
-            a, lambda sl: np.argsort(a[sl], axis=1, kind="stable")
-        )
-        return np.concatenate(parts, axis=0)
-
-    def count_votes(self, labels, minlength):
-        if not self._pool_worthy(labels.shape):
-            return super().count_votes(labels, minlength)
-        slices = self._row_chunks(labels.size)
-        parts = list(
-            self._pool.map(lambda sl: np.bincount(labels[sl], minlength=minlength), slices)
-        )
-        return np.sum(np.stack(parts, axis=0), axis=0)
-
-    def segmented_reduce(self, op, values, indptr):
-        n_seg = indptr.size - 1
-        if (
-            self._pool is None
-            or n_seg < 2
-            or values.size < self.grain * self.num_workers
-        ):
-            return super().segmented_reduce(op, values, indptr)
-        # Chunk by whole segments: each worker runs the serial kernel on
-        # its segment range, so per-segment results are bit-identical to
-        # a single-threaded pass.
-        chunks = self._row_chunks(n_seg)
-        parts = list(
-            self._pool.map(
-                lambda sl: _segmented_reduce_kernel(
-                    op,
-                    values[indptr[sl.start] : indptr[sl.stop]],
-                    indptr[sl.start : sl.stop + 1] - indptr[sl.start],
-                ),
-                chunks,
-            )
-        )
-        return np.concatenate(parts)
-
-    def fused_axpy(self, a, x, y, *, clamp_min=None, mask=None, fill=0.0):
-        x = np.asarray(x)
-        operands = [x] + [np.asarray(v) for v in (y, mask) if isinstance(v, np.ndarray)]
-        shape = np.broadcast_shapes(*(v.shape for v in operands))
-        if not self._pool_worthy(shape):
-            return super().fused_axpy(a, x, y, clamp_min=clamp_min, mask=mask, fill=fill)
-        xv = np.broadcast_to(x, shape)
-        yv = np.broadcast_to(np.asarray(y), shape) if isinstance(y, np.ndarray) else y
-        mv = np.broadcast_to(mask, shape) if isinstance(mask, np.ndarray) else mask
-        chunks = self._row_chunks(shape[0])
-        parts = list(
-            self._pool.map(
-                lambda sl: _axpy_kernel(
-                    a,
-                    xv[sl],
-                    yv[sl] if isinstance(yv, np.ndarray) else yv,
-                    clamp_min,
-                    mv[sl] if isinstance(mv, np.ndarray) else mv,
-                    fill,
-                ),
-                chunks,
-            )
-        )
-        return np.concatenate(parts, axis=0)
 
 
 # -- process backend: zero-copy batch transport -----------------------------
@@ -822,9 +589,7 @@ class ProcessBackend(_PoolBackend):
     supervisor when one is configured). Large ndarrays inside each
     batch item are copied once into a ``multiprocessing.shared_memory``
     segment and cross by name; workers attach read-only views, so no
-    point block is ever pickled. The PRAM primitives run the serial
-    NumPy kernels in the calling process — results and ledger charges
-    are those of :class:`SerialBackend` by construction.
+    point block is ever pickled.
 
     Parameters
     ----------
@@ -856,81 +621,40 @@ class ProcessBackend(_PoolBackend):
 
 # -- registry & factory -----------------------------------------------------
 
-#: Instance sizes (elements) below which ``make_backend("auto")`` keeps
-#: the serial backend: on smaller inputs the pool's dispatch constant
-#: costs more than the row-blocked kernels save.
-AUTO_BACKEND_MIN_SIZE = 1 << 16
-
-
-def _thread_kwargs(grain):
-    return {} if grain is None else {"grain": int(grain)}
-
-
 _BACKEND_REGISTRY: dict = {
-    "serial": lambda num_workers, grain: SerialBackend(),
-    "thread": lambda num_workers, grain: ThreadBackend(num_workers, **_thread_kwargs(grain)),
-    "process": lambda num_workers, grain: ProcessBackend(num_workers),
+    "serial": lambda num_workers: SerialBackend(),
+    "thread": ThreadBackend,
+    "process": ProcessBackend,
 }
 
 
 def available_backends() -> list:
-    """Sorted names accepted by :func:`make_backend` (besides ``"auto"``)."""
+    """Sorted names accepted by :func:`make_backend`."""
     return sorted(_BACKEND_REGISTRY)
 
 
-def resolve_backend_name(name: str, size: int | None = None) -> str:
-    """Resolve ``"auto"`` (and validate any other name) to a registry key.
-
-    The ``"auto"`` policy is a size threshold: serial below
-    ``AUTO_BACKEND_MIN_SIZE`` elements (or when the host has a single
-    CPU), thread-parallel otherwise. Threads, not processes, are the
-    auto choice: NumPy kernels release the GIL, while the process
-    backend runs every primitive serially and parallelizes only
-    :meth:`~Backend.submit_batch` tasks.
-    """
-    if name == "auto":
-        if (os.cpu_count() or 1) < 2:
-            return "serial"
-        if size is not None and size < AUTO_BACKEND_MIN_SIZE:
-            return "serial"
-        return "thread"
-    if name not in _BACKEND_REGISTRY:
-        raise InvalidParameterError(
-            f"unknown backend {name!r}; expected 'auto' or one of {available_backends()}"
-        )
-    return name
-
-
-def make_backend(
-    spec: "str | Backend" = "serial",
-    *,
-    num_workers: int | None = None,
-    grain: int | None = None,
-    size: int | None = None,
-) -> Backend:
+def make_backend(spec: "str | Backend" = "serial", *, num_workers: int | None = None) -> Backend:
     """Construct a backend from a name (``Backend`` instances pass through).
 
     Parameters
     ----------
     spec:
-        ``"serial"``, ``"thread"``, ``"process"``, ``"auto"`` (see
-        :func:`resolve_backend_name`), or an existing :class:`Backend`
-        (returned unchanged).
+        ``"serial"``, ``"thread"``, ``"process"``, or an existing
+        :class:`Backend` (returned unchanged). Any other name raises
+        :class:`~repro.errors.InvalidParameterError`.
     num_workers:
         Forwarded to pool backends; ``None`` keeps their default.
-    grain:
-        The thread backend's dispatch threshold (elements per task);
-        other built-in backends ignore it. ``None`` keeps the default.
-    size:
-        Instance element count steering the ``"auto"`` policy.
 
     The caller owns the result: close it (or use it as a context
     manager) when a pool backend is no longer needed.
     """
     if isinstance(spec, Backend):
         return spec
-    name = resolve_backend_name(spec, size)
-    return _BACKEND_REGISTRY[name](num_workers, grain)
+    if spec not in _BACKEND_REGISTRY:
+        raise InvalidParameterError(
+            f"unknown backend {spec!r}; expected one of {available_backends()}"
+        )
+    return _BACKEND_REGISTRY[spec](num_workers)
 
 
 # -- shared (environment-default) backends ----------------------------------
@@ -948,7 +672,7 @@ def _env_int(var: str) -> int | None:
         raise InvalidParameterError(f"{var} must be an integer, got {raw!r}") from exc
 
 
-def shared_backend(spec: "str | Backend | None" = None, *, size: int | None = None) -> Backend:
+def shared_backend(spec: "str | Backend | None" = None) -> Backend:
     """Process-wide cached backend for machines built without one.
 
     ``spec=None`` reads ``REPRO_BACKEND`` (default ``"serial"``) —
@@ -956,9 +680,8 @@ def shared_backend(spec: "str | Backend | None" = None, *, size: int | None = No
     a different substrate. An empty or whitespace-only value counts as
     unset (CI matrices routinely materialize ``REPRO_BACKEND=""`` for
     the default leg), never as a backend literally named ``""``.
-    ``REPRO_NUM_WORKERS`` sizes pool backends; ``REPRO_GRAIN`` tunes
-    the thread backend only.
-    Instances are cached per resolved configuration and shared by every
+    ``REPRO_NUM_WORKERS`` sizes pool backends.
+    Instances are cached per ``(name, workers)`` and shared by every
     :class:`PramMachine` that did not receive an explicit backend
     object, so a test run never stacks up worker pools; they are closed
     atexit, and ``PramMachine.close`` deliberately leaves them open.
@@ -969,12 +692,10 @@ def shared_backend(spec: "str | Backend | None" = None, *, size: int | None = No
         os.environ.get("REPRO_BACKEND", "").strip() or "serial"
     )
     workers = _env_int("REPRO_NUM_WORKERS")
-    grain = _env_int("REPRO_GRAIN")
-    name = resolve_backend_name(name, size)
-    key = (name, workers, grain)
+    key = (name, workers)
     backend = _SHARED_BACKENDS.get(key)
     if backend is None or backend.closed:
-        backend = make_backend(name, num_workers=workers, grain=grain)
+        backend = make_backend(name, num_workers=workers)
         _SHARED_BACKENDS[key] = backend
     return backend
 

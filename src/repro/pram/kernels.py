@@ -1,18 +1,60 @@
-"""NumPy kernels for the segmented scatter/scan primitives.
+"""NumPy kernels for the fused and segmented primitives.
 
 The inner loops behind :meth:`~repro.pram.machine.PramMachine
-.scatter_min`, :meth:`~repro.pram.machine.PramMachine.scatter_add`,
+.masked_axpy`, the ragged branch of
+:meth:`~repro.pram.machine.PramMachine.segmented_reduce`,
+:meth:`~repro.pram.machine.PramMachine.scatter_min`,
+:meth:`~repro.pram.machine.PramMachine.scatter_add`,
 :meth:`~repro.pram.machine.PramMachine.segmented_argmin` and the ragged
 branch of :meth:`~repro.pram.machine.PramMachine.segmented_scan`. Inputs
 arrive validated and canonical (the machine owns validation and ledger
-charging): ``idx`` and ``indptr`` are 1-D ``intp`` arrays. Scatters
-combine elements in flat array order (``ufunc.at``); the ragged scan
-accumulates left-to-right within each segment.
+charging): ``idx`` and ``indptr`` are 1-D ``intp`` arrays. Segmented
+reductions combine each segment left-to-right (``ufunc.reduceat``);
+scatters combine elements in flat array order (``ufunc.at``); the
+ragged scan accumulates left-to-right within each segment.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def fused_axpy(a, x, y, clamp_min, mask, fill):
+    """``a*x + y`` with optional lower clamp and mask-select, minimizing
+    temporaries."""
+    x = np.asarray(x)
+    operands = [x] + [np.asarray(v) for v in (y, mask) if isinstance(v, np.ndarray)]
+    shape = np.broadcast_shapes(*(v.shape for v in operands))
+    out = np.multiply(np.broadcast_to(x, shape), a)
+    out += y
+    if clamp_min is not None:
+        np.maximum(out, clamp_min, out=out)
+    if mask is not None:
+        out = np.where(mask, out, fill)
+    return out
+
+
+def segmented_reduce(op, values, indptr):
+    """Per-segment reduction over a flat CSR-style array.
+
+    ``out[s] = op.reduce(values[indptr[s]:indptr[s+1]])``, with the
+    operator identity for empty segments. One ``reduceat`` pass —
+    ``O(nnz + n_segments)`` work. ``reduceat`` combines each segment
+    left-to-right, so results are deterministic.
+    """
+    n = indptr.size - 1
+    lens = np.diff(indptr)
+    # Appending the identity keeps the trailing segment well-defined and
+    # gives empty segments at position nnz a valid index to read; it
+    # also fixes the output dtype by the same promotion rule whether or
+    # not any segment is empty.
+    gathered = np.append(values, np.asarray(op.identity))
+    if values.size == 0:
+        return np.full(n, op.identity, dtype=gathered.dtype)
+    out = op.ufunc.reduceat(gathered, indptr[:-1])
+    if np.any(lens == 0):
+        out[lens == 0] = op.identity
+    return out
 
 
 def scatter_min(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
@@ -34,7 +76,7 @@ def segmented_argmin(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     n_seg = indptr.size - 1
     lens = np.diff(indptr)
     # Per-segment min, spread back over entries (identity-append
-    # keeps empty segments well-defined, as in the backend kernel).
+    # keeps empty segments well-defined, as in :func:`segmented_reduce`).
     gathered = np.append(values, np.inf)
     if values.size == 0:
         seg_min = np.full(n_seg, np.inf)

@@ -3,8 +3,10 @@
 Algorithms in :mod:`repro.core` perform **all** asymptotically relevant
 computation through a :class:`PramMachine`, so the ledger's totals *are*
 the algorithm's work/depth/cache in the paper's model. The machine
-executes primitives on a swappable backend (serial NumPy or GIL-free
-thread-parallel NumPy) and returns ordinary ``numpy.ndarray`` results.
+executes every primitive as plain NumPy in the calling thread and
+returns ordinary ``numpy.ndarray`` results. Its backend is only the
+task pool for coarse batch jobs (:meth:`~repro.pram.backends.Backend
+.submit_batch`); no primitive ever reaches it.
 
 Cost conventions (paper §2):
 
@@ -25,10 +27,11 @@ primitive           work            depth          cache
 ==================  ==============  =============  ======================
 
 (``m`` = elements touched, ``r`` = row length being sorted / the vote
-range.) Charges are **backend-invariant**: they are computed from the
-array sizes a primitive touches, never from how the backend executed
-it, so serial, thread, and process runs of the same seeded algorithm
-report identical work/depth/cache totals — only wall-clock moves.
+range.) Charges are computed from the array sizes a primitive
+touches, never from how it executed. Because no primitive depends on
+the backend, serial, thread, and process runs of the same seeded
+algorithm return identical results and report identical
+work/depth/cache totals.
 ``masked_axpy``, ``count_votes``, ``take_rows``, and
 ``pack_rows`` are the frontier-compaction primitives: they let each
 round of the §4/§5 algorithms touch only the *remaining* instance —
@@ -49,7 +52,7 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.obs.tracer import current_tracer
 from repro.pram import kernels
-from repro.pram.backends import Backend, resolve_backend_name, shared_backend
+from repro.pram.backends import Backend, shared_backend
 from repro.pram.ledger import CostLedger, CostSnapshot
 from repro.pram.operators import AssociativeOp, get_operator
 from repro.util.rng import ensure_rng
@@ -157,13 +160,14 @@ class PramMachine:
     Parameters
     ----------
     backend:
-        Kernel executor: a :class:`Backend` instance (the machine then
-        owns it — :meth:`close` shuts it down), a backend name
-        (``"serial"``/``"thread"``/``"process"``/``"auto"``, resolved
-        to the process-wide :func:`~repro.pram.backends.shared_backend`
-        for that configuration), or ``None`` for the environment
-        default (``REPRO_BACKEND``, serial unless set). Shared backends
-        are left open by :meth:`close` and released atexit.
+        Task pool for batch jobs (the primitives never use it): a
+        :class:`Backend` instance (the machine then owns it —
+        :meth:`close` shuts it down), a backend name
+        (``"serial"``/``"thread"``/``"process"``, resolved to the
+        process-wide :func:`~repro.pram.backends.shared_backend` for
+        that configuration), or ``None`` for the environment default
+        (``REPRO_BACKEND``, serial unless set). Shared backends are
+        left open by :meth:`close` and released atexit.
     ledger:
         Cost accumulator; a fresh :class:`CostLedger` by default.
     seed:
@@ -206,10 +210,10 @@ class PramMachine:
         participate in one fully parallel step (depth 1).
         """
         arrs = tuple(np.asarray(a) for a in arrays)
-        out = self.backend.elementwise(fn, arrs)
+        out = np.asarray(fn(*arrs))
         size = max((a.size for a in arrs), default=0)
-        self.ledger.charge_basic("map", max(size, np.asarray(out).size), depth=1)
-        return np.asarray(out)
+        self.ledger.charge_basic("map", max(size, out.size), depth=1)
+        return out
 
     def where(self, cond, a, b) -> np.ndarray:
         """Elementwise select — a single parallel step."""
@@ -225,9 +229,7 @@ class PramMachine:
         charge — the workhorse of the §5 payment computation
         (``max(0, (1+ε)α − d)``) without intermediate matrices.
         """
-        out = np.asarray(
-            self.backend.fused_axpy(a, x, y, clamp_min=clamp_min, mask=mask, fill=fill)
-        )
+        out = np.asarray(kernels.fused_axpy(a, x, y, clamp_min, mask, fill))
         self.ledger.charge_basic("masked_axpy", out.size, depth=1)
         return out
 
@@ -237,7 +239,7 @@ class PramMachine:
         """Summation across rows/columns/all with an associative operator."""
         a = np.asarray(a)
         oper = _coerce_op(op)
-        out = self.backend.reduce(oper, a, axis)
+        out = oper.reduce(a, axis=axis)
         self.ledger.charge_basic(f"reduce[{oper.name}]", a.size)
         return np.asarray(out)
 
@@ -245,7 +247,7 @@ class PramMachine:
         """Inclusive prefix combine along ``axis``."""
         a = np.asarray(a)
         oper = _coerce_op(op)
-        out = self.backend.scan(oper, a, axis)
+        out = oper.scan(a, axis=axis)
         self.ledger.charge_basic(f"scan[{oper.name}]", a.size)
         return np.asarray(out)
 
@@ -398,12 +400,12 @@ class PramMachine:
             labels = labels[mask]
         if labels.size and (labels.min() < 0 or labels.max() >= minlength):
             # Out-of-range labels would make the output shape depend on
-            # the data (and differ across backends) — reject instead.
+            # the data — reject instead.
             raise InvalidParameterError(
                 f"count_votes labels must lie in [0, {minlength}), got "
                 f"[{int(labels.min())}, {int(labels.max())}]"
             )
-        out = self.backend.count_votes(labels, minlength)
+        out = np.bincount(labels, minlength=minlength)
         self.ledger.charge_basic("count_votes", max(labels.size + minlength, 1))
         return np.asarray(out)
 
@@ -420,9 +422,9 @@ class PramMachine:
         boundary gather, i.e. a constant number of basic operations.
 
         Uniform segment lengths take a rectangular fast path through
-        the backend's 2-D row reduction, which is bit-identical to the
-        dense kernels — the parity bridge between the sparse and dense
-        execution paths on dense-representable instances.
+        the 2-D row reduction, which is bit-identical to :meth:`reduce`
+        — the parity bridge between the sparse and dense execution
+        paths on dense-representable instances.
         """
         values = np.asarray(values)
         indptr = np.asarray(indptr, dtype=np.intp)
@@ -431,9 +433,9 @@ class PramMachine:
         lens = np.diff(indptr)
         k = int(lens[0]) if n_seg else 0
         if n_seg and k > 0 and bool(np.all(lens == k)):
-            out = self.backend.reduce(oper, values.reshape(n_seg, k), axis=1)
+            out = oper.reduce(values.reshape(n_seg, k), axis=1)
         else:
-            out = self.backend.segmented_reduce(oper, values, indptr)
+            out = kernels.segmented_reduce(oper, values, indptr)
         self.ledger.charge_basic(
             f"segmented_reduce[{oper.name}]", max(values.size + n_seg, 1)
         )
@@ -442,13 +444,12 @@ class PramMachine:
     def segmented_scan(self, values: np.ndarray, indptr: np.ndarray, op="add") -> np.ndarray:
         """Within-segment inclusive prefix combine (flat CSR layout).
 
-        Uniform segments run through the backend's 2-D row scan
-        (bit-identical to the dense kernels). Ragged segments support
-        the ``add`` operator via an exact left-to-right accumulation —
-        position ``k`` of every live segment is advanced in one
-        vectorized step, so the result is bit-identical to a sequential
-        per-segment pass (no global-cumsum cancellation error) and
-        identical on every backend. Total elementwise work is ``nnz``;
+        Uniform segments run through the 2-D row scan (bit-identical
+        to :meth:`scan`). Ragged segments support the ``add`` operator
+        via an exact left-to-right accumulation — position ``k`` of
+        every live segment is advanced in one vectorized step, so the
+        result is bit-identical to a sequential per-segment pass (no
+        global-cumsum cancellation error). Total elementwise work is ``nnz``;
         the ledger charges the §2 segmented-scan construction as usual.
         """
         values = np.asarray(values)
@@ -458,7 +459,7 @@ class PramMachine:
         lens = np.diff(indptr)
         k = int(lens[0]) if n_seg else 0
         if n_seg and k > 0 and bool(np.all(lens == k)):
-            out = self.backend.scan(oper, values.reshape(n_seg, k), axis=1).reshape(-1)
+            out = oper.scan(values.reshape(n_seg, k), axis=1).reshape(-1)
             self.ledger.charge_basic(f"segmented_scan[{oper.name}]", max(values.size, 1))
             return np.asarray(out)
         if oper.name != "add":
@@ -470,7 +471,7 @@ class PramMachine:
             return values.copy()
         # Preserve the input dtype so uniform and ragged structures give
         # consistent results (bool accumulates through int, like the
-        # dense scan kernel's add.accumulate would). The kernel
+        # dense scan's add.accumulate would). The kernel
         # accumulates left-to-right within each segment — bit-identical
         # to a sequential per-segment pass.
         prepared = values.astype(
@@ -542,8 +543,7 @@ class PramMachine:
 
         The column-axis companion of :meth:`segmented_reduce` for a
         row-major edge list: a min-reduction keyed by target index.
-        Exact (min is order-independent), so backend-invariant by
-        construction.
+        Exact (min is order-independent).
         """
         values = np.asarray(values, dtype=float)
         idx = _check_gather_index("scatter_min", idx, int(size))
@@ -559,7 +559,7 @@ class PramMachine:
         """Scatter-sum ``out[i] = Σ {values[j] : idx[j] == i}``.
 
         Accumulates in flat-array order (``np.add.at``), which is the
-        same every call and on every backend; like every segmented sum
+        same every call; like every segmented sum
         it can reassociate relative to a dense row-sum by an ulp.
         """
         values = np.asarray(values, dtype=float)
@@ -577,8 +577,8 @@ class PramMachine:
         positions into ``values`` (the one-time presort of a sparse
         distance structure).
 
-        Uniform segments route through the backend's row argsort;
-        ragged segments use a stable two-key sort (segment id, value).
+        Uniform segments route through a stable row argsort; ragged
+        segments use a stable two-key sort (segment id, value).
         """
         values = np.asarray(values)
         indptr = np.asarray(indptr, dtype=np.intp)
@@ -586,7 +586,7 @@ class PramMachine:
         lens = np.diff(indptr)
         k = int(lens[0]) if n_seg else 0
         if n_seg and k > 0 and bool(np.all(lens == k)):
-            local = np.asarray(self.backend.argsort(values.reshape(n_seg, k), axis=1))
+            local = np.argsort(values.reshape(n_seg, k), axis=1, kind="stable")
             out = (local + indptr[:-1][:, None]).reshape(-1)
             self.ledger.charge_sort("argsort_segments", values.size, k)
             return out.astype(np.intp)
@@ -630,18 +630,18 @@ class PramMachine:
         a = np.asarray(a)
         if a.ndim != 2:
             raise InvalidParameterError(f"sort_rows requires a 2-D matrix, got ndim={a.ndim}")
-        out = self.backend.sort(a, axis=1)
+        out = np.sort(a, axis=1, kind="stable")
         self.ledger.charge_sort("sort_rows", a.size, a.shape[1])
-        return np.asarray(out)
+        return out
 
     def argsort_rows(self, a: np.ndarray) -> np.ndarray:
         """Per-row ascending argsort of a 2-D matrix."""
         a = np.asarray(a)
         if a.ndim != 2:
             raise InvalidParameterError(f"argsort_rows requires a 2-D matrix, got ndim={a.ndim}")
-        out = self.backend.argsort(a, axis=1)
+        out = np.argsort(a, axis=1, kind="stable")
         self.ledger.charge_sort("argsort_rows", a.size, a.shape[1])
-        return np.asarray(out)
+        return out
 
     def sort(self, a: np.ndarray) -> np.ndarray:
         """Sort a 1-D vector ascending."""
@@ -710,7 +710,7 @@ class PramMachine:
         return self.ledger.snapshot()
 
     def close(self) -> None:
-        """Release backend worker resources (thread/process pools).
+        """Release the backend's worker pool (thread/process backends).
 
         Only backends this machine owns (instances passed to the
         constructor) are closed; shared environment-default backends
@@ -732,7 +732,6 @@ def ensure_machine(
     *,
     backend: "Backend | str | None" = None,
     seed=None,
-    size: int | None = None,
     tracer=None,
 ) -> PramMachine:
     """Return ``machine``, or build one on the requested backend.
@@ -741,9 +740,8 @@ def ensure_machine(
     ``machine=None, backend=None`` signature: an explicit machine wins
     (passing both is ambiguous and rejected, and likewise for
     ``tracer=`` — the machine already carries its tracer), otherwise a
-    fresh machine is built on the named backend — ``"auto"`` resolved
-    against ``size``, the instance's element count — or on the
-    environment default when neither is given.
+    fresh machine is built on the named backend, or on the environment
+    default when neither is given.
     """
     if machine is not None:
         if backend is not None:
@@ -757,6 +755,4 @@ def ensure_machine(
                 "already carries its tracer)"
             )
         return machine
-    if isinstance(backend, str):
-        backend = resolve_backend_name(backend, size)
     return PramMachine(backend=backend, seed=seed, tracer=tracer)

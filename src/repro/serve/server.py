@@ -139,6 +139,18 @@ _STATUS_TEXT = {
 #: header that fails this (or is absent) gets a freshly minted id.
 _TRACE_ID_RE = re.compile(r"[A-Za-z0-9_.:-]{1,128}")
 
+#: The version token a request line must end with.
+_HTTP_VERSION_RE = re.compile(r"HTTP/\d\.\d")
+
+#: Longest request or header line the server reads (the stream's
+#: buffer limit); a longer one is a 400.
+_LINE_LIMIT = 1 << 16
+
+#: Seconds the server keeps reading, and discarding, after answering a
+#: request it could not frame, so that closing does not reset the
+#: connection before the client has read the error.
+_LINGER_S = 1.0
+
 #: Prometheus text exposition content type.
 _PROM_TEXT = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -194,8 +206,9 @@ class SolveServer:
         #: job id -> the event set when that job turns terminal; an entry
         #: lives exactly as long as its job is queued or running
         self._waiters: dict[str, asyncio.Event] = {}
-        #: requests read but not yet answered, and an event set whenever
-        #: that count is zero (shutdown waits on it)
+        #: requests read but not yet answered (an unframed request's
+        #: answer ends after its linger), and an event set whenever that
+        #: count is zero (shutdown waits on it)
         self._answering = 0
         self._quiet: asyncio.Event | None = None
         self._started_s = time.perf_counter()
@@ -207,6 +220,10 @@ class SolveServer:
     async def start(self) -> None:
         from concurrent.futures import ThreadPoolExecutor
 
+        # an unwritable REPRO_TRACE or REPRO_LOG raises here, before the
+        # listener binds, instead of inside every request handler
+        current_tracer()
+        current_log()
         self._queue = asyncio.Queue(maxsize=self.config.queue_size)
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="serve-worker"
@@ -215,7 +232,7 @@ class SolveServer:
         self._quiet = asyncio.Event()
         self._quiet.set()
         self._server = await asyncio.start_server(
-            self._handle_conn, self.config.host, self.config.port
+            self._handle_conn, self.config.host, self.config.port, limit=_LINE_LIMIT
         )
         sock = self._server.sockets[0]
         self.host, self.port = sock.getsockname()[:2]
@@ -364,6 +381,8 @@ class SolveServer:
                 self._quiet.clear()
                 try:
                     keep = await self._answer(writer, *request)
+                    if isinstance(request[3], _HttpError):
+                        await self._linger(reader, writer)
                 finally:
                     self._answering -= 1
                     if not self._answering:
@@ -448,34 +467,49 @@ class SolveServer:
         """One request as ``(method, path, headers, body)``; ``None`` at
         end of stream.
 
-        ``body`` is an :class:`_HttpError` instead of bytes when the body
-        is left unread: a 400 for any ``Transfer-Encoding`` (only
-        ``Content-Length`` framing is spoken) or a ``Content-Length``
-        that is not a non-negative decimal integer, a counted 413 for
-        one above ``budget_bytes``.
+        ``body`` is an :class:`_HttpError` instead of bytes when the
+        request cannot be framed or its body is left unread: a 400 for
+        a request line that is not ``METHOD target HTTP/x.y`` (``method``
+        and ``path`` are then empty), a header line without a name and
+        a colon, a line longer than ``_LINE_LIMIT``, any
+        ``Transfer-Encoding`` (only ``Content-Length`` framing is
+        spoken), a repeated ``Content-Length`` (RFC 9112 §6.3: a
+        request-smuggling shape) or one that is not a non-negative
+        decimal integer; a counted 413 for one above ``budget_bytes``.
         """
         try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.config.read_timeout_s
-            )
+            line = await self._readline(reader, "request line")
         except asyncio.TimeoutError:
             return None
+        except _HttpError as exc:
+            return "", "", {}, exc
         if not line:
             return None
-        try:
-            method, path, _version = line.decode("latin-1").split(None, 2)
-        except ValueError:
-            return None
+        parts = line.decode("latin-1").split()
+        if len(parts) != 3 or not _HTTP_VERSION_RE.fullmatch(parts[2]):
+            return "", "", {}, _HttpError(
+                400, "malformed request line; expected 'METHOD target HTTP/1.1'"
+            )
+        method, path = parts[0].upper(), parts[1]
         headers = {}
         while True:
-            raw = await asyncio.wait_for(
-                reader.readline(), timeout=self.config.read_timeout_s
-            )
+            try:
+                raw = await self._readline(reader, "header line")
+            except _HttpError as exc:
+                return method, path, headers, exc
             if raw in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        method = method.upper()
+            name, colon, value = raw.decode("latin-1").partition(":")
+            name = name.strip().lower()
+            if not (colon and name):
+                return method, path, headers, _HttpError(
+                    400, "malformed header line; expected 'Name: value'"
+                )
+            if name == "content-length" and name in headers:
+                return method, path, headers, _HttpError(
+                    400, "repeated Content-Length header"
+                )
+            headers[name] = value.strip()
         if "transfer-encoding" in headers:
             return method, path, headers, _HttpError(
                 400, "Transfer-Encoding is not supported; send a Content-Length body"
@@ -499,6 +533,28 @@ class SolveServer:
                 reader.readexactly(length), timeout=self.config.read_timeout_s
             )
         return method, path, headers, body
+
+    async def _readline(self, reader, what: str) -> bytes:
+        """One line within ``read_timeout_s``; a 400 :class:`_HttpError`
+        naming ``what`` when it is longer than ``_LINE_LIMIT``."""
+        try:
+            return await asyncio.wait_for(
+                reader.readline(), timeout=self.config.read_timeout_s
+            )
+        except ValueError:
+            # StreamReader.readline: no newline within the buffer limit
+            raise _HttpError(400, f"{what} longer than {_LINE_LIMIT} bytes") from None
+
+    async def _linger(self, reader, writer) -> None:
+        """Half-close after an unframed request's error, then discard
+        what the client still sends until it closes or ``_LINGER_S``
+        passes."""
+        if writer.can_write_eof():
+            writer.write_eof()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + _LINGER_S
+        while await asyncio.wait_for(reader.read(_LINE_LIMIT), deadline - loop.time()):
+            pass
 
     async def _write_response(
         self, writer, status, payload, *, keep_alive, trace_id=None
@@ -845,5 +901,8 @@ def serve_in_thread(config: ServerConfig | None = None) -> ServerHandle:
         raise RuntimeError("serve thread failed to start within 30s")
     if "error" in loop_holder:
         thread.join(5.0)
-        raise RuntimeError(f"serve thread failed to start: {loop_holder['error']!r}")
+        error = loop_holder["error"]
+        if isinstance(error, ReproError):
+            raise error  # typed: a bad config or environment, e.g. REPRO_LOG
+        raise RuntimeError(f"serve thread failed to start: {error!r}")
     return ServerHandle(server, thread, loop_holder["loop"])

@@ -341,10 +341,7 @@ def shard_and_solve(
                 "no coordinate blocks to spill"
             )
         instance = source if int(k) == source.k else _rebudget(source, int(k))
-        size = instance.m if isinstance(instance, SparseClusteringInstance) else instance.D.size
-        machine = ensure_machine(
-            machine, backend=backend, seed=seed, size=size, tracer=tracer
-        )
+        machine = ensure_machine(machine, backend=backend, seed=seed, tracer=tracer)
         with machine.tracer.span(
             "shard.solve", "shard", {"solver": solver, "identity": True, "n": int(instance.n)}
         ):
@@ -397,11 +394,7 @@ def shard_and_solve(
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
     per_shard = int(coreset_size) if coreset_size is not None else max(16 * k, 128)
-    machine = ensure_machine(
-        machine, backend=backend, seed=seed,
-        size=2 * int(neighbors) * min(n, per_shard * shards),
-        tracer=tracer,
-    )
+    machine = ensure_machine(machine, backend=backend, seed=seed, tracer=tracer)
     obs = machine.tracer
 
     weights_input = weights

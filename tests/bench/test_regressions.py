@@ -35,7 +35,6 @@ def test_backend_sweep_parity_and_invariant_charges():
         epsilon=0.2,
         backends=("serial", "thread", "process"),
         num_workers=2,
-        grain=8,
     )
     for entry in report["algorithms"].values():
         assert entry["solutions_identical"] is True

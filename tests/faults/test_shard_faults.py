@@ -33,7 +33,7 @@ SOLVE_KW = dict(
 
 
 def _backend(name):
-    return ThreadBackend(3, grain=1) if name == "thread" else ProcessBackend(3)
+    return ThreadBackend(3) if name == "thread" else ProcessBackend(3)
 
 
 def _solve(backend, **kw):

@@ -37,7 +37,7 @@ def _sleepy(x):
 def backend(request):
     b = {
         "serial": SerialBackend,
-        "thread": lambda: ThreadBackend(2, grain=1),
+        "thread": lambda: ThreadBackend(2),
         "process": lambda: ProcessBackend(2),
     }[request.param]
     b = b() if request.param != "serial" else SerialBackend()
@@ -134,7 +134,7 @@ class TestTransientFaults:
 
 
 class TestCrashFaults:
-    @pytest.mark.parametrize("make", [lambda: ThreadBackend(2, grain=1),
+    @pytest.mark.parametrize("make", [lambda: ThreadBackend(2),
                                       lambda: ProcessBackend(2)])
     def test_crash_retried_to_success(self, make):
         with make() as b:

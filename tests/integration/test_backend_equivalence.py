@@ -1,12 +1,12 @@
 """Backend-independence sweep: every algorithm, across every backend.
 
-The execution backend must never change results or model charges —
-only wall-clock time. The first half sweeps the satellite algorithms
-serial-vs-thread (PR-1 suite); the second half is the PR-2 parity
-gate: seeded runs of greedy, primal–dual, and both dominator variants
-must be **byte-identical** on serial, thread, and process backends. The
-thread grain is tiny so its row-blocked kernels really execute at test
-sizes.
+A backend is a task pool; the machine's primitives run as plain NumPy
+in the calling thread, so the backend must never change results or
+model charges. The first half sweeps the satellite algorithms
+serial-vs-thread; the second half is the parity gate: seeded runs of
+greedy, primal–dual, and both dominator variants must be
+**byte-identical** on serial, thread, and process backends. Last, a
+spy on each pool checks that a solve sends it no task at all.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.metrics.generators import euclidean_clustering, euclidean_instance
 def pair():
     """Matched (serial, threaded) machines with identical seeds."""
     serial = PramMachine(seed=77)
-    threaded = PramMachine(backend=ThreadBackend(2, grain=8), seed=77)
+    threaded = PramMachine(backend=ThreadBackend(2), seed=77)
     yield serial, threaded
     threaded.close()
 
@@ -102,7 +102,7 @@ def backend_set():
     """One pool per backend for the whole module (machines share them)."""
     backends = {
         "serial": SerialBackend(),
-        "thread": ThreadBackend(2, grain=8),
+        "thread": ThreadBackend(2),
         "process": ProcessBackend(2),
     }
     yield backends
@@ -185,23 +185,25 @@ def test_maxdom_sparse_byte_identical_across_backends(backend_set):
     _assert_all_equal(results, lambda a, b: np.testing.assert_array_equal(a, b))
 
 
-def test_process_primitives_never_reach_the_pool(monkeypatch):
-    """ProcessBackend is a task pool only. A dense primal-dual solve on
-    400 × 400 matrices (160,000 elements, above any row-block dispatch
-    threshold) sends its pool no task, and the answer and ledger equal
-    the serial run's exactly."""
+@pytest.mark.parametrize("make_pool", [ThreadBackend, ProcessBackend], ids=["thread", "process"])
+def test_primitives_never_reach_the_pool(monkeypatch, make_pool):
+    """Every backend is a task pool only. A dense primal-dual solve on
+    400 × 400 matrices (160,000 elements per primitive) sends its pool
+    no task, through ``submit`` or ``map``, and the answer and ledger
+    equal the serial run's exactly."""
     inst = euclidean_instance(400, 400, seed=11)
     serial = PramMachine(seed=5)
     want = parallel_primal_dual(inst, epsilon=0.1, machine=serial)
     submitted = []
-    with ProcessBackend(2) as backend:
-        submit = backend._pool.submit
+    with make_pool(2) as backend:
+        for method in ("submit", "map"):
+            real = getattr(backend._pool, method)
 
-        def spy(fn, *args, **kwargs):
-            submitted.append(fn)
-            return submit(fn, *args, **kwargs)
+            def spy(fn, *args, _real=real, **kwargs):
+                submitted.append(fn)
+                return _real(fn, *args, **kwargs)
 
-        monkeypatch.setattr(backend._pool, "submit", spy)
+            monkeypatch.setattr(backend._pool, method, spy)
         machine = PramMachine(backend=backend, seed=5)
         got = parallel_primal_dual(inst, epsilon=0.1, machine=machine)
     assert submitted == []
@@ -216,7 +218,7 @@ def test_backend_kwarg_entry_point_parity():
     """The public backend= plumbing reaches the same results as machine=."""
     inst = euclidean_instance(10, 30, seed=9)
     via_machine = parallel_greedy(inst, epsilon=0.1, machine=PramMachine(seed=7))
-    with ThreadBackend(2, grain=8) as backend:
+    with ThreadBackend(2) as backend:
         via_backend = parallel_greedy(
             inst, epsilon=0.1, seed=7, backend=backend
         )

@@ -37,7 +37,7 @@ IDS = [name for name, _ in SUITE]
 
 @pytest.fixture(scope="module")
 def backend_set():
-    backends = {"serial": SerialBackend(), "thread": ThreadBackend(2, grain=8)}
+    backends = {"serial": SerialBackend(), "thread": ThreadBackend(2)}
     yield backends
     for backend in backends.values():
         backend.close()

@@ -48,7 +48,7 @@ BACKEND_NAMES = ("serial", "thread", "process")
 def backend_set():
     backends = {
         "serial": SerialBackend(),
-        "thread": ThreadBackend(2, grain=8),
+        "thread": ThreadBackend(2),
         "process": ProcessBackend(2),
     }
     yield backends

@@ -32,7 +32,7 @@ def _force_tracing_off_between_runs():
 
 def _run(make_solution, backend_name, trace_path=None):
     def solve():
-        backend = make_backend(backend_name, num_workers=2, grain=128)
+        backend = make_backend(backend_name, num_workers=2)
         try:
             return make_solution(PramMachine(backend=backend, seed=5))
         finally:

@@ -1,9 +1,11 @@
-"""Backends agree with plain NumPy — serial, threaded, and process.
+"""Backends are task pools; machine primitives agree with plain NumPy on each.
 
-The thread backend is exercised with a tiny grain so its row-blocked
-kernels actually run on test-sized arrays. The process backend is a
-task pool only: its kernels are the serial defaults (pinned below) run
-in the calling process, and its pool serves ``submit_batch``.
+Every backend — serial, thread, and process — only runs
+``submit_batch`` tasks. No backend class carries a primitive (pinned
+below): a :class:`PramMachine` runs the primitives as plain NumPy in the
+calling thread, so the primitive tests here build a machine on each
+backend and compare it with NumPy. The rest pins the pool lifecycle,
+the factory and environment default, and the batch contract.
 """
 
 import threading
@@ -14,17 +16,22 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.pram.backends import (
-    AUTO_BACKEND_MIN_SIZE,
     Backend,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     available_backends,
     make_backend,
-    resolve_backend_name,
     shared_backend,
 )
+from repro.pram.machine import PramMachine, ensure_machine
 from repro.pram.operators import ADD, MAX, MIN, OR
+
+#: The primitives a backend used to implement; they live on PramMachine.
+KERNEL_NAMES = (
+    "elementwise", "reduce", "scan", "sort", "argsort",
+    "count_votes", "segmented_reduce", "fused_axpy",
+)
 
 
 @pytest.fixture(params=["serial", "thread1", "thread3", "process2"])
@@ -32,9 +39,9 @@ def backend(request):
     if request.param == "serial":
         b = SerialBackend()
     elif request.param == "thread1":
-        b = ThreadBackend(1, grain=4)
+        b = ThreadBackend(1)
     elif request.param == "thread3":
-        b = ThreadBackend(3, grain=4)
+        b = ThreadBackend(3)
     else:
         b = ProcessBackend(2)
     yield b
@@ -42,57 +49,50 @@ def backend(request):
 
 
 @pytest.fixture
+def machine(backend):
+    """A machine on each backend; its primitives never touch the pool."""
+    return PramMachine(backend=backend, seed=0)
+
+
+@pytest.fixture
 def data(rng):
     return rng.random((37, 23))
 
 
-def test_elementwise_matches(backend, data):
-    out = backend.elementwise(lambda a, b: a * 2 + b, (data, data))
+def test_elementwise_matches(machine, data):
+    out = machine.map(lambda a, b: a * 2 + b, data, data)
     assert np.allclose(out, data * 3)
 
 
-def test_elementwise_single_array(backend, data):
-    assert np.allclose(backend.elementwise(np.sqrt, (data,)), np.sqrt(data))
+def test_elementwise_single_array(machine, data):
+    assert np.allclose(machine.map(np.sqrt, data), np.sqrt(data))
 
 
 @pytest.mark.parametrize("op,ref", [(ADD, np.sum), (MIN, np.min), (MAX, np.max)])
 @pytest.mark.parametrize("axis", [0, 1, None])
-def test_reduce_matches(backend, data, op, ref, axis):
-    assert np.allclose(backend.reduce(op, data, axis), ref(data, axis=axis))
+def test_reduce_matches(machine, data, op, ref, axis):
+    assert np.allclose(machine.reduce(data, op, axis=axis), ref(data, axis=axis))
 
 
-def test_reduce_or(backend):
+def test_reduce_or(machine):
     m = np.zeros((8, 8), dtype=bool)
     m[2, 3] = m[5, 0] = True
-    assert np.array_equal(backend.reduce(OR, m, 1), m.any(axis=1))
-    assert np.array_equal(backend.reduce(OR, m, 0), m.any(axis=0))
+    assert np.array_equal(machine.reduce(m, OR, axis=1), m.any(axis=1))
+    assert np.array_equal(machine.reduce(m, OR, axis=0), m.any(axis=0))
 
 
 @pytest.mark.parametrize("op,ref", [(ADD, np.cumsum), (MIN, np.minimum.accumulate)])
-def test_scan_matches(backend, data, op, ref):
-    want = ref(data, axis=1) if op is ADD else np.minimum.accumulate(data, axis=1)
-    assert np.allclose(backend.scan(op, data, 1), want)
+def test_scan_matches(machine, data, op, ref):
+    assert np.allclose(machine.scan(data, op, axis=1), ref(data, axis=1))
 
 
-def test_sort_matches(backend, data):
-    assert np.array_equal(backend.sort(data, 1), np.sort(data, axis=1))
+def test_sort_matches(machine, data):
+    assert np.array_equal(machine.sort_rows(data), np.sort(data, axis=1))
 
 
-def test_argsort_matches(backend, data):
-    got = backend.argsort(data, 1)
+def test_argsort_matches(machine, data):
+    got = machine.argsort_rows(data)
     assert np.array_equal(np.take_along_axis(data, got, 1), np.sort(data, axis=1))
-
-
-def test_thread_backend_large_array_consistency(rng):
-    b = ThreadBackend(4, grain=64)
-    try:
-        big = rng.random((503, 101))
-        assert np.allclose(b.reduce(ADD, big, 1), big.sum(axis=1))
-        assert np.allclose(b.reduce(ADD, big, 0), big.sum(axis=0))
-        assert np.allclose(b.reduce(ADD, big, None), big.sum())
-        assert np.array_equal(b.sort(big, 1), np.sort(big, axis=1))
-    finally:
-        b.close()
 
 
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
@@ -101,27 +101,23 @@ def test_pool_backend_worker_validation(cls):
         cls(0)
 
 
-def _pool(cls, grain):
-    """A two-worker pool; ``grain`` applies to the thread backend only."""
-    return cls(2, grain=grain) if cls is ThreadBackend else cls(2)
+def test_process_backend_runs_the_serial_kernels(rng):
+    """ProcessBackend is a task pool only: like every backend it carries
+    no primitive, so a machine on it runs the same NumPy primitives in
+    the calling process as a serial machine, with the same charges."""
+    for cls in (Backend, SerialBackend, ThreadBackend, ProcessBackend):
+        for kernel in KERNEL_NAMES:
+            assert not hasattr(cls, kernel), (cls.__name__, kernel)
+    a = rng.random((40, 12))
 
+    def run(m):
+        return m.reduce(a, "add", axis=0), m.sort_rows(a), m.masked_axpy(2.0, a, 1.0)
 
-@pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
-def test_pool_backend_small_falls_back(cls, rng):
-    with _pool(cls, grain=1 << 20) as b:
-        small = rng.random((4, 4))
-        assert np.allclose(b.reduce(ADD, small, 1), small.sum(axis=1))
-
-
-def test_process_backend_runs_the_serial_kernels():
-    """ProcessBackend is a task pool only: every primitive is the
-    serial Backend default, executed in the calling process."""
-    for kernel in (
-        "elementwise", "reduce", "scan", "sort", "argsort",
-        "count_votes", "segmented_reduce", "fused_axpy",
-    ):
-        assert getattr(ProcessBackend, kernel) is getattr(Backend, kernel), kernel
-        assert getattr(SerialBackend, kernel) is getattr(Backend, kernel), kernel
+    serial = PramMachine(backend="serial")
+    with PramMachine(backend=ProcessBackend(2)) as pm:
+        for got, want in zip(run(pm), run(serial)):
+            assert np.array_equal(got, want)
+    assert pm.ledger.work == serial.ledger.work
 
 
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
@@ -135,26 +131,27 @@ def test_pool_backend_close_idempotent(cls):
 
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
 def test_use_after_close_is_serial_but_correct(cls, rng):
-    """Pinned-down contract: a closed pool backend keeps computing every
-    kernel correctly via the serial fallback (no exception, no pool)."""
-    b = _pool(cls, grain=4)
+    """Pinned-down contract: a closed pool backend keeps running every
+    batch correctly via the serial fallback (no exception, no pool),
+    and a machine on it keeps computing every primitive."""
+    b = cls(2)
+    m = PramMachine(backend=b)
     a = rng.random((64, 16))
-    before = b.reduce(ADD, a, 1)
+    before = m.reduce(a, ADD, axis=1)
+    batch = b.submit_batch(_square, range(5))
     b.close()
     assert b.closed
-    assert np.array_equal(b.reduce(ADD, a, 1), before)
-    assert np.array_equal(b.sort(a, 1), np.sort(a, axis=1))
-    assert np.array_equal(
-        b.elementwise(lambda x: x * 2, (a,)), a * 2
-    )
+    assert b.submit_batch(_square, range(5)) == batch
+    assert np.array_equal(m.reduce(a, ADD, axis=1), before)
+    assert np.array_equal(m.sort_rows(a), np.sort(a, axis=1))
+    assert np.array_equal(m.map(lambda x: x * 2, a), a * 2)
     assert b._pool is None  # the fallback really is pool-less
 
 
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
-def test_backend_context_manager(cls, rng):
+def test_backend_context_manager(cls):
     with cls(2) as b:
-        a = rng.random((32, 8))
-        assert np.allclose(b.reduce(ADD, a, None), a.sum())
+        assert b.submit_batch(_square, range(4)) == [0, 1, 4, 9]
     assert b.closed
 
 
@@ -164,72 +161,39 @@ def test_names():
     assert ProcessBackend(1).name == "process"
 
 
-def test_elementwise_broadcasts_mixed_shapes(backend, data):
+def test_elementwise_broadcasts_mixed_shapes(machine, data):
     """Column/row vectors broadcast against the matrix on every backend."""
     col = data[:, :1]
     row = data[:1, :]
-    out = backend.elementwise(lambda m, c, r: m + c * r, (data, col, row))
+    out = machine.map(lambda m, c, r: m + c * r, data, col, row)
     assert np.allclose(out, data + col * row)
 
 
-def test_thread_backend_mixed_shapes_run_on_pool(rng, monkeypatch):
-    """Large mixed-shape maps must hit the pool, not the serial fallback."""
-    b = ThreadBackend(3, grain=4)
-    try:
-        big = rng.random((211, 67))
-        col = rng.random((211, 1))
-        calls = {"serial": 0}
-        orig = Backend.elementwise
-
-        def spy(self, fn, arrays):
-            calls["serial"] += 1
-            return orig(self, fn, arrays)
-
-        monkeypatch.setattr(Backend, "elementwise", spy)
-        out = b.elementwise(lambda m, c: m - c, (big, col))
-        assert np.allclose(out, big - col)
-        assert calls["serial"] == 0, "mixed-shape map fell back to serial"
-    finally:
-        b.close()
-
-
-def test_thread_backend_nonbroadcastable_falls_back(rng):
-    """Shape-incompatible args still work via the serial path (fn decides)."""
-    b = ThreadBackend(2, grain=1)
-    try:
-        big = rng.random((64, 8))
-        # fn ignores the second argument's shape entirely
-        out = b.elementwise(lambda m, v: m * 2 + v.sum() * 0, (big, rng.random(5)))
-        assert np.allclose(out, big * 2)
-    finally:
-        b.close()
-
-
-def test_count_votes_matches_bincount(backend, rng):
+def test_count_votes_matches_bincount(machine, rng):
     labels = rng.integers(0, 11, size=5000)
-    got = backend.count_votes(labels, 11)
+    got = machine.count_votes(labels, 11)
     assert np.array_equal(got, np.bincount(labels, minlength=11))
 
 
-def test_count_votes_empty(backend):
-    assert np.array_equal(backend.count_votes(np.zeros(0, dtype=np.intp), 4), np.zeros(4, dtype=int))
+def test_count_votes_empty(machine):
+    assert np.array_equal(machine.count_votes(np.zeros(0, dtype=np.intp), 4), np.zeros(4, dtype=int))
 
 
-def test_fused_axpy_matches_reference(backend, rng):
+def test_fused_axpy_matches_reference(machine, rng):
     x = rng.random((57, 33))
     y = rng.random((57, 33))
     mask = rng.random((57, 33)) < 0.5
     want = np.where(mask, np.maximum(0.25, -2.0 * x + y), -1.0)
-    got = backend.fused_axpy(-2.0, x, y, clamp_min=0.25, mask=mask, fill=-1.0)
+    got = machine.masked_axpy(-2.0, x, y, clamp_min=0.25, mask=mask, fill=-1.0)
     assert np.allclose(got, want)
 
 
-def test_fused_axpy_scalar_y_and_broadcast(backend, rng):
+def test_fused_axpy_scalar_y_and_broadcast(machine, rng):
     x = rng.random((41, 29))
-    got = backend.fused_axpy(-1.0, x, 0.75, clamp_min=0.0)
+    got = machine.masked_axpy(-1.0, x, 0.75, clamp_min=0.0)
     assert np.allclose(got, np.maximum(0.0, 0.75 - x))
     col = rng.random((41, 1))
-    got2 = backend.fused_axpy(3.0, col, np.zeros((41, 29)))
+    got2 = machine.masked_axpy(3.0, col, np.zeros((41, 29)))
     assert np.allclose(got2, np.broadcast_to(3.0 * col, (41, 29)))
 
 
@@ -237,50 +201,38 @@ def test_fused_axpy_scalar_y_and_broadcast(backend, rng):
 
 def test_make_backend_names_and_passthrough():
     assert isinstance(make_backend("serial"), SerialBackend)
-    with make_backend("thread", num_workers=2, grain=16) as b:
+    with make_backend("thread", num_workers=2) as b:
         assert isinstance(b, ThreadBackend)
-        assert b.num_workers == 2 and b.grain == 16
-    with make_backend("process", num_workers=2, grain=32) as b:
-        # grain tunes thread kernels only; the process pool ignores it
+        assert b.num_workers == 2
+    with make_backend("process", num_workers=2) as b:
         assert isinstance(b, ProcessBackend)
-        assert b.num_workers == 2 and not hasattr(b, "grain")
+        assert b.num_workers == 2
     existing = SerialBackend()
     assert make_backend(existing) is existing
 
 
 def test_make_backend_unknown_name_rejected():
-    with pytest.raises(InvalidParameterError):
-        make_backend("gpu")
-    with pytest.raises(InvalidParameterError):
-        resolve_backend_name("quantum")
+    for name in ("gpu", "auto"):
+        with pytest.raises(InvalidParameterError, match="'process', 'serial', 'thread'"):
+            make_backend(name)
+    with pytest.raises(InvalidParameterError, match="unknown backend 'auto'"):
+        ensure_machine(backend="auto")
 
 
 def test_available_backends_lists_builtins():
-    names = available_backends()
-    assert {"serial", "thread", "process"} <= set(names)
-
-
-def test_auto_policy_size_threshold(monkeypatch):
-    import repro.pram.backends as backends_mod
-
-    # Multicore host: size decides.
-    monkeypatch.setattr(backends_mod.os, "cpu_count", lambda: 8)
-    assert resolve_backend_name("auto", AUTO_BACKEND_MIN_SIZE) == "thread"
-    assert resolve_backend_name("auto", AUTO_BACKEND_MIN_SIZE - 1) == "serial"
-    assert resolve_backend_name("auto", None) == "thread"
-    # Single-CPU host: always serial, regardless of size.
-    monkeypatch.setattr(backends_mod.os, "cpu_count", lambda: 1)
-    assert resolve_backend_name("auto", 10**9) == "serial"
+    assert available_backends() == ["process", "serial", "thread"]
 
 
 def test_shared_backend_env_default(monkeypatch):
+    from repro.pram.backends import _SHARED_BACKENDS
+
     monkeypatch.setenv("REPRO_BACKEND", "thread")
     monkeypatch.setenv("REPRO_NUM_WORKERS", "2")
-    monkeypatch.setenv("REPRO_GRAIN", "64")
     b = shared_backend()
     assert isinstance(b, ThreadBackend)
-    assert b.num_workers == 2 and b.grain == 64
-    # same resolved configuration -> same cached instance
+    assert b.num_workers == 2
+    # cached per (name, workers): same configuration -> same instance
+    assert _SHARED_BACKENDS[("thread", 2)] is b
     assert shared_backend() is b
     # a closed shared backend is transparently rebuilt
     b.close()
@@ -343,13 +295,13 @@ def test_close_shared_backends_tolerates_late_registration(monkeypatch):
 
         class RegistersOnClose(Tracked):
             def close(self):
-                _SHARED_BACKENDS[("late", None, None)] = late
+                _SHARED_BACKENDS[("late", None)] = late
                 super().close()
 
-        _SHARED_BACKENDS[("first", None, None)] = RegistersOnClose("first")
-        dead = ThreadBackend(1, grain=4)
+        _SHARED_BACKENDS[("first", None)] = RegistersOnClose("first")
+        dead = ThreadBackend(1)
         dead.close()  # already closed by its owner: the sweep re-close is a no-op
-        _SHARED_BACKENDS[("dead", None, None)] = dead
+        _SHARED_BACKENDS[("dead", None)] = dead
         _close_shared_backends()
         assert "first" in closes and "late" in closes
         assert not _SHARED_BACKENDS
@@ -373,7 +325,7 @@ class TestSubmitBatch:
     def test_thread_pool_matches_serial(self):
         from repro.pram.backends import ThreadBackend
 
-        with ThreadBackend(num_workers=2, grain=1) as b:
+        with ThreadBackend(num_workers=2) as b:
             assert b.submit_batch(_square, range(10)) == [x * x for x in range(10)]
 
     def test_process_pool_matches_serial(self):
@@ -385,7 +337,7 @@ class TestSubmitBatch:
     def test_closed_backend_falls_back_to_serial(self):
         from repro.pram.backends import ThreadBackend
 
-        b = ThreadBackend(num_workers=2, grain=1)
+        b = ThreadBackend(num_workers=2)
         b.close()
         assert b.submit_batch(_square, [4, 5]) == [16, 25]
 
@@ -405,7 +357,7 @@ class TestSubmitBatch:
     def test_single_item_skips_pool(self):
         from repro.pram.backends import ThreadBackend
 
-        with ThreadBackend(num_workers=2, grain=1) as b:
+        with ThreadBackend(num_workers=2) as b:
             assert b.submit_batch(_square, [7]) == [49]
 
 
@@ -437,7 +389,7 @@ class TestSubmitBatchFailures:
         assert any("item 2 of 5" in n and b.name in n for n in notes)
 
     def test_failure_on_serial_path_also_annotated(self):
-        b = ThreadBackend(num_workers=2, grain=1)
+        b = ThreadBackend(num_workers=2)
         b.close()  # forces the pool-less loop
         with pytest.raises(ValueError) as ei:
             b.submit_batch(_boom_on_two, [1, 2, 3])
@@ -474,7 +426,7 @@ class TestCloseUnderInflightBatch:
         assert b.closed and b._pool is None
 
     def test_close_midbatch_is_reentrant_safe(self):
-        b = ThreadBackend(num_workers=3, grain=1)
+        b = ThreadBackend(num_workers=3)
         outs = []
         threads = [
             threading.Thread(

@@ -2,9 +2,10 @@
 
 The kernels are the only implementation of the segmented scatter/scan
 primitives: scatters combine in flat array order (``ufunc.at``), the
-ragged scan accumulates left-to-right per segment. Every backend runs
-them in the calling process, so each primitive is byte-identical, with
-identical ledger charges, on serial, thread and process machines.
+ragged scan accumulates left-to-right per segment. A machine runs them
+in the calling thread whatever its backend, so each primitive is
+byte-identical, with identical ledger charges, on serial, thread and
+process machines.
 """
 
 import numpy as np
@@ -60,7 +61,7 @@ class TestBackendParityMatrix:
     def backends(self):
         pool = {
             "serial": SerialBackend(),
-            "thread": ThreadBackend(2, grain=4),
+            "thread": ThreadBackend(2),
             "process": ProcessBackend(2),
         }
         yield pool

@@ -61,7 +61,7 @@ def test_reduce_3d(m, rng, axis):
 def test_reduce_3d_thread_backend(rng):
     from repro.pram.backends import ThreadBackend
 
-    tm = PramMachine(backend=ThreadBackend(2, grain=4), seed=0)
+    tm = PramMachine(backend=ThreadBackend(2), seed=0)
     try:
         a = rng.random((6, 7, 8))
         assert np.allclose(tm.reduce(a, "add", axis=2), a.sum(axis=2))
@@ -381,7 +381,7 @@ def test_sort_rows_is_permutation_and_ordered(a):
 # -- backend lifecycle --------------------------------------------------------
 
 def test_machine_context_manager_closes_owned_backend(rng):
-    backend = ThreadBackend(2, grain=4)
+    backend = ThreadBackend(2)
     with PramMachine(backend=backend, seed=1) as m:
         a = rng.random((16, 8))
         assert np.allclose(m.reduce(a, "add", axis=1), a.sum(axis=1))
@@ -407,6 +407,6 @@ def test_ensure_machine_passthrough_and_conflict():
 def test_ensure_machine_builds_on_named_backend():
     m = ensure_machine(backend="serial", seed=9)
     assert isinstance(m.backend, SerialBackend)
-    # "auto" with a tiny size hint resolves to serial on any host
-    m2 = ensure_machine(backend="auto", seed=9, size=4)
-    assert m2.backend.name == "serial"
+    # there is no size-based "auto" backend
+    with pytest.raises(InvalidParameterError, match="unknown backend 'auto'"):
+        ensure_machine(backend="auto", seed=9)

@@ -3,21 +3,18 @@
 The segmented kernels are the sparse subsystem's counterpart of the
 dense row reductions: per-segment min/sum/or over a flat CSR layout,
 frontier-restricted segment gathers, and scatter combines for the
-column axis. Every kernel must be byte-identical across backends
-(segments are never split), and the uniform-segment fast path
-must match the dense 2-D kernels bit-for-bit.
+column axis. The primitives run as plain NumPy in the calling thread,
+so they must be byte-identical on machines built on every backend, and
+the uniform-segment fast path must match the dense 2-D reduction
+bit-for-bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.pram.backends import (
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    _segmented_reduce_kernel,
-)
+from repro.pram.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.pram.kernels import segmented_reduce
 from repro.pram.machine import PramMachine
 from repro.pram.operators import get_operator
 
@@ -44,17 +41,17 @@ class TestSegmentedReduceKernel:
     @pytest.mark.parametrize("op", ["add", "min", "max"])
     def test_matches_reference(self, op):
         values, indptr = ragged_case(1)
-        out = _segmented_reduce_kernel(get_operator(op), values, indptr)
+        out = segmented_reduce(get_operator(op), values, indptr)
         np.testing.assert_allclose(out, reference_reduce(values, indptr, op))
 
     def test_empty_segments_get_identity(self):
         values = np.array([2.0, 5.0])
         indptr = np.array([0, 0, 1, 1, 2, 2])
-        out = _segmented_reduce_kernel(get_operator("min"), values, indptr)
+        out = segmented_reduce(get_operator("min"), values, indptr)
         np.testing.assert_array_equal(out, [np.inf, 2.0, np.inf, 5.0, np.inf])
 
     def test_all_empty(self):
-        out = _segmented_reduce_kernel(
+        out = segmented_reduce(
             get_operator("add"), np.array([]), np.array([0, 0, 0])
         )
         np.testing.assert_array_equal(out, [0.0, 0.0])
@@ -62,7 +59,7 @@ class TestSegmentedReduceKernel:
     def test_bool_or(self):
         values = np.array([False, True, False, False])
         indptr = np.array([0, 2, 2, 4])
-        out = _segmented_reduce_kernel(get_operator("or"), values, indptr)
+        out = segmented_reduce(get_operator("or"), values, indptr)
         assert out.dtype == bool
         np.testing.assert_array_equal(out, [True, False, False])
 
@@ -72,7 +69,7 @@ class TestBackendParity:
     def backends(self):
         pool = {
             "serial": SerialBackend(),
-            "thread": ThreadBackend(2, grain=4),
+            "thread": ThreadBackend(2),
             "process": ProcessBackend(2),
         }
         yield pool
@@ -85,21 +82,19 @@ class TestBackendParity:
         values, indptr = ragged_case(seed, n_seg=40, max_len=12)
         if op == "or":
             values = values < 0.3
-        oper = get_operator(op)
-        ref = backends["serial"].segmented_reduce(oper, values, indptr)
+        ref = PramMachine(backend=backends["serial"]).segmented_reduce(values, indptr, op)
         for name in ("thread", "process"):
-            out = backends[name].segmented_reduce(oper, values, indptr)
+            out = PramMachine(backend=backends[name]).segmented_reduce(values, indptr, op)
             assert out.dtype == ref.dtype, name
             np.testing.assert_array_equal(out, ref, err_msg=name)
 
     def test_closed_backend_still_reduces(self):
-        b = ThreadBackend(2, grain=1)
+        b = ThreadBackend(2)
+        m = PramMachine(backend=b)
         values, indptr = ragged_case(3)
-        ref = b.segmented_reduce(get_operator("add"), values, indptr)
+        ref = m.segmented_reduce(values, indptr, "add")
         b.close()
-        np.testing.assert_array_equal(
-            b.segmented_reduce(get_operator("add"), values, indptr), ref
-        )
+        np.testing.assert_array_equal(m.segmented_reduce(values, indptr, "add"), ref)
 
 
 class TestMachineSegmented:
@@ -241,7 +236,7 @@ class TestMachineSegmented:
         outs = {}
         for name, backend in (
             ("serial", SerialBackend()),
-            ("thread", ThreadBackend(2, grain=4)),
+            ("thread", ThreadBackend(2)),
         ):
             with backend:
                 m = PramMachine(backend=backend, seed=1)

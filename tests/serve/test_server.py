@@ -438,7 +438,7 @@ class TestLifecycle:
         assert handle.server.jobs.get(job["job_id"]).status == "done"
 
     def test_borrowed_backend_stays_open(self):
-        backend = ThreadBackend(2, grain=4)
+        backend = ThreadBackend(2)
         try:
             config = ServerConfig(backend=backend, workers=1)
             with serve_in_thread(config) as handle:

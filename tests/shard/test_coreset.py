@@ -83,7 +83,7 @@ def test_shard_coresets_independent_of_backend_scheduling(points):
     serial = build_shard_coresets(
         points, labels, 4, 40, machine=PramMachine(SerialBackend()), **kwargs
     )
-    with ThreadBackend(num_workers=2, grain=1) as tb:
+    with ThreadBackend(num_workers=2) as tb:
         threaded = build_shard_coresets(
             points, labels, 4, 40, machine=PramMachine(tb), **kwargs
         )

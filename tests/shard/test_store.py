@@ -273,7 +273,7 @@ class TestCoresetParity:
     def test_store_coresets_parallel_backends(self, store, backend_name):
         res = build_shard_coresets(POINTS, LABELS, SHARDS, 32, seed=SEED)
         backend = (
-            ThreadBackend(2, grain=1)
+            ThreadBackend(2)
             if backend_name == "thread"
             else ProcessBackend(2)
         )
@@ -292,7 +292,7 @@ class TestCoresetParity:
 
     def test_supervised_store_coresets_match_unsupervised(self, store):
         res = build_shard_coresets(store, size=32, seed=SEED)
-        with ThreadBackend(2, grain=1) as b:
+        with ThreadBackend(2) as b:
             m = PramMachine(backend=b, seed=0)
             via, failures = supervised_shard_coresets(store, size=32, seed=SEED, machine=m)
         assert failures == []
@@ -341,7 +341,7 @@ class TestDriverParity:
             POINTS, SHARDS, str(tmp_path / "bk"), partition="locality", seed=SEED
         )
         backend = (
-            ThreadBackend(3, grain=1)
+            ThreadBackend(3)
             if backend_name == "thread"
             else ProcessBackend(3)
         )
@@ -387,14 +387,14 @@ class TestDriverParity:
             retry_policy=NO_RETRY,
             coverage_floor=0.1,
         )
-        with ThreadBackend(3, grain=1) as b:
+        with ThreadBackend(3) as b:
             m = PramMachine(backend=b, seed=SEED)
             resident = shard_and_solve(POINTS, K, machine=m, **SOLVE_KW, **common)
         st = partition_to_store(
             POINTS, SHARDS, str(tmp_path / "deg"), partition="locality", seed=SEED
         )
         kw = {k: v for k, v in SOLVE_KW.items() if k != "shards"}
-        with ThreadBackend(3, grain=1) as b:
+        with ThreadBackend(3) as b:
             m = PramMachine(backend=b, seed=SEED)
             via = shard_and_solve(st, K, machine=m, **kw, **common)
         assert via.degraded and resident.degraded
