@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: lint (when ruff is available) + tier-1 tests + end-to-end smoke.
+# CI gate: lint (when ruff is available) + tier-1 tests + end-to-end smoke
+# + a short paper-solvers benchmark run with its output checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,3 +23,9 @@ python -m pytest -x -q
 
 echo "== smoke =="
 python scripts/smoke.py
+
+# A short paper-solvers benchmark run. Exit 1 means an output check
+# failed (a recomputed objective, the certified 3+eps ratio, or a
+# repeated pass that changed its answer); set -e fails the gate.
+echo "== paper-solvers output checks =="
+python3 perfbench/run.py --workload paper-solvers --seed 1 --seconds 10 --trace 0

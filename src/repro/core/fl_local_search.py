@@ -75,10 +75,9 @@ def parallel_fl_local_search(
         (local optima of the exact neighborhood are 3-approximate).
     backend:
         Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Seeded results
-        agree across backends on every tested workload (pool
-        backends may reassociate full float sum-reductions in the
-        last ulp).
+        machine; mutually exclusive with ``machine``. Results are
+        backend-invariant: every backend runs the primitives as the
+        same NumPy calls in the caller.
     initial:
         Starting facility set (defaults to the single facility
         minimizing the Eq. (1) objective alone — computable in one

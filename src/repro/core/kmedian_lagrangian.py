@@ -29,37 +29,35 @@ import numpy as np
 from repro.core.primal_dual import parallel_primal_dual
 from repro.core.result import ClusteringSolution
 from repro.errors import InvalidParameterError
-from repro.metrics.instance import ClusteringInstance, FacilityLocationInstance
+from repro.metrics.instance import ClusteringInstance
 from repro.metrics.sparse import SparseClusteringInstance, SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
 from repro.util.validation import check_epsilon, check_positive_int
 
 
-def _solve_at_price(instance: ClusteringInstance, lam: float, eps: float, machine: PramMachine):
-    """Run the LMP primal–dual with uniform opening price λ.
+def _relaxation(instance: ClusteringInstance) -> SparseFacilityLocationInstance:
+    """The facility-location relaxation's CSR structure, built once per call.
 
-    Sparse clustering instances relax to a sparse facility-location
-    instance over the same candidate structure (every node a facility
-    at price λ, same fallback column), which the §5 entry point then
-    executes on its ``O(nnz)`` path.
+    Every node is a facility; each probe re-prices the structure with a
+    uniform opening price λ
+    (:meth:`~repro.metrics.sparse.SparseFacilityLocationInstance.with_opening_costs`)
+    and runs the §5 primal–dual on it. A sparse clustering instance
+    keeps its candidate structure and fallback column; a dense one
+    becomes its full CSR.
     """
     weights = None if instance.has_unit_weights else instance.weights
+    free = np.zeros(instance.n)
     if isinstance(instance, SparseClusteringInstance):
-        fl = SparseFacilityLocationInstance(
+        return SparseFacilityLocationInstance(
             instance.indptr,
             instance.indices,
             instance.data,
-            np.full(instance.n, lam),
+            free,
             n_clients=instance.n,
             fallback=instance.fallback,
             client_weights=weights,
         )
-    else:
-        fl = FacilityLocationInstance(
-            instance.D, np.full(instance.n, lam), client_weights=weights
-        )
-    sol = parallel_primal_dual(fl, epsilon=eps, machine=machine)
-    return sol
+    return SparseFacilityLocationInstance.from_dense(instance.D, free, client_weights=weights)
 
 
 def _price_ceiling(instance: ClusteringInstance) -> float:
@@ -103,10 +101,9 @@ def parallel_kmedian_lagrangian(
         Slack passed through to the §5 primal–dual subroutine.
     backend:
         Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Seeded results
-        agree across backends on every tested workload (pool
-        backends may reassociate full float sum-reductions in the
-        last ulp).
+        machine; mutually exclusive with ``machine``. Results are
+        backend-invariant: every backend runs the primitives as the
+        same NumPy calls in the caller.
     max_probes:
         Binary-search probes over the price λ (each probe is one full
         primal–dual run; 40 resolves λ to ~2⁻⁴⁰ of its range).
@@ -121,10 +118,11 @@ def parallel_kmedian_lagrangian(
     Notes
     -----
     ``instance`` may also be a
-    :class:`~repro.metrics.sparse.SparseClusteringInstance`; each probe
-    then runs the §5 primal–dual on the candidate-edge structure in
-    ``O(nnz)`` work per round, with byte-identical seeded solutions to
-    the dense path on dense-representable instances.
+    :class:`~repro.metrics.sparse.SparseClusteringInstance`. Either way
+    the relaxation's CSR structure is built once per call and each
+    probe runs the §5 primal–dual on it, so a level's work follows the
+    candidate edges that pay at it; a dense-representable sparse
+    instance gives the dense instance's seeded solution byte for byte.
     """
     eps = check_epsilon(epsilon)
     check_positive_int(max_probes, name="max_probes")
@@ -141,6 +139,7 @@ def parallel_kmedian_lagrangian(
     # λ range: at 0 every node can open freely; at the ceiling a single
     # facility always wins.
     lo, hi = 0.0, _price_ceiling(instance)
+    relaxed = _relaxation(instance)
     best_centers: np.ndarray | None = None
     best_cost = np.inf
     trace: list[dict] = []
@@ -149,7 +148,9 @@ def parallel_kmedian_lagrangian(
     for _ in range(max_probes):
         lam = 0.5 * (lo + hi)
         machine.bump_round("lagrangian_probe")
-        sol = _solve_at_price(instance, lam, eps, machine)
+        sol = parallel_primal_dual(
+            relaxed.with_opening_costs(np.full(n, lam)), epsilon=eps, machine=machine
+        )
         n_open = sol.opened.size
         cost = instance.kmedian_cost(sol.opened) if n_open <= k else np.inf
         trace.append({"lambda": lam, "n_open": n_open})

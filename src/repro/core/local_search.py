@@ -109,10 +109,9 @@ def parallel_local_search(
         more rounds and a guarantee closer to 5 (resp. 81).
     backend:
         Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Seeded results
-        agree across backends on every tested workload (pool
-        backends may reassociate full float sum-reductions in the
-        last ulp).
+        machine; mutually exclusive with ``machine``. Results are
+        backend-invariant: every backend runs the primitives as the
+        same NumPy calls in the caller.
     initial:
         Optional warm-start centers (defaults to parallel k-center).
     max_rounds:

@@ -34,9 +34,8 @@ see exactly the dense columns, and the warm start consumes the
 identical RNG stream through the sparse k-center — seeded solutions
 (centers, swap sequence, costs) match the dense path on every tested
 workload. The decomposed swap sums may reassociate relative to the
-dense batch sum by an ulp — the same caveat already accepted for pool-
-backend reductions — which is why the equivalence suite asserts the
-returned solutions, not intermediate floats.
+dense batch sum by an ulp, which is why the equivalence suite asserts
+the returned solutions, not intermediate floats.
 """
 
 from __future__ import annotations

@@ -63,10 +63,9 @@ def parallel_lp_rounding(
         when absent — the parallel claim covers only the rounding.
     backend:
         Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Seeded results
-        agree across backends on every tested workload (pool
-        backends may reassociate full float sum-reductions in the
-        last ulp).
+        machine; mutually exclusive with ``machine``. Results are
+        backend-invariant: every backend runs the primitives as the
+        same NumPy calls in the caller.
     filter_alpha:
         The filter radius parameter ``a ∈ (0, 1)``; ``1/3`` gives the
         headline ``4+ε``.

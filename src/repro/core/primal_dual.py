@@ -19,37 +19,29 @@ Preprocessing opens every facility payable at level ``γ/m²`` for free
 (total damage ≤ 3γ/m) which pins the iteration count at
 ``≤ 3·log_{1+ε} m + O(1)``.
 
-**Execution.** Each iteration runs on the raise/freeze frontier:
-frozen clients' payments are folded into a running per-facility total
-the moment they freeze, the freeze test consults a maintained
-nearest-open-facility distance instead of re-scanning all open rows,
-and ``H`` edges are accumulated incrementally (full row once when a
-facility opens; raised columns only afterwards). Per-iteration work is
-then ``O(|F_closed| · |C_unfrozen|)`` — the §5 "remaining instance" —
-rather than ``O(m)`` regardless of progress. Sparse instances run the
-CSR path (:mod:`repro.core.primal_dual_sparse`); on dense-representable
-instances the two return identical seeded solutions (exact equality is
-asserted in the equivalence suite; in principle the batched payment
-sums could differ in the last ulp for instances engineered to sit
-exactly on an opening threshold).
+**Execution.** One body runs every instance: the CSR path in
+:mod:`repro.core.primal_dual_sparse`. A dense instance runs as its full
+CSR (:meth:`~repro.metrics.sparse.SparseFacilityLocationInstance
+.from_instance`); its solution is reported on the dense instance, with
+``extra["H"]`` a dense boolean matrix. Each level touches only the
+frontier edges that pay at it — ``d < (1+ε)t`` between a closed
+facility and an unfrozen client — so per-level work follows the paying
+edges rather than the ``|F_closed| · |C_unfrozen|`` frontier. Payment
+sums run in a fixed flat order, so seeded solutions are deterministic
+and identical across backends; the test suite checks them field for
+field against a dense reference implementation kept under ``tests/``.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.core.dominator import max_u_dominator_set
-from repro.core.greedy import _instance_gamma
+from repro.core.primal_dual_sparse import _parallel_primal_dual_sparse
 from repro.core.result import FacilityLocationSolution
-from repro.errors import ConvergenceError
 from repro.metrics.instance import FacilityLocationInstance
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
 from repro.util.validation import check_epsilon
-
-_REL_TOL = 1.0 + 1e-12
 
 
 def parallel_primal_dual(
@@ -92,254 +84,29 @@ def parallel_primal_dual(
     """
     eps = check_epsilon(epsilon)
     machine = ensure_machine(machine, backend=backend, seed=seed)
-    m = max(instance.m, 2)
-    if max_iterations is not None:
-        iter_cap = max_iterations
-    else:
-        iter_cap = math.ceil(3.0 * math.log(m) / math.log1p(eps)) + 8
-        if not instance.has_unit_weights:
-            # Payments scale by w_j, so a client with weight w < 1 needs
-            # its dual raised ~log_{1+ε}(1/w) levels further before its
-            # (shrunken) contribution covers the same opening cost; the
-            # geometric schedule gets that many extra levels. Weights
-            # ≥ 1 only open facilities sooner — no extension needed.
-            w_min = float(instance.client_weights.min())
-            if w_min < 1.0:
-                iter_cap += math.ceil(math.log(1.0 / w_min) / math.log1p(eps))
-
-    if isinstance(instance, SparseFacilityLocationInstance):
-        # Sparse instances execute the O(nnz)-per-iteration path; see
-        # repro.core.primal_dual_sparse.
-        from repro.core.primal_dual_sparse import _parallel_primal_dual_sparse
-
-        return _parallel_primal_dual_sparse(instance, eps, machine, preprocess, iter_cap)
-
-    return _parallel_primal_dual_dense(instance, eps, machine, preprocess, iter_cap)
-
-
-def _parallel_primal_dual_dense(
-    instance: FacilityLocationInstance,
-    eps: float,
-    machine: PramMachine,
-    preprocess: bool,
-    iter_cap: int,
-) -> FacilityLocationSolution:
-    """Dense execution on the frontier: per-iteration work ∝ closed × unfrozen.
-
-    Invariants maintained between iterations (all exact):
-
-    * ``paid_frozen[i] = Σ_{j frozen} max(0, (1+ε)α_j − d(j,i))`` —
-      folded in the iteration each client freezes, so step 2 only sums
-      the unfrozen columns;
-    * ``dmin_open[j] = min_{i open} d(j,i)`` — updated with newly
-      opened rows only, so step 3 is ``O(|C_unfrozen|)``;
-    * ``H`` rows are written once in full when a facility opens, and
-      extended on raised (unfrozen) columns afterwards — together these
-      cover exactly the pairs with ``(1+ε)α_j > d(j,i)`` to a
-      tentatively open facility.
-    """
-    D = instance.D
-    f = instance.f.astype(float)
-    nf, nc = D.shape
-    m = max(instance.m, 2)
-    # Client multiplicities scale each client's payment contribution
-    # w_j·max(0, (1+ε)α_j − d) — the continuous-time view of w_j
-    # co-located duals rising together. Freeze/H-edge conditions stay
-    # per-client. None keeps the exact unweighted code path.
-    w = None if instance.has_unit_weights else instance.client_weights
-
-    start = machine.snapshot()
-    gamma = _instance_gamma(machine, D, f)
-    base = gamma / (m * m) if gamma > 0 else 0.0
-
-    alpha = np.zeros(nc, dtype=float)
-    frozen = np.zeros(nc, dtype=bool)
-    free_open = np.zeros(nf, dtype=bool)  # F0
-    tent_open = np.zeros(nf, dtype=bool)  # F_T
-    H = np.zeros((nf, nc), dtype=bool)
-    paid_frozen = np.zeros(nf, dtype=float)
-    dmin_open = np.full(nc, np.inf)
-
-    if preprocess or gamma == 0.0:
-        pay0 = machine.map(lambda d: np.maximum(0.0, base * _REL_TOL - d), D)
-        if w is not None:
-            pay0 = machine.map(lambda p, ww: p * ww, pay0, w[None, :])
-        paid0 = machine.reduce(pay0, "add", axis=1)
-        free_open = machine.map(lambda p, ff: p >= ff / _REL_TOL, paid0, f)
-        if free_open.any():
-            near = machine.map(
-                lambda d, fo: fo & (d <= base * _REL_TOL),
-                D,
-                np.broadcast_to(free_open[:, None], D.shape),
-            )
-            freely = machine.reduce(near, "or", axis=0)
-            frozen |= freely
-            # Freely connected clients freeze at α = 0: their payment
-            # max(0, −d) is identically zero, so paid_frozen stays 0.
-            fo_idx = np.flatnonzero(free_open)
-            dmin_open = machine.reduce(machine.take_rows(D, fo_idx), "min", axis=0)
-
-    if gamma == 0.0:
-        frozen[:] = True
-
-    iterations = 0
-    # The closed × unfrozen frontier submatrix is cached across
-    # iterations: the schedule runs many levels where nothing opens or
-    # freezes, and the gather only needs redoing when the frontier
-    # actually moved.
-    unfro = old_tent = closed = D_cu = None
-    frontier_dirty = True
-    while not frozen.all():
-        iterations += 1
-        machine.bump_round("pd_iterations")
-        if iterations > iter_cap:
-            raise ConvergenceError(
-                f"primal–dual exceeded {iter_cap} iterations (m={m}, eps={eps})"
-            )
-        t = base * (1.0 + eps) ** (iterations - 1) if base > 0 else 0.0
-
-        old_tent = np.flatnonzero(tent_open)
-        if frontier_dirty:
-            unfro = np.flatnonzero(~frozen)  # raised each iteration
-            closed = np.flatnonzero(~(free_open | tent_open))
-            D_cu = machine.take_submatrix(D, closed, unfro)
-            frontier_dirty = False
-
-        # Step 1: raise unfrozen duals to the schedule level.
-        alpha[unfro] = t
-        machine.ledger.charge_basic("scatter", max(unfro.size, 1), depth=1)
-
-        # Step 2: live payments over the closed × unfrozen frontier;
-        # frozen columns are already folded into paid_frozen.
-        live = machine.masked_axpy(-1.0, D_cu, (1.0 + eps) * t, clamp_min=0.0)
-        if w is not None:
-            live = machine.map(lambda lv, ww: lv * ww, live, w[unfro][None, :])
-        paid = machine.map(
-            lambda fr, lv: fr + lv,
-            machine.take_rows(paid_frozen, closed),
-            machine.reduce(live, "add", axis=1),
-        )
-        openable = machine.map(
-            lambda p, ff: p * _REL_TOL >= ff, paid, machine.take_rows(f, closed)
-        )
-        new_open = closed[openable]
-        tent_open[new_open] = True
-        frontier_dirty = frontier_dirty or new_open.size > 0
-        machine.ledger.charge_basic("scatter", max(new_open.size, 1), depth=1)
-
-        # Step 3: freeze unfrozen clients reaching any open facility,
-        # via the maintained nearest-open distance.
-        if new_open.size:
-            dnew = machine.reduce(machine.take_rows(D, new_open), "min", axis=0)
-            dmin_open = machine.map(np.minimum, dmin_open, dnew)
-        newly_frozen = np.zeros(0, dtype=np.intp)
-        if free_open.any() or tent_open.any():
-            reach = machine.map(
-                lambda a, dm: (1.0 + eps) * a * _REL_TOL >= dm,
-                alpha[unfro],
-                machine.take_rows(dmin_open, unfro),
-            )
-            newly_frozen = unfro[reach]
-            frozen[newly_frozen] = True
-            frontier_dirty = frontier_dirty or newly_frozen.size > 0
-            machine.ledger.charge_basic("scatter", max(newly_frozen.size, 1), depth=1)
-
-        # Step 4: H edges — full rows for newly opened facilities,
-        # raised columns for the previously tentative ones.
-        if new_open.size:
-            H[new_open, :] = machine.map(
-                lambda d, a: (1.0 + eps) * a > d,
-                machine.take_rows(D, new_open),
-                alpha[None, :],
-            )
-        if old_tent.size and unfro.size:
-            H[np.ix_(old_tent, unfro)] |= machine.map(
-                lambda d: (1.0 + eps) * t > d,
-                machine.take_submatrix(D, old_tent, unfro),
-            )
-
-        # Fold the payments of clients frozen this iteration into the
-        # per-facility running totals (their α is now final). A client's
-        # payment thus enters as one batch partial sum rather than one
-        # row-sum over all clients; a payment within an ulp of the
-        # tolerance-shifted opening threshold could therefore decide
-        # differently from an unbatched sum, which no tested workload
-        # exhibits.
-        if newly_frozen.size:
-            contrib = machine.masked_axpy(
-                -1.0,
-                machine.take_columns(D, newly_frozen),
-                (1.0 + eps) * t,
-                clamp_min=0.0,
-            )
-            if w is not None:
-                contrib = machine.map(
-                    lambda c, ww: c * ww, contrib, w[newly_frozen][None, :]
-                )
-            paid_frozen = machine.map(
-                lambda pf, c: pf + c, paid_frozen, machine.reduce(contrib, "add", axis=1)
-            )
-
-        # Exhaustion rule: if every facility is open but clients remain
-        # unfrozen, connect them directly (α_j = min_i d(j,i)).
-        if not frozen.all() and bool(np.all(free_open | tent_open)):
-            still = np.flatnonzero(~frozen)
-            # All facilities are open, so dmin_open is the full nearest
-            # distance for the still-unfrozen columns.
-            alpha[still] = np.maximum(machine.take_rows(dmin_open, still), alpha[still])
-            machine.ledger.charge_basic("scatter", max(still.size, 1), depth=1)
-            frozen[:] = True
-            tent_idx = np.flatnonzero(tent_open)
-            if tent_idx.size and still.size:
-                H[np.ix_(tent_idx, still)] |= machine.map(
-                    lambda d, a: (1.0 + eps) * a > d,
-                    machine.take_submatrix(D, tent_idx, still),
-                    alpha[still][None, :],
-                )
-
-    return _finish(instance, machine, start, gamma, eps, alpha, free_open, tent_open, H, f)
-
-
-def _finish(
-    instance: FacilityLocationInstance,
-    machine: PramMachine,
-    start,
-    gamma: float,
-    eps: float,
-    alpha: np.ndarray,
-    free_open: np.ndarray,
-    tent_open: np.ndarray,
-    H: np.ndarray,
-    f: np.ndarray,
-) -> FacilityLocationSolution:
-    """Shared §5 post-processing: MaxUDom survivors + solution assembly."""
-    nf = instance.n_facilities
-    # Post-processing: survivors = maximal U-dominator set of H over F_T.
-    if tent_open.any():
-        survivors = max_u_dominator_set(H, machine, candidates=tent_open)
-    else:
-        survivors = np.zeros(nf, dtype=bool)
-    final_open = survivors | free_open
-    if not final_open.any():
-        # Only possible when no client exists to pay anything — open the
-        # cheapest facility to return a valid solution shape.
-        final_open[int(np.argmin(f))] = True
-
-    opened_idx = np.flatnonzero(final_open)
-    return FacilityLocationSolution(
-        opened=opened_idx,
-        cost=instance.cost(opened_idx),
-        facility_cost=instance.facility_cost(opened_idx),
-        connection_cost=instance.connection_cost(opened_idx),
-        alpha=alpha,
-        rounds=dict(machine.ledger.rounds),
-        model_costs=machine.ledger.since(start),
-        extra={
-            "gamma": gamma,
-            "F0": np.flatnonzero(free_open),
-            "F_T": np.flatnonzero(tent_open),
-            "I": np.flatnonzero(survivors),
-            "H": H,
-            "epsilon": eps,
-        },
+    iter_cap = _iteration_cap(instance, eps, max_iterations)
+    sparse = (
+        instance
+        if isinstance(instance, SparseFacilityLocationInstance)
+        else SparseFacilityLocationInstance.from_instance(instance)
     )
+    return _parallel_primal_dual_sparse(sparse, eps, machine, preprocess, iter_cap, instance)
+
+
+def _iteration_cap(instance, eps: float, max_iterations: int | None) -> int:
+    """``max_iterations``, or the analysis bound ``3·log_{1+ε}(m) + 8``
+    extended for client weights below 1."""
+    if max_iterations is not None:
+        return max_iterations
+    m = max(instance.m, 2)
+    iter_cap = math.ceil(3.0 * math.log(m) / math.log1p(eps)) + 8
+    if not instance.has_unit_weights:
+        # Payments scale by w_j, so a client with weight w < 1 needs
+        # its dual raised ~log_{1+ε}(1/w) levels further before its
+        # (shrunken) contribution covers the same opening cost; the
+        # geometric schedule gets that many extra levels. Weights
+        # ≥ 1 only open facilities sooner — no extension needed.
+        w_min = float(instance.client_weights.min())
+        if w_min < 1.0:
+            iter_cap += math.ceil(math.log(1.0 / w_min) / math.log1p(eps))
+    return iter_cap

@@ -1,38 +1,50 @@
-"""§5 primal–dual facility location over sparse candidate structures.
+"""§5 primal–dual facility location: the execution body (CSR).
 
 Algorithm 5.1 executed on a
-:class:`~repro.metrics.sparse.SparseFacilityLocationInstance`: the
-raise/freeze loop runs on the closed × unfrozen *candidate edge*
-frontier, so per-iteration work is ``O(nnz(frontier))`` rather than a
-function of ``n_f · n_c``. Absent entries contribute nothing to any
-payment (they are not candidate connections); the instance's fallback
-column acts as a virtual always-open facility at distance
-``fallback_j``, which keeps every client freezable and the objective
-well-defined on truncated instances. On dense-representable instances
-(``fallback ≡ +inf``) the virtual facility is unreachable and the
-execution mirrors the dense path (:mod:`repro.core.primal_dual`)
-decision-for-decision:
+:class:`~repro.metrics.sparse.SparseFacilityLocationInstance`; dense
+instances arrive as their full CSR
+(:meth:`~repro.metrics.sparse.SparseFacilityLocationInstance.from_instance`).
+Absent entries contribute nothing to any payment (they are not
+candidate connections); the instance's fallback column acts as a
+virtual always-open facility at distance ``fallback_j``, which keeps
+every client freezable and the objective well-defined on truncated
+instances. On dense-representable instances (``fallback ≡ +inf``) the
+virtual facility is unreachable.
 
-* ``paid_frozen`` folds each client's payment into its candidate
-  facilities the iteration it freezes (``scatter_add`` over the
-  client-major segments);
-* ``dmin_open`` is seeded with the fallback column and refined with
-  newly opened facilities' candidate edges only;
-* ``H`` lives as a boolean mask over the instance's edge set (a
-  facility's H-row is a subset of its candidate segment), and the §3
-  postprocessing runs through
-  :func:`repro.core.dominator_sparse.max_u_dominator_set_sparse`, which
-  makes byte-identical selections to the dense ``MaxUDom`` on the same
-  seeded machine.
+**Only paying edges cost work.** At level ``ℓ`` a frontier edge
+``(i, j)`` (facility closed, client unfrozen) pays
+``max(0, (1+ε)t_ℓ − d)``, which is an exact ``+0.0`` unless
+``d < (1+ε)t_ℓ``. Once per solve the frontier edges are counting-sorted
+by the level at which they start paying, against thresholds computed
+with the loop's own float expressions. Each level then
 
-The dual values ``α`` are schedule levels and exact minima — no
-reassociated float sums feed them — so seeded sparse solutions are
-byte-identical to the dense path on every dense-representable workload
-the equivalence suite runs (the same threshold-robustness caveat the
-dense path documents applies).
+* merges the newly reached bucket into the *paying set* — the frontier
+  edges with ``d < (1+ε)t``, kept in CSR flat order — and marks the
+  bucket's edges into older tentative facilities as ``H`` edges (a
+  tentative row gains exactly the edges its level newly reaches);
+* sums each closed facility's payments over the paying set with one
+  sequential flat-order ``scatter_add``;
+* freezes clients against ``dmin_open``, the maintained nearest-open
+  distance (seeded with the fallback column);
+* folds the payments of clients frozen at this level into
+  ``paid_frozen``, per facility in ascending client order.
+
+The per-level gathers — ``f``, ``paid_frozen`` and ``dmin_open`` over
+the frontier — are cached until a facility opens or a client freezes.
+A level costs its paying set plus ``O(|F_closed| + |C_unfrozen|)``; a
+facility's full candidate row is read once, when it opens. Every
+dropped term is an exact ``+0.0`` and every sum keeps its order, so the
+result is bit-identical to summing over the whole frontier.
+
+``H`` lives as a boolean mask over the instance's edge set (a
+facility's H-row is a subset of its candidate segment); the §3
+postprocessing runs through
+:func:`repro.core.dominator_sparse.max_u_dominator_set_sparse`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,6 +54,7 @@ from repro.core.result import FacilityLocationSolution
 from repro.errors import ConvergenceError
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine
+from repro.util.csr import group_by_key
 
 _REL_TOL = 1.0 + 1e-12
 
@@ -52,12 +65,19 @@ def _parallel_primal_dual_sparse(
     machine: PramMachine,
     preprocess: bool,
     iter_cap: int,
+    caller,
 ) -> FacilityLocationSolution:
-    """Sparse execution of Algorithm 5.1 (see module docstring)."""
+    """Execute Algorithm 5.1 (see module docstring).
+
+    ``caller`` is the instance the solution is reported on — ``instance``
+    itself, or the dense instance it was converted from, whose costs
+    are then evaluated on its own matrix and whose ``extra["H"]`` is a
+    dense boolean array.
+    """
     nf, nc = instance.n_facilities, instance.n_clients
     f = instance.f.astype(float)
     data, indices, indptr = instance.data, instance.indices, instance.indptr
-    ct_indptr, ct_rows, ct_entry = instance.client_view
+    rows = instance.rows_flat()
     m = max(instance.m, 2)
     # Client multiplicities scale each client's payment contribution
     # (see repro.core.primal_dual); None = exact unweighted code path.
@@ -87,14 +107,14 @@ def _parallel_primal_dual_sparse(
             pay0 = np.asarray(
                 machine.map(lambda p, ww: p * ww, pay0, machine.take_rows(w, indices))
             )
-        paid0 = machine.scatter_add(pay0, instance.rows_flat(), nf)
+        paid0 = machine.scatter_add(pay0, rows, nf)
         free_open = np.asarray(machine.map(lambda p, ff: p >= ff / _REL_TOL, paid0, f))
         if free_open.any():
             near = np.asarray(
                 machine.map(
                     lambda d, fo: fo & (d <= base * _REL_TOL),
                     data,
-                    machine.take_rows(free_open, instance.rows_flat()),
+                    machine.take_rows(free_open, rows),
                 )
             )
             freely = machine.count_votes(indices, nc, mask=near) > 0
@@ -109,61 +129,103 @@ def _parallel_primal_dual_sparse(
     if gamma == 0.0:
         frozen[:] = True
 
+    # Free facilities and freely connected clients never rejoin the
+    # frontier, so the level buckets cover the edges between the rest.
+    frontier = np.asarray(
+        machine.map(
+            lambda fo, fr: ~(fo | fr),
+            machine.take_rows(free_open, rows),
+            machine.take_rows(frozen, indices),
+        )
+    )
+    bucket_ptr, bucket = _paying_buckets(
+        machine, data, machine.pack(np.arange(instance.nnz), frontier), base, eps, iter_cap
+    )
+
     iterations = 0
-    # The closed × unfrozen candidate-edge frontier is cached across
-    # iterations, exactly like the dense path: the geometric
-    # schedule runs many levels where nothing opens or freezes.
-    unfro = closed = fe_pos = fe_rlocal = fe_w = None
-    frontier_dirty = True
+    loc = np.zeros(nf, dtype=np.intp)  # closed facility -> its frontier row
+    # The paying set in CSR flat order: per edge its flat position,
+    # distance, frontier row and (weighted instances) client weight.
+    pay = {"pos": np.zeros(0, dtype=np.intp), "d": np.zeros(0), "loc": np.zeros(0, dtype=np.intp)}
+    if w is not None:
+        pay["w"] = np.zeros(0)
+    moved = True
     while not frozen.all():
         iterations += 1
         machine.bump_round("pd_iterations")
         if iterations > iter_cap:
             raise ConvergenceError(
-                f"sparse primal–dual exceeded {iter_cap} iterations (m={m}, eps={eps})"
+                f"primal–dual exceeded {iter_cap} iterations (m={m}, eps={eps})"
             )
         t = base * (1.0 + eps) ** (iterations - 1) if base > 0 else 0.0
+        c = (1.0 + eps) * t
 
-        old_tent = np.flatnonzero(tent_open)
-        if frontier_dirty:
+        if moved:
+            # A facility opened or a client froze since the last level:
+            # drop the paying edges that left the frontier and re-gather
+            # the per-epoch caches.
             unfro = np.flatnonzero(~frozen)
             closed = np.flatnonzero(~(free_open | tent_open))
-            pos, cl_indptr = machine.segment_positions(indptr, closed)
-            ekeep = ~np.asarray(
-                machine.take_rows(frozen, machine.take_rows(indices, pos))
-            )
-            fe_pos = machine.pack(pos, ekeep)
-            fe_rlocal = machine.pack(
-                machine.segment_spread(np.arange(closed.size), cl_indptr), ekeep
-            )
-            if w is not None:
-                fe_w = np.asarray(
-                    machine.take_rows(w, machine.take_rows(indices, fe_pos))
+            loc[closed] = np.arange(closed.size)
+            pay_rows = machine.take_rows(rows, pay["pos"])
+            stay = np.asarray(
+                machine.map(
+                    lambda to, fr: ~(to | fr),
+                    machine.take_rows(tent_open, pay_rows),
+                    machine.take_rows(frozen, machine.take_rows(indices, pay["pos"])),
                 )
-            frontier_dirty = False
+            )
+            pay = {key: machine.pack(col, stay) for key, col in pay.items() if key != "loc"}
+            pay["loc"] = machine.take_rows(loc, machine.pack(pay_rows, stay))
+            f_closed = machine.take_rows(f, closed)
+            paid_closed = machine.take_rows(paid_frozen, closed)
+            dmin_unfro = machine.take_rows(dmin_open, unfro)
+            moved = False
+
+        # Edges that start paying at this level: those into closed
+        # facilities join the paying set, those into older tentative
+        # ones are their new H edges.
+        if iterations < bucket_ptr.size and bucket_ptr[iterations] > bucket_ptr[iterations - 1]:
+            new = bucket[bucket_ptr[iterations - 1] : bucket_ptr[iterations]]
+            new = machine.pack(
+                new, ~machine.take_rows(frozen, machine.take_rows(indices, new))
+            )
+            new_rows = machine.take_rows(rows, new)
+            to_tent = machine.take_rows(tent_open, new_rows)
+            H_mask[new[to_tent]] = True
+            new, new_rows = new[~to_tent], new_rows[~to_tent]
+            if new.size:
+                added = {
+                    "pos": new,
+                    "d": machine.take_rows(data, new),
+                    "loc": machine.take_rows(loc, new_rows),
+                }
+                if w is not None:
+                    added["w"] = machine.take_rows(w, machine.take_rows(indices, new))
+                pay = _merge_sorted(machine, pay, added)
 
         # Step 1: raise unfrozen duals to the schedule level.
         alpha[unfro] = t
         machine.ledger.charge_basic("scatter", max(unfro.size, 1), depth=1)
 
-        # Step 2: live payments over the frontier edges; frozen columns
-        # are already folded into paid_frozen.
-        live = machine.masked_axpy(
-            -1.0, machine.take_rows(data, fe_pos), (1.0 + eps) * t, clamp_min=0.0
-        )
-        if w is not None:
-            live = machine.map(lambda lv, ww: lv * ww, live, fe_w)
-        paid = machine.map(
-            lambda fr, lv: fr + lv,
-            machine.take_rows(paid_frozen, closed),
-            machine.scatter_add(np.asarray(live), fe_rlocal, closed.size),
-        )
+        # Step 2: live payments over the paying set; frozen clients are
+        # already folded into paid_frozen, which is the whole payment
+        # while no edge pays.
+        paid = paid_closed
+        if pay["pos"].size:
+            live = machine.masked_axpy(-1.0, pay["d"], c, clamp_min=0.0)
+            if w is not None:
+                live = machine.map(lambda lv, ww: lv * ww, live, pay["w"])
+            paid = machine.map(
+                lambda fr, lv: fr + lv,
+                paid_closed,
+                machine.scatter_add(np.asarray(live), pay["loc"], closed.size),
+            )
         openable = np.asarray(
-            machine.map(lambda p, ff: p * _REL_TOL >= ff, paid, machine.take_rows(f, closed))
+            machine.map(lambda p, ff: p * _REL_TOL >= ff, paid, f_closed)
         )
         new_open = closed[openable]
         tent_open[new_open] = True
-        frontier_dirty = frontier_dirty or new_open.size > 0
         machine.ledger.charge_basic("scatter", max(new_open.size, 1), depth=1)
 
         # Step 3: freeze unfrozen clients reaching any open facility
@@ -174,24 +236,20 @@ def _parallel_primal_dual_sparse(
                 machine.take_rows(data, pos2), machine.take_rows(indices, pos2), nc
             )
             dmin_open = np.asarray(machine.map(np.minimum, dmin_open, dnew))
+            dmin_unfro = machine.take_rows(dmin_open, unfro)
         newly_frozen = np.zeros(0, dtype=np.intp)
         if free_open.any() or tent_open.any() or fallback_live:
+            # alpha[unfro] == t, so (1+ε)α_j is c for every unfrozen j.
             reach = np.asarray(
-                machine.map(
-                    lambda a, dm: (1.0 + eps) * a * _REL_TOL >= dm,
-                    alpha[unfro],
-                    machine.take_rows(dmin_open, unfro),
-                )
+                machine.map(lambda dm: c * _REL_TOL >= dm, dmin_unfro)
             )
             newly_frozen = unfro[reach]
             frozen[newly_frozen] = True
-            frontier_dirty = frontier_dirty or newly_frozen.size > 0
             machine.ledger.charge_basic("scatter", max(newly_frozen.size, 1), depth=1)
 
-        # Step 4: H edges — full candidate rows for newly opened
-        # facilities, raised columns for the previously tentative ones.
+        # Step 4: H edges of newly opened facilities — their full
+        # candidate rows, at every client's current α.
         if new_open.size:
-            pos2, _ = machine.segment_positions(indptr, new_open)
             H_mask[pos2] = np.asarray(
                 machine.map(
                     lambda d, a: (1.0 + eps) * a > d,
@@ -199,42 +257,23 @@ def _parallel_primal_dual_sparse(
                     machine.take_rows(alpha, machine.take_rows(indices, pos2)),
                 )
             )
-        if old_tent.size and unfro.size:
-            pos3, _ = machine.segment_positions(indptr, old_tent)
-            # `unfro` is the iteration-start unfrozen set; rebuild the
-            # mask from it (frozen may have advanced in step 3).
-            um = np.zeros(nc, dtype=bool)
-            um[unfro] = True
-            H_mask[pos3] |= np.asarray(
-                machine.map(
-                    lambda d, u: u & ((1.0 + eps) * t > d),
-                    machine.take_rows(data, pos3),
-                    machine.take_rows(um, machine.take_rows(indices, pos3)),
-                )
-            )
 
-        # Fold the payments of clients frozen this iteration into the
-        # per-facility running totals (their α is now final).
-        if newly_frozen.size:
-            pos4, nf_indptr = machine.segment_positions(ct_indptr, newly_frozen)
-            contrib = machine.masked_axpy(
-                -1.0,
-                machine.take_rows(data, machine.take_rows(ct_entry, pos4)),
-                (1.0 + eps) * t,
-                clamp_min=0.0,
-            )
-            if w is not None:
-                contrib = machine.map(
-                    lambda c, ww: c * ww,
-                    contrib,
-                    machine.segment_spread(w[newly_frozen], nf_indptr),
-                )
+        # Fold the payments of clients frozen this level into the
+        # per-facility running totals (their α is now final). Every
+        # nonzero term is on the paying set.
+        if newly_frozen.size and pay["pos"].size:
+            cols = machine.take_rows(indices, pay["pos"])
+            done = machine.take_rows(frozen, cols)
             paid_frozen = np.asarray(
                 machine.map(
-                    lambda pf, c: pf + c,
+                    lambda pf, s: pf + s,
                     paid_frozen,
-                    machine.scatter_add(
-                        np.asarray(contrib), machine.take_rows(ct_rows, pos4), nf
+                    _fold_sums(
+                        machine,
+                        machine.pack(live, done),
+                        machine.pack(machine.take_rows(rows, pay["pos"]), done),
+                        machine.pack(cols, done),
+                        nf,
                     ),
                 )
             )
@@ -260,14 +299,103 @@ def _parallel_primal_dual_sparse(
                         machine.take_rows(alpha, machine.take_rows(indices, pos5)),
                     )
                 )
+        moved = bool(new_open.size or newly_frozen.size)
 
     return _finish_sparse(
-        instance, machine, start, gamma, eps, alpha, free_open, tent_open, H_mask, f
+        instance, caller, machine, start, gamma, eps, alpha, free_open, tent_open, H_mask, f
     )
+
+
+def _paying_buckets(
+    machine: PramMachine,
+    data: np.ndarray,
+    edges: np.ndarray,
+    base: float,
+    eps: float,
+    iter_cap: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Counting-sort ``edges`` (flat positions, ascending) by the level
+    at which they start paying.
+
+    Edge ``e`` starts paying at the first level ``ℓ`` with
+    ``d_e < (1+ε)·t_ℓ``. Returns ``(bucket_ptr, bucket)``: level ``ℓ``'s
+    edges, ascending, are ``bucket[bucket_ptr[ℓ-1]:bucket_ptr[ℓ]]``.
+    The thresholds are the loop's own float expressions, listed until
+    one exceeds every edge's distance — sized by the data, and cut at
+    the iteration cap, past which the loop raises; edges never reached
+    are dropped.
+    """
+    d = machine.take_rows(data, edges)
+    dmax = float(d.max()) if d.size else -np.inf
+    levels: list[float] = []
+    while len(levels) < iter_cap and (not levels or 0.0 < levels[-1] <= dmax):
+        levels.append((1.0 + eps) * (base * (1.0 + eps) ** len(levels)))
+    if not levels:  # a cap below 1: the loop raises before any level
+        return np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    # pow is accurate to an ulp, so the thresholds ascend for every ε
+    # whose schedule can finish; the running max makes "the first level
+    # whose threshold exceeds d" exact regardless.
+    thresholds = np.maximum.accumulate(np.asarray(levels))
+    key = machine.map(lambda dd: _levels_at_or_below(thresholds, dd, eps), d)
+    reached = key < thresholds.size
+    key = machine.pack(key, reached)
+    bucket_ptr, order = group_by_key(key, thresholds.size)
+    machine.ledger.charge_basic("counting_sort", max(key.size + thresholds.size, 1))
+    return bucket_ptr, machine.take_rows(machine.pack(edges, reached), order)
+
+
+def _levels_at_or_below(thresholds: np.ndarray, d: np.ndarray, eps: float) -> np.ndarray:
+    """Per distance, the number of (ascending) thresholds ``<= d`` — an
+    edge at distance ``d`` starts paying at that level plus one.
+
+    The geometric schedule gives a log estimate, exact but for rounding
+    near a threshold; each key then steps until its thresholds bracket
+    its distance (one pass in practice, against the exact thresholds).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        est = np.floor(np.log(d / thresholds[0]) / math.log1p(eps)) + 1
+    key = np.clip(np.nan_to_num(est, nan=0.0), 0, thresholds.size).astype(np.intp)
+    bounds = np.concatenate(([-np.inf], thresholds, [np.inf]))
+    while True:
+        step = (d >= bounds[key + 1]).astype(np.intp) - (d < bounds[key])
+        if not step.any():
+            return key
+        key += step
+
+
+def _fold_sums(
+    machine: PramMachine, terms: np.ndarray, rows: np.ndarray, cols: np.ndarray, nf: int
+) -> np.ndarray:
+    """Per-facility sums of ``terms`` (edge ``k`` in row ``rows[k]``,
+    column ``cols[k]``), each facility adding its terms in ascending
+    client order — the order of a client-major pass, whatever order a
+    row stores its columns in."""
+    order = np.lexsort((cols, rows))
+    machine.ledger.charge_sort("fold_order", order.size, order.size)
+    return machine.scatter_add(
+        machine.take_rows(terms, order), machine.take_rows(rows, order), nf
+    )
+
+
+def _merge_sorted(machine: PramMachine, pay: dict, added: dict) -> dict:
+    """Merge ``added`` into ``pay``: two edge sets with the same columns,
+    each ascending in its ``"pos"`` column, with disjoint positions."""
+    slots = np.searchsorted(pay["pos"], added["pos"]) + np.arange(added["pos"].size)
+    n = pay["pos"].size + added["pos"].size
+    old = np.ones(n, dtype=bool)
+    old[slots] = False
+    merged = {}
+    for key, col in pay.items():
+        merged[key] = np.empty(n, dtype=col.dtype)
+        merged[key][old] = col
+        merged[key][slots] = added[key]
+    machine.ledger.charge_basic("merge", n * len(merged))
+    return merged
 
 
 def _finish_sparse(
     instance: SparseFacilityLocationInstance,
+    caller,
     machine: PramMachine,
     start,
     gamma: float,
@@ -301,9 +429,9 @@ def _finish_sparse(
     opened_idx = np.flatnonzero(final_open)
     return FacilityLocationSolution(
         opened=opened_idx,
-        cost=instance.cost(opened_idx),
-        facility_cost=instance.facility_cost(opened_idx),
-        connection_cost=instance.connection_cost(opened_idx),
+        cost=caller.cost(opened_idx),
+        facility_cost=caller.facility_cost(opened_idx),
+        connection_cost=caller.connection_cost(opened_idx),
         alpha=alpha,
         rounds=dict(machine.ledger.rounds),
         model_costs=machine.ledger.since(start),
@@ -312,7 +440,7 @@ def _finish_sparse(
             "F0": np.flatnonzero(free_open),
             "F_T": np.flatnonzero(tent_open),
             "I": np.flatnonzero(survivors),
-            "H": H,
+            "H": H if isinstance(caller, SparseFacilityLocationInstance) else H.toarray(),
             "epsilon": eps,
         },
     )

@@ -69,6 +69,18 @@ class _CsrCandidateShape:
         return np.repeat(np.arange(self._indptr.size - 1), self.row_lengths)
 
 
+def _check_opening_costs(f, n_f: int) -> np.ndarray:
+    """Validated opening costs: shape ``(n_f,)``, finite, non-negative."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (n_f,):
+        raise InvalidInstanceError(f"f must have shape ({n_f},), got {f.shape}")
+    if not np.all(np.isfinite(f)):
+        raise InvalidInstanceError("distances and costs must be finite")
+    if f.size and f.min() < 0:
+        raise InvalidInstanceError("distances and opening costs must be non-negative")
+    return f
+
+
 class SparseFacilityLocationInstance(_CsrCandidateShape):
     """A facility-location instance over sparse candidate connections.
 
@@ -109,7 +121,6 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
             raise InvalidInstanceError(f"instance needs >= 1 client, got {n_clients}")
         indptr, indices = validate_csr(indptr, indices, n_clients, name="sparse instance")
         data = np.asarray(data, dtype=float)
-        f = np.asarray(f, dtype=float)
         n_f = indptr.size - 1
         if n_f == 0:
             raise InvalidInstanceError("instance needs >= 1 facility")
@@ -117,11 +128,10 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
             raise InvalidInstanceError(
                 f"data must have one value per index, got {data.shape} for nnz={indices.size}"
             )
-        if f.shape != (n_f,):
-            raise InvalidInstanceError(f"f must have shape ({n_f},), got {f.shape}")
-        if not (np.all(np.isfinite(data)) and np.all(np.isfinite(f))):
+        f = _check_opening_costs(f, n_f)
+        if not np.all(np.isfinite(data)):
             raise InvalidInstanceError("distances and costs must be finite")
-        if (data.size and data.min() < 0) or (f.size and f.min() < 0):
+        if data.size and data.min() < 0:
             raise InvalidInstanceError("distances and opening costs must be non-negative")
         if fallback is None:
             fallback = np.full(n_clients, np.inf)
@@ -155,6 +165,20 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
         for arr in (self._data, self._f, self._fallback):
             arr.setflags(write=False)
         self._ct = None  # lazy client-major transpose
+
+    def with_opening_costs(self, f) -> "SparseFacilityLocationInstance":
+        """Same candidate structure with different opening costs.
+
+        Shares the validated structure (and the client view, once
+        built) instead of re-validating it — the Lagrangian k-median
+        re-prices one structure per probe.
+        """
+        out = object.__new__(SparseFacilityLocationInstance)
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out._f = _check_opening_costs(f, self.n_facilities)
+        out._f.setflags(write=False)
+        return out
 
     # -- construction ------------------------------------------------------
 

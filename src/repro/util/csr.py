@@ -35,7 +35,30 @@ def validate_csr(
     row contains a duplicate column. With ``require_sorted`` each row's
     column indices must additionally be strictly ascending (the
     canonical scipy layout).
+
+    Rows that strictly ascend cannot hold a duplicate, so the
+    ``O(nnz log nnz)`` duplicate sort runs only when some row does not
+    (``O(nnz)`` for the canonical layout every generator builds).
     """
+    indptr, indices = _checked_layout(indptr, indices, n_cols, name)
+    if indices.size and not rows_strictly_ascending(indptr, indices):
+        if require_sorted:
+            raise InvalidInstanceError(
+                f"{name}: row column indices must be strictly ascending"
+            )
+        # Duplicate check without assuming order: sort (row, col) pairs.
+        rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        order = np.lexsort((indices, rows))
+        r, c = rows[order], indices[order]
+        if np.any((np.diff(r) == 0) & (np.diff(c) == 0)):
+            raise InvalidInstanceError(f"{name}: duplicate column within a row")
+    return indptr, indices
+
+
+def _checked_layout(indptr, indices, n_cols: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical intp arrays of a CSR layout whose ``indptr`` runs from
+    0 to ``len(indices)`` without decreasing and whose column ids lie
+    in ``[0, n_cols)`` — ``O(nnz)``."""
     indptr = np.asarray(indptr, dtype=np.intp)
     indices = np.asarray(indices, dtype=np.intp)
     if indptr.ndim != 1 or indices.ndim != 1:
@@ -53,24 +76,6 @@ def validate_csr(
             f"{name}: column index out of range [0, {n_cols}): "
             f"[{int(indices.min())}, {int(indices.max())}]"
         )
-    if indices.size:
-        if require_sorted:
-            # A consecutive-pair decrease matters only within a row, i.e.
-            # when the second entry of the pair does not start a new row.
-            is_start = np.zeros(indices.size, dtype=bool)
-            starts = indptr[:-1]
-            is_start[starts[starts < indices.size]] = True
-            if np.any((np.diff(indices) <= 0) & ~is_start[1:]):
-                raise InvalidInstanceError(
-                    f"{name}: row column indices must be strictly ascending"
-                )
-        else:
-            # Duplicate check without assuming order: sort (row, col) pairs.
-            rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-            order = np.lexsort((indices, rows))
-            r, c = rows[order], indices[order]
-            if np.any((np.diff(r) == 0) & (np.diff(c) == 0)):
-                raise InvalidInstanceError(f"{name}: duplicate column within a row")
     return indptr, indices
 
 
@@ -88,6 +93,18 @@ def rows_are_uniform(indptr: np.ndarray) -> tuple[bool, int]:
     return bool(np.all(lens == k)), k
 
 
+def rows_strictly_ascending(indptr: np.ndarray, indices: np.ndarray) -> bool:
+    """Whether every row's column indices strictly ascend — ``O(nnz)``."""
+    if indices.size == 0:
+        return True
+    # A consecutive-pair decrease matters only within a row, i.e. when
+    # the second entry of the pair does not start a new row.
+    is_start = np.zeros(indices.size, dtype=bool)
+    starts = indptr[:-1]
+    is_start[starts[starts < indices.size]] = True
+    return not np.any((np.diff(indices) <= 0) & ~is_start[1:])
+
+
 def csr_transpose(
     indptr: np.ndarray, indices: np.ndarray, n_cols: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -97,18 +114,39 @@ def csr_transpose(
     set grouped by column: ``t_indices`` holds the *row* id of each
     edge, and ``entry`` the position of that edge in the original flat
     arrays (so any per-edge payload transposes by ``payload[entry]``).
-    Within each column, edges appear in ascending row order (the
-    counting sort is stable over the row-major input). ``O(nnz)``.
+    Within each column, edges appear in flat (row-major) order: the
+    counting sort is stable. ``O(nnz + n_cols)``.
     """
-    indptr = np.asarray(indptr, dtype=np.intp)
-    indices = np.asarray(indices, dtype=np.intp)
-    counts = np.bincount(indices, minlength=n_cols)
-    t_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    # Stable sort by column preserves row-major order within each column.
-    entry = np.argsort(indices, kind="stable").astype(np.intp)
-    t_indices = rows[entry]
-    return t_indptr, t_indices, entry
+    from scipy import sparse
+
+    # The compiled walk below trusts its input; check the layout first.
+    indptr, indices = _checked_layout(indptr, indices, n_cols, "csr_transpose")
+    # scipy's compiled CSR -> CSC conversion is that counting sort: it
+    # counts per column, then walks the rows in order appending each
+    # entry to its column. Carrying the flat positions as the payload
+    # yields ``entry``.
+    csc = sparse.csr_matrix(
+        (np.arange(indices.size, dtype=np.intp), indices, indptr),
+        shape=(indptr.size - 1, int(n_cols)),
+    ).tocsc()
+    return (
+        csc.indptr.astype(np.intp),
+        csc.indices.astype(np.intp),
+        csc.data.astype(np.intp, copy=False),
+    )
+
+
+def group_by_key(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable counting sort of positions by an integer key in ``[0, n_keys)``.
+
+    Returns ``(indptr, order)``: ``order`` lists the positions of
+    ``keys`` by ascending key, ascending within a key, and
+    ``order[indptr[k]:indptr[k+1]]`` are key ``k``'s positions — the
+    transpose of a one-row structure. ``O(len(keys) + n_keys)``.
+    """
+    keys = np.asarray(keys, dtype=np.intp)
+    indptr, _, order = csr_transpose(np.array([0, keys.size]), keys, n_keys)
+    return indptr, order
 
 
 def csr_drop_diagonal(A):

@@ -123,6 +123,39 @@ class TestWorkScaling:
         assert sol2.rounds["pd_iterations"] >= 1
 
 
+class TestRowOrder:
+    def test_fold_adds_each_facility_in_client_order(self):
+        """Flat order would add 1e-16 + 1e-16 first and round up."""
+        from repro.core.primal_dual_sparse import _fold_sums
+
+        terms = np.array([1e-16, 1e-16, 1.0])
+        got = _fold_sums(PramMachine(), terms, np.zeros(3, np.intp), np.array([2, 1, 0]), 1)
+        assert got[0] == (1.0 + 1e-16) + 1e-16 != (1e-16 + 1e-16) + 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_primal_dual_rows_in_any_column_order(self, seed):
+        """Rows stored out of column order (legal for FL instances) give
+        the sorted instance's solution: the frozen-client fold adds each
+        facility's terms in client order either way."""
+        inst = knn_instance(20, 120, k=5, seed=seed)
+        rng = np.random.default_rng(seed)
+        perm = np.concatenate([
+            lo + rng.permutation(hi - lo) for lo, hi in zip(inst.indptr[:-1], inst.indptr[1:])
+        ]).astype(np.intp)
+        shuffled = SparseFacilityLocationInstance(
+            inst.indptr, inst.indices[perm], inst.data[perm], inst.f,
+            n_clients=inst.n_clients, fallback=inst.fallback,
+        )
+        a = parallel_primal_dual(inst, epsilon=0.1, machine=PramMachine(seed=seed))
+        b = parallel_primal_dual(shuffled, epsilon=0.1, machine=PramMachine(seed=seed))
+        assert np.array_equal(a.opened, b.opened)
+        assert a.alpha.tobytes() == b.alpha.tobytes()
+        assert (a.extra["H"] != b.extra["H"]).nnz == 0
+        for key in ("F0", "F_T", "I"):
+            assert np.array_equal(a.extra[key], b.extra[key])
+        assert a.rounds == b.rounds
+
+
 class TestEntryPoints:
     def test_backend_kwarg(self):
         inst = knn_instance(12, 50, k=4, seed=1)

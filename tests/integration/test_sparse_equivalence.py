@@ -2,9 +2,11 @@
 
 On dense-representable instances (full CSR, no finite fallback) the
 sparse execution paths must return **byte-identical** seeded solutions
-to the dense paths on all three execution backends. The CSR paths are
-an independent second implementation, so this suite is the oracle for
-the dense ones:
+to the dense paths on all three execution backends. Where the library
+keeps two bodies (greedy, the dominators, k-center, local search) each
+is the other's oracle. Primal–dual and the Lagrangian k-median ship one
+body, the CSR one, so their dense side is the test-only reference in
+:mod:`tests.reference.primal_dual_dense`:
 
 * greedy and primal–dual facility location — opened set, cost, duals,
   traces, and round counters — on random and adversarial workloads,
@@ -40,6 +42,7 @@ from repro.metrics.sparse import (
     SparseClusteringInstance,
     SparseFacilityLocationInstance,
 )
+from tests.reference.primal_dual_dense import kmedian_lagrangian_dense, primal_dual_dense
 
 BACKEND_NAMES = ("serial", "thread", "process")
 
@@ -115,9 +118,14 @@ def test_sparse_primal_dual_matches_dense(name, make, eps, preprocess):
     dense = make()
     sp = SparseFacilityLocationInstance.from_instance(dense)
     kw = dict(epsilon=eps, preprocess=preprocess)
-    a = parallel_primal_dual(dense, machine=PramMachine(seed=123), **kw)
+    a = primal_dual_dense(dense, machine=PramMachine(seed=123), **kw)
     b = parallel_primal_dual(sp, machine=PramMachine(seed=123), **kw)
     _pd_check(a, b)
+
+
+# The dense side of each FL comparison: greedy ships a dense body;
+# primal–dual's dense body is the test-only reference.
+_DENSE_FL = {parallel_greedy: parallel_greedy, parallel_primal_dual: primal_dual_dense}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -130,7 +138,7 @@ def test_sparse_matches_dense_at_bench_size(algorithm, check, seed):
     """The equivalence claim at the size the benchmarks solve (400²)."""
     dense = euclidean_instance(400, 400, seed=seed)
     sp = SparseFacilityLocationInstance.from_instance(dense)
-    a = algorithm(dense, epsilon=0.1, machine=PramMachine(seed=123))
+    a = _DENSE_FL[algorithm](dense, epsilon=0.1, machine=PramMachine(seed=123))
     b = algorithm(sp, epsilon=0.1, machine=PramMachine(seed=123))
     check(a, b)
 
@@ -163,7 +171,7 @@ def test_sparse_equals_dense_across_backends(backend_set, algorithm):
     sp = SparseFacilityLocationInstance.from_instance(dense)
     check = _greedy_check if algorithm is parallel_greedy else _pd_check
     for name in BACKEND_NAMES:
-        a = algorithm(
+        a = _DENSE_FL[algorithm](
             dense, epsilon=0.1, machine=PramMachine(backend=backend_set[name], seed=123)
         )
         b = algorithm(
@@ -321,7 +329,7 @@ def test_sparse_local_search_matches_dense(name, make, objective):
 def test_sparse_lagrangian_matches_dense(name, make):
     dense = make()
     sp = SparseClusteringInstance.from_instance(dense)
-    a = parallel_kmedian_lagrangian(
+    a = kmedian_lagrangian_dense(
         dense, epsilon=0.2, machine=PramMachine(seed=123), max_probes=20
     )
     b = parallel_kmedian_lagrangian(
@@ -349,15 +357,24 @@ _CLUSTER_ALGORITHMS = {
 }
 
 
+# The Lagrangian k-median's dense side is the test-only reference.
+_DENSE_CLUSTER = {
+    "lagrangian": lambda inst, m: kmedian_lagrangian_dense(
+        inst, epsilon=0.2, machine=m, max_probes=15
+    ),
+}
+
+
 @pytest.mark.parametrize("algorithm", sorted(_CLUSTER_ALGORITHMS))
 def test_sparse_clustering_equals_dense_across_backends(backend_set, algorithm):
     """The PR-4 acceptance gate: seeded sparse clustering solutions are
     byte-identical to the dense paths on serial, thread, and process."""
     run, check = _CLUSTER_ALGORITHMS[algorithm]
+    run_dense = _DENSE_CLUSTER.get(algorithm, run)
     dense = euclidean_clustering(30, 3, seed=5)
     sp = SparseClusteringInstance.from_instance(dense)
     for name in BACKEND_NAMES:
-        a = run(dense, PramMachine(backend=backend_set[name], seed=123))
+        a = run_dense(dense, PramMachine(backend=backend_set[name], seed=123))
         b = run(sp, PramMachine(backend=backend_set[name], seed=123))
         check(a, b)
 

@@ -177,12 +177,15 @@ def test_weighted_fl_paths_agree_dense_sparse():
     instance."""
     from repro.metrics.generators import euclidean_instance
 
+    from tests.reference.primal_dual_dense import primal_dual_dense
+
     base = euclidean_instance(12, 40, seed=17)
     w = np.random.default_rng(3).uniform(0.5, 4.0, 40)
     inst = FacilityLocationInstance(base.D, base.f, client_weights=w)
     sp = SparseFacilityLocationInstance.from_instance(inst)
-    for fn in (parallel_greedy, parallel_primal_dual):
-        dense = fn(inst, seed=5, epsilon=0.15)
+    # primal–dual ships one (CSR) body; its dense side is the reference
+    for fn, dense_fn in ((parallel_greedy, parallel_greedy), (parallel_primal_dual, primal_dual_dense)):
+        dense = dense_fn(inst, seed=5, epsilon=0.15)
         sparse = fn(sp, seed=5, epsilon=0.15)
         assert np.array_equal(dense.opened, sparse.opened)
         assert dense.cost == sparse.cost

@@ -82,6 +82,24 @@ class TestConstruction:
         assert inst.nnz == A.nnz
 
 
+class TestWithOpeningCosts:
+    def test_shares_structure_and_reprices(self, full):
+        view = full.client_view
+        cheap = full.with_opening_costs(np.full(full.n_facilities, 0.5))
+        assert cheap.indices is full.indices and cheap.data is full.data
+        assert cheap.client_view is view
+        np.testing.assert_array_equal(cheap.f, 0.5)
+        assert not cheap.f.flags.writeable
+        assert cheap.facility_cost([0, 1]) == 1.0
+        assert not np.array_equal(full.f, cheap.f)
+
+    @pytest.mark.parametrize("bad", [[1.0], [-1.0] * 4, [np.nan] * 4])
+    def test_rejects_bad_costs(self, bad):
+        inst = SparseFacilityLocationInstance.from_dense(np.ones((4, 3)), np.ones(4))
+        with pytest.raises(InvalidInstanceError):
+            inst.with_opening_costs(np.array(bad))
+
+
 class TestObjective:
     @pytest.mark.parametrize("opened", [[0], [1, 3], [0, 2, 4, 5]])
     def test_dense_representable_matches_dense(self, dense, full, opened):
