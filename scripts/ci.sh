@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: lint (when ruff is available) + tier-1 tests + end-to-end smoke
-# + a short paper-solvers benchmark run with its output checks.
+# CI gate: lint (when ruff is available) + tier-1 tests + the primal–dual
+# suites with RuntimeWarning as an error + end-to-end smoke + a short
+# paper-solvers benchmark run with its output checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +21,13 @@ fi
 
 echo "== tier-1 pytest =="
 python -m pytest -x -q
+
+# The primal–dual level skip takes logs, divides and meets +inf
+# thresholds; a nan or inf there would skip levels wrongly without an
+# error, so these suites run with RuntimeWarning as an error.
+echo "== primal-dual suites, RuntimeWarning as error =="
+python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.py \
+    tests/core/test_sparse_paths.py tests/core/test_kmedian_lagrangian.py
 
 echo "== smoke =="
 python scripts/smoke.py

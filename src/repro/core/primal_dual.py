@@ -23,21 +23,27 @@ Preprocessing opens every facility payable at level ``γ/m²`` for free
 :mod:`repro.core.primal_dual_sparse`. A dense instance runs as its full
 CSR (:meth:`~repro.metrics.sparse.SparseFacilityLocationInstance
 .from_instance`); its solution is reported on the dense instance, with
-``extra["H"]`` a dense boolean matrix. Each level touches only the
-frontier edges that pay at it — ``d < (1+ε)t`` between a closed
-facility and an unfrozen client — so per-level work follows the paying
-edges rather than the ``|F_closed| · |C_unfrozen|`` frontier. Payment
-sums run in a fixed flat order, so seeded solutions are deterministic
-and identical across backends; the test suite checks them field for
-field against a dense reference implementation kept under ``tests/``.
+``extra["H"]`` a dense boolean matrix. Only the frontier edges that
+pay — ``d < (1+ε)t`` between a closed facility and an unfrozen client —
+cost work, and only at the levels where a facility opens or a client
+freezes: the body finds each such level from the paying set and the
+nearest open distances and skips the levels before it, which still
+count in ``rounds["pd_iterations"]``. A solve costs its events plus one
+merge of the skipped levels' edges per event, rather than a pass over
+the paying set at every level. Payment sums run in a fixed flat order,
+so seeded solutions are deterministic, identical across backends and
+identical to running every level; the test suite checks them field for
+field against a dense reference and a level-by-level CSR reference,
+both kept under ``tests/``.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.core.primal_dual_sparse import _parallel_primal_dual_sparse
+from repro.core.primal_dual_sparse import MAX_SCHEDULE_LEVELS, _parallel_primal_dual_sparse
 from repro.core.result import FacilityLocationSolution
+from repro.errors import InvalidParameterError
 from repro.metrics.instance import FacilityLocationInstance
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
@@ -75,6 +81,17 @@ def parallel_primal_dual(
         ``3·log_{1+ε}(m) + 8`` when preprocessing is on, and a spread-
         dependent bound otherwise.
 
+    Raises
+    ------
+    InvalidParameterError
+        ``epsilon`` is so small that the threshold schedule — the levels
+        until a threshold passes the largest frontier distance and the
+        duals' ceiling, cut at the iteration cap — would exceed
+        :data:`~repro.core.primal_dual_sparse.MAX_SCHEDULE_LEVELS`
+        levels. Raised before anything per level is allocated.
+    ConvergenceError
+        The solve needs more than ``max_iterations`` levels.
+
     Returns
     -------
     FacilityLocationSolution
@@ -91,6 +108,28 @@ def parallel_primal_dual(
         else SparseFacilityLocationInstance.from_instance(instance)
     )
     return _parallel_primal_dual_sparse(sparse, eps, machine, preprocess, iter_cap, instance)
+
+
+def check_schedule(epsilon: float, m: int) -> float:
+    """Refuse an ``epsilon`` too small for any §5 solve on ``m``
+    candidate edges; returns the validated ``epsilon``.
+
+    A schedule climbs from its first threshold ``(1+ε)γ/m²`` past the
+    duals' ceiling ``γ``, so it lists at least ``2·log_{1+ε} m`` levels;
+    past :data:`~repro.core.primal_dual_sparse.MAX_SCHEDULE_LEVELS` the
+    solve itself raises, so a caller can refuse the ``epsilon`` before
+    solving.
+    """
+    eps = check_epsilon(epsilon)
+    m = max(int(m), 2)
+    levels = 2.0 * math.log(m) / math.log1p(eps)
+    if levels > MAX_SCHEDULE_LEVELS:
+        raise InvalidParameterError(
+            f"epsilon={eps!r} needs a primal–dual schedule of at least "
+            f"{levels:.0f} levels on m={m} edges, over the limit of "
+            f"{MAX_SCHEDULE_LEVELS}; use a larger epsilon"
+        )
+    return eps
 
 
 def _iteration_cap(instance, eps: float, max_iterations: int | None) -> int:

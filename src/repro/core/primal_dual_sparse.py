@@ -11,30 +11,50 @@ every client freezable and the objective well-defined on truncated
 instances. On dense-representable instances (``fallback ≡ +inf``) the
 virtual facility is unreachable.
 
-**Only paying edges cost work.** At level ``ℓ`` a frontier edge
-``(i, j)`` (facility closed, client unfrozen) pays
-``max(0, (1+ε)t_ℓ − d)``, which is an exact ``+0.0`` unless
-``d < (1+ε)t_ℓ``. Once per solve the frontier edges are counting-sorted
-by the level at which they start paying, against thresholds computed
-with the loop's own float expressions. Each level then
+**Only events cost work.** At level ``ℓ`` a frontier edge ``(i, j)``
+(facility closed, client unfrozen) pays ``max(0, c_ℓ − d)`` with
+``c_ℓ = (1+ε)t_ℓ``, an exact ``+0.0`` unless ``d < c_ℓ``. Once per
+solve the thresholds ``c_ℓ`` are listed with the loop's own float
+expressions and the frontier edges are counting-sorted by the level at
+which they start paying. The *paying set* — the frontier edges with
+``d < c_ℓ``, kept in CSR flat order — and the per-epoch gathers (``f``,
+``paid_frozen`` and ``dmin_open`` over the frontier) change only when a
+facility opens or a client freezes. Between two such events (an
+*epoch*) a level only lets its bucket's edges start paying, so each
+epoch starts by finding its first eventful level ``ℓ*``:
 
-* merges the newly reached bucket into the *paying set* — the frontier
-  edges with ``d < (1+ε)t``, kept in CSR flat order — and marks the
-  bucket's edges into older tentative facilities as ``H`` edges (a
-  tentative row gains exactly the edges its level newly reaches);
-* sums each closed facility's payments over the paying set with one
+* the freeze level is exact: the first threshold with
+  ``c_ℓ(1+10⁻¹²) ≥ min dmin_open`` over the unfrozen clients;
+* the opening level is monotone. Each term ``max(0, c_ℓ − d)·w`` is
+  nondecreasing in ``c_ℓ`` under IEEE rounding, a fixed-order float sum
+  of nondecreasing terms is nondecreasing, and an edge that does not
+  pay yet adds an exact ``+0.0``; so while the thresholds ascend
+  (checked, not assumed), "some facility opens at ``ℓ``" holds from one
+  level on. Per-facility ``Σw`` and ``Σw·d`` over the paying set and the
+  arriving buckets — scanned in windows bounded by edge count, since
+  edges per level grow geometrically — estimate that level; one exact
+  flat-order sum at ``ℓ*−1`` confirms it, and a gallop and bisection
+  over exact sums correct it where rounding moved it.
+
+The levels before ``ℓ*`` still count in ``pd_iterations`` and cost
+nothing else: their buckets join the paying set in one merge, and
+their edges into tentative facilities become ``H`` edges (a tentative
+row gains exactly the edges its level newly reaches). ``ℓ*`` runs the
+level body:
+
+* sum each closed facility's payments over the paying set with one
   sequential flat-order ``scatter_add``;
-* freezes clients against ``dmin_open``, the maintained nearest-open
+* freeze clients against ``dmin_open``, the maintained nearest-open
   distance (seeded with the fallback column);
-* folds the payments of clients frozen at this level into
+* fold the payments of clients frozen at this level into
   ``paid_frozen``, per facility in ascending client order.
 
-The per-level gathers — ``f``, ``paid_frozen`` and ``dmin_open`` over
-the frontier — are cached until a facility opens or a client freezes.
-A level costs its paying set plus ``O(|F_closed| + |C_unfrozen|)``; a
-facility's full candidate row is read once, when it opens. Every
+A solve thus costs its events plus one bucket merge per skipped range;
+a facility's full candidate row is read once, when it opens. Every
 dropped term is an exact ``+0.0`` and every sum keeps its order, so the
-result is bit-identical to summing over the whole frontier.
+result is bit-identical to running the body at every level. Where pow
+rounding breaks the thresholds' ascent (ε below about 10⁻¹⁵) no level
+is skipped.
 
 ``H`` lives as a boolean mask over the instance's edge set (a
 facility's H-row is a subset of its candidate segment); the §3
@@ -45,18 +65,38 @@ postprocessing runs through
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.dominator_sparse import max_u_dominator_set_sparse
 from repro.core.greedy_sparse import _sparse_gamma
 from repro.core.result import FacilityLocationSolution
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, InvalidParameterError
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine
 from repro.util.csr import group_by_key
 
 _REL_TOL = 1.0 + 1e-12
+
+#: The most levels a solve's threshold schedule may list. A longer
+#: schedule (ε too small for the instance) is refused before anything
+#: per level is allocated.
+MAX_SCHEDULE_LEVELS = 2**20
+
+#: The fewest bucket edges the opening estimate scans at once.
+_MIN_WINDOW = 1024
+
+
+class _Schedule(NamedTuple):
+    """A solve's thresholds and the frontier edges bucketed by level."""
+
+    c: np.ndarray  # c[ℓ-1] = (1+ε)t_ℓ, the level body's own float expression
+    reach: np.ndarray  # c·(1+10⁻¹²): the freeze test's left-hand side
+    ascending: bool  # c nondecreasing, so levels may be skipped
+    bucket_ptr: np.ndarray  # level ℓ's edges: bucket[bucket_ptr[ℓ-1]:bucket_ptr[ℓ]]
+    bucket: np.ndarray
+    busy: np.ndarray  # busy[ℓ]: the levels ≤ ℓ whose bucket has edges
 
 
 def _parallel_primal_dual_sparse(
@@ -138,9 +178,16 @@ def _parallel_primal_dual_sparse(
             machine.take_rows(frozen, indices),
         )
     )
-    bucket_ptr, bucket = _paying_buckets(
-        machine, data, machine.pack(np.arange(instance.nnz), frontier), base, eps, iter_cap
-    )
+    edges = machine.pack(np.arange(instance.nnz), frontier)
+    d_edges = machine.take_rows(data, edges)
+    # The schedule runs until its threshold passes every frontier
+    # distance and the duals' ceiling γ/min(1, w_min): by then each
+    # client's cheapest facility is paid for, so every client is frozen.
+    w_floor = 1.0 if w is None else min(1.0, float(w.min()))
+    horizon = max(float(d_edges.max()) if d_edges.size else -np.inf, gamma / w_floor)
+    # No level runs once every client is frozen.
+    levels = _schedule(base, eps, horizon, 0 if frozen.all() else iter_cap, m)
+    sched = _paying_buckets(machine, d_edges, edges, levels, eps)
 
     iterations = 0
     loc = np.zeros(nf, dtype=np.intp)  # closed facility -> its frontier row
@@ -149,17 +196,38 @@ def _parallel_primal_dual_sparse(
     pay = {"pos": np.zeros(0, dtype=np.intp), "d": np.zeros(0), "loc": np.zeros(0, dtype=np.intp)}
     if w is not None:
         pay["w"] = np.zeros(0)
+
+    def arrive(a: int, b: int):
+        """Edges that start paying at levels ``a..b`` with an unfrozen
+        client, by level: those into closed facilities with their
+        paying-set columns and level, and the flat positions and levels
+        of those into tentative facilities — their new H edges."""
+        ptr = sched.bucket_ptr
+        hi = min(b, ptr.size - 1)
+        if a > hi or ptr[hi] == ptr[a - 1]:
+            none = np.zeros(0, dtype=np.intp)
+            return {key: col[:0] for key, col in pay.items()} | {"level": none}, none, none
+        new = sched.bucket[ptr[a - 1] : ptr[hi]]
+        level = np.repeat(np.arange(a, hi + 1), np.diff(ptr[a - 1 : hi + 1]))
+        cols = machine.take_rows(indices, new)
+        new_rows = machine.take_rows(rows, new)
+        live = ~machine.take_rows(frozen, cols)
+        to_tent = machine.take_rows(tent_open, new_rows)
+        keep = live & ~to_tent
+        pos = machine.pack(new, keep)
+        added = {
+            "pos": pos,
+            "d": machine.take_rows(data, pos),
+            "loc": machine.take_rows(loc, machine.pack(new_rows, keep)),
+            "level": machine.pack(level, keep),
+        }
+        if w is not None:
+            added["w"] = machine.take_rows(w, machine.pack(cols, keep))
+        h = live & to_tent
+        return added, machine.pack(new, h), machine.pack(level, h)
+
     moved = True
     while not frozen.all():
-        iterations += 1
-        machine.bump_round("pd_iterations")
-        if iterations > iter_cap:
-            raise ConvergenceError(
-                f"primal–dual exceeded {iter_cap} iterations (m={m}, eps={eps})"
-            )
-        t = base * (1.0 + eps) ** (iterations - 1) if base > 0 else 0.0
-        c = (1.0 + eps) * t
-
         if moved:
             # A facility opened or a client froze since the last level:
             # drop the paying edges that left the frontier and re-gather
@@ -182,27 +250,23 @@ def _parallel_primal_dual_sparse(
             dmin_unfro = machine.take_rows(dmin_open, unfro)
             moved = False
 
-        # Edges that start paying at this level: those into closed
-        # facilities join the paying set, those into older tentative
-        # ones are their new H edges.
-        if iterations < bucket_ptr.size and bucket_ptr[iterations] > bucket_ptr[iterations - 1]:
-            new = bucket[bucket_ptr[iterations - 1] : bucket_ptr[iterations]]
-            new = machine.pack(
-                new, ~machine.take_rows(frozen, machine.take_rows(indices, new))
-            )
-            new_rows = machine.take_rows(rows, new)
-            to_tent = machine.take_rows(tent_open, new_rows)
-            H_mask[new[to_tent]] = True
-            new, new_rows = new[~to_tent], new_rows[~to_tent]
-            if new.size:
-                added = {
-                    "pos": new,
-                    "d": machine.take_rows(data, new),
-                    "loc": machine.take_rows(loc, new_rows),
-                }
-                if w is not None:
-                    added["w"] = machine.take_rows(w, machine.take_rows(indices, new))
-                pay = _merge_sorted(machine, pay, added)
+        # Skip to the next level at which something can happen; the
+        # levels before it only let their buckets' edges start paying.
+        reach_on = free_open.any() or tent_open.any() or fallback_live
+        target, pay, h_new = _next_event(
+            machine, sched, iterations + 1, pay, paid_closed, f_closed,
+            dmin_unfro if reach_on else None, arrive,
+        )
+        H_mask[h_new] = True
+        while iterations < target:
+            iterations += 1
+            machine.bump_round("pd_iterations")
+            if iterations > iter_cap:
+                raise ConvergenceError(
+                    f"primal–dual exceeded {iter_cap} iterations (m={m}, eps={eps})"
+                )
+        t = base * (1.0 + eps) ** (iterations - 1) if base > 0 else 0.0
+        c = (1.0 + eps) * t
 
         # Step 1: raise unfrozen duals to the schedule level.
         alpha[unfro] = t
@@ -306,42 +370,267 @@ def _parallel_primal_dual_sparse(
     )
 
 
+def _schedule(base: float, eps: float, horizon: float, iter_cap: int, m: int) -> np.ndarray:
+    """The thresholds ``c_ℓ = (1+ε)·base·(1+ε)^(ℓ−1)``, ``ℓ = 1, 2, …``,
+    as the level body computes them: listed until one exceeds
+    ``horizon``, and cut at the iteration cap, past which the loop
+    raises.
+
+    A schedule longer than :data:`MAX_SCHEDULE_LEVELS` raises
+    :class:`~repro.errors.InvalidParameterError` before anything is
+    listed. Thresholds that never grow (``base`` underflowed to 0) never
+    pass ``horizon``: the schedule is then the iteration cap.
+    """
+    c1 = (1.0 + eps) * base
+    length = iter_cap
+    if 0.0 < c1 <= horizon:
+        span = (math.log(horizon) - math.log(c1)) / math.log1p(eps)
+        if math.isfinite(span):
+            length = min(iter_cap, math.floor(span) + 2)
+    elif c1 > horizon:
+        length = min(iter_cap, 1)
+    if length > MAX_SCHEDULE_LEVELS:
+        raise InvalidParameterError(
+            f"epsilon={eps!r} needs a primal–dual schedule of {length} levels "
+            f"on m={m} edges, over the limit of {MAX_SCHEDULE_LEVELS}; "
+            "use a larger epsilon"
+        )
+    levels: list[float] = []
+    while len(levels) < iter_cap and (not levels or 0.0 < levels[-1] <= horizon):
+        levels.append((1.0 + eps) * (base * (1.0 + eps) ** len(levels)))
+    return np.asarray(levels, dtype=float)
+
+
 def _paying_buckets(
     machine: PramMachine,
-    data: np.ndarray,
+    d: np.ndarray,
     edges: np.ndarray,
-    base: float,
+    levels: np.ndarray,
     eps: float,
-    iter_cap: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Counting-sort ``edges`` (flat positions, ascending) by the level
-    at which they start paying.
+) -> _Schedule:
+    """Counting-sort ``edges`` (flat positions, ascending; distances
+    ``d``) by the level at which they start paying.
 
     Edge ``e`` starts paying at the first level ``ℓ`` with
-    ``d_e < (1+ε)·t_ℓ``. Returns ``(bucket_ptr, bucket)``: level ``ℓ``'s
-    edges, ascending, are ``bucket[bucket_ptr[ℓ-1]:bucket_ptr[ℓ]]``.
-    The thresholds are the loop's own float expressions, listed until
-    one exceeds every edge's distance — sized by the data, and cut at
-    the iteration cap, past which the loop raises; edges never reached
-    are dropped.
+    ``d_e < c_ℓ``; edges the schedule never reaches (it was cut at the
+    iteration cap) are dropped.
     """
-    d = machine.take_rows(data, edges)
-    dmax = float(d.max()) if d.size else -np.inf
-    levels: list[float] = []
-    while len(levels) < iter_cap and (not levels or 0.0 < levels[-1] <= dmax):
-        levels.append((1.0 + eps) * (base * (1.0 + eps) ** len(levels)))
-    if not levels:  # a cap below 1: the loop raises before any level
-        return np.zeros(1, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if not levels.size:  # a cap below 1: the loop raises before any level
+        none = np.zeros(1, dtype=np.intp)
+        return _Schedule(levels, levels, True, none, none[:0], none)
     # pow is accurate to an ulp, so the thresholds ascend for every ε
     # whose schedule can finish; the running max makes "the first level
     # whose threshold exceeds d" exact regardless.
-    thresholds = np.maximum.accumulate(np.asarray(levels))
+    thresholds = np.maximum.accumulate(levels)
     key = machine.map(lambda dd: _levels_at_or_below(thresholds, dd, eps), d)
     reached = key < thresholds.size
     key = machine.pack(key, reached)
     bucket_ptr, order = group_by_key(key, thresholds.size)
     machine.ledger.charge_basic("counting_sort", max(key.size + thresholds.size, 1))
-    return bucket_ptr, machine.take_rows(machine.pack(edges, reached), order)
+    with np.errstate(over="ignore"):  # as the body's float product, inf past the range
+        reach = levels * _REL_TOL
+    return _Schedule(
+        c=levels,
+        reach=reach,
+        ascending=bool(np.all(levels[1:] >= levels[:-1])),
+        bucket_ptr=bucket_ptr,
+        bucket=machine.take_rows(machine.pack(edges, reached), order),
+        busy=np.concatenate(([0], np.cumsum(bucket_ptr[1:] > bucket_ptr[:-1]))),
+    )
+
+
+def _next_event(
+    machine: PramMachine,
+    sched: _Schedule,
+    lo: int,
+    pay: dict,
+    paid_closed: np.ndarray,
+    f_closed: np.ndarray,
+    dmin_unfro: np.ndarray | None,
+    arrive,
+) -> tuple[int, dict, np.ndarray]:
+    """The first level ``≥ lo`` at which the level body can open a
+    facility or freeze a client, with the paying set brought up to it.
+
+    ``dmin_unfro`` is the unfrozen clients' nearest open distance, or
+    ``None`` while nothing can freeze; ``arrive(a, b)`` lists the edges
+    that start paying at levels ``a..b``. Returns ``(level, pay, h)``:
+    ``pay`` has every bucket through ``level`` merged in, and ``h`` holds
+    the flat positions of those buckets' edges into tentative
+    facilities. The level is never later than the first event; it is
+    ``lo`` when the thresholds do not ascend, when no facility is closed
+    (the exhaustion rule fires), and past the listed schedule.
+    """
+    c = sched.c
+    top = lo
+    if sched.ascending and lo <= c.size and f_closed.size:
+        # A client freezes at the first level whose threshold, times
+        # (1+10⁻¹²), reaches its nearest open distance: exact.
+        dmin = np.inf if dmin_unfro is None else float(machine.reduce(dmin_unfro, "min"))
+        top = lo + int(np.searchsorted(sched.reach[lo - 1 :], dmin))
+        machine.ledger.charge_basic("schedule_search", (c.size - lo + 1).bit_length())
+    parts = []
+    level = scanned = lo
+    if top > lo:
+        # Openings before `top`: estimate window by window, in level
+        # order, until a window holds one.
+        n = f_closed.size
+        need = machine.map(lambda ff, p: ff / _REL_TOL - p, f_closed, paid_closed)
+        sw = _facility_sums(machine, pay, n, None)
+        swd = _facility_sums(machine, pay, n, pay["d"])
+        budget = max(pay["pos"].size, n, _MIN_WINDOW)
+        found = None
+        while scanned < top and found is None:
+            stop = _window_end(sched, scanned, top - 1, budget, n)
+            parts.append(arrive(scanned, stop))
+            found, sw, swd = _first_opening(machine, c, scanned, stop, need, sw, swd, parts[-1][0])
+            budget += parts[-1][0]["pos"].size
+            scanned = stop + 1
+        level = top if found is None else found
+    if level > lo:
+        # Confirm with the level body's own sums over the paying set
+        # plus every scanned edge (those not paying yet add an exact
+        # +0.0): nothing may open before `level`.
+        cand = _merge_sorted(
+            machine,
+            dict(pay, level=np.zeros(pay["pos"].size, dtype=np.intp)),
+            _flat_order(machine, [part[0] for part in parts]),
+        )
+
+        def opens(at: int) -> bool:
+            return _opens(machine, cand, c[at - 1], paid_closed, f_closed)
+
+        if opens(level - 1):
+            level = _first_true(opens, lo - 1, level - 1)
+        arrival = cand.pop("level")
+        if level < scanned:  # later scanned edges wait for their buckets
+            arrived = np.asarray(machine.map(lambda lv: lv <= level, arrival))
+            cand = {key: machine.pack(col, arrived) for key, col in cand.items()}
+        pay = cand
+    if level >= scanned:
+        parts.append(arrive(scanned, level))
+        if parts[-1][0]["pos"].size:
+            pay = _merge_sorted(machine, pay, _flat_order(machine, [parts[-1][0]]))
+    elif level == lo:
+        pay = _merge_sorted(machine, pay, _flat_order(machine, [_upto(parts[0][0], lo)]))
+    h = np.concatenate([part[1][part[2] <= level] for part in parts])
+    return level, pay, h
+
+
+def _window_end(sched: _Schedule, a: int, last: int, budget: int, n: int) -> int:
+    """The last level of the estimate window from ``a``: at most
+    ``budget`` bucket edges and ``4·budget // n`` levels with edges (so
+    its per-level facility grid holds at most about ``4·budget``
+    cells), at least one level, at most ``last``."""
+    ptr, busy = sched.bucket_ptr, sched.busy
+    by_edges = np.searchsorted(ptr, ptr[a - 1] + budget, side="right") - 1
+    by_levels = np.searchsorted(busy, busy[a - 1] + max(1, 4 * budget // n), side="right") - 1
+    return int(min(max(min(by_edges, by_levels), a), last))
+
+
+def _first_true(pred, low: int, high: int) -> int:
+    """The smallest ``ℓ`` in ``(low, high]`` with ``pred(ℓ)``, for a
+    predicate monotone in ``ℓ`` that holds at ``high``: gallop down from
+    ``high``, then bisect."""
+    step = 1
+    while high - step > low:
+        if not pred(high - step):
+            low = high - step
+            break
+        high -= step
+        step *= 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if pred(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def _opens(
+    machine: PramMachine, edges: dict, c: float, paid_closed: np.ndarray, f_closed: np.ndarray
+) -> bool:
+    """Whether the level body at threshold ``c`` opens a facility: its
+    own payment sums, over ``edges`` in flat order."""
+    live = machine.masked_axpy(-1.0, edges["d"], c, clamp_min=0.0)
+    if "w" in edges:
+        live = machine.map(lambda lv, ww: lv * ww, live, edges["w"])
+    paid = machine.map(
+        lambda fr, lv: fr + lv,
+        paid_closed,
+        machine.scatter_add(np.asarray(live), edges["loc"], f_closed.size),
+    )
+    return bool(np.any(machine.map(lambda p, ff: p * _REL_TOL >= ff, paid, f_closed)))
+
+
+def _first_opening(
+    machine: PramMachine,
+    c: np.ndarray,
+    a: int,
+    b: int,
+    need: np.ndarray,
+    sw: np.ndarray,
+    swd: np.ndarray,
+    added: dict,
+) -> tuple[int | None, np.ndarray, np.ndarray]:
+    """Estimated first level in ``a..b`` at which a closed facility
+    opens (``None`` if none), and the per-facility ``Σw``, ``Σw·d`` once
+    the window's edges (``added``, by level) have arrived.
+
+    In exact arithmetic facility ``i`` pays ``c_ℓ·Σw − Σw·d`` over its
+    paying edges, so it opens at the first threshold
+    ``c_ℓ ≥ (need_i + Σw·d) / Σw``; ``need_i`` is its cost, divided by
+    ``1+10⁻¹²``, less its frozen clients' payments. The sums start at
+    ``sw``/``swd`` and change only at the window's levels with edges;
+    between two such levels the first facility to open is the one with
+    the smallest such bound.
+    """
+    n = need.size
+    level = added["level"]
+    first = np.ones(level.size, dtype=bool)
+    first[1:] = level[1:] != level[:-1]
+    levels = level[first]  # the window's levels with edges, ascending
+    cell = (np.cumsum(first) - 1) * n + added["loc"]
+    size = levels.size * n
+    wt = added.get("w")
+    wd = added["d"] if wt is None else added["d"] * wt
+    grid_w = np.bincount(cell, weights=wt, minlength=size).reshape(levels.size, n)
+    grid_wd = np.bincount(cell, weights=wd, minlength=size).reshape(levels.size, n)
+    W = np.vstack((sw, sw + np.cumsum(grid_w, axis=0)))
+    WD = np.vstack((swd, swd + np.cumsum(grid_wd, axis=0)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.where(W > 0, (need + WD) / W, np.where(need <= 0, -np.inf, np.inf))
+    start = np.concatenate(([a], levels))
+    stop = np.concatenate((levels - 1, [b]))
+    at = np.maximum(start, np.searchsorted(c, bound.min(axis=1)) + 1)
+    machine.ledger.charge_basic("opening_estimate", 2 * level.size + 6 * W.size)
+    hit = np.flatnonzero(at <= stop)
+    return (int(at[hit[0]]) if hit.size else None), W[-1], WD[-1]
+
+
+def _facility_sums(machine: PramMachine, edges: dict, n: int, x) -> np.ndarray:
+    """Per closed facility, ``Σw·x`` over ``edges`` (``Σw`` for
+    ``x=None``) — estimate inputs, in any summation order."""
+    wt = edges.get("w")
+    if x is not None:
+        wt = x if wt is None else x * wt
+    machine.ledger.charge_basic("scatter_add", edges["loc"].size + n)
+    return np.bincount(edges["loc"], weights=wt, minlength=n).astype(float)
+
+
+def _upto(edges: dict, level: int) -> dict:
+    """The edges (by level) that start paying at ``level`` or before."""
+    k = int(np.searchsorted(edges["level"], level, side="right"))
+    return {key: col[:k] for key, col in edges.items()}
+
+
+def _flat_order(machine: PramMachine, parts: list) -> dict:
+    """The edge sets ``parts`` as one, in flat order."""
+    pos = np.concatenate([part["pos"] for part in parts])
+    order = np.argsort(pos)
+    machine.ledger.charge_sort("flat_order", max(order.size, 1), max(order.size, 2))
+    return {key: np.concatenate([part[key] for part in parts])[order] for key in parts[0]}
 
 
 def _levels_at_or_below(thresholds: np.ndarray, d: np.ndarray, eps: float) -> np.ndarray:
@@ -369,12 +658,16 @@ def _fold_sums(
     """Per-facility sums of ``terms`` (edge ``k`` in row ``rows[k]``,
     column ``cols[k]``), each facility adding its terms in ascending
     client order — the order of a client-major pass, whatever order a
-    row stores its columns in."""
-    order = np.lexsort((cols, rows))
-    machine.ledger.charge_sort("fold_order", order.size, order.size)
-    return machine.scatter_add(
-        machine.take_rows(terms, order), machine.take_rows(rows, order), nf
-    )
+    row stores its columns in. Terms already in that order (every row
+    stores ascending columns) are summed as they come."""
+    ahead = rows[1:] > rows[:-1]
+    in_order = bool(np.all(ahead | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))))
+    machine.ledger.charge_basic("fold_order", max(rows.size, 1))
+    if not in_order:
+        order = np.lexsort((cols, rows))
+        machine.ledger.charge_sort("fold_order", order.size, order.size)
+        terms, rows = machine.take_rows(terms, order), machine.take_rows(rows, order)
+    return machine.scatter_add(terms, rows, nf)
 
 
 def _merge_sorted(machine: PramMachine, pay: dict, added: dict) -> dict:

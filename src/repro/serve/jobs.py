@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.primal_dual import check_schedule
 from repro.errors import InvalidParameterError
 from repro.faults.plan import FaultPlan
 from repro.faults.supervisor import RetryPolicy
@@ -104,7 +105,10 @@ def normalize_params(
     numbers — never truncated or coerced from text — and each value must
     pass the check its solver would run, so a bad request is refused at
     submit rather than failing as a job. ``n`` (the instance's point
-    count) adds ``1 <= k <= n``.
+    count) adds ``1 <= k <= n`` and, for ``kmedian_lagrangian``, refuses
+    an ``epsilon`` whose primal–dual schedule on the largest instance
+    the request can build is too long
+    (:func:`~repro.core.primal_dual.check_schedule`).
     """
     merged = dict(_PARAM_DEFAULTS)
     if defaults:
@@ -147,6 +151,11 @@ def normalize_params(
     check_nonnegative(params["fallback_slack"], name="fallback_slack")
     if n is not None:
         check_k(params["k"], n)
+        if params["solver"] == "kmedian_lagrangian":
+            # Each probe runs the §5 primal–dual on the merged kNN
+            # instance: at most n points, each with at most n and (the
+            # graph is symmetrized) on average 2·neighbors candidates.
+            check_schedule(params["epsilon"], n * min(n, 2 * params["neighbors"]))
     return params
 
 

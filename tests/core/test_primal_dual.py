@@ -1,5 +1,10 @@
 """§5 parallel primal–dual: Claim 5.1, Eq. (5), iterations, structure."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,15 +14,17 @@ from hypothesis.extra.numpy import arrays
 from repro.analysis.rounds import round_envelopes
 from repro.baselines.brute_force import brute_force_facility_location
 from repro.bench.reporting import summarize_rounds
-from repro.core.primal_dual import parallel_primal_dual
+from repro.core.primal_dual import check_schedule, parallel_primal_dual
+from repro.core.primal_dual_sparse import MAX_SCHEDULE_LEVELS
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.lp.duality import check_dual_feasible
 from repro.lp.solve import lp_lower_bound
-from repro.metrics.generators import euclidean_instance
+from repro.metrics.generators import euclidean_instance, knn_instance
 from repro.metrics.instance import FacilityLocationInstance
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine
 from tests.reference.primal_dual_dense import primal_dual_dense
+from tests.reference.primal_dual_levels import primal_dual_levels
 
 FIXTURES = ["tiny_fl", "small_fl", "clustered_fl", "nongeometric_fl", "star_fl", "two_scale_fl"]
 
@@ -103,6 +110,77 @@ class TestIterations:
         trace = summarize_rounds(m.ledger.round_log, "pd_iterations", m.ledger.work)
         assert trace["rounds"] >= 3
         assert trace["work_median"] < inst.m / 10
+
+
+class TestEventSkipping:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: euclidean_instance(60, 240, seed=2), lambda: knn_instance(200, 2000, k=8, seed=3)],
+        ids=["dense", "knn"],
+    )
+    def test_eventless_levels_cost_nothing(self, build):
+        """Only the levels where a facility opens or a client freezes
+        charge work, and every level still counts. Running the level
+        body at every level charged all of them (175 of 175 and 196 of
+        196 levels here)."""
+        inst = build()
+        m = PramMachine(seed=5)
+        sol = parallel_primal_dual(inst, epsilon=0.1, machine=m)
+        marks = [mark.work for mark in m.ledger.round_log if mark.label == "pd_iterations"]
+        work = np.diff(np.asarray(marks + [m.ledger.work]))
+        every = primal_dual_levels(inst, epsilon=0.1, machine=PramMachine(seed=5))
+        assert sol.rounds["pd_iterations"] == every.rounds["pd_iterations"] == len(marks)
+        assert np.count_nonzero(work) < len(marks) / 10
+
+
+_ROOT = Path(__file__).resolve().parents[2]
+
+#: A child that solves the 5×5 instance at the given ε under a 1.5 GB
+#: address-space cap and prints what it was refused with.
+_CAPPED_SOLVE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+import repro
+from repro.errors import InvalidParameterError
+try:
+    repro.parallel_primal_dual(repro.euclidean_instance(5, 5, seed=0), epsilon=float(sys.argv[1]))
+except InvalidParameterError as exc:
+    print("refused:", exc)
+"""
+
+
+class TestScheduleGuard:
+    @pytest.mark.parametrize("eps", [1e-7, 1e-9])
+    def test_tiny_epsilon_refused_before_any_level(self, eps):
+        """The iteration caps here are ~9.7e7 and ~9.7e9 levels; listing
+        the thresholds ran 17.7 s into a MemoryError at ε = 1e-7. The
+        solve runs in a child with capped memory and time, so a
+        regressed guard fails this test rather than the test runner."""
+        env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+        done = subprocess.run(
+            [sys.executable, "-c", _CAPPED_SOLVE, repr(eps)],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("refused: epsilon="), done.stdout
+
+    def test_small_iteration_cap_still_raises_convergence_error(self):
+        """An explicit cap bounds the schedule, so the solve runs and
+        stops at the cap as before."""
+        with pytest.raises(ConvergenceError, match="exceeded 5 iterations"):
+            parallel_primal_dual(euclidean_instance(5, 5, seed=0), epsilon=1e-7, max_iterations=5)
+
+    def test_check_schedule_refuses_what_a_solve_would(self):
+        assert check_schedule(0.1, 25_600) == 0.1
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            check_schedule(1e-9, 25_600)
+        # Refused at submit means refused by the solve on that many edges.
+        inst = euclidean_instance(5, 5, seed=0)
+        eps = float(np.log(inst.m)) / MAX_SCHEDULE_LEVELS  # a floor of ~2x the limit
+        with pytest.raises(InvalidParameterError):
+            check_schedule(eps, inst.m)
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            parallel_primal_dual(inst, epsilon=eps)
 
 
 class TestStructure:

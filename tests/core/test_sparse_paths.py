@@ -4,17 +4,24 @@ handling, O(nnz) work scaling, and entry-point plumbing."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro import PramMachine
 from repro.baselines.brute_force import brute_force_facility_location
+from repro.core import primal_dual_sparse as pds
 from repro.core.greedy import parallel_greedy
 from repro.core.primal_dual import parallel_primal_dual
+from repro.errors import ConvergenceError
 from repro.metrics.generators import euclidean_instance, knn_instance
+from repro.metrics.instance import FacilityLocationInstance
 from repro.metrics.sparse import (
     SparseFacilityLocationInstance,
     knn_sparsify,
     threshold_sparsify,
 )
+from tests.reference.primal_dual_levels import primal_dual_levels
 
 
 @pytest.fixture
@@ -171,3 +178,147 @@ class TestEntryPoints:
         assert "gamma" in sol.extra and np.isfinite(sol.extra["gamma"])
         H = sol.extra["H"]
         assert H.shape == (12, 50)
+
+
+@st.composite
+def truncated_instances(draw):
+    """Inputs only a CSR body takes: a small L1 integer-grid instance
+    (exact ties everywhere), weighted or not, truncated by kNN or by
+    threshold — a finite fallback column, so clients can freeze from
+    level 1 — with every row's entries stored in a drawn order."""
+    nf, nc = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    coords = st.integers(0, draw(st.integers(0, 5)))
+    fac = draw(arrays(np.int64, (nf, 2), elements=coords))
+    cli = draw(arrays(np.int64, (nc, 2), elements=coords))
+    D = np.abs(fac[:, None, :] - cli[None, :, :]).sum(axis=2).astype(float)
+    f = draw(arrays(np.int64, nf, elements=st.integers(0, 8))).astype(float)
+    weights = draw(
+        st.none() | arrays(float, nc, elements=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]))
+    )
+    dense = FacilityLocationInstance(D, f, client_weights=weights)
+    if draw(st.booleans()):
+        inst = knn_sparsify(
+            dense, draw(st.integers(1, nf)), fallback_slack=draw(st.sampled_from([0.0, 0.5, 1.0]))
+        )
+    else:
+        inst = threshold_sparsify(dense, draw(st.sampled_from([0.1, 0.5, 2.0])))
+    perm = np.concatenate([
+        lo + np.asarray(draw(st.permutations(range(hi - lo))), dtype=np.intp)
+        for lo, hi in zip(inst.indptr[:-1], inst.indptr[1:])
+    ])
+    return SparseFacilityLocationInstance(
+        inst.indptr, inst.indices[perm], inst.data[perm], inst.f,
+        n_clients=nc, fallback=inst.fallback, client_weights=weights,
+    )
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except ConvergenceError as exc:
+        return exc
+
+
+class TestMatchesLevelByLevelReference:
+    """The shipped body, which runs only the levels where something can
+    happen, against the loop under ``tests/reference`` that runs every
+    level — on truncated instances, rows out of column order and small
+    iteration caps, which the dense reference cannot express."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        inst=truncated_instances(),
+        eps=st.sampled_from([0.1, 0.7]),
+        preprocess=st.booleans(),
+        cap=st.none() | st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+    )
+    def test_field_for_field(self, inst, eps, preprocess, cap, seed):
+        kw = dict(epsilon=eps, preprocess=preprocess, max_iterations=cap)
+        ref = _outcome(lambda: primal_dual_levels(inst, machine=PramMachine(seed=seed), **kw))
+        got = _outcome(lambda: parallel_primal_dual(inst, machine=PramMachine(seed=seed), **kw))
+        if isinstance(ref, ConvergenceError):
+            assert isinstance(got, ConvergenceError) and str(got) == str(ref)
+            return
+        assert np.array_equal(got.opened, ref.opened)
+        assert got.cost == ref.cost
+        assert got.alpha.tobytes() == ref.alpha.tobytes()
+        assert (got.extra["H"] != ref.extra["H"]).nnz == 0
+        for key in ("F0", "F_T", "I"):
+            assert np.array_equal(got.extra[key], ref.extra[key])
+        assert got.extra["gamma"] == ref.extra["gamma"]
+        assert got.rounds == ref.rounds
+
+
+def _weighted(inst):
+    return FacilityLocationInstance(
+        inst.D, inst.f, client_weights=np.linspace(0.3, 3.0, inst.n_clients)
+    )
+
+
+def _skewed(shift):
+    """An opening estimate ``shift`` levels off (clamped to its window),
+    or one that never finds an opening (``shift=None``)."""
+    real = pds._first_opening
+
+    def estimate(machine, c, a, b, need, sw, swd, added):
+        found, sw, swd = real(machine, c, a, b, need, sw, swd, added)
+        if found is None or shift is None:
+            return None, sw, swd
+        return min(max(found + shift, a), b), sw, swd
+
+    return estimate
+
+
+@pytest.mark.parametrize("shift", [1, 7, -1, None], ids=["late", "late-7", "early", "none"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: euclidean_instance(12, 40, seed=4),
+        lambda: knn_sparsify(euclidean_instance(12, 40, seed=5), 4),
+        lambda: threshold_sparsify(_weighted(euclidean_instance(10, 30, seed=6)), 0.5),
+        lambda: knn_instance(30, 200, k=6, seed=7),
+    ],
+    ids=["dense", "knn", "threshold-weighted", "knn-instance"],
+)
+def test_a_wrong_opening_estimate_changes_nothing(monkeypatch, build, shift):
+    """The estimate only says where to look: the exact sums at the
+    level before it, and a gallop and bisection when something opens
+    there, make the skip exact whatever it says. An early estimate runs
+    a level at which nothing happens; a late or missing one is walked
+    back to the first opening."""
+    inst = build()
+    ref = primal_dual_levels(inst, epsilon=0.1, machine=PramMachine(seed=2))
+    monkeypatch.setattr(pds, "_first_opening", _skewed(shift))
+    got = parallel_primal_dual(inst, epsilon=0.1, machine=PramMachine(seed=2))
+    assert np.array_equal(got.opened, ref.opened)
+    assert got.alpha.tobytes() == ref.alpha.tobytes()
+    H, H_ref = got.extra["H"], ref.extra["H"]
+    assert np.array_equal(H, H_ref) if isinstance(H, np.ndarray) else (H != H_ref).nnz == 0
+    for key in ("F0", "F_T", "I"):
+        assert np.array_equal(got.extra[key], ref.extra[key])
+    assert got.rounds == ref.rounds
+
+
+@pytest.mark.parametrize("preprocess", [True, False])
+@pytest.mark.parametrize("seed", range(12))
+def test_distances_on_the_thresholds(seed, preprocess):
+    """ε = 1 with power-of-two data puts distances exactly on the
+    thresholds: γ = 16 and m = 32 give c_ℓ = 2^ℓ / 64. An edge with
+    d = c_ℓ pays nothing at ℓ and starts paying at ℓ + 1."""
+    rng = np.random.default_rng(seed)
+    D = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0], size=(4, 8))
+    D[:, 0] = 16.0  # client 0's cheapest service is f_0 + 16 = γ
+    f = rng.choice([0.0, 1.0, 2.0, 4.0, 8.0], size=4)
+    f[0] = 0.0
+    inst = FacilityLocationInstance(D, f)
+    kw = dict(epsilon=1.0, preprocess=preprocess)
+    ref = primal_dual_levels(inst, machine=PramMachine(seed=seed), **kw)
+    got = parallel_primal_dual(inst, machine=PramMachine(seed=seed), **kw)
+    assert got.extra["gamma"] == 16.0
+    assert np.array_equal(got.opened, ref.opened)
+    assert got.alpha.tobytes() == ref.alpha.tobytes()
+    assert np.array_equal(got.extra["H"], ref.extra["H"])
+    for key in ("F0", "F_T", "I"):
+        assert np.array_equal(got.extra[key], ref.extra[key])
+    assert got.rounds == ref.rounds

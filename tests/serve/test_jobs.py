@@ -92,6 +92,16 @@ class TestNormalizeParams:
         kcenter = normalize_params({"k": 3, "solver": "kcenter", "epsilon": 0})
         assert kcenter["epsilon"] == 0.0
 
+    def test_lagrangian_epsilon_refused_when_its_schedule_is_too_long(self):
+        """The Lagrangian runs the §5 primal–dual per probe; an ε whose
+        threshold schedule the solve would refuse is a 400 at submit."""
+        body = {"k": 5, "solver": "kmedian_lagrangian", "epsilon": 1e-9}
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            normalize_params(body, n=400)
+        assert normalize_params({**body, "epsilon": 1e-3}, n=400)["epsilon"] == 1e-3
+        # local search runs no primal–dual
+        assert normalize_params({**body, "solver": "kmedian"}, n=400)["epsilon"] == 1e-9
+
     def test_k_checked_against_n(self):
         assert normalize_params({"k": 60}, n=60)["k"] == 60
         with pytest.raises(InvalidParameterError, match=r"k must be in \[1, 60\]"):

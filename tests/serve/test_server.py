@@ -223,10 +223,11 @@ class TestStrictSolveSchema:
         "params",
         [{"k": 2.5}, {"k": True}, {"k": 2, "seed": 1.7}, {"k": 2, "shards": 2.9},
          {"k": 61}, {"k": 2, "epsilon": -1}, {"k": 2, "coreset_size": 0},
-         {"k": 2, "fallback_slack": -1.0}, {"k": "2"}, {"k": 2, "seed": -3}],
+         {"k": 2, "fallback_slack": -1.0}, {"k": "2"}, {"k": 2, "seed": -3},
+         {"k": 2, "solver": "kmedian_lagrangian", "epsilon": 1e-9}],
         ids=["k-fraction", "k-bool", "seed-fraction", "shards-fraction",
              "k-over-n", "epsilon-negative", "coreset-zero", "slack-negative",
-             "k-text", "seed-negative"],
+             "k-text", "seed-negative", "lagrangian-schedule-too-long"],
     )
     def test_rejected_at_submit(self, served, sixty, params):
         jobs_before = served.health()["jobs"]["total"]
