@@ -41,9 +41,8 @@ from __future__ import annotations
 
 import math
 
-from repro.core.primal_dual_sparse import MAX_SCHEDULE_LEVELS, _parallel_primal_dual_sparse
+from repro.core.primal_dual_sparse import _parallel_primal_dual_sparse, schedule_length
 from repro.core.result import FacilityLocationSolution
-from repro.errors import InvalidParameterError
 from repro.metrics.instance import FacilityLocationInstance
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
@@ -115,20 +114,15 @@ def check_schedule(epsilon: float, m: int) -> float:
     candidate edges; returns the validated ``epsilon``.
 
     A schedule climbs from its first threshold ``(1+ε)γ/m²`` past the
-    duals' ceiling ``γ``, so it lists at least ``2·log_{1+ε} m`` levels;
-    past :data:`~repro.core.primal_dual_sparse.MAX_SCHEDULE_LEVELS` the
-    solve itself raises, so a caller can refuse the ``epsilon`` before
-    solving.
+    duals' ceiling ``γ``: about ``2·log_{1+ε} m`` levels whatever ``γ``
+    is, fewer than the default iteration cap. Where
+    :func:`~repro.core.primal_dual_sparse.schedule_length` refuses that
+    climb, every solve on ``m`` edges raises too, so a caller can refuse
+    the ``epsilon`` before solving.
     """
     eps = check_epsilon(epsilon)
     m = max(int(m), 2)
-    levels = 2.0 * math.log(m) / math.log1p(eps)
-    if levels > MAX_SCHEDULE_LEVELS:
-        raise InvalidParameterError(
-            f"epsilon={eps!r} needs a primal–dual schedule of at least "
-            f"{levels:.0f} levels on m={m} edges, over the limit of "
-            f"{MAX_SCHEDULE_LEVELS}; use a larger epsilon"
-        )
+    schedule_length(eps, (1.0 + eps) / (m * m), 1.0, m)
     return eps
 
 

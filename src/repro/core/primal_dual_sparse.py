@@ -75,7 +75,7 @@ from repro.core.result import FacilityLocationSolution
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine
-from repro.util.csr import group_by_key
+from repro.util.csr import group_by_key, rows_strictly_ascending
 
 _REL_TOL = 1.0 + 1e-12
 
@@ -125,6 +125,10 @@ def _parallel_primal_dual_sparse(
 
     start = machine.snapshot()
     gamma = _sparse_gamma(machine, instance)
+    # Folds add each facility's terms in client order; flat order is
+    # that order unless some row stores its columns out of order.
+    sort_folds = not rows_strictly_ascending(indptr, indices)
+    machine.ledger.charge_basic("fold_order", max(instance.nnz, 1))
     base = gamma / (m * m) if gamma > 0 else 0.0
 
     alpha = np.zeros(nc, dtype=float)
@@ -338,6 +342,7 @@ def _parallel_primal_dual_sparse(
                         machine.pack(machine.take_rows(rows, pay["pos"]), done),
                         machine.pack(cols, done),
                         nf,
+                        sort_folds,
                     ),
                 )
             )
@@ -370,18 +375,18 @@ def _parallel_primal_dual_sparse(
     )
 
 
-def _schedule(base: float, eps: float, horizon: float, iter_cap: int, m: int) -> np.ndarray:
-    """The thresholds ``c_ℓ = (1+ε)·base·(1+ε)^(ℓ−1)``, ``ℓ = 1, 2, …``,
-    as the level body computes them: listed until one exceeds
-    ``horizon``, and cut at the iteration cap, past which the loop
-    raises.
+def schedule_length(
+    eps: float, c1: float, horizon: float, m: int, iter_cap: float = math.inf
+) -> float:
+    """The levels of the schedule ``c_ℓ = c1·(1+ε)^(ℓ−1)`` through the
+    first threshold above ``horizon``, cut at ``iter_cap``; sized with
+    logs, so without listing a threshold.
 
-    A schedule longer than :data:`MAX_SCHEDULE_LEVELS` raises
-    :class:`~repro.errors.InvalidParameterError` before anything is
-    listed. Thresholds that never grow (``base`` underflowed to 0) never
-    pass ``horizon``: the schedule is then the iteration cap.
+    Raises :class:`~repro.errors.InvalidParameterError` naming
+    ``epsilon`` when that exceeds :data:`MAX_SCHEDULE_LEVELS`.
+    Thresholds that never grow (``c1`` underflowed to 0) never pass
+    ``horizon``: the schedule is then the iteration cap.
     """
-    c1 = (1.0 + eps) * base
     length = iter_cap
     if 0.0 < c1 <= horizon:
         span = (math.log(horizon) - math.log(c1)) / math.log1p(eps)
@@ -395,6 +400,17 @@ def _schedule(base: float, eps: float, horizon: float, iter_cap: int, m: int) ->
             f"on m={m} edges, over the limit of {MAX_SCHEDULE_LEVELS}; "
             "use a larger epsilon"
         )
+    return length
+
+
+def _schedule(base: float, eps: float, horizon: float, iter_cap: int, m: int) -> np.ndarray:
+    """The thresholds ``c_ℓ = (1+ε)·base·(1+ε)^(ℓ−1)``, ``ℓ = 1, 2, …``,
+    as the level body computes them: listed until one exceeds
+    ``horizon``, and cut at the iteration cap, past which the loop
+    raises. Too long a schedule is refused before anything is listed
+    (:func:`schedule_length`).
+    """
+    schedule_length(eps, (1.0 + eps) * base, horizon, m, iter_cap)
     levels: list[float] = []
     while len(levels) < iter_cap and (not levels or 0.0 < levels[-1] <= horizon):
         levels.append((1.0 + eps) * (base * (1.0 + eps) ** len(levels)))
@@ -507,12 +523,12 @@ def _next_event(
             arrived = np.asarray(machine.map(lambda lv: lv <= level, arrival))
             cand = {key: machine.pack(col, arrived) for key, col in cand.items()}
         pay = cand
+    elif level < scanned:  # the estimate found an opening at `lo` itself
+        pay = _merge_sorted(machine, pay, _flat_order(machine, [_upto(parts[0][0], lo)]))
     if level >= scanned:
         parts.append(arrive(scanned, level))
         if parts[-1][0]["pos"].size:
             pay = _merge_sorted(machine, pay, _flat_order(machine, [parts[-1][0]]))
-    elif level == lo:
-        pay = _merge_sorted(machine, pay, _flat_order(machine, [_upto(parts[0][0], lo)]))
     h = np.concatenate([part[1][part[2] <= level] for part in parts])
     return level, pay, h
 
@@ -653,17 +669,19 @@ def _levels_at_or_below(thresholds: np.ndarray, d: np.ndarray, eps: float) -> np
 
 
 def _fold_sums(
-    machine: PramMachine, terms: np.ndarray, rows: np.ndarray, cols: np.ndarray, nf: int
+    machine: PramMachine,
+    terms: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    nf: int,
+    sort: bool,
 ) -> np.ndarray:
     """Per-facility sums of ``terms`` (edge ``k`` in row ``rows[k]``,
     column ``cols[k]``), each facility adding its terms in ascending
-    client order — the order of a client-major pass, whatever order a
-    row stores its columns in. Terms already in that order (every row
-    stores ascending columns) are summed as they come."""
-    ahead = rows[1:] > rows[:-1]
-    in_order = bool(np.all(ahead | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))))
-    machine.ledger.charge_basic("fold_order", max(rows.size, 1))
-    if not in_order:
+    client order — the order of a client-major pass. Terms in flat order
+    come that way when every row stores ascending columns; ``sort`` says
+    some row does not, and they are sorted first."""
+    if sort:
         order = np.lexsort((cols, rows))
         machine.ledger.charge_sort("fold_order", order.size, order.size)
         terms, rows = machine.take_rows(terms, order), machine.take_rows(rows, order)

@@ -136,7 +136,7 @@ class TestRowOrder:
         from repro.core.primal_dual_sparse import _fold_sums
 
         terms = np.array([1e-16, 1e-16, 1.0])
-        got = _fold_sums(PramMachine(), terms, np.zeros(3, np.intp), np.array([2, 1, 0]), 1)
+        got = _fold_sums(PramMachine(), terms, np.zeros(3, np.intp), np.array([2, 1, 0]), 1, True)
         assert got[0] == (1.0 + 1e-16) + 1e-16 != (1e-16 + 1e-16) + 1.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -181,11 +181,9 @@ class TestEntryPoints:
 
 
 @st.composite
-def truncated_instances(draw):
-    """Inputs only a CSR body takes: a small L1 integer-grid instance
-    (exact ties everywhere), weighted or not, truncated by kNN or by
-    threshold — a finite fallback column, so clients can freeze from
-    level 1 — with every row's entries stored in a drawn order."""
+def grid_instances(draw):
+    """A small L1 integer-grid instance (exact ties everywhere),
+    weighted or not."""
     nf, nc = draw(st.integers(1, 6)), draw(st.integers(1, 12))
     coords = st.integers(0, draw(st.integers(0, 5)))
     fac = draw(arrays(np.int64, (nf, 2), elements=coords))
@@ -195,7 +193,17 @@ def truncated_instances(draw):
     weights = draw(
         st.none() | arrays(float, nc, elements=st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]))
     )
-    dense = FacilityLocationInstance(D, f, client_weights=weights)
+    return FacilityLocationInstance(D, f, client_weights=weights)
+
+
+@st.composite
+def truncated_instances(draw):
+    """Inputs only a CSR body takes: a grid instance truncated by kNN or
+    by threshold — a finite fallback column, so clients can freeze from
+    level 1 — with every row's entries stored in a drawn order."""
+    dense = draw(grid_instances())
+    nf, nc = dense.n_facilities, dense.n_clients
+    weights = None if dense.has_unit_weights else dense.client_weights
     if draw(st.booleans()):
         inst = knn_sparsify(
             dense, draw(st.integers(1, nf)), fallback_slack=draw(st.sampled_from([0.0, 0.5, 1.0]))
@@ -219,6 +227,19 @@ def _outcome(solve):
         return exc
 
 
+def _assert_matches(got, ref):
+    """Field for field: opened set, cost, α bytes, H, F0/F_T/I, γ, rounds."""
+    assert np.array_equal(got.opened, ref.opened)
+    assert got.cost == ref.cost
+    assert got.alpha.tobytes() == ref.alpha.tobytes()
+    H, H_ref = got.extra["H"], ref.extra["H"]
+    assert np.array_equal(H, H_ref) if isinstance(H, np.ndarray) else (H != H_ref).nnz == 0
+    for key in ("F0", "F_T", "I"):
+        assert np.array_equal(got.extra[key], ref.extra[key])
+    assert got.extra["gamma"] == ref.extra["gamma"]
+    assert got.rounds == ref.rounds
+
+
 class TestMatchesLevelByLevelReference:
     """The shipped body, which runs only the levels where something can
     happen, against the loop under ``tests/reference`` that runs every
@@ -240,14 +261,25 @@ class TestMatchesLevelByLevelReference:
         if isinstance(ref, ConvergenceError):
             assert isinstance(got, ConvergenceError) and str(got) == str(ref)
             return
-        assert np.array_equal(got.opened, ref.opened)
-        assert got.cost == ref.cost
-        assert got.alpha.tobytes() == ref.alpha.tobytes()
-        assert (got.extra["H"] != ref.extra["H"]).nnz == 0
-        for key in ("F0", "F_T", "I"):
-            assert np.array_equal(got.extra[key], ref.extra[key])
-        assert got.extra["gamma"] == ref.extra["gamma"]
-        assert got.rounds == ref.rounds
+        _assert_matches(got, ref)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        inst=grid_instances() | truncated_instances(),
+        eps=st.sampled_from([0.1, 0.7]),
+        preprocess=st.booleans(),
+        shift=st.sampled_from([1, 7, -1, None]),
+    )
+    def test_whatever_the_opening_estimate_says(self, inst, eps, preprocess, shift):
+        """A late, early or missing estimate moves no answer: the exact
+        sums walk it back to the first opening, or the body runs a level
+        at which nothing happens."""
+        kw = dict(epsilon=eps, preprocess=preprocess)
+        ref = primal_dual_levels(inst, machine=PramMachine(seed=0), **kw)
+        with pytest.MonkeyPatch.context() as mp:
+            _skew(mp, shift)
+            got = parallel_primal_dual(inst, machine=PramMachine(seed=0), **kw)
+        _assert_matches(got, ref)
 
 
 def _weighted(inst):
@@ -256,18 +288,39 @@ def _weighted(inst):
     )
 
 
-def _skewed(shift):
-    """An opening estimate ``shift`` levels off (clamped to its window),
-    or one that never finds an opening (``shift=None``)."""
-    real = pds._first_opening
+def _opens_on_level_one():
+    """γ = 20.5 and m = 6 put c_1 = 1.1·20.5/36 ≈ 0.626 above f_0 = 0.6
+    and above the distance 0.5 from clients 1 and 2 to facility 1
+    (f_1 = 20), and preprocessing pays only γ/m² ≈ 0.569. So facility 0
+    opens at level 1, the first epoch's first level, whose bucket also
+    starts facility 1's edges paying: a late or missing estimate is
+    walked back to a level whose bucket the candidate set already
+    holds."""
+    return FacilityLocationInstance(
+        np.array([[0.0, 50.0, 50.0], [50.0, 0.5, 0.5]]), np.array([0.6, 20.0])
+    )
+
+
+def _skew(mp, shift):
+    """Patch in an opening estimate ``shift`` levels off (clamped to its
+    window), or one that never finds an opening (``shift=None``), and
+    check after every search that the paying set holds each edge once,
+    in flat order."""
+    real_estimate, real_search = pds._first_opening, pds._next_event
 
     def estimate(machine, c, a, b, need, sw, swd, added):
-        found, sw, swd = real(machine, c, a, b, need, sw, swd, added)
+        found, sw, swd = real_estimate(machine, c, a, b, need, sw, swd, added)
         if found is None or shift is None:
             return None, sw, swd
         return min(max(found + shift, a), b), sw, swd
 
-    return estimate
+    def search(*args):
+        level, pay, h = real_search(*args)
+        assert np.all(np.diff(pay["pos"]) > 0)
+        return level, pay, h
+
+    mp.setattr(pds, "_first_opening", estimate)
+    mp.setattr(pds, "_next_event", search)
 
 
 @pytest.mark.parametrize("shift", [1, 7, -1, None], ids=["late", "late-7", "early", "none"])
@@ -278,26 +331,22 @@ def _skewed(shift):
         lambda: knn_sparsify(euclidean_instance(12, 40, seed=5), 4),
         lambda: threshold_sparsify(_weighted(euclidean_instance(10, 30, seed=6)), 0.5),
         lambda: knn_instance(30, 200, k=6, seed=7),
+        _opens_on_level_one,
     ],
-    ids=["dense", "knn", "threshold-weighted", "knn-instance"],
+    ids=["dense", "knn", "threshold-weighted", "knn-instance", "opens-on-level-1"],
 )
 def test_a_wrong_opening_estimate_changes_nothing(monkeypatch, build, shift):
     """The estimate only says where to look: the exact sums at the
     level before it, and a gallop and bisection when something opens
     there, make the skip exact whatever it says. An early estimate runs
     a level at which nothing happens; a late or missing one is walked
-    back to the first opening."""
+    back to the first opening, and the levels it skips join the paying
+    set once."""
     inst = build()
     ref = primal_dual_levels(inst, epsilon=0.1, machine=PramMachine(seed=2))
-    monkeypatch.setattr(pds, "_first_opening", _skewed(shift))
+    _skew(monkeypatch, shift)
     got = parallel_primal_dual(inst, epsilon=0.1, machine=PramMachine(seed=2))
-    assert np.array_equal(got.opened, ref.opened)
-    assert got.alpha.tobytes() == ref.alpha.tobytes()
-    H, H_ref = got.extra["H"], ref.extra["H"]
-    assert np.array_equal(H, H_ref) if isinstance(H, np.ndarray) else (H != H_ref).nnz == 0
-    for key in ("F0", "F_T", "I"):
-        assert np.array_equal(got.extra[key], ref.extra[key])
-    assert got.rounds == ref.rounds
+    _assert_matches(got, ref)
 
 
 @pytest.mark.parametrize("preprocess", [True, False])
@@ -316,9 +365,4 @@ def test_distances_on_the_thresholds(seed, preprocess):
     ref = primal_dual_levels(inst, machine=PramMachine(seed=seed), **kw)
     got = parallel_primal_dual(inst, machine=PramMachine(seed=seed), **kw)
     assert got.extra["gamma"] == 16.0
-    assert np.array_equal(got.opened, ref.opened)
-    assert got.alpha.tobytes() == ref.alpha.tobytes()
-    assert np.array_equal(got.extra["H"], ref.extra["H"])
-    for key in ("F0", "F_T", "I"):
-        assert np.array_equal(got.extra[key], ref.extra[key])
-    assert got.rounds == ref.rounds
+    _assert_matches(got, ref)
