@@ -6,16 +6,26 @@ is that improvement: the same in-place Luby select step, but every
 neighborhood reduction runs over a CSR adjacency in ``O(nnz)`` work
 instead of ``O(n²)``.
 
-The kernel is segmented minimum over the CSR row structure
-(``np.minimum.reduceat``), i.e., a prefix-sum-style basic operation in
-the §2 sense — charged as work ``|E|``, depth ``log n``.
+The kernels are segmented reductions over the CSR row structure
+(``reduceat`` over gathered segments) and scatters along the stored
+edges, i.e., prefix-sum-style basic operations in the §2 sense —
+charged as work ``|E|`` per pass.
 
-**Frontier compaction.** The first round, with every node a
-candidate, is one plain pass over the whole CSR structure. Every later
-round only touches the candidate rows and their one-hop halo (the relay
-nodes): the segmented reductions run over those rows' CSR segments, so
-per-round work is ``O(n + nnz(frontier rows))`` instead of
-``O(nnz)`` — the sparse counterpart of the candidate-strip rounds in
+**Two layers.** :func:`max_dominator_set_sparse`, the public entry,
+validates its input (square, symmetric; stored zeros and the diagonal
+dropped; rows sorted) and then runs :func:`_max_dominator_rounds`. That
+internal body trusts its caller and re-checks nothing, so a caller
+holding an already validated graph — the §6.1 k-center probes, which cut
+each threshold graph from a validated instance — calls it directly.
+
+**Frontier compaction.** The first round, with every node a candidate,
+passes over the whole CSR structure without a gather. Every later round
+touches only the candidate rows' segments (built once per round) and
+the newly selected rows' segments: by symmetry, the one-hop relay of
+the candidates' priorities is a scatter along the candidates' own
+edges, and the nodes next to a selection are its rows' columns. Per-
+round work is ``O(n + nnz(candidate rows))`` instead of ``O(nnz)`` —
+the sparse counterpart of the candidate-strip rounds in
 :mod:`repro.core.dominator`, with identical selections.
 """
 
@@ -49,75 +59,102 @@ def _to_csr(adjacency) -> sparse.csr_matrix:
     return A
 
 
-def _segmented_min(machine: PramMachine, A: sparse.csr_matrix, values: np.ndarray) -> np.ndarray:
-    """``out[i] = min_{j ∈ Γ(i)} values[j]`` in O(nnz) work (+inf on
-    isolated rows)."""
-    n = A.shape[0]
-    nnz = A.indptr[-1]
-    if nnz == 0:
-        return np.full(n, np.inf)
-    gathered = np.append(values[A.indices], np.inf)
-    starts = np.minimum(A.indptr[:-1], nnz)
-    out = np.minimum.reduceat(gathered, starts)
-    out[np.diff(A.indptr) == 0] = np.inf
-    machine.ledger.charge_basic("sparse_segmented_min", int(nnz))
+def _segments(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """The CSR segments of ``rows``: their column ids concatenated, each
+    segment's start in that concatenation, and its length — the
+    frontier-rows gather, ``O(|rows| + nnz(rows))``."""
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    seg = np.cumsum(lens) - lens
+    idx = np.arange(int(lens.sum())) + np.repeat(starts - seg, lens)
+    return indices[idx], seg, lens
+
+
+def _reduce_segments(ufunc, values, cols, seg, lens, fill):
+    """``out[r]`` = the ``ufunc`` reduction of ``values[cols]`` over
+    segment ``r``, and ``fill`` (the operator's identity) on an empty
+    one: one gather and one ``reduceat``.
+
+    The gather keeps one trailing ``fill`` slot so that ``reduceat`` can
+    start a segment at ``len(cols)`` (an empty last segment); the slot
+    only ever joins the last segment's reduction, where the identity
+    changes nothing."""
+    gathered = np.empty(cols.size + 1, dtype=values.dtype)
+    np.take(values, cols, out=gathered[:-1], mode="clip")
+    gathered[-1] = fill
+    out = ufunc.reduceat(gathered, seg)
+    out[lens == 0] = fill
     return out
 
 
-def _neighbor_any(machine: PramMachine, A: sparse.csr_matrix, mask: np.ndarray) -> np.ndarray:
-    """``out[i] = any(mask[Γ(i)])`` via a sparse matvec, O(nnz) work.
+def _max_dominator_rounds(
+    machine: PramMachine, indptr: np.ndarray, indices: np.ndarray, limit: int
+) -> np.ndarray:
+    """The ``MaxDom`` rounds over a CSR adjacency the caller vouches for:
+    square, symmetric, ``n ≥ 1`` rows. Nothing here re-checks that:
+    :func:`max_dominator_set_sparse` validates its input first, and
+    :mod:`repro.core.kcenter_sparse` hands over threshold graphs cut
+    from an already validated instance.
 
-    scipy accumulates a bool-CSR product in the vector's dtype, so the
-    count must be ``intp``: an ``int8`` sum wraps at 128 hits and would
-    read a node with 128–255 (mod 256) masked neighbours as "not hit".
+    Stored diagonal entries change no selection: a self-loop relays a
+    candidate's own priority, which its neighbours relay back anyway (an
+    isolated candidate then meets its own priority and is still
+    selected), and marks a selected node as hit, which leaves the
+    candidates as they would be.
+
+    A round touches only the candidate rows' segments, built once per
+    round (while every node is a candidate they are the whole structure,
+    used without a gather), and the selected rows' segments. Symmetry
+    turns each one-hop relay into a pass over those segments: a node's
+    minimum candidate-neighbour priority is a scatter-min of every
+    candidate's priority onto its neighbours, and the nodes next to a
+    selected one are the selected rows' columns.
     """
-    out = (A @ mask.astype(np.intp)) > 0
-    machine.ledger.charge_basic("sparse_neighbor_any", max(int(A.indptr[-1]), 1))
-    return out
-
-
-def _row_segments(A: sparse.csr_matrix, rows: np.ndarray):
-    """CSR column indices of the given ``rows``, concatenated, plus the
-    per-row lengths and segment starts (the frontier-rows gather)."""
-    starts = A.indptr[rows]
-    lens = A.indptr[rows + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
-        return None, lens, None
-    seg = np.concatenate(([0], np.cumsum(lens)[:-1]))
-    idx = np.arange(total) + np.repeat(starts - seg, lens)
-    return A.indices[idx], lens, seg
-
-
-def _segmented_min_rows(
-    machine: PramMachine, A: sparse.csr_matrix, values: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """``out[r] = min_{j ∈ Γ(rows[r])} values[j]`` touching only the
-    frontier rows' segments — ``O(nnz(rows))`` work."""
-    cols, lens, seg = _row_segments(A, rows)
-    if cols is None:
-        machine.ledger.charge_basic("sparse_segmented_min", max(rows.size, 1))
-        return np.full(rows.size, np.inf)
-    gathered = np.append(values[cols], np.inf)
-    out = np.minimum.reduceat(gathered, seg)
-    out[lens == 0] = np.inf
-    machine.ledger.charge_basic("sparse_segmented_min", int(cols.size))
-    return out
-
-
-def _neighbor_any_rows(
-    machine: PramMachine, A: sparse.csr_matrix, mask: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """``out[r] = any(mask[Γ(rows[r])])`` over the frontier rows only."""
-    cols, lens, seg = _row_segments(A, rows)
-    if cols is None:
-        machine.ledger.charge_basic("sparse_neighbor_any", max(rows.size, 1))
-        return np.zeros(rows.size, dtype=bool)
-    gathered = np.append(mask[cols], False)
-    out = np.logical_or.reduceat(gathered, seg)
-    out[lens == 0] = False
-    machine.ledger.charge_basic("sparse_neighbor_any", int(cols.size))
-    return out
+    n = indptr.size - 1
+    all_lens = np.diff(indptr)
+    candidate = np.ones(n, dtype=bool)
+    selected = np.zeros(n, dtype=bool)
+    for _ in range(limit):
+        if not candidate.any():
+            return selected
+        machine.bump_round("maxdom_sparse")
+        # Priorities are a permutation of 0..n-1, so n stands for "no
+        # candidate" in every minimum below.
+        pi = machine.random_priorities(n)
+        cand = np.flatnonzero(candidate)
+        if cand.size == n:
+            cols, seg, lens = indices, indptr[:-1], all_lens
+        else:
+            cols, seg, lens = _segments(indptr, indices, cand)
+        pi_c = pi[cand]
+        # relay[j] = the smallest candidate priority at j or next to j
+        # (a scatter-min of each candidate's priority onto its
+        # neighbours); hop2[c] = the smallest relay next to candidate c.
+        # Every neighbour relays, candidate or not (module docstring of
+        # repro.core.dominator).
+        relay = np.full(n, n)
+        np.minimum.at(relay, cols, np.repeat(pi_c, lens))
+        relay[cand] = np.minimum(relay[cand], pi_c)
+        hop2_c = _reduce_segments(np.minimum, relay, cols, seg, lens, n)
+        # A candidate is its closed two-hop neighbourhood's minimum
+        # exactly when nothing below its priority reached it (an
+        # isolated one sees n).
+        sel_c = pi_c <= hop2_c
+        sel_idx = cand[sel_c]
+        selected[sel_idx] = True
+        sel_cols = _segments(indptr, indices, sel_idx)[0]
+        hop1_hit = np.zeros(n, dtype=bool)
+        hop1_hit[sel_cols] = True
+        hop2_hit_c = _reduce_segments(np.logical_or, hop1_hit, cols, seg, lens, False)
+        candidate[cand] = ~(sel_c | hop1_hit[cand] | hop2_hit_c)
+        machine.ledger.charge_basic("scatter_min", max(cols.size + n, 1))
+        machine.ledger.charge_basic("sparse_segmented_min", max(cols.size, 1))
+        machine.ledger.charge_basic("scatter", max(sel_cols.size + n, 1), depth=1)
+        machine.ledger.charge_basic("sparse_neighbor_any", max(cols.size, 1))
+        machine.ledger.charge_basic("map", n, depth=1)
+    if candidate.any():
+        raise ConvergenceError(f"sparse MaxDom exceeded {limit} rounds (n={n})")
+    return selected
 
 
 def max_dominator_set_sparse(
@@ -130,6 +167,10 @@ def max_dominator_set_sparse(
     """Sparse ``MaxDom`` — identical semantics to
     :func:`repro.core.dominator.max_dominator_set`, ``O(|E| log |V|)``
     work.
+
+    The input is validated (square, symmetric; stored zeros and the
+    diagonal dropped, rows sorted) before the rounds run, so any
+    scipy.sparse or dense boolean adjacency is accepted.
 
     Parameters
     ----------
@@ -151,57 +192,7 @@ def max_dominator_set_sparse(
     if n == 0:
         return np.zeros(0, dtype=bool)
     limit = (n + 1) if max_rounds is None else int(max_rounds)
-
-    candidate = np.ones(n, dtype=bool)
-    selected = np.zeros(n, dtype=bool)
-    for _ in range(limit):
-        if not candidate.any():
-            return selected
-        machine.bump_round("maxdom_sparse")
-        pi = machine.random_priorities(n).astype(float)
-        if not candidate.all():
-            # Frontier round: candidate rows + their one-hop halo. The
-            # halo relays priorities/hits exactly like the full pass —
-            # any row outside it can neither select nor affect a
-            # candidate this round.
-            cand_idx = np.flatnonzero(candidate)
-            pim = np.where(candidate, pi, np.inf)
-            pim_c = pim[cand_idx]
-            cols_c, _, _ = _row_segments(A, cand_idx)
-            nbr_mask = np.zeros(n, dtype=bool)
-            if cols_c is not None:
-                nbr_mask[cols_c] = True
-            nbr_idx = np.flatnonzero(nbr_mask)
-            machine.ledger.charge_basic("map", n, depth=1)
-            hop1 = np.full(n, np.inf)
-            hop1[nbr_idx] = _segmented_min_rows(machine, A, pim, nbr_idx)
-            hop2_c = _segmented_min_rows(machine, A, np.minimum(pim, hop1), cand_idx)
-            sel_c = np.isfinite(pim_c) & (pim_c <= hop2_c)
-            sel_idx = cand_idx[sel_c]
-            selected[sel_idx] = True
-            sel_mask = np.zeros(n, dtype=bool)
-            sel_mask[sel_idx] = True
-            hit_idx = np.flatnonzero(nbr_mask | candidate)
-            hop1_hit = np.zeros(n, dtype=bool)
-            hop1_hit[hit_idx] = _neighbor_any_rows(machine, A, sel_mask, hit_idx)
-            hop2_hit_c = _neighbor_any_rows(machine, A, hop1_hit, cand_idx)
-            candidate[cand_idx] = ~(sel_c | hop1_hit[cand_idx] | hop2_hit_c)
-            machine.ledger.charge_basic("map", n, depth=1)
-            continue
-        pim = np.where(candidate, pi, np.inf)
-        machine.ledger.charge_basic("map", n, depth=1)
-        hop1 = _segmented_min(machine, A, pim)
-        hop2 = _segmented_min(machine, A, np.minimum(pim, hop1))
-        sel = candidate & np.isfinite(pim) & (pim <= hop2)
-        machine.ledger.charge_basic("map", n, depth=1)
-        selected |= sel
-        hop1_hit = _neighbor_any(machine, A, sel)
-        hop2_hit = _neighbor_any(machine, A, hop1_hit)
-        candidate &= ~(sel | hop1_hit | hop2_hit)
-        machine.ledger.charge_basic("map", n, depth=1)
-    if candidate.any():
-        raise ConvergenceError(f"sparse MaxDom exceeded {limit} rounds (n={n})")
-    return selected
+    return _max_dominator_rounds(machine, A.indptr, A.indices, limit)
 
 
 def max_u_dominator_set_sparse(

@@ -1,25 +1,34 @@
 """§6.1 — Parallel Hochbaum–Shmoys k-center (Theorem 6.1).
 
 Binary search over the ``p ≤ n²`` distinct pairwise distances; each
-probe builds the threshold graph ``H_t`` (edge ⇔ ``d ≤ t``) in one
-basic matrix operation and tests ``|MaxDom(H_t)| ≤ k`` with the §3
-dominator-set algorithm. The smallest passing threshold yields centers
-covering every node within two hops, i.e., radius ``≤ 2t ≤ 2·opt``.
+probe builds the threshold graph ``H_t`` (edge ⇔ ``d ≤ t``) and tests
+``|MaxDom(H_t)| ≤ k`` with the §3 dominator-set algorithm. The smallest
+passing threshold yields centers covering every node within two hops,
+i.e., radius ``≤ 2t ≤ 2·opt``.
 
 Correctness with a *randomized* probe inside binary search (noted in
 DESIGN.md): for any ``t ≥ opt`` **every** maximal dominator set has at
 most ``k`` nodes (two chosen nodes in one optimal cluster would be two
 hops apart through its center), so all failures lie strictly below
 ``opt``; the search therefore returns a threshold ``≤ opt`` no matter
-which maximal set each probe samples. Total work
-``O((n log n)²)`` — the improvement over Wang–Cheng's ``O(n³)``.
+which maximal set each probe samples. Total work ``O((n log n)²)`` —
+the improvement over Wang–Cheng's ``O(n³)``.
+
+**Execution.** One body runs every instance: the CSR search in
+:mod:`repro.core.kcenter_sparse`. A dense instance runs as its full CSR
+(:meth:`~repro.metrics.sparse.SparseClusteringInstance.from_instance`),
+and its cost is evaluated on the dense instance. A probe costs one pass
+over the stored edges of the smallest passing threshold's graph to cut
+``H_t``, then MaxDom rounds over ``H_t``'s edges only —
+``O(|E(H_t)|)`` work per round instead of the dense matrix's ``O(n²)``.
+``H_t`` is not re-validated per probe: it inherits symmetry and sorted
+rows from the instance, whose constructor checks them. Seeded solutions match the
+dense §6.1 search kept as the test suite's oracle, field for field.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.dominator import max_dominator_set
+from repro.core.kcenter_sparse import _parallel_kcenter_sparse
 from repro.core.result import ClusteringSolution
 from repro.metrics.instance import ClusteringInstance
 from repro.metrics.sparse import SparseClusteringInstance
@@ -39,20 +48,18 @@ def parallel_kcenter(
     -------
     ClusteringSolution
         ``centers`` (≤ k of them), the achieved bottleneck ``cost``,
-        round counters (``kcenter_probe`` per probe plus the dominator
-        rounds), and ``extra = {threshold, probes}``.
+        round counters (``kcenter_probe`` per probe plus the
+        ``maxdom_sparse`` dominator rounds), and ``extra = {threshold,
+        probes, n_thresholds}``.
 
     Notes
     -----
     ``instance`` may also be a
     :class:`~repro.metrics.sparse.SparseClusteringInstance`; the binary
     search then runs over the *stored* distinct distances and each
-    probe is a :func:`~repro.core.dominator_sparse.max_dominator_set_sparse`
-    over the threshold subgraph — ``O(nnz)`` work per probe round
-    (:mod:`repro.core.kcenter_sparse`), with byte-identical seeded
-    solutions on dense-representable instances. If the stored graph is
-    too sparse for ``k`` centers to cover it (e.g. a kNN truncation
-    with too few neighbors), the sparse path raises
+    probe's threshold graph keeps only stored pairs. If the stored graph
+    is too sparse for ``k`` centers to cover it (e.g. a kNN truncation
+    with too few neighbors), the search raises
     :class:`~repro.errors.InfeasibleSolutionError` instead of returning
     a silently-capped radius.
 
@@ -61,55 +68,9 @@ def parallel_kcenter(
     ``w_j`` co-located copies is the copy itself — so the search runs
     identically and the 2-approximation guarantee is unchanged.
     """
-    if isinstance(instance, SparseClusteringInstance):
-        from repro.core.kcenter_sparse import _parallel_kcenter_sparse
-
-        machine = ensure_machine(machine, backend=backend, seed=seed)
-        return _parallel_kcenter_sparse(instance, machine)
     machine = ensure_machine(machine, backend=backend, seed=seed)
-    D, k, n = instance.D, instance.k, instance.n
-    start = machine.snapshot()
-
-    # Candidate thresholds: the sorted distinct distances (§6.1 computes
-    # this sequence once up front, as a single sorted-unique primitive).
-    flat = machine.map(np.ravel, D)
-    thresholds = machine.sorted_unique(flat)
-
-    lo, hi = 0, thresholds.size - 1
-    probes = 0
-    best_mask: np.ndarray | None = None
-    best_t = float(thresholds[-1])
-
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        t = float(thresholds[mid])
-        probes += 1
-        machine.bump_round("kcenter_probe")
-        adjacency = machine.map(lambda d: d <= t, D)
-        np.fill_diagonal(adjacency, False)
-        dom = max_dominator_set(adjacency, machine)
-        if int(dom.sum()) <= k:
-            best_mask, best_t = dom, t
-            hi = mid - 1
-        else:
-            lo = mid + 1
-
-    if best_mask is None:
-        # The largest threshold makes the graph complete: any single node
-        # dominates, so some probe must pass; reaching here means the
-        # binary search never probed the top index — probe it directly.
-        t = float(thresholds[-1])
-        adjacency = machine.map(lambda d: d <= t, D)
-        np.fill_diagonal(adjacency, False)
-        best_mask, best_t = max_dominator_set(adjacency, machine), t
-        probes += 1
-
-    centers = np.flatnonzero(best_mask)
-    return ClusteringSolution(
-        centers=centers,
-        cost=instance.kcenter_cost(centers),
-        objective="kcenter",
-        rounds=dict(machine.ledger.rounds),
-        model_costs=machine.ledger.since(start),
-        extra={"threshold": best_t, "probes": probes, "n_thresholds": int(thresholds.size)},
+    if isinstance(instance, SparseClusteringInstance):
+        return _parallel_kcenter_sparse(instance, machine)
+    return _parallel_kcenter_sparse(
+        SparseClusteringInstance.from_instance(instance), machine, instance
     )

@@ -43,6 +43,7 @@ import math
 
 from repro.core.primal_dual_sparse import _parallel_primal_dual_sparse, schedule_length
 from repro.core.result import FacilityLocationSolution
+from repro.errors import InvalidParameterError
 from repro.metrics.instance import FacilityLocationInstance
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
@@ -128,11 +129,16 @@ def check_schedule(epsilon: float, m: int) -> float:
 
 def _iteration_cap(instance, eps: float, max_iterations: int | None) -> int:
     """``max_iterations``, or the analysis bound ``3·log_{1+ε}(m) + 8``
-    extended for client weights below 1."""
+    extended for client weights below 1.
+
+    Raises :class:`~repro.errors.InvalidParameterError` naming
+    ``epsilon`` when ``ε`` is so small (subnormal) that a bound's
+    ``log_{1+ε}`` overflows a float.
+    """
     if max_iterations is not None:
         return max_iterations
     m = max(instance.m, 2)
-    iter_cap = math.ceil(3.0 * math.log(m) / math.log1p(eps)) + 8
+    iter_cap = _levels(3.0 * math.log(m), eps) + 8
     if not instance.has_unit_weights:
         # Payments scale by w_j, so a client with weight w < 1 needs
         # its dual raised ~log_{1+ε}(1/w) levels further before its
@@ -141,5 +147,17 @@ def _iteration_cap(instance, eps: float, max_iterations: int | None) -> int:
         # ≥ 1 only open facilities sooner — no extension needed.
         w_min = float(instance.client_weights.min())
         if w_min < 1.0:
-            iter_cap += math.ceil(math.log(1.0 / w_min) / math.log1p(eps))
+            iter_cap += _levels(math.log(1.0 / w_min), eps)
     return iter_cap
+
+
+def _levels(log_span: float, eps: float) -> int:
+    """``⌈log_span / log(1+ε)⌉`` — the levels a factor ``e^log_span``
+    takes on the ``(1+ε)`` schedule."""
+    levels = log_span / math.log1p(eps)
+    if not math.isfinite(levels):
+        raise InvalidParameterError(
+            f"epsilon={eps!r} is too small: log_(1+epsilon) of the "
+            "primal–dual iteration bound overflows a float; use a larger epsilon"
+        )
+    return math.ceil(levels)

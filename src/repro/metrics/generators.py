@@ -357,7 +357,7 @@ def knn_instance(
     """
     from scipy.spatial import cKDTree
 
-    from repro.metrics.sparse import SparseFacilityLocationInstance
+    from repro.metrics.sparse import SparseFacilityLocationInstance, _freeze
     from repro.util.csr import csr_transpose
 
     check_positive_int(n_f, name="n_f")
@@ -390,13 +390,11 @@ def knn_instance(
     if not 0 <= lo <= hi:
         raise InvalidParameterError(f"cost_range must satisfy 0 <= lo <= hi, got {cost_range}")
     f = rng.uniform(lo, hi, size=n_f) * cost_scale
+    t_dist = dist.ravel()[entry]
+    fallback = (1.0 + slack) * dist[:, -1]
+    _freeze(t_indptr, t_clients, t_dist, f, fallback)
     return SparseFacilityLocationInstance(
-        t_indptr,
-        t_clients,
-        dist.ravel()[entry],
-        f,
-        n_clients=n_c,
-        fallback=(1.0 + slack) * dist[:, -1],
+        t_indptr, t_clients, t_dist, f, n_clients=n_c, fallback=fallback
     )
 
 
@@ -467,6 +465,7 @@ def knn_clustering_from_points(
 
     from repro.metrics.sparse import (
         SparseClusteringInstance,
+        _freeze,
         _symmetrized_clustering_csr,
     )
 
@@ -488,9 +487,10 @@ def knn_clustering_from_points(
     indptr, indices, data = _symmetrized_clustering_csr(
         n, rows, near.ravel(), dist.ravel()
     )
+    fallback = (1.0 + slack) * dist[:, -1]
+    _freeze(fallback)
     return SparseClusteringInstance(
-        indptr, indices, data, k, fallback=(1.0 + slack) * dist[:, -1],
-        weights=weights,
+        indptr, indices, data, k, fallback=fallback, weights=weights
     )
 
 

@@ -23,6 +23,26 @@ from repro.errors import InvalidInstanceError, InvalidParameterError
 from repro.metrics.space import MetricSpace
 
 
+def _owned_array(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only ``dtype`` array that no one else can write.
+
+    An input array is kept only when neither it nor any array it views
+    is writable — so a builder that marks its fresh arrays read-only
+    hands them over uncopied — and copied otherwise. A fresh conversion
+    (a list, another dtype) is already private.
+    """
+    out = np.asarray(arr, dtype=dtype)
+    if out is arr or out.base is not None:
+        view = out
+        while isinstance(view, np.ndarray):
+            if view.flags.writeable:
+                out = out.copy()
+                break
+            view = view.base
+    out.setflags(write=False)
+    return out
+
+
 def _check_weights(weights, n: int, *, name: str = "weights") -> tuple:
     """Validate a point/client weight vector.
 
@@ -36,14 +56,13 @@ def _check_weights(weights, n: int, *, name: str = "weights") -> tuple:
     """
     if weights is None:
         return None, True
-    weights = np.asarray(weights, dtype=float)
+    weights = _owned_array(weights, float)
     if weights.shape != (n,):
         raise InvalidInstanceError(f"{name} must have shape ({n},), got {weights.shape}")
     if not np.all(np.isfinite(weights)):
         raise InvalidInstanceError(f"{name} must be finite")
     if weights.size and weights.min() <= 0:
         raise InvalidInstanceError(f"{name} must be strictly positive")
-    weights.setflags(write=False)
     return weights, bool(np.all(weights == 1.0))
 
 

@@ -301,9 +301,17 @@ def _build_instance(data, path):
     ``NpzFile`` or the memmap-member dict)."""
     kind = str(data["kind"])
     _check_schema(data, kind, path)
+
+    def payload(name):
+        # Read-only from the start: the loader holds the only reference,
+        # so an instance keeps the array instead of copying it.
+        arr = data[name]
+        arr.setflags(write=False)
+        return arr
+
     base_kind = kind[: -len(_WEIGHTED_SUFFIX)] if kind in _WEIGHTED_KINDS else kind
-    weights = data["weights"] if "weights" in data else None
-    client_weights = data["client_weights"] if "client_weights" in data else None
+    weights = payload("weights") if "weights" in data else None
+    client_weights = payload("client_weights") if "client_weights" in data else None
     if base_kind == _KIND_FL:
         if "metric_D" in data:
             metric = MetricSpace(data["metric_D"], validate=False)
@@ -320,21 +328,21 @@ def _build_instance(data, path):
         )
     if base_kind == _KIND_SPARSE_FL:
         return SparseFacilityLocationInstance(
-            data["indptr"],
-            data["indices"],
-            data["data"],
-            data["f"],
+            payload("indptr"),
+            payload("indices"),
+            payload("data"),
+            payload("f"),
             n_clients=int(data["n_clients"]),
-            fallback=data["fallback"],
+            fallback=payload("fallback"),
             client_weights=client_weights,
         )
     if base_kind == _KIND_SPARSE_CLUSTER:
         return SparseClusteringInstance(
-            data["indptr"],
-            data["indices"],
-            data["data"],
+            payload("indptr"),
+            payload("indices"),
+            payload("data"),
             int(data["k"]),
-            fallback=data["fallback"],
+            fallback=payload("fallback"),
             weights=weights,
         )
     if base_kind == _KIND_CLUSTER:

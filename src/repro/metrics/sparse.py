@@ -36,6 +36,7 @@ from repro.metrics.instance import (
     FacilityLocationInstance,
     _as_open_indices,
     _check_weights,
+    _owned_array,
 )
 from repro.metrics.space import MetricSpace
 from repro.util.csr import csr_transpose, rows_are_uniform, validate_csr
@@ -67,6 +68,13 @@ class _CsrCandidateShape:
     def rows_flat(self) -> np.ndarray:
         """Row id per candidate entry (the CSR row expansion)."""
         return np.repeat(np.arange(self._indptr.size - 1), self.row_lengths)
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark freshly built arrays read-only, so that an instance built
+    from them keeps them instead of copying them."""
+    for arr in arrays:
+        arr.setflags(write=False)
 
 
 def _check_opening_costs(f, n_f: int) -> np.ndarray:
@@ -119,8 +127,11 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
         n_clients = int(n_clients)
         if n_clients <= 0:
             raise InvalidInstanceError(f"instance needs >= 1 client, got {n_clients}")
-        indptr, indices = validate_csr(indptr, indices, n_clients, name="sparse instance")
-        data = np.asarray(data, dtype=float)
+        indptr, indices = validate_csr(
+            _owned_array(indptr, np.intp), _owned_array(indices, np.intp), n_clients,
+            name="sparse instance",
+        )
+        data = _owned_array(data, float)
         n_f = indptr.size - 1
         if n_f == 0:
             raise InvalidInstanceError("instance needs >= 1 facility")
@@ -128,23 +139,22 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
             raise InvalidInstanceError(
                 f"data must have one value per index, got {data.shape} for nnz={indices.size}"
             )
-        f = _check_opening_costs(f, n_f)
+        f = _check_opening_costs(_owned_array(f, float), n_f)
         if not np.all(np.isfinite(data)):
             raise InvalidInstanceError("distances and costs must be finite")
         if data.size and data.min() < 0:
             raise InvalidInstanceError("distances and opening costs must be non-negative")
-        if fallback is None:
-            fallback = np.full(n_clients, np.inf)
-        else:
-            fallback = np.asarray(fallback, dtype=float)
-            if fallback.shape != (n_clients,):
-                raise InvalidInstanceError(
-                    f"fallback must have shape ({n_clients},), got {fallback.shape}"
-                )
-            if fallback.size and fallback.min() < 0:
-                raise InvalidInstanceError("fallback costs must be non-negative")
-            if np.any(np.isnan(fallback)):
-                raise InvalidInstanceError("fallback costs must not be NaN")
+        fallback = _owned_array(
+            np.full(n_clients, np.inf) if fallback is None else fallback, float
+        )
+        if fallback.shape != (n_clients,):
+            raise InvalidInstanceError(
+                f"fallback must have shape ({n_clients},), got {fallback.shape}"
+            )
+        if fallback.size and fallback.min() < 0:
+            raise InvalidInstanceError("fallback costs must be non-negative")
+        if np.any(np.isnan(fallback)):
+            raise InvalidInstanceError("fallback costs must not be NaN")
         covered = np.zeros(n_clients, dtype=bool)
         covered[indices] = True
         uncovered_inf = ~covered & ~np.isfinite(fallback)
@@ -162,8 +172,6 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
         self._client_weights, self._unit_weights = _check_weights(
             client_weights, n_clients, name="client_weights"
         )
-        for arr in (self._data, self._f, self._fallback):
-            arr.setflags(write=False)
         self._ct = None  # lazy client-major transpose
 
     def with_opening_costs(self, f) -> "SparseFacilityLocationInstance":
@@ -176,8 +184,7 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
         out = object.__new__(SparseFacilityLocationInstance)
         for name in self.__slots__:
             setattr(out, name, getattr(self, name))
-        out._f = _check_opening_costs(f, self.n_facilities)
-        out._f.setflags(write=False)
+        out._f = _check_opening_costs(_owned_array(f, float), self.n_facilities)
         return out
 
     # -- construction ------------------------------------------------------
@@ -191,6 +198,7 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
         n_f, n_c = D.shape
         indptr = np.arange(0, n_f * n_c + 1, n_c, dtype=np.intp)
         indices = np.tile(np.arange(n_c, dtype=np.intp), n_f)
+        _freeze(indptr, indices)
         return cls(
             indptr, indices, D.ravel(), f, n_clients=n_c, fallback=fallback,
             client_weights=client_weights,
@@ -427,14 +435,15 @@ class SparseClusteringInstance(_CsrCandidateShape):
     __slots__ = ("_indptr", "_indices", "_data", "_fallback", "_k", "_n", "_weights", "_unit_weights")
 
     def __init__(self, indptr, indices, data, k, *, fallback=None, weights=None):
-        indptr = np.asarray(indptr, dtype=np.intp)
+        indptr = _owned_array(indptr, np.intp)
         n = indptr.size - 1
         if n <= 0:
             raise InvalidInstanceError("instance needs >= 1 node")
         indptr, indices = validate_csr(
-            indptr, indices, n, name="sparse clustering instance", require_sorted=True
+            indptr, _owned_array(indices, np.intp), n,
+            name="sparse clustering instance", require_sorted=True,
         )
-        data = np.asarray(data, dtype=float)
+        data = _owned_array(data, float)
         if data.shape != (indices.size,):
             raise InvalidInstanceError(
                 f"data must have one value per index, got {data.shape} for nnz={indices.size}"
@@ -446,18 +455,15 @@ class SparseClusteringInstance(_CsrCandidateShape):
         k = int(k)
         if not 1 <= k <= n:
             raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
-        if fallback is None:
-            fallback = np.full(n, np.inf)
-        else:
-            fallback = np.asarray(fallback, dtype=float)
-            if fallback.shape != (n,):
-                raise InvalidInstanceError(
-                    f"fallback must have shape ({n},), got {fallback.shape}"
-                )
-            if np.any(np.isnan(fallback)):
-                raise InvalidInstanceError("fallback costs must not be NaN")
-            if fallback.size and fallback.min() < 0:
-                raise InvalidInstanceError("fallback costs must be non-negative")
+        fallback = _owned_array(np.full(n, np.inf) if fallback is None else fallback, float)
+        if fallback.shape != (n,):
+            raise InvalidInstanceError(
+                f"fallback must have shape ({n},), got {fallback.shape}"
+            )
+        if np.any(np.isnan(fallback)):
+            raise InvalidInstanceError("fallback costs must not be NaN")
+        if fallback.size and fallback.min() < 0:
+            raise InvalidInstanceError("fallback costs must be non-negative")
         rows = np.repeat(np.arange(n), np.diff(indptr))
         diag = indices == rows
         diag_count = np.bincount(rows[diag], minlength=n)
@@ -469,13 +475,21 @@ class SparseClusteringInstance(_CsrCandidateShape):
             )
         if np.any(data[diag] != 0.0):
             raise InvalidInstanceError("diagonal candidate distances must be 0")
-        # Symmetry of structure *and* values. The +1 shift keeps stored
-        # zeros (the diagonal) distinguishable from absent entries under
-        # scipy's sparse comparison.
-        from scipy import sparse as _sp
+        # Symmetry of structure *and* values. With all n pairs stored per
+        # (strictly ascending) row the structure is the full square, and
+        # the values must equal their transpose. Otherwise compare with
+        # scipy's transpose; the +1 shift keeps stored zeros (the
+        # diagonal) distinguishable from absent entries there.
+        uniform, width = rows_are_uniform(indptr)
+        if uniform and width == n:
+            square = data.reshape(n, n)
+            symmetric = np.array_equal(square, square.T)
+        else:
+            from scipy import sparse as _sp
 
-        M = _sp.csr_matrix((data + 1.0, indices.copy(), indptr.copy()), shape=(n, n))
-        if (M != M.T).nnz != 0:
+            M = _sp.csr_matrix((data + 1.0, indices.copy(), indptr.copy()), shape=(n, n))
+            symmetric = (M != M.T).nnz == 0
+        if not symmetric:
             raise InvalidInstanceError(
                 "candidate structure must be symmetric (same pairs and "
                 "distances from both ends)"
@@ -487,8 +501,6 @@ class SparseClusteringInstance(_CsrCandidateShape):
         self._k = k
         self._n = n
         self._weights, self._unit_weights = _check_weights(weights, n)
-        for arr in (self._data, self._fallback):
-            arr.setflags(write=False)
 
     # -- construction ------------------------------------------------------
 
@@ -501,6 +513,7 @@ class SparseClusteringInstance(_CsrCandidateShape):
         n = D.shape[0]
         indptr = np.arange(0, n * n + 1, n, dtype=np.intp)
         indices = np.tile(np.arange(n, dtype=np.intp), n)
+        _freeze(indptr, indices)
         return cls(indptr, indices, D.ravel(), k, fallback=fallback, weights=weights)
 
     @classmethod
@@ -670,7 +683,9 @@ def _symmetrized_clustering_csr(
     order = order[np.concatenate(([True], key[1:] != key[:-1]))]
     r, c, v = r[order], c[order], v[order]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n)))).astype(np.intp)
-    return indptr, c.astype(np.intp), v
+    c = c.astype(np.intp, copy=False)
+    _freeze(indptr, c, v)
+    return indptr, c, v
 
 
 def _knn_sparsify_clustering(
@@ -761,10 +776,12 @@ def knn_sparsify(
     # Transpose the client-major k-NN lists into facility-major CSR.
     c_indptr = np.arange(0, n_c * k + 1, k, dtype=np.intp)
     t_indptr, t_clients, entry = csr_transpose(c_indptr, near.T.ravel(), n_f)
+    t_dist = dist.T.ravel()[entry]
+    _freeze(t_indptr, t_clients, t_dist)
     return SparseFacilityLocationInstance(
         t_indptr,
         t_clients,
-        dist.T.ravel()[entry],
+        t_dist,
         instance.f,
         n_clients=n_c,
         fallback=(1.0 + slack) * radius,
@@ -803,9 +820,11 @@ def threshold_sparsify(
     keep = total <= (1.0 + eps) * gamma_j[None, :]
     counts = keep.sum(axis=1)
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
-    cols = np.broadcast_to(np.arange(instance.n_clients), D.shape)
+    cols = np.broadcast_to(np.arange(instance.n_clients), D.shape)[keep]
+    dist = D[keep]
+    _freeze(indptr, cols, dist)
     return SparseFacilityLocationInstance(
-        indptr, cols[keep], D[keep], instance.f, n_clients=instance.n_clients,
+        indptr, cols, dist, instance.f, n_clients=instance.n_clients,
         fallback=gamma_j.copy(),
         client_weights=None if instance.has_unit_weights else instance.client_weights,
     )

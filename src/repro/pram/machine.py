@@ -660,13 +660,20 @@ class PramMachine:
         replacement for the ``np.unique(machine.sort(v))`` pattern,
         which sorted twice at the wall clock while charging the ledger
         once. Charged: one sort of ``|v|`` plus one pack of ``|v|``.
+
+        The result has a stable sort's bytes. Booleans, integers and
+        floats sort with NumPy's default kind, several times faster on
+        floats: their equal values are byte-equal except ``±0.0`` and
+        NaNs, so the one kept zero is set to the input's first zero and
+        the NaN tail (every NaN is kept) to the input's NaNs in input
+        order. Other dtypes sort stably.
         """
         a = np.asarray(a)
         if a.ndim != 1:
             raise InvalidParameterError(
                 f"sorted_unique requires a vector, got ndim={a.ndim}"
             )
-        out = np.sort(a, kind="stable")
+        out = np.sort(a, kind=None if a.dtype.kind in "biuf" else "stable")
         self.ledger.charge_sort("sorted_unique", a.size, a.size)
         if out.size:
             keep = np.empty(out.size, dtype=bool)
@@ -674,6 +681,13 @@ class PramMachine:
             np.not_equal(out[1:], out[:-1], out=keep[1:])
             out = out[keep]
             self.ledger.charge_basic("pack", a.size)
+            if out.dtype.kind == "f":
+                zero = out == 0
+                if zero.any():
+                    out[zero] = a[np.argmax(a == 0)]
+                if np.isnan(out[-1]):
+                    nan = np.isnan(a)
+                    out[out.size - np.count_nonzero(nan):] = a[nan]
         return out
 
     # -- randomness --------------------------------------------------------------

@@ -68,15 +68,17 @@ class TestClusteringParityAtScale:
     def test_dense_and_csr_clustering_identical_at_n1200(self):
         """Seeded k-center and k-median give the same answer on a dense
         instance and on its full CSR twin at n=1200, where threshold-graph
-        degrees pass 128 and sparse MaxDom's hit counts must not wrap."""
+        degrees pass 128 and sparse MaxDom's hit counts must not wrap.
+        k-center's dense side is the test-only dense search."""
         from repro.core.kcenter import parallel_kcenter
         from repro.core.local_search import parallel_kmedian
         from repro.metrics.generators import euclidean_clustering
         from repro.metrics.sparse import SparseClusteringInstance
+        from tests.reference.kcenter_dense import kcenter_dense
 
         dense = euclidean_clustering(1200, 8, seed=0)
         csr = SparseClusteringInstance.from_instance(dense)
-        a = parallel_kcenter(dense, machine=PramMachine(seed=1))
+        a = kcenter_dense(dense, machine=PramMachine(seed=1))
         b = parallel_kcenter(csr, machine=PramMachine(seed=1))
         assert a.extra["threshold"] == b.extra["threshold"]
         assert np.array_equal(a.centers, b.centers)

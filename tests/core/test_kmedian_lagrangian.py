@@ -74,3 +74,10 @@ def test_cost_matches_instance(small_clustering):
 def test_max_probes_validated(small_clustering):
     with pytest.raises(InvalidParameterError):
         parallel_kmedian_lagrangian(small_clustering, max_probes=0)
+
+
+def test_subnormal_epsilon_refused():
+    """The per-probe primal–dual's iteration cap refuses an ε whose
+    ``log_(1+ε)`` overflows, rather than raising ``OverflowError``."""
+    with pytest.raises(InvalidParameterError, match="epsilon"):
+        parallel_kmedian_lagrangian(euclidean_clustering(30, 3, seed=0), epsilon=5e-324)

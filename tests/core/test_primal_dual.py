@@ -170,6 +170,31 @@ class TestScheduleGuard:
         with pytest.raises(ConvergenceError, match="exceeded 5 iterations"):
             parallel_primal_dual(euclidean_instance(5, 5, seed=0), epsilon=1e-7, max_iterations=5)
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-320, 1e-310])
+    def test_subnormal_epsilon_refused_not_overflowed(self, eps):
+        """``log_(1+ε) m`` overflows a float here; the iteration cap
+        refuses the ε like the schedule guard instead of raising
+        ``OverflowError`` from ``math.ceil``."""
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            check_schedule(eps, 25)
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            parallel_primal_dual(euclidean_instance(5, 5, seed=0), epsilon=eps)
+
+    @pytest.mark.parametrize(
+        "weight,eps", [(0.5, 5e-324), (1e-300, 1e-307)], ids=["half", "extension-only"]
+    )
+    def test_subnormal_epsilon_refused_with_light_clients(self, weight, eps):
+        """Client weights below 1 extend the cap by ``log_(1+ε)(1/w)``
+        levels; that extension is refused the same way. At ``w = 1e-300``
+        and ``ε = 1e-307`` the base cap is finite and only the extension
+        overflows."""
+        dense = euclidean_instance(5, 5, seed=0)
+        inst = SparseFacilityLocationInstance.from_dense(
+            dense.D, dense.f, client_weights=np.full(5, weight)
+        )
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            parallel_primal_dual(inst, epsilon=eps)
+
     def test_check_schedule_refuses_what_a_solve_would(self):
         assert check_schedule(0.1, 25_600) == 0.1
         with pytest.raises(InvalidParameterError, match="epsilon"):

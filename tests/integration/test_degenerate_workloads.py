@@ -27,6 +27,7 @@ from repro.metrics.generators import (
 from repro.metrics.instance import ClusteringInstance
 from repro.metrics.space import MetricSpace
 from repro.metrics.sparse import SparseClusteringInstance, knn_sparsify, threshold_sparsify
+from tests.reference.kcenter_dense import kcenter_dense
 
 
 @pytest.fixture
@@ -130,7 +131,7 @@ class TestClusteringDegenerate:
     def test_k_equals_1_sparse(self, make_sparse):
         inst = euclidean_clustering(12, 1, seed=0)
         sp = make_sparse(inst)
-        a = parallel_kcenter(inst, seed=0)
+        a = kcenter_dense(inst, seed=0)
         b = parallel_kcenter(sp, seed=0)
         assert a.cost == b.cost
         assert parallel_kmedian(sp, epsilon=0.3, seed=0).centers.size == 1
@@ -153,7 +154,7 @@ class TestClusteringDegenerate:
         sp = SparseClusteringInstance.from_instance(inst)
         from repro.pram.machine import PramMachine
 
-        a = parallel_kcenter(inst, machine=PramMachine(seed=0))
+        a = kcenter_dense(inst, machine=PramMachine(seed=0))
         b = parallel_kcenter(sp, machine=PramMachine(seed=0))
         assert np.array_equal(a.centers, b.centers) and a.cost == b.cost
         am = parallel_kmedian(inst, epsilon=0.3, machine=PramMachine(seed=0))

@@ -3,9 +3,10 @@
 On dense-representable instances (full CSR, no finite fallback) the
 sparse execution paths must return **byte-identical** seeded solutions
 to the dense paths on all three execution backends. Where the library
-keeps two bodies (greedy, the dominators, k-center, local search) each
-is the other's oracle. Primal–dual and the Lagrangian k-median ship one
-body, the CSR one, so their dense side is the test-only reference in
+keeps two bodies (greedy, the dominators, local search) each is the
+other's oracle. k-center, primal–dual and the Lagrangian k-median ship
+one body, the CSR one, so their dense side is a test-only reference:
+:mod:`tests.reference.kcenter_dense` and
 :mod:`tests.reference.primal_dual_dense`:
 
 * greedy and primal–dual facility location — opened set, cost, duals,
@@ -42,6 +43,7 @@ from repro.metrics.sparse import (
     SparseClusteringInstance,
     SparseFacilityLocationInstance,
 )
+from tests.reference.kcenter_dense import kcenter_dense
 from tests.reference.primal_dual_dense import kmedian_lagrangian_dense, primal_dual_dense
 
 BACKEND_NAMES = ("serial", "thread", "process")
@@ -310,7 +312,7 @@ def _lagrangian_check(a, b):
 def test_sparse_kcenter_matches_dense(name, make):
     dense = make()
     sp = SparseClusteringInstance.from_instance(dense)
-    a = parallel_kcenter(dense, machine=PramMachine(seed=123))
+    a = kcenter_dense(dense, machine=PramMachine(seed=123))
     b = parallel_kcenter(sp, machine=PramMachine(seed=123))
     _kcenter_check(a, b)
 
@@ -357,8 +359,10 @@ _CLUSTER_ALGORITHMS = {
 }
 
 
-# The Lagrangian k-median's dense side is the test-only reference.
+# The dense side of k-center and of the Lagrangian k-median is the
+# test-only reference.
 _DENSE_CLUSTER = {
+    "kcenter": lambda inst, m: kcenter_dense(inst, machine=m),
     "lagrangian": lambda inst, m: kmedian_lagrangian_dense(
         inst, epsilon=0.2, machine=m, max_probes=15
     ),

@@ -81,6 +81,35 @@ class TestConstruction:
         assert inst.n_facilities == dense.n_facilities
         assert inst.nnz == A.nnz
 
+    def test_from_scipy_leaves_the_callers_matrix_writable(self, dense):
+        """The instance copies the caller's writable arrays instead of
+        freezing them: a later in-place edit of the matrix works and
+        does not reach the instance."""
+        sparse = pytest.importorskip("scipy.sparse")
+        A = sparse.csr_matrix(dense.D)
+        inst = SparseFacilityLocationInstance.from_scipy(A, dense.f)
+        before = inst.data.copy()
+        A.data *= 2
+        A.indices[0] = A.indices[1]
+        np.testing.assert_array_equal(inst.data, before)
+        assert inst.indices[0] != inst.indices[1]
+
+    def test_every_array_read_only(self, full):
+        for arr in (full.indptr, full.indices, full.data, full.f, full.fallback):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+    def test_read_only_view_of_a_writable_array_is_copied(self):
+        data = np.array([1.0, 2.0])
+        view = data[:]
+        view.setflags(write=False)
+        inst = SparseFacilityLocationInstance([0, 2], [0, 1], view, [1.0], n_clients=2)
+        data[0] = 9.0
+        assert inst.data[0] == 1.0
+
+    def test_from_instance_copies_nothing(self, dense, full):
+        assert np.shares_memory(full.data, dense.D)
+
 
 class TestWithOpeningCosts:
     def test_shares_structure_and_reprices(self, full):
@@ -312,6 +341,33 @@ class TestSparseClusteringConstruction:
             full_clustering.data[0] = 1.0
         with pytest.raises(ValueError):
             full_clustering.fallback[0] = 1.0
+        with pytest.raises(ValueError):
+            full_clustering.indices[0] = 1
+        with pytest.raises(ValueError):
+            full_clustering.indptr[0] = 1
+
+    def test_callers_index_arrays_stay_out_of_the_instance(self):
+        """Writable ``intp`` inputs are copied: editing them after
+        construction leaves the validated structure as it was."""
+        indptr = np.array([0, 2, 4], dtype=np.intp)
+        indices = np.array([0, 1, 0, 1], dtype=np.intp)
+        data = np.array([0.0, 1.0, 1.0, 0.0])
+        inst = SparseClusteringInstance(indptr, indices, data, 1)
+        indices[1] = 0
+        indptr[1] = 3
+        data[1] = 7.0
+        np.testing.assert_array_equal(inst.indices[inst.indptr[0]:inst.indptr[1]], [0, 1])
+        assert inst.data[1] == 1.0
+
+    def test_read_only_inputs_are_kept(self, dense_clustering, full_clustering):
+        """from_instance hands over read-only arrays, so the instance
+        views the dense matrix instead of copying it."""
+        assert np.shares_memory(full_clustering.data, dense_clustering.D)
+        again = SparseClusteringInstance(
+            full_clustering.indptr, full_clustering.indices, full_clustering.data, 2
+        )
+        assert again.indices is full_clustering.indices
+        assert again.data is full_clustering.data
 
     def test_rejects_missing_diagonal(self):
         # 2 nodes, edges (0,1)/(1,0) only — no self candidates.
