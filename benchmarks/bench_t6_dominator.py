@@ -1,7 +1,8 @@
-"""T6 — Lemma 3.1: dominator sets in O(n² log n) work, O(log² n) depth.
+"""T6 — Lemma 3.1: dominator sets in O(log n) rounds, O(|E| log n) work.
 
 Measured: Luby round counts vs the O(log n) envelope across sizes and
-densities; ledger work vs the n²·rounds model; timed select-step kernel.
+densities; ledger work vs the remark's O(|E| log |V|) model (the §3
+entries run the CSR bodies); timed select-step kernel.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ def random_graph(n, p, seed):
 
 
 def test_t6_maxdom_rounds_and_work(benchmark):
-    table = ExperimentTable("T6a", "MaxDom rounds vs O(log n); work vs O(n² log n)")
+    table = ExperimentTable("T6a", "MaxDom rounds vs O(log n); work vs O(|E| log n)")
     ns, works = [], []
     for n in (32, 64, 128, 256):
         rounds_seen = []
@@ -28,7 +29,7 @@ def test_t6_maxdom_rounds_and_work(benchmark):
             A = random_graph(n, 8.0 / n, seed)  # constant average degree
             m = PramMachine(seed=seed)
             max_dominator_set(A, m)
-            rounds_seen.append(m.ledger.rounds["maxdom"])
+            rounds_seen.append(m.ledger.rounds["maxdom_sparse"])
             work_seen.append(m.ledger.work)
         table.add(
             n=n,
@@ -42,7 +43,7 @@ def test_t6_maxdom_rounds_and_work(benchmark):
         works.append(float(np.mean(work_seen)))
     table.emit()
     fit = fit_work_exponent(ns, works, log_power=1.0)
-    assert 1.5 <= fit.exponent <= 2.5  # ~ n² after removing the log
+    assert 0.5 <= fit.exponent <= 1.5  # ~ |E| ∝ n at constant degree, log removed
 
     A = random_graph(128, 8.0 / 128, 0)
     benchmark(lambda: max_dominator_set(A, PramMachine(seed=0)).sum())

@@ -6,8 +6,8 @@ Three things the paper mentions but does not develop:
    to bound the number of rounds") — measure its quality AND its
    empirical round counts, the open quantity.
 2. Lemma 3.1 remark: O(|E| log |V|)-work sparse dominator sets —
-   measure the work separation from the dense variant on
-   bounded-degree graphs.
+   measure the work separation from the dense body (kept under
+   ``tests/reference`` as the oracle) on bounded-degree graphs.
 3. §5's LMP property "enabling … k-median" — run the Jain–Vazirani
    Lagrangian pipeline on the parallel LMP subroutine and measure its
    quality against exact optima.
@@ -19,11 +19,11 @@ from scipy import sparse
 from repro.baselines.brute_force import brute_force_facility_location, brute_force_kmedian
 from repro.bench.harness import ExperimentTable
 from repro.bench.workloads import clustering_ratio_suite, fl_ratio_suite
-from repro.core.dominator import max_dominator_set
 from repro.core.dominator_sparse import max_dominator_set_sparse
 from repro.core.fl_local_search import parallel_fl_local_search
 from repro.core.kmedian_lagrangian import parallel_kmedian_lagrangian
 from repro.pram.machine import PramMachine
+from tests.reference.dominator_dense import max_dominator_set
 
 
 def test_x1_fl_local_search(benchmark, medium_instance):

@@ -2,8 +2,8 @@
 
 Four acts:
 
-1. *Parity*: a dense instance, its full-CSR twin, and byte-identical
-   seeded solutions from the dense and sparse execution paths.
+1. *Parity*: a dense instance and its full-CSR twin give byte-identical
+   seeded solutions — the solvers run a dense instance as its full CSR.
 2. *Truncation*: how solution quality degrades (or doesn't) as k-NN
    truncation tightens, priced in the dense objective.
 3. *Scale*: k-NN instances the dense path cannot hold, with ledger
@@ -42,7 +42,7 @@ def act_1_parity():
     b = parallel_greedy(full, epsilon=0.1, machine=PramMachine(seed=7))
     assert np.array_equal(a.opened, b.opened) and a.cost == b.cost
     assert np.array_equal(a.alpha, b.alpha)
-    print(f"  greedy: dense and sparse paths byte-identical (cost {a.cost:.4f})")
+    print(f"  greedy: dense instance and CSR twin byte-identical (cost {a.cost:.4f})")
     a = parallel_primal_dual(dense, epsilon=0.1, machine=PramMachine(seed=7))
     b = parallel_primal_dual(full, epsilon=0.1, machine=PramMachine(seed=7))
     assert np.array_equal(a.opened, b.opened) and a.cost == b.cost

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: lint (when ruff is available) + tier-1 tests + the primal–dual
-# and k-center suites with RuntimeWarning as an error + end-to-end smoke +
+# CI gate: lint (when ruff is available) + tier-1 tests + the primal–dual,
+# k-center and greedy suites with RuntimeWarning as an error + end-to-end smoke +
 # a short paper-solvers benchmark run with its output checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,16 +23,21 @@ echo "== tier-1 pytest =="
 python -m pytest -x -q
 
 # The primal–dual level skip takes logs, divides and meets +inf
-# thresholds, and the k-center MaxDom rounds compare priorities against
-# a no-candidate sentinel and reduce empty segments; a nan or inf there
-# would skip levels or pick dominators wrongly without an error, so
-# these suites run with RuntimeWarning as an error.
-echo "== primal-dual and k-center suites, RuntimeWarning as error =="
+# thresholds, the k-center MaxDom rounds compare priorities against a
+# no-candidate sentinel and reduce empty segments, and the greedy body
+# divides by prefix ranks and compares star prices against +inf; a nan
+# or inf there would skip levels, pick dominators or open facilities
+# wrongly without an error, so these suites run with RuntimeWarning as
+# an error.
+echo "== primal-dual, k-center and greedy suites, RuntimeWarning as error =="
 python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.py \
     tests/core/test_sparse_paths.py tests/core/test_kmedian_lagrangian.py \
     tests/core/test_kcenter.py tests/core/test_kcenter_oracle.py \
     tests/core/test_dominator.py tests/core/test_dominator_sparse.py \
-    tests/integration/test_sparse_equivalence.py
+    tests/integration/test_sparse_equivalence.py \
+    tests/core/test_greedy.py tests/core/test_greedy_oracle.py tests/core/test_stars.py \
+    tests/core/test_lp_rounding.py tests/pram/test_segmented.py tests/pram/test_machine.py \
+    tests/integration/test_weighted_solvers.py
 
 echo "== smoke =="
 python scripts/smoke.py

@@ -27,6 +27,7 @@ from repro.metrics.generators import (
     two_scale_instance,
 )
 from repro.metrics.instance import ClusteringInstance, FacilityLocationInstance
+from repro.metrics.validation import _freeze
 
 
 def fl_ratio_suite(seed: int = 0) -> list:
@@ -138,14 +139,12 @@ def sparse_clustering_suite(
 def _with_weights(instance, rng, *, low=1.0, high=5.0):
     """Reweight a clustering/FL instance with seeded uniform weights."""
     if isinstance(instance, ClusteringInstance):
-        return ClusteringInstance(
-            instance.space, instance.k,
-            weights=rng.uniform(low, high, size=instance.n),
-        )
-    return FacilityLocationInstance(
-        instance.D, instance.f,
-        client_weights=rng.uniform(low, high, size=instance.n_clients),
-    )
+        weights = rng.uniform(low, high, size=instance.n)
+        _freeze(weights)
+        return ClusteringInstance(instance.space, instance.k, weights=weights)
+    weights = rng.uniform(low, high, size=instance.n_clients)
+    _freeze(weights)
+    return FacilityLocationInstance(instance.D, instance.f, client_weights=weights)
 
 
 def weighted_clustering_ratio_suite(seed: int = 0) -> list:

@@ -5,7 +5,8 @@ operations executed on a :class:`repro.pram.PramMachine`, so its
 work/depth/cache in the paper's model is measured, not asserted:
 
 * :func:`max_dominator_set` / :func:`max_u_dominator_set` — §3
-  dominator-set variants of maximal independent set (Lemma 3.1).
+  dominator-set variants of maximal independent set (Lemma 3.1), in
+  the remark's ``O(|E| log |V|)`` work.
 * :func:`parallel_greedy` — §4 greedy facility location, the
   ``(3.722+ε)``-approximation (proven ``6+ε`` without the
   factor-revealing LP), Theorem 4.9.
@@ -23,24 +24,27 @@ their caveats documented in-module):
 
 * :func:`parallel_fl_local_search` — the §7-remark local search for
   facility location (round count open in the paper).
-* :func:`max_dominator_set_sparse` — the Lemma 3.1 remark:
-  ``O(|E| log |V|)``-work dominator sets on sparse graphs.
+* :func:`max_dominator_set_sparse` / :func:`max_u_dominator_set_sparse`
+  — the Lemma 3.1 remark: ``O(|E| log |V|)``-work dominator sets on
+  sparse graphs (the §3 names are these entries).
 * :func:`parallel_kmedian_lagrangian` — the Jain–Vazirani k-median
   pipeline the §5 LMP property exists to enable.
 
-Every solver dispatches transparently on sparse instances: facility
-location on :class:`~repro.metrics.sparse.SparseFacilityLocationInstance`
-(§4/§5) and clustering on
-:class:`~repro.metrics.sparse.SparseClusteringInstance` (§6.1/§7 —
-:mod:`repro.core.kcenter_sparse`, :mod:`repro.core.local_search_sparse`),
-so the paper's input-size parameter ``m`` is the candidate-edge count on
-every algorithm in the repo.
+Greedy, primal–dual, k-center, §7 local search and the Lagrangian
+k-median accept CSR candidate structures
+(:class:`~repro.metrics.sparse.SparseFacilityLocationInstance`,
+:class:`~repro.metrics.sparse.SparseClusteringInstance`), where the
+paper's input-size parameter ``m`` is the candidate-edge count. Greedy,
+primal–dual, k-center and the dominator sets have one body each, the
+CSR one: a dense instance runs as its full CSR (``from_instance``) and
+its solution is reported on the dense instance. §7 local search keeps a
+dense batch beside its CSR one (:mod:`repro.core.local_search_sparse`).
 """
 
 from repro.core.result import ClusteringSolution, FacilityLocationSolution
 from repro.core.dominator import max_dominator_set, max_u_dominator_set
 from repro.core.dominator_sparse import max_dominator_set_sparse, max_u_dominator_set_sparse
-from repro.core.stars import presort_distances, star_members
+from repro.core.stars import star_members
 from repro.core.greedy import parallel_greedy
 from repro.core.primal_dual import parallel_primal_dual
 from repro.core.kcenter import parallel_kcenter
@@ -56,7 +60,6 @@ __all__ = [
     "max_u_dominator_set",
     "max_dominator_set_sparse",
     "max_u_dominator_set_sparse",
-    "presort_distances",
     "star_members",
     "parallel_greedy",
     "parallel_primal_dual",

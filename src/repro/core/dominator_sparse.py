@@ -2,9 +2,11 @@
 
 The paper notes: *"For sparse matrices, which we do not use in this
 paper, this can easily be improved to O(|E| log |V|) work."* This module
-is that improvement: the same in-place Luby select step, but every
-neighborhood reduction runs over a CSR adjacency in ``O(nnz)`` work
-instead of ``O(n²)``.
+is that improvement, and the library's one MaxDom and one MaxUDom body:
+the same in-place Luby select step as §3 (:mod:`repro.core.dominator`,
+whose public names are these entries), but every neighborhood reduction
+runs over a CSR adjacency in ``O(nnz)`` work instead of ``O(n²)``. A
+dense boolean matrix is accepted and converted to CSR first.
 
 The kernels are segmented reductions over the CSR row structure
 (``reduceat`` over gathered segments) and scatters along the stored
@@ -24,9 +26,10 @@ touches only the candidate rows' segments (built once per round) and
 the newly selected rows' segments: by symmetry, the one-hop relay of
 the candidates' priorities is a scatter along the candidates' own
 edges, and the nodes next to a selection are its rows' columns. Per-
-round work is ``O(n + nnz(candidate rows))`` instead of ``O(nnz)`` —
-the sparse counterpart of the candidate-strip rounds in
-:mod:`repro.core.dominator`, with identical selections.
+round work is ``O(n + nnz(candidate rows))`` instead of ``O(nnz)``.
+Seeded selections are identical to the dense-matrix bodies kept under
+``tests/`` as the oracle, which run the same rounds on candidate strips
+of the adjacency matrix.
 """
 
 from __future__ import annotations
@@ -39,14 +42,22 @@ from repro.pram.machine import PramMachine, ensure_machine
 from repro.util.csr import csr_drop_diagonal, validate_csr
 
 
+def _as_csr(matrix, name: str) -> sparse.csr_matrix:
+    """``matrix`` — scipy.sparse, or a 2-D array — as a boolean CSR
+    matrix. Explicit stored zeros are not edges: a dense matrix reads
+    them as False, so the structural kernels below must too."""
+    if sparse.issparse(matrix):
+        out = matrix.tocsr().astype(bool)
+        out.eliminate_zeros()
+        return out
+    arr = np.asarray(matrix, dtype=bool)
+    if arr.ndim != 2:
+        raise InvalidParameterError(f"{name} must be 2-D, got shape {arr.shape}")
+    return sparse.csr_matrix(arr)
+
+
 def _to_csr(adjacency) -> sparse.csr_matrix:
-    if sparse.issparse(adjacency):
-        A = adjacency.tocsr().astype(bool)
-        # Explicit stored zeros are not edges: the dense variant sees
-        # them as False, so the structural kernels below must too.
-        A.eliminate_zeros()
-    else:
-        A = sparse.csr_matrix(np.asarray(adjacency, dtype=bool))
+    A = _as_csr(adjacency, "adjacency")
     if A.shape[0] != A.shape[1]:
         raise InvalidParameterError(f"adjacency must be square, got {A.shape}")
     if (A != A.T).nnz != 0:
@@ -130,8 +141,8 @@ def _max_dominator_rounds(
         # relay[j] = the smallest candidate priority at j or next to j
         # (a scatter-min of each candidate's priority onto its
         # neighbours); hop2[c] = the smallest relay next to candidate c.
-        # Every neighbour relays, candidate or not (module docstring of
-        # repro.core.dominator).
+        # Every neighbour relays, candidate or not: G² adjacency is
+        # defined by the original graph (repro.core.dominator).
         relay = np.full(n, n)
         np.minimum.at(relay, cols, np.repeat(pi_c, lens))
         relay[cand] = np.minimum(relay[cand], pi_c)
@@ -164,9 +175,9 @@ def max_dominator_set_sparse(
     backend=None,
     max_rounds: int | None = None,
 ) -> np.ndarray:
-    """Sparse ``MaxDom`` — identical semantics to
-    :func:`repro.core.dominator.max_dominator_set`, ``O(|E| log |V|)``
-    work.
+    """``MaxDom`` of a simple graph (MIS of ``G²``, §3) in
+    ``O(|E| log |V|)`` work; :func:`repro.core.dominator.max_dominator_set`
+    is this entry. Rounds count under ``maxdom_sparse``.
 
     The input is validated (square, symmetric; stored zeros and the
     diagonal dropped, rows sorted) before the rounds run, so any
@@ -203,17 +214,16 @@ def max_u_dominator_set_sparse(
     candidates: np.ndarray | None = None,
     max_rounds: int | None = None,
 ) -> np.ndarray:
-    """Sparse ``MaxUDom`` — identical semantics (and, on identically
-    seeded machines, byte-identical selections) to
-    :func:`repro.core.dominator.max_u_dominator_set`, in ``O(nnz)``
-    work per round.
+    """``MaxUDom`` of a bipartite graph (MIS of ``H'``, §3) in ``O(nnz)``
+    work per round; :func:`repro.core.dominator.max_u_dominator_set` is
+    this entry. Rounds count under ``maxudom``.
 
     Every round touches only the candidate rows' CSR segments: the
     V-side priority minimum is a :meth:`~repro.pram.machine.PramMachine.scatter_min`
     over those edges, and the U-side conflict relays are segmented
     min/or reductions over the same segments. Non-candidate rows never
     contribute anything but the operator identity, so restricting to
-    candidate segments reproduces the dense selections exactly.
+    candidate segments changes no selection.
 
     Parameters
     ----------
@@ -223,13 +233,7 @@ def max_u_dominator_set_sparse(
         Optional mask restricting which U-nodes may be selected (the
         §5 caller passes the tentatively open facilities).
     """
-    if sparse.issparse(biadjacency):
-        B = biadjacency.tocsr().astype(bool)
-        # Explicit stored zeros are not edges (dense parity: a False
-        # entry never relays a priority or a conflict).
-        B.eliminate_zeros()
-    else:
-        B = sparse.csr_matrix(np.asarray(biadjacency, dtype=bool))
+    B = _as_csr(biadjacency, "biadjacency")
     nu, nv = B.shape
     machine = ensure_machine(machine, backend=backend)
     if nu == 0:

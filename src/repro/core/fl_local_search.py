@@ -35,7 +35,7 @@ from repro.core.result import FacilityLocationSolution
 from repro.errors import InvalidParameterError
 from repro.metrics.instance import FacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
-from repro.util.validation import check_epsilon
+from repro.util.validation import check_epsilon, round_cap
 
 
 def _service_state(machine: PramMachine, D: np.ndarray, open_idx: np.ndarray):
@@ -101,6 +101,11 @@ def parallel_fl_local_search(
     f = instance.f.astype(float)
     nf, nc = D.shape
     beta = eps / (1.0 + eps)
+    if max_rounds is not None:
+        cap = max_rounds
+    else:
+        bound = (nf / beta) * math.log(max(nc, 2) + 1)
+        cap = 64 + round_cap(bound, eps, what="facility-location local-search bound")
 
     start = machine.snapshot()
     if initial is not None:
@@ -124,10 +129,6 @@ def parallel_fl_local_search(
 
     cost = full_cost(open_mask)
     initial_cost = cost
-    if max_rounds is not None:
-        cap = max_rounds
-    else:
-        cap = 64 + math.ceil((nf / beta) * math.log(max(nc, 2) + 1))
 
     moves: list[tuple[str, int, int, float]] = []
     converged = False

@@ -1,16 +1,18 @@
-"""§4 greedy facility location over sparse candidate structures.
+"""§4 greedy facility location: the one body, over CSR candidate structures.
 
-The same Algorithm 4.1 as :mod:`repro.core.greedy`, executed on a
+Algorithm 4.1 (see :mod:`repro.core.greedy`) executed on a
 :class:`~repro.metrics.sparse.SparseFacilityLocationInstance`: every
 per-round computation runs over CSR segments of the *candidate* edges,
 so work per round is ``O(nnz(frontier rows))`` — the paper's input-size
 parameter ``m`` is the edge count here, exactly as the Lemma 3.1 remark
-("for sparse matrices … this can easily be improved") invites.
-
-Structure mirrors the dense path (:mod:`repro.core.greedy`) one-for-one:
+("for sparse matrices … this can easily be improved") invites. A dense
+instance runs as its full CSR, so ``nnz = n_f · n_c`` and a round costs
+the §4 ``O(m)`` over the remaining instance.
 
 * the live sorted structure holds each facility's *remaining* candidate
-  clients ascending by distance, packed after every removal round;
+  clients ascending by distance (one
+  :meth:`~repro.pram.machine.PramMachine.argsort_segments` presort),
+  packed after every removal round;
 * star prices are a segmented prefix sum + segmented min over it
   (:meth:`~repro.pram.machine.PramMachine.segmented_scan` /
   :meth:`~repro.pram.machine.PramMachine.segmented_reduce`);
@@ -19,26 +21,55 @@ Structure mirrors the dense path (:mod:`repro.core.greedy`) one-for-one:
   and compacted in place; votes, degrees, and neighborhood sums are
   ``count_votes`` / ``scatter_add`` combines over it.
 
-**Parity.** On dense-representable instances the live structure keeps
-uniform segment lengths throughout the run (every facility's segment
-contains every active client), so every segmented primitive takes its
-rectangular fast path — bit-identical arithmetic to the dense
-kernels. Seeded solutions are therefore byte-identical to the dense
-path; the RNG stream is preserved by drawing the subselection
-permutation over the full facility set each round, exactly as the dense
-path does. Clients with no candidate facility are never active: they pay
+The subselection permutation is drawn over the full facility set each
+round, so the RNG stream does not depend on which facilities are still
+admitted. Clients with no candidate facility are never active: they pay
 their fallback cost in the objective regardless of what opens, and
-their dual ``α`` stays 0.
+their dual ``α`` stays 0. The dense matrix body is kept under
+``tests/reference/greedy_dense.py`` as the test suite's oracle; on a
+dense instance the two return the same seeded solution, field for field.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.core.greedy import _REL_TOL, _build_solution
+from repro.core.result import FacilityLocationSolution
 from repro.errors import ConvergenceError
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine
+
+_REL_TOL = 1.0 + 1e-12  # float-safe threshold comparisons
+
+
+def _build_solution(
+    instance,
+    machine: PramMachine,
+    start,
+    opened: np.ndarray,
+    alpha: np.ndarray,
+    gamma: float,
+    tau_trace: list,
+    preprocessed: int,
+    eps: float,
+) -> FacilityLocationSolution:
+    """Assemble the §4 solution object, evaluated on ``instance``."""
+    opened_idx = np.flatnonzero(opened)
+    return FacilityLocationSolution(
+        opened=opened_idx,
+        cost=instance.cost(opened_idx),
+        facility_cost=instance.facility_cost(opened_idx),
+        connection_cost=instance.connection_cost(opened_idx),
+        alpha=alpha,
+        rounds=dict(machine.ledger.rounds),
+        model_costs=machine.ledger.since(start),
+        extra={
+            "gamma": gamma,
+            "tau_trace": tau_trace,
+            "preprocessed_clients": preprocessed,
+            "epsilon": eps,
+        },
+    )
 
 
 def _sparse_gamma(machine: PramMachine, inst: SparseFacilityLocationInstance) -> float:
@@ -65,8 +96,6 @@ def _star_prices_sparse(
     ``+inf`` for facilities with no remaining candidate.
 
     One segmented scan, one map, one segmented min — ``O(nnz(live))``.
-    On uniform segments this is bit-identical to
-    :func:`repro.core.stars.cheapest_star_prices_compact`.
 
     ``live_w`` (per-edge client weights in the same layout, weighted
     instances only) switches the price to ``(f_i + Σ w·d) / Σ w`` over
@@ -99,8 +128,8 @@ def _compact_live(
     l_indptr: np.ndarray,
     active: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Drop inactive clients from the live sorted structure (the sparse
-    :func:`repro.core.stars.compact_sorted_columns`) — ``O(nnz(live))``."""
+    """Drop inactive clients from the live sorted structure —
+    ``O(nnz(live))``."""
     nf = l_indptr.size - 1
     keep = np.asarray(machine.map(lambda ids: active[ids], l_cols))
     counts = machine.count_votes(
@@ -124,14 +153,16 @@ def _parallel_greedy_sparse(
     preprocess: bool,
     outer_cap: int,
     sub_cap: int,
-):
-    """Sparse execution of Algorithm 4.1 (see module docstring)."""
+    report,
+) -> FacilityLocationSolution:
+    """Algorithm 4.1 over the CSR structure (see module docstring); the
+    solution is evaluated on ``report``, the caller's instance."""
     nf, nc = instance.n_facilities, instance.n_clients
     f_cur = instance.f.astype(float).copy()
     m = max(instance.m, 2)
     # Client multiplicities generalize star prices to (f + Σwd)/Σw and
-    # degrees/votes to weighted sums (see repro.core.greedy); None
-    # keeps the exact unweighted code path.
+    # degrees/votes to weighted sums; None keeps the exact unweighted
+    # code path (byte-identical seeded runs).
     w = None if instance.has_unit_weights else instance.client_weights
 
     start = machine.snapshot()
@@ -180,7 +211,7 @@ def _parallel_greedy_sparse(
         outer = machine.bump_round("greedy_outer")
         if outer > outer_cap:
             raise ConvergenceError(
-                f"sparse greedy exceeded {outer_cap} outer rounds (m={m}, eps={eps})"
+                f"greedy exceeded {outer_cap} outer rounds (m={m}, eps={eps})"
             )
         l_w = None if w is None else np.asarray(machine.take_rows(w, l_cols))
         prices = _star_prices_sparse(machine, l_d, l_indptr, f_cur, l_w)
@@ -222,13 +253,12 @@ def _parallel_greedy_sparse(
             machine.bump_round("greedy_subselect")
             if sub > sub_cap:
                 raise ConvergenceError(
-                    f"sparse greedy subselection exceeded {sub_cap} rounds "
-                    f"(m={m}, eps={eps})"
+                    f"greedy subselection exceeded {sub_cap} rounds (m={m}, eps={eps})"
                 )
 
-            # 4(a–b): permutation over *all* facilities (RNG parity with
-            # the dense path); each client votes for its minimum-
-            # priority admitted neighbor.
+            # 4(a–b): permutation over *all* facilities (the RNG stream
+            # does not depend on the admitted set); each client votes
+            # for its minimum-priority admitted neighbor.
             Pi = machine.random_priorities(nf).astype(float)
             pi_adm = machine.take_rows(Pi, adm)
             pi_edge = machine.take_rows(pi_adm, e_row)
@@ -314,5 +344,5 @@ def _parallel_greedy_sparse(
             l_cols, l_d, l_indptr = _compact_live(machine, l_cols, l_d, l_indptr, active)
 
     return _build_solution(
-        instance, machine, start, opened, alpha, gamma, tau_trace, preprocessed, eps
+        report, machine, start, opened, alpha, gamma, tau_trace, preprocessed, eps
     )

@@ -32,9 +32,24 @@ from repro.errors import ConvergenceError, InvalidParameterError
 from repro.metrics.instance import ClusteringInstance
 from repro.metrics.sparse import SparseClusteringInstance
 from repro.pram.machine import PramMachine, ensure_machine
-from repro.util.validation import check_epsilon
+from repro.util.validation import check_epsilon, round_cap
 
 _OBJECTIVE_POWER = {"kmedian": 1.0, "kmeans": 2.0}
+
+
+def swap_round_cap(n: int, k: int, eps: float, objective: str) -> int:
+    """The default §7 round cap on ``n`` nodes with ``k`` centers:
+    ``O(log_{1/(1-β/k)}(start/opt))`` with ``start ≤ (2n)^p · opt``.
+
+    Raises :class:`~repro.errors.InvalidParameterError` naming
+    ``epsilon`` when ``eps`` is so small (subnormal) that the cap
+    overflows a float — so a caller can refuse the ``epsilon`` before
+    solving.
+    """
+    beta = eps / (1.0 + eps)
+    power = _OBJECTIVE_POWER[objective]
+    bound = power * math.log(2 * max(n, 2)) * (k / beta)
+    return round_cap(bound, eps, what="local-search round bound") + 16
 
 
 def _initial_centers(
@@ -144,15 +159,14 @@ def parallel_local_search(
             f"objective must be one of {sorted(_OBJECTIVE_POWER)}, got {objective!r}"
         )
     eps = check_epsilon(epsilon, upper=1.0 - 1e-9)
+    n, k = instance.n, instance.k
+    cap = max_rounds if max_rounds is not None else swap_round_cap(n, k, eps, objective)
     if isinstance(instance, SparseClusteringInstance):
         from repro.core.local_search_sparse import _parallel_local_search_sparse
 
         machine = ensure_machine(machine, backend=backend, seed=seed)
-        return _parallel_local_search_sparse(
-            instance, objective, eps, machine, initial, max_rounds
-        )
+        return _parallel_local_search_sparse(instance, objective, eps, machine, initial, cap)
     machine = ensure_machine(machine, backend=backend, seed=seed)
-    n, k = instance.n, instance.k
     beta = eps / (1.0 + eps)
 
     start = machine.snapshot()
@@ -163,12 +177,6 @@ def parallel_local_search(
     # Node multiplicities scale each node's service cost (Σ w_j d^p);
     # None keeps the exact unweighted code path (byte-identical runs).
     w = None if instance.has_unit_weights else instance.weights
-
-    if max_rounds is not None:
-        cap = max_rounds
-    else:
-        # O(log_{1/(1-β/k)}(start/opt)) with start ≤ (2n)^power · opt.
-        cap = math.ceil(power * math.log(2 * max(n, 2)) * (k / beta)) + 16
 
     def service_state(c: np.ndarray):
         Dc = machine.take_columns(Dp, c)

@@ -40,8 +40,6 @@ the returned solutions, not intermediate floats.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.local_search import _OBJECTIVE_POWER, _initial_centers
@@ -163,7 +161,7 @@ def _parallel_local_search_sparse(
     eps: float,
     machine: PramMachine,
     initial,
-    max_rounds: int | None,
+    cap: int,
 ) -> ClusteringSolution:
     """Sparse execution of the §7 swap loop (see module docstring)."""
     n, k = instance.n, instance.k
@@ -193,11 +191,6 @@ def _parallel_local_search_sparse(
         w = instance.weights
         dp = np.asarray(machine.map(lambda d, ww: d * ww, dp, machine.take_rows(w, rows_e)))
         fb = np.asarray(machine.map(lambda f, ww: f * ww, fb, w))
-
-    if max_rounds is not None:
-        cap = max_rounds
-    else:
-        cap = math.ceil(power * math.log(2 * max(n, 2)) * (k / beta)) + 16
 
     dp_max = float(dp.max()) if dp.size else 0.0
     d1, d2, near_slot = _service_state(

@@ -24,6 +24,11 @@ disjoint across the entire run (the Claim 6.3 accounting).
 
 The ``θ/m²`` preprocessing (process ultra-cheap clients in round one)
 bounds the rounds at ``O(log_{1+ε} m)``.
+
+``MaxUDom`` runs the library's one body, the CSR
+:func:`~repro.core.dominator_sparse.max_u_dominator_set_sparse`, over
+the live ball graph's edges: a round costs the balls' edges, not the
+``n_c × n_f`` incidence matrix.
 """
 
 from __future__ import annotations
@@ -32,13 +37,13 @@ import math
 
 import numpy as np
 
-from repro.core.dominator import max_u_dominator_set
+from repro.core.dominator_sparse import max_u_dominator_set_sparse
 from repro.core.result import FacilityLocationSolution
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.lp.solve import PrimalSolution, solve_primal
 from repro.metrics.instance import FacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
-from repro.util.validation import check_epsilon
+from repro.util.validation import check_epsilon, round_cap
 
 _REL_TOL = 1.0 + 1e-12
 
@@ -83,12 +88,15 @@ def parallel_lp_rounding(
     if not 0.0 < a < 1.0:
         raise InvalidParameterError(f"filter_alpha must lie in (0,1), got {filter_alpha}")
     machine = ensure_machine(machine, backend=backend, seed=seed)
+    m = max(instance.m, 2)
+    cap = max_rounds if max_rounds is not None else 64 + 8 * round_cap(
+        math.log(m) / math.log1p(eps), eps, what="LP rounding round bound"
+    )
     if primal is None:
         primal = solve_primal(instance)
     D = instance.D
     f = instance.f.astype(float)
     nf, nc = D.shape
-    m = max(instance.m, 2)
     theta = float(primal.value)
 
     start = machine.snapshot()
@@ -104,9 +112,6 @@ def parallel_lp_rounding(
     anchor = machine.argmin(machine.where(balls, f[:, None], np.inf), axis=0)
 
     # ---- Rounding rounds ---------------------------------------------------
-    cap = max_rounds if max_rounds is not None else 64 + 8 * math.ceil(
-        math.log(m) / math.log1p(eps)
-    )
     active_c = np.ones(nc, dtype=bool)
     active_f = np.ones(nf, dtype=bool)
     opened = np.zeros(nf, dtype=bool)
@@ -133,7 +138,7 @@ def parallel_lp_rounding(
         )
         # MaxUDom over clients (U side) sharing facilities (V side):
         # transpose the incidence so U = clients.
-        J = max_u_dominator_set(machine.transpose(live), machine, candidates=S)
+        J = max_u_dominator_set_sparse(machine.transpose(live), machine, candidates=S)
 
         # Open the anchor of every chosen client.
         chosen_anchors = np.unique(anchor[J]) if J.any() else np.empty(0, dtype=int)

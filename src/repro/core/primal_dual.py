@@ -43,11 +43,10 @@ import math
 
 from repro.core.primal_dual_sparse import _parallel_primal_dual_sparse, schedule_length
 from repro.core.result import FacilityLocationSolution
-from repro.errors import InvalidParameterError
 from repro.metrics.instance import FacilityLocationInstance
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
-from repro.util.validation import check_epsilon
+from repro.util.validation import check_epsilon, round_cap
 
 
 def parallel_primal_dual(
@@ -127,6 +126,9 @@ def check_schedule(epsilon: float, m: int) -> float:
     return eps
 
 
+_BOUND = "primal–dual iteration bound"
+
+
 def _iteration_cap(instance, eps: float, max_iterations: int | None) -> int:
     """``max_iterations``, or the analysis bound ``3·log_{1+ε}(m) + 8``
     extended for client weights below 1.
@@ -138,7 +140,7 @@ def _iteration_cap(instance, eps: float, max_iterations: int | None) -> int:
     if max_iterations is not None:
         return max_iterations
     m = max(instance.m, 2)
-    iter_cap = _levels(3.0 * math.log(m), eps) + 8
+    iter_cap = round_cap(3.0 * math.log(m) / math.log1p(eps), eps, what=_BOUND) + 8
     if not instance.has_unit_weights:
         # Payments scale by w_j, so a client with weight w < 1 needs
         # its dual raised ~log_{1+ε}(1/w) levels further before its
@@ -147,17 +149,5 @@ def _iteration_cap(instance, eps: float, max_iterations: int | None) -> int:
         # ≥ 1 only open facilities sooner — no extension needed.
         w_min = float(instance.client_weights.min())
         if w_min < 1.0:
-            iter_cap += _levels(math.log(1.0 / w_min), eps)
+            iter_cap += round_cap(math.log(1.0 / w_min) / math.log1p(eps), eps, what=_BOUND)
     return iter_cap
-
-
-def _levels(log_span: float, eps: float) -> int:
-    """``⌈log_span / log(1+ε)⌉`` — the levels a factor ``e^log_span``
-    takes on the ``(1+ε)`` schedule."""
-    levels = log_span / math.log1p(eps)
-    if not math.isfinite(levels):
-        raise InvalidParameterError(
-            f"epsilon={eps!r} is too small: log_(1+epsilon) of the "
-            "primal–dual iteration bound overflows a float; use a larger epsilon"
-        )
-    return math.ceil(levels)

@@ -17,6 +17,7 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.metrics.instance import ClusteringInstance, FacilityLocationInstance
 from repro.metrics.space import MetricSpace
+from repro.metrics.validation import _freeze
 from repro.util.rng import ensure_rng
 from repro.util.validation import check_k, check_positive_int
 
@@ -98,6 +99,7 @@ def _split_instance(
     if not 0 <= lo <= hi:
         raise InvalidParameterError(f"cost_range must satisfy 0 <= lo <= hi, got {cost_range}")
     f = rng.uniform(lo, hi, size=n_f) * cost_scale
+    _freeze(D, f)
     return FacilityLocationInstance(
         D, f, metric=space, facility_ids=facility_ids, client_ids=client_ids
     )
@@ -178,6 +180,7 @@ def graph_instance(
     full = shortest_path(adj, method="D", directed=False)
     chosen = rng.choice(n, size=n_f + n_c, replace=False)
     D_all = full[np.ix_(chosen, chosen)]
+    _freeze(D_all)
     space = MetricSpace(D_all, validate=False)
     return _split_instance(space, n_f, n_c, rng, cost_range, cost_scale)
 
@@ -203,6 +206,7 @@ def random_metric_instance(
     W = (W + W.T) / 2.0
     np.fill_diagonal(W, 0.0)
     D = shortest_path(W, method="FW", directed=False)
+    _freeze(D)
     space = MetricSpace(D, validate=False)
     return _split_instance(space, n_f, n_c, rng, cost_range, cost_scale)
 
@@ -357,7 +361,7 @@ def knn_instance(
     """
     from scipy.spatial import cKDTree
 
-    from repro.metrics.sparse import SparseFacilityLocationInstance, _freeze
+    from repro.metrics.sparse import SparseFacilityLocationInstance
     from repro.util.csr import csr_transpose
 
     check_positive_int(n_f, name="n_f")
@@ -463,11 +467,7 @@ def knn_clustering_from_points(
     """
     from scipy.spatial import cKDTree
 
-    from repro.metrics.sparse import (
-        SparseClusteringInstance,
-        _freeze,
-        _symmetrized_clustering_csr,
-    )
+    from repro.metrics.sparse import SparseClusteringInstance, _symmetrized_clustering_csr
 
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] == 0:

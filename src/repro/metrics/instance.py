@@ -21,26 +21,7 @@ import numpy as np
 
 from repro.errors import InvalidInstanceError, InvalidParameterError
 from repro.metrics.space import MetricSpace
-
-
-def _owned_array(arr, dtype) -> np.ndarray:
-    """``arr`` as a read-only ``dtype`` array that no one else can write.
-
-    An input array is kept only when neither it nor any array it views
-    is writable — so a builder that marks its fresh arrays read-only
-    hands them over uncopied — and copied otherwise. A fresh conversion
-    (a list, another dtype) is already private.
-    """
-    out = np.asarray(arr, dtype=dtype)
-    if out is arr or out.base is not None:
-        view = out
-        while isinstance(view, np.ndarray):
-            if view.flags.writeable:
-                out = out.copy()
-                break
-            view = view.base
-    out.setflags(write=False)
-    return out
+from repro.metrics.validation import _freeze, _owned_array
 
 
 def _check_weights(weights, n: int, *, name: str = "weights") -> tuple:
@@ -91,6 +72,10 @@ class FacilityLocationInstance:
         ``n_f × n_c`` matrix of facility-to-client distances.
     f:
         Length-``n_f`` vector of non-negative opening costs.
+
+        The instance keeps ``D`` and ``f`` read-only. It copies a
+        caller's array that is, or views, a writable array, so the
+        caller can still write its own; a read-only array is kept.
     metric / facility_ids / client_ids:
         Optional underlying :class:`MetricSpace` with the index sets
         ``F`` and ``C``, for analyses needing client–client or
@@ -116,8 +101,8 @@ class FacilityLocationInstance:
         client_ids: np.ndarray | None = None,
         client_weights: np.ndarray | None = None,
     ):
-        D = np.asarray(D, dtype=float)
-        f = np.asarray(f, dtype=float)
+        D = _owned_array(D, float)
+        f = _owned_array(f, float)
         if D.ndim != 2:
             raise InvalidInstanceError(f"D must be 2-D (facilities × clients), got ndim={D.ndim}")
         if D.shape[0] == 0 or D.shape[1] == 0:
@@ -138,8 +123,6 @@ class FacilityLocationInstance:
                 raise InvalidInstanceError("D disagrees with the underlying metric block")
         self._D = D
         self._f = f
-        self._D.setflags(write=False)
-        self._f.setflags(write=False)
         self.metric = metric
         self.facility_ids = facility_ids
         self.client_ids = client_ids
@@ -155,6 +138,7 @@ class FacilityLocationInstance:
         facility_ids = np.asarray(facility_ids, dtype=int)
         client_ids = np.asarray(client_ids, dtype=int)
         D = metric.submatrix(facility_ids, client_ids)
+        _freeze(D)
         return cls(
             D, f, metric=metric, facility_ids=facility_ids, client_ids=client_ids,
             client_weights=client_weights,

@@ -314,17 +314,17 @@ def _build_instance(data, path):
     client_weights = payload("client_weights") if "client_weights" in data else None
     if base_kind == _KIND_FL:
         if "metric_D" in data:
-            metric = MetricSpace(data["metric_D"], validate=False)
+            metric = MetricSpace(payload("metric_D"), validate=False)
             return FacilityLocationInstance(
-                data["D"],
-                data["f"],
+                payload("D"),
+                payload("f"),
                 metric=metric,
                 facility_ids=data["facility_ids"],
                 client_ids=data["client_ids"],
                 client_weights=client_weights,
             )
         return FacilityLocationInstance(
-            data["D"], data["f"], client_weights=client_weights
+            payload("D"), payload("f"), client_weights=client_weights
         )
     if base_kind == _KIND_SPARSE_FL:
         return SparseFacilityLocationInstance(
@@ -347,6 +347,6 @@ def _build_instance(data, path):
         )
     if base_kind == _KIND_CLUSTER:
         return ClusteringInstance(
-            MetricSpace(data["D"], validate=False), int(data["k"]), weights=weights
+            MetricSpace(payload("D"), validate=False), int(data["k"]), weights=weights
         )
     raise InvalidInstanceError(f"unrecognized instance kind {kind!r} in {path}")

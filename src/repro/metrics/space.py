@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import InvalidInstanceError
-from repro.metrics.validation import check_metric_matrix
+from repro.metrics.validation import _freeze, _owned_array, check_metric_matrix
 
 
 class MetricSpace:
@@ -25,6 +25,10 @@ class MetricSpace:
     points:
         Optional ``n × dim`` coordinates (kept for plotting/debugging;
         distances are always read from ``D``).
+
+        Both arrays are kept read-only. A caller's array that is, or
+        views, a writable array is copied, so the caller can still
+        write its own; a read-only array is kept.
     validate:
         Set ``False`` only for matrices already validated (e.g., loaded
         from a file this library wrote).
@@ -34,18 +38,15 @@ class MetricSpace:
 
     def __init__(self, D: np.ndarray, *, points: np.ndarray | None = None, validate: bool = True):
         if validate:
-            D = check_metric_matrix(D)
-        else:
-            D = np.asarray(D, dtype=float)
-        self._D = D
-        self._D.setflags(write=False)
+            D = check_metric_matrix(D)  # a fresh array
+            _freeze(D)
+        self._D = D = _owned_array(D, float)
         if points is not None:
-            points = np.asarray(points, dtype=float)
+            points = _owned_array(points, float)
             if points.shape[0] != D.shape[0]:
                 raise InvalidInstanceError(
                     f"points ({points.shape[0]}) and distances ({D.shape[0]}) disagree on n"
                 )
-            points.setflags(write=False)
         self._points = points
 
     @classmethod
@@ -64,6 +65,7 @@ class MetricSpace:
         # exact zeros on the diagonal despite floating-point arithmetic
         np.fill_diagonal(D, 0.0)
         D = np.minimum(D, D.T)
+        _freeze(D)
         return cls(D, points=points, validate=False)
 
     @property

@@ -36,9 +36,9 @@ from repro.metrics.instance import (
     FacilityLocationInstance,
     _as_open_indices,
     _check_weights,
-    _owned_array,
 )
 from repro.metrics.space import MetricSpace
+from repro.metrics.validation import _freeze, _owned_array
 from repro.util.csr import csr_transpose, rows_are_uniform, validate_csr
 
 
@@ -68,13 +68,6 @@ class _CsrCandidateShape:
     def rows_flat(self) -> np.ndarray:
         """Row id per candidate entry (the CSR row expansion)."""
         return np.repeat(np.arange(self._indptr.size - 1), self.row_lengths)
-
-
-def _freeze(*arrays: np.ndarray) -> None:
-    """Mark freshly built arrays read-only, so that an instance built
-    from them keeps them instead of copying them."""
-    for arr in arrays:
-        arr.setflags(write=False)
 
 
 def _check_opening_costs(f, n_f: int) -> np.ndarray:
@@ -116,7 +109,7 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
     """
 
     __slots__ = (
-        "_indptr", "_indices", "_data", "_f", "_fallback", "_n_clients", "_ct",
+        "_indptr", "_indices", "_data", "_f", "_fallback", "_n_clients",
         "_client_weights", "_unit_weights",
     )
 
@@ -172,14 +165,12 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
         self._client_weights, self._unit_weights = _check_weights(
             client_weights, n_clients, name="client_weights"
         )
-        self._ct = None  # lazy client-major transpose
 
     def with_opening_costs(self, f) -> "SparseFacilityLocationInstance":
         """Same candidate structure with different opening costs.
 
-        Shares the validated structure (and the client view, once
-        built) instead of re-validating it — the Lagrangian k-median
-        re-prices one structure per probe.
+        Shares the validated structure instead of re-validating it —
+        the Lagrangian k-median re-prices one structure per probe.
         """
         out = object.__new__(SparseFacilityLocationInstance)
         for name in self.__slots__:
@@ -298,22 +289,6 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
     def _n_cols(self) -> int:
         return self._n_clients
 
-    # -- client-major transpose -------------------------------------------
-
-    @property
-    def client_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Lazy client-major transpose ``(ct_indptr, ct_facilities, ct_entry)``.
-
-        ``ct_facilities`` holds the facility id of each edge grouped by
-        client; ``ct_entry`` maps each transposed edge back to its
-        position in the facility-major flat arrays (so any per-edge
-        payload transposes by ``payload[ct_entry]``). Built once,
-        ``O(nnz)``.
-        """
-        if self._ct is None:
-            self._ct = csr_transpose(self._indptr, self._indices, self._n_clients)
-        return self._ct
-
     # -- dense bridge ------------------------------------------------------
 
     def to_dense(self) -> FacilityLocationInstance:
@@ -333,6 +308,7 @@ class SparseFacilityLocationInstance(_CsrCandidateShape):
         D = np.empty((n_f, n_c))
         rows = self.rows_flat()
         D[rows, self._indices] = self._data
+        _freeze(D)
         return FacilityLocationInstance(
             D, self._f,
             client_weights=None if self._unit_weights else self._client_weights,
@@ -613,6 +589,7 @@ class SparseClusteringInstance(_CsrCandidateShape):
             )
         D = np.empty((self._n, self._n))
         D[self.rows_flat(), self._indices] = self._data
+        _freeze(D)
         return ClusteringInstance(
             MetricSpace(D, validate=False), self._k, weights=self._weights
         )

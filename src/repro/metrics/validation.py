@@ -3,7 +3,9 @@
 The paper's guarantees hold only on metric instances (symmetric ``d``
 satisfying the triangle inequality, §2); these checkers enforce that at
 instance-construction time so algorithm bugs are never masked by
-invalid inputs.
+invalid inputs. Instances also own their arrays: :func:`_owned_array`
+keeps an input only when no one else can write it, and builders
+:func:`_freeze` the fresh arrays they hand over so nothing is copied.
 """
 
 from __future__ import annotations
@@ -12,6 +14,33 @@ import numpy as np
 
 from repro.errors import InvalidInstanceError
 from repro.util.rng import ensure_rng
+
+
+def _owned_array(arr, dtype) -> np.ndarray:
+    """``arr`` as a read-only ``dtype`` array that no one else can write.
+
+    An input array is kept only when neither it nor any array it views
+    is writable — so a builder that marks its fresh arrays read-only
+    hands them over uncopied — and copied otherwise. A fresh conversion
+    (a list, another dtype) is already private.
+    """
+    out = np.asarray(arr, dtype=dtype)
+    if out is arr or out.base is not None:
+        view = out
+        while isinstance(view, np.ndarray):
+            if view.flags.writeable:
+                out = out.copy()
+                break
+            view = view.base
+    out.setflags(write=False)
+    return out
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    """Mark freshly built arrays read-only, so that an instance built
+    from them keeps them instead of copying them."""
+    for arr in arrays:
+        arr.setflags(write=False)
 
 
 def triangle_violation(D: np.ndarray, *, sample_limit: int = 256, seed=0) -> float:

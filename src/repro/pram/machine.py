@@ -21,26 +21,27 @@ primitive           work            depth          cache
 ``transpose``       ``m``           ``1``          ``m/B``
 ``take_rows``       ``m``           ``1``          ``m/B``
 ``pack``            ``m``           ``log m``      ``m/B``
-``pack_rows``       ``m``           ``log m``      ``m/B``
-``sort_rows``       ``m log r``     ``log r``      ``(m/B) log_{M/B} m``
+sorts               ``m log r``     ``log r``      ``(m/B) log_{M/B} m``
 ``random``          ``m``           ``1``          ``m/B``
 ==================  ==============  =============  ======================
 
-(``m`` = elements touched, ``r`` = row length being sorted / the vote
+(``m`` = elements touched, ``r`` = the longest run being sorted — a
+segment for ``argsort_segments``, the vector for ``sort`` — or the vote
 range.) Charges are computed from the array sizes a primitive
 touches, never from how it executed. Because no primitive depends on
 the backend, serial, thread, and process runs of the same seeded
 algorithm return identical results and report identical
 work/depth/cache totals.
-``masked_axpy``, ``count_votes``, ``take_rows``, and
-``pack_rows`` are the frontier-compaction primitives: they let each
+``count_votes``, ``take_rows``, ``pack``, ``segment_positions`` and
+``masked_axpy`` are the frontier-compaction primitives: they let each
 round of the §4/§5 algorithms touch only the *remaining* instance —
 ``count_votes`` replaces an ``n_f × n_c`` vote matrix with a
-bincount-style segmented count, ``take_rows``/``pack_rows`` carve out
-the live-frontier submatrices, and ``masked_axpy`` fuses the
-scale-add-clamp pattern of the §5 payment computation into one parallel
-step. All are expressible as constant compositions of the paper's §2
-basic operations, so the charged totals remain faithful to the model.
+bincount-style segmented count, ``segment_positions``/``take_rows``
+carve the live rows out of a CSR structure and ``pack`` drops the
+served entries, and ``masked_axpy`` fuses the scale-add-clamp pattern
+into one parallel step. All are expressible as constant compositions
+of the paper's §2 basic operations, so the charged totals remain
+faithful to the model.
 """
 
 from __future__ import annotations
@@ -72,10 +73,8 @@ _TRACED_PRIMITIVES = (
     "argmax",
     "distribute",
     "transpose",
-    "gather_rows",
     "take_columns",
     "take_rows",
-    "pack_rows",
     "count_votes",
     "segmented_reduce",
     "segmented_scan",
@@ -85,10 +84,7 @@ _TRACED_PRIMITIVES = (
     "scatter_min",
     "scatter_add",
     "argsort_segments",
-    "take_submatrix",
     "pack",
-    "sort_rows",
-    "argsort_rows",
     "sort",
     "sorted_unique",
     "random_uniform",
@@ -303,24 +299,6 @@ class PramMachine:
         self.ledger.charge_basic("transpose", a.size, depth=1)
         return out
 
-    def gather_rows(self, a: np.ndarray, order: np.ndarray) -> np.ndarray:
-        """Per-row gather: ``out[r, c] = a[r, order[r, c]]``.
-
-        The paper's §4 presorting pattern: reorder each facility's row
-        once, then address it by rank in later rounds. One parallel
-        read per element (EREW-safe because ``order`` rows are
-        permutations).
-        """
-        a = np.asarray(a)
-        order = np.asarray(order, dtype=np.intp)
-        if a.shape[0] != order.shape[0]:
-            raise InvalidParameterError(
-                f"gather_rows row mismatch: values {a.shape} vs order {order.shape}"
-            )
-        out = np.take_along_axis(a, order, axis=1)
-        self.ledger.charge_basic("gather", out.size, depth=1)
-        return out
-
     def take_columns(self, a: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Column selection ``a[:, idx]`` — a distribution-style copy.
 
@@ -349,33 +327,6 @@ class PramMachine:
         idx = _check_gather_index("take_rows", idx, a.shape[0])
         out = a[idx]
         self.ledger.charge_basic("take_rows", max(out.size, 1), depth=1)
-        return out
-
-    def pack_rows(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Per-row compaction keeping a **uniform** count per row.
-
-        ``mask`` is boolean with the same shape as 2-D ``values`` and
-        must keep the same number of entries in every row (the frontier
-        invariant: removing a client set drops exactly one entry per
-        facility row). Returns the kept entries, order preserved, as a
-        dense ``(rows, k)`` matrix — a row-segmented pack (scan +
-        scatter in the §2 model).
-        """
-        values = np.asarray(values)
-        mask = np.asarray(mask, dtype=bool)
-        if values.ndim != 2 or mask.shape != values.shape:
-            raise InvalidParameterError(
-                f"pack_rows needs matching 2-D shapes, got {values.shape} and {mask.shape}"
-            )
-        counts = mask.sum(axis=1)
-        k = int(counts[0]) if counts.size else 0
-        if counts.size and not np.all(counts == k):
-            raise InvalidParameterError(
-                "pack_rows requires a uniform per-row keep count, got "
-                f"min={counts.min()}, max={counts.max()}"
-            )
-        out = values[mask].reshape(values.shape[0], k)
-        self.ledger.charge_basic("pack_rows", max(values.size, 1))
         return out
 
     def count_votes(self, labels: np.ndarray, minlength: int, *, mask: np.ndarray | None = None) -> np.ndarray:
@@ -577,8 +528,12 @@ class PramMachine:
         positions into ``values`` (the one-time presort of a sparse
         distance structure).
 
-        Uniform segments route through a stable row argsort; ragged
-        segments use a stable two-key sort (segment id, value).
+        Uniform segments sort as rows with NumPy's default kind, several
+        times faster than a stable sort, and re-sort stably only the
+        rows whose sorted values do not strictly ascend (a tie, ``±0.0``
+        or a NaN): every other row has one ascending order, so the
+        result is the stable sort's. Ragged segments use a stable
+        two-key sort (segment id, value).
         """
         values = np.asarray(values)
         indptr = np.asarray(indptr, dtype=np.intp)
@@ -586,29 +541,21 @@ class PramMachine:
         lens = np.diff(indptr)
         k = int(lens[0]) if n_seg else 0
         if n_seg and k > 0 and bool(np.all(lens == k)):
-            local = np.argsort(values.reshape(n_seg, k), axis=1, kind="stable")
-            out = (local + indptr[:-1][:, None]).reshape(-1)
+            rows = values.reshape(n_seg, k)
+            out = np.argsort(rows, axis=1).astype(np.intp, copy=False)
+            out += indptr[:-1][:, None]
+            ranked = np.take(values, out)
+            unsure = ~np.all(ranked[:, 1:] > ranked[:, :-1], axis=1)
+            if unsure.any():
+                stable = np.argsort(rows[unsure], axis=1, kind="stable")
+                out[unsure] = stable + indptr[:-1][unsure, None]
             self.ledger.charge_sort("argsort_segments", values.size, k)
-            return out.astype(np.intp)
+            return out.reshape(-1)
         seg_ids = np.repeat(np.arange(n_seg), lens)
         out = np.lexsort((values, seg_ids)).astype(np.intp)
         self.ledger.charge_sort(
             "argsort_segments", max(values.size, 1), max(int(lens.max()) if lens.size else 1, 1)
         )
-        return out
-
-    def take_submatrix(self, a: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Fused row+column gather ``a[rows][:, cols]``.
-
-        One parallel read per *output* element — the frontier gather:
-        carving a live ``|rows| × |cols|`` submatrix costs the frontier
-        size, not a full-width intermediate.
-        """
-        a = np.asarray(a)
-        rows = _check_gather_index("take_submatrix rows", rows, a.shape[0])
-        cols = _check_gather_index("take_submatrix cols", cols, a.shape[1] if a.ndim > 1 else 0)
-        out = a[np.ix_(rows, cols)]
-        self.ledger.charge_basic("take_rows", max(out.size, 1), depth=1)
         return out
 
     def pack(self, values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -624,24 +571,6 @@ class PramMachine:
         return out
 
     # -- sorting ---------------------------------------------------------------
-
-    def sort_rows(self, a: np.ndarray) -> np.ndarray:
-        """Sort each row of a 2-D matrix ascending."""
-        a = np.asarray(a)
-        if a.ndim != 2:
-            raise InvalidParameterError(f"sort_rows requires a 2-D matrix, got ndim={a.ndim}")
-        out = np.sort(a, axis=1, kind="stable")
-        self.ledger.charge_sort("sort_rows", a.size, a.shape[1])
-        return out
-
-    def argsort_rows(self, a: np.ndarray) -> np.ndarray:
-        """Per-row ascending argsort of a 2-D matrix."""
-        a = np.asarray(a)
-        if a.ndim != 2:
-            raise InvalidParameterError(f"argsort_rows requires a 2-D matrix, got ndim={a.ndim}")
-        out = np.argsort(a, axis=1, kind="stable")
-        self.ledger.charge_sort("argsort_rows", a.size, a.shape[1])
-        return out
 
     def sort(self, a: np.ndarray) -> np.ndarray:
         """Sort a 1-D vector ascending."""

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.local_search import swap_round_cap
 from repro.core.primal_dual import check_schedule
 from repro.errors import InvalidParameterError
 from repro.faults.plan import FaultPlan
@@ -105,10 +106,12 @@ def normalize_params(
     numbers — never truncated or coerced from text — and each value must
     pass the check its solver would run, so a bad request is refused at
     submit rather than failing as a job. ``n`` (the instance's point
-    count) adds ``1 <= k <= n`` and, for ``kmedian_lagrangian``, refuses
-    an ``epsilon`` whose primal–dual schedule on the largest instance
-    the request can build is too long
-    (:func:`~repro.core.primal_dual.check_schedule`).
+    count) adds ``1 <= k <= n`` and refuses an ``epsilon`` that every
+    instance the request can build would refuse: for
+    ``kmedian_lagrangian`` one whose primal–dual schedule is too long
+    (:func:`~repro.core.primal_dual.check_schedule`), for ``kmedian``
+    and ``kmeans`` one whose §7 round cap overflows a float
+    (:func:`~repro.core.local_search.swap_round_cap`).
     """
     merged = dict(_PARAM_DEFAULTS)
     if defaults:
@@ -156,6 +159,11 @@ def normalize_params(
             # instance: at most n points, each with at most n and (the
             # graph is symmetrized) on average 2·neighbors candidates.
             check_schedule(params["epsilon"], n * min(n, 2 * params["neighbors"]))
+        elif params["solver"] in ("kmedian", "kmeans"):
+            # The merged instance has at most n points, and the §7 round
+            # cap only grows with n, so a cap that overflows a float
+            # here overflows on any instance the request can build.
+            swap_round_cap(n, params["k"], params["epsilon"], params["solver"])
     return params
 
 

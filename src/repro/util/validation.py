@@ -7,6 +7,8 @@ validate in one line.
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import InvalidParameterError
 
 
@@ -18,6 +20,22 @@ def check_epsilon(epsilon: float, *, name: str = "epsilon", upper: float | None 
     if upper is not None and eps > upper:
         raise InvalidParameterError(f"{name} must be <= {upper}, got {epsilon!r}")
     return eps
+
+
+def round_cap(bound: float, epsilon: float, *, what: str) -> int:
+    """``⌈bound⌉`` for a round cap that grows as ``epsilon`` shrinks.
+
+    Round caps scale like ``1/log(1+ε)`` or ``1/ε``, so a subnormal
+    ``epsilon`` overflows ``bound`` to infinity, where ``math.ceil``
+    would raise a bare ``OverflowError``. Refuses that ``epsilon``
+    instead, naming it and the bound (``what``).
+    """
+    if not math.isfinite(bound):
+        raise InvalidParameterError(
+            f"epsilon={epsilon!r} is too small: the {what} overflows a float; "
+            "use a larger epsilon"
+        )
+    return math.ceil(bound)
 
 
 def check_k(k: int, n: int, *, name: str = "k") -> int:

@@ -30,7 +30,7 @@ class TestCorrectness:
     def test_matches_dense_variant_distribution(self):
         """Same priorities (same machine seed) ⇒ identical selection to
         the dense implementation round-for-round."""
-        from repro.core.dominator import max_dominator_set
+        from tests.reference.dominator_dense import max_dominator_set
 
         A = random_graph(30, 0.15, 3)
         dense = max_dominator_set(A, PramMachine(seed=42))
@@ -92,7 +92,7 @@ class TestCosts:
     def test_work_scales_with_edges_not_n_squared(self):
         """On a bounded-degree graph the sparse variant's per-round work
         is O(|E|) ≪ n²: compare charged work against the dense one."""
-        from repro.core.dominator import max_dominator_set
+        from tests.reference.dominator_dense import max_dominator_set
 
         n = 256
         A = random_graph(n, 6.0 / n, 0)  # ~6n/2 edges
@@ -165,7 +165,7 @@ class TestMaxUDomSparse:
     def test_explicit_stored_zeros_are_not_edges(self):
         """A stored False entry must behave exactly like an absent one
         (dense parity: the dense matrix reads it as no-edge)."""
-        from repro.core.dominator import max_u_dominator_set
+        from tests.reference.dominator_dense import max_u_dominator_set
 
         rng = np.random.default_rng(3)
         dense_B = rng.random((10, 6)) < 0.3
@@ -179,7 +179,7 @@ class TestMaxUDomSparse:
         np.testing.assert_array_equal(a, b)
 
     def test_matches_dense_selections(self):
-        from repro.core.dominator import max_u_dominator_set
+        from tests.reference.dominator_dense import max_u_dominator_set
 
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -224,7 +224,7 @@ class TestMaxUDomSparse:
 
     def test_work_scales_with_edges(self):
         """Charged work on a bounded-degree bipartite graph ≪ dense."""
-        from repro.core.dominator import max_u_dominator_set
+        from tests.reference.dominator_dense import max_u_dominator_set
 
         rng = np.random.default_rng(0)
         nu, nv = 300, 200

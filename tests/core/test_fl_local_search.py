@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.brute_force import brute_force_facility_location
 from repro.core.fl_local_search import parallel_fl_local_search
 from repro.errors import InvalidParameterError
+from repro.metrics.generators import euclidean_instance
 from repro.metrics.instance import FacilityLocationInstance
 
 FIXTURES = ["tiny_fl", "small_fl", "clustered_fl", "nongeometric_fl", "star_fl"]
@@ -97,3 +98,9 @@ class TestStructure:
     def test_rounds_recorded(self, small_fl):
         sol = parallel_fl_local_search(small_fl, epsilon=0.1, seed=0)
         assert sol.rounds["fl_local_search"] == len(sol.extra["moves"]) + 1
+
+    def test_subnormal_epsilon_refused_not_overflowed(self):
+        """``n_f/β`` overflows a float at ε = 5e-324; the round cap
+        refuses the ε instead of raising ``OverflowError``."""
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            parallel_fl_local_search(euclidean_instance(5, 5, seed=0), epsilon=5e-324)

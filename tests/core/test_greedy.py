@@ -143,6 +143,13 @@ class TestMechanics:
         with pytest.raises(InvalidParameterError):
             parallel_greedy(small_fl, epsilon=1.5)
 
+    @pytest.mark.parametrize("eps", [5e-324, 1e-310])
+    def test_subnormal_epsilon_refused_not_overflowed(self, eps):
+        """``log_(1+ε) m`` overflows a float here; the subselection cap
+        refuses the ε instead of raising ``OverflowError``."""
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            parallel_greedy(euclidean_instance(5, 5, seed=0), epsilon=eps)
+
     def test_explicit_machine_used(self, small_fl):
         m = PramMachine(seed=9)
         parallel_greedy(small_fl, epsilon=0.1, machine=m)

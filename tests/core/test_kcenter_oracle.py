@@ -3,9 +3,9 @@
 ``parallel_kcenter`` runs the CSR search of :mod:`repro.core.kcenter_sparse`
 on every instance; the dense search in
 :mod:`tests.reference.kcenter_dense` (stable-sort thresholds, the dense
-``max_dominator_set`` per probe) is its oracle, field for field. The
-parts it is built from are checked the same way: the internal MaxDom
-rounds against both public dominator entries on identically seeded
+MaxDom body per probe) is its oracle, field for field. The parts it is
+built from are checked the same way: the internal MaxDom rounds against
+the public entry and the dense MaxDom oracle on identically seeded
 machines, and ``PramMachine.sorted_unique`` byte for byte against a
 stable sort and an adjacent-difference pack.
 """
@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from repro.core.dominator import max_dominator_set
 from repro.core.dominator_sparse import _max_dominator_rounds, max_dominator_set_sparse
 from repro.core.kcenter import parallel_kcenter
 from repro.metrics.generators import euclidean_clustering
@@ -25,6 +24,7 @@ from repro.metrics.space import MetricSpace
 from repro.metrics.sparse import SparseClusteringInstance
 from repro.pram.machine import PramMachine
 from tests.core.test_dominator import random_graph
+from tests.reference.dominator_dense import max_dominator_set as max_dominator_set_dense
 from tests.reference.kcenter_dense import comparable_rounds, kcenter_dense
 
 
@@ -92,11 +92,15 @@ def _graphs():
 def test_maxdom_rounds_match_public_entries(name, A, seed, diagonal):
     """The body the k-center probes call, on the graph as given or with
     every diagonal entry stored (as a threshold graph cut from a
-    clustering instance keeps it), against both validated entries."""
+    clustering instance keeps it), against the validated entry and the
+    dense oracle."""
     csr = sparse.csr_matrix(A | np.eye(A.shape[0], dtype=bool) if diagonal else A)
     body = PramMachine(seed=seed)
     got = _max_dominator_rounds(body, csr.indptr, csr.indices, A.shape[0] + 1)
-    for entry, label in ((max_dominator_set_sparse, "maxdom_sparse"), (max_dominator_set, "maxdom")):
+    for entry, label in (
+        (max_dominator_set_sparse, "maxdom_sparse"),
+        (max_dominator_set_dense, "maxdom"),
+    ):
         m = PramMachine(seed=seed)
         want = entry(A, m)
         assert got.tobytes() == want.tobytes()

@@ -10,6 +10,7 @@ from repro.errors import ConvergenceError, InvalidParameterError
 from repro.metrics.generators import euclidean_clustering
 from repro.metrics.instance import ClusteringInstance
 from repro.metrics.space import MetricSpace
+from repro.metrics.sparse import SparseClusteringInstance
 from repro.pram.machine import PramMachine
 
 FIXTURES = ["small_clustering", "blob_clustering"]
@@ -114,6 +115,17 @@ class TestStructure:
     def test_round_cap_raises(self, small_clustering):
         with pytest.raises(ConvergenceError):
             parallel_kmedian(small_clustering, epsilon=0.05, seed=0, max_rounds=1)
+
+    @pytest.mark.parametrize("objective", ["kmedian", "kmeans"])
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_subnormal_epsilon_refused_not_overflowed(self, objective, csr):
+        """``k/β`` overflows a float at ε = 5e-324; both bodies' round cap
+        refuses the ε before the warm start runs."""
+        inst = euclidean_clustering(30, 3, seed=0)
+        if csr:
+            inst = SparseClusteringInstance.from_instance(inst)
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            parallel_local_search(inst, objective, epsilon=5e-324)
 
     def test_rounds_recorded(self, small_clustering):
         sol = parallel_kmedian(small_clustering, seed=0)

@@ -99,6 +99,12 @@ class TestMechanics:
         with pytest.raises(ConvergenceError):
             parallel_lp_rounding(small_fl, epsilon=0.1, max_rounds=0)
 
+    def test_subnormal_epsilon_refused_not_overflowed(self):
+        """The round cap refuses an ε whose ``log_(1+ε) m`` overflows a
+        float instead of raising ``OverflowError``."""
+        with pytest.raises(InvalidParameterError, match="epsilon"):
+            parallel_lp_rounding(euclidean_instance(5, 5, seed=0), epsilon=5e-324)
+
     def test_cost_components(self, small_fl):
         sol = parallel_lp_rounding(small_fl, epsilon=0.1, seed=0)
         assert sol.cost == pytest.approx(small_fl.cost(sol.opened))

@@ -3,11 +3,13 @@
 On dense-representable instances (full CSR, no finite fallback) the
 sparse execution paths must return **byte-identical** seeded solutions
 to the dense paths on all three execution backends. Where the library
-keeps two bodies (greedy, the dominators, local search) each is the
-other's oracle. k-center, primal–dual and the Lagrangian k-median ship
+keeps two bodies (local search) each is the other's oracle. Greedy,
+primal–dual, k-center, the dominators and the Lagrangian k-median ship
 one body, the CSR one, so their dense side is a test-only reference:
+:mod:`tests.reference.greedy_dense`,
+:mod:`tests.reference.primal_dual_dense`,
 :mod:`tests.reference.kcenter_dense` and
-:mod:`tests.reference.primal_dual_dense`:
+:mod:`tests.reference.dominator_dense`:
 
 * greedy and primal–dual facility location — opened set, cost, duals,
   traces, and round counters — on random and adversarial workloads,
@@ -23,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro import PramMachine, ProcessBackend, SerialBackend, ThreadBackend
-from repro.core.dominator import max_dominator_set, max_u_dominator_set
 from repro.core.dominator_sparse import max_dominator_set_sparse, max_u_dominator_set_sparse
 from repro.core.greedy import parallel_greedy
 from repro.core.kcenter import parallel_kcenter
@@ -43,6 +44,8 @@ from repro.metrics.sparse import (
     SparseClusteringInstance,
     SparseFacilityLocationInstance,
 )
+from tests.reference.dominator_dense import max_dominator_set, max_u_dominator_set
+from tests.reference.greedy_dense import greedy_dense
 from tests.reference.kcenter_dense import kcenter_dense
 from tests.reference.primal_dual_dense import kmedian_lagrangian_dense, primal_dual_dense
 
@@ -108,7 +111,7 @@ def test_sparse_greedy_matches_dense(name, make, eps, preprocess):
     dense = make()
     sp = SparseFacilityLocationInstance.from_instance(dense)
     kw = dict(epsilon=eps, preprocess=preprocess)
-    a = parallel_greedy(dense, machine=PramMachine(seed=123), **kw)
+    a = greedy_dense(dense, machine=PramMachine(seed=123), **kw)
     b = parallel_greedy(sp, machine=PramMachine(seed=123), **kw)
     _greedy_check(a, b)
 
@@ -125,9 +128,8 @@ def test_sparse_primal_dual_matches_dense(name, make, eps, preprocess):
     _pd_check(a, b)
 
 
-# The dense side of each FL comparison: greedy ships a dense body;
-# primal–dual's dense body is the test-only reference.
-_DENSE_FL = {parallel_greedy: parallel_greedy, parallel_primal_dual: primal_dual_dense}
+# The dense side of each FL comparison is the test-only reference.
+_DENSE_FL = {parallel_greedy: greedy_dense, parallel_primal_dual: primal_dual_dense}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -253,9 +255,7 @@ def test_preprocessing_ablation_parity():
     """preprocess=False must also agree between sparse and dense."""
     dense = euclidean_instance(10, 30, seed=11)
     sp = SparseFacilityLocationInstance.from_instance(dense)
-    a = parallel_greedy(
-        dense, epsilon=0.2, machine=PramMachine(seed=5), preprocess=False
-    )
+    a = greedy_dense(dense, epsilon=0.2, machine=PramMachine(seed=5), preprocess=False)
     b = parallel_greedy(sp, epsilon=0.2, machine=PramMachine(seed=5), preprocess=False)
     _greedy_check(a, b)
 

@@ -17,6 +17,30 @@ def hand_instance():
 
 
 class TestFacilityLocationInstance:
+    def test_caller_keeps_writing_its_arrays(self):
+        """The instance copies a caller's writable ``D`` and ``f`` rather
+        than freezing them, and its own copies stay read-only."""
+        D = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 1.0]])
+        f = np.array([5.0, 4.0])
+        inst = FacilityLocationInstance(D, f)
+        D[0] = 5.0
+        f[0] = 5.0
+        assert inst.D[0, 0] == 1.0 and inst.f[0] == 5.0
+        assert inst.cost([0]) == pytest.approx(5 + 1 + 2 + 3)
+        with pytest.raises(ValueError, match="read-only"):
+            inst.D[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            inst.f[0] = 1.0
+
+    def test_read_only_arrays_are_kept(self):
+        """A builder that hands over read-only arrays is not copied."""
+        D = np.array([[1.0, 2.0], [3.0, 1.0]])
+        f = np.array([5.0, 4.0])
+        D.setflags(write=False)
+        f.setflags(write=False)
+        inst = FacilityLocationInstance(D, f)
+        assert inst.D is D and inst.f is f
+
     def test_shapes(self, hand_instance):
         assert hand_instance.n_facilities == 2
         assert hand_instance.n_clients == 3

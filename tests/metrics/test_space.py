@@ -50,6 +50,21 @@ def test_matrix_readonly(square_space):
         square_space.D[0, 1] = 99.0
 
 
+def test_caller_keeps_writing_its_arrays():
+    """Unvalidated construction copies a caller's writable matrix and
+    points rather than freezing them; its own stay read-only."""
+    D = np.array([[0.0, 1.0], [1.0, 0.0]])
+    P = np.array([[0.0], [1.0]])
+    space = MetricSpace(D, points=P, validate=False)
+    D[0] = 1.0
+    P[0] = 1.0
+    assert space.D[0, 0] == 0.0 and space.points[0, 0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        space.D[0, 1] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        space.points[0, 0] = 2.0
+
+
 def test_distance_to_set(square_space):
     d = square_space.distance_to_set([3], [0, 1])
     assert d[0] == pytest.approx(1.0)  # corner (1,1) to (1,0)

@@ -12,6 +12,7 @@ from repro.metrics.sparse import (
     knn_sparsify,
     threshold_sparsify,
 )
+from repro.util.csr import csr_transpose
 
 
 @pytest.fixture
@@ -113,10 +114,8 @@ class TestConstruction:
 
 class TestWithOpeningCosts:
     def test_shares_structure_and_reprices(self, full):
-        view = full.client_view
         cheap = full.with_opening_costs(np.full(full.n_facilities, 0.5))
         assert cheap.indices is full.indices and cheap.data is full.data
-        assert cheap.client_view is view
         np.testing.assert_array_equal(cheap.f, 0.5)
         assert not cheap.f.flags.writeable
         assert cheap.facility_cost([0, 1]) == 1.0
@@ -155,13 +154,7 @@ class TestObjective:
 
 
 class TestClientView:
-    def test_transpose_round_trip(self, full, dense):
-        ct_indptr, ct_rows, ct_entry = full.client_view
-        assert ct_indptr[-1] == full.nnz
-        # every client sees every facility on a full instance
-        np.testing.assert_array_equal(np.diff(ct_indptr), dense.n_facilities)
-        d_by_client = full.data[ct_entry].reshape(dense.n_clients, -1)
-        np.testing.assert_array_equal(d_by_client, dense.D.T)
+    """The dense bridge: a CSR instance back in the dense shape."""
 
     def test_to_dense_round_trip(self, dense, full):
         back = full.to_dense()
@@ -181,7 +174,7 @@ class TestKnnSparsify:
         assert np.all(counts == 2)
         assert trunc.nnz == 2 * dense.n_clients
         # kept distances per client are the smallest ones
-        ct_indptr, ct_rows, ct_entry = trunc.client_view
+        ct_indptr, _, ct_entry = csr_transpose(trunc.indptr, trunc.indices, trunc.n_clients)
         for j in range(dense.n_clients):
             kept = np.sort(trunc.data[ct_entry[ct_indptr[j] : ct_indptr[j + 1]]])
             best = np.sort(dense.D[:, j])[: kept.size]
@@ -255,7 +248,7 @@ class TestKnnInstance:
         facilities = rng.random((12, 3))
         clients = rng.random((40, 3))
         D = np.linalg.norm(facilities[:, None, :] - clients[None, :, :], axis=2)
-        ct_indptr, ct_rows, ct_entry = inst.client_view
+        ct_indptr, _, ct_entry = csr_transpose(inst.indptr, inst.indices, inst.n_clients)
         for j in range(40):
             kept = np.sort(inst.data[ct_entry[ct_indptr[j] : ct_indptr[j + 1]]])
             np.testing.assert_allclose(kept, np.sort(D[:, j])[:3])

@@ -102,8 +102,10 @@ def test_scan_parity(pool, data, op):
 def test_sort_argsort_parity(pool, rng):
     # Duplicate-heavy rows make argsort stability observable.
     a = rng.integers(0, 5, size=(61, 17)).astype(float)
-    assert np.array_equal(pool.sort_rows(a), np.sort(a, axis=1, kind="stable"))
-    assert np.array_equal(pool.argsort_rows(a), np.argsort(a, axis=1, kind="stable"))
+    indptr = np.arange(0, a.size + 1, a.shape[1])
+    assert np.array_equal(pool.sort(a.ravel()), np.sort(a.ravel(), kind="stable"))
+    want = np.argsort(a, axis=1, kind="stable") + indptr[:-1, None]
+    assert np.array_equal(pool.argsort_segments(a.ravel(), indptr), want.ravel())
 
 
 def test_count_votes_parity(pool, rng):
@@ -150,7 +152,8 @@ def test_fused_axpy_column_x_broadcast(pool, rng):
 def test_empty_inputs(pool):
     empty = np.zeros((0, 4))
     assert pool.reduce(empty, "add") == 0.0
-    assert np.array_equal(pool.sort_rows(empty), empty)
+    assert pool.sort(empty.ravel()).size == 0
+    assert pool.argsort_segments(empty.ravel(), np.zeros(1, dtype=np.intp)).size == 0
 
 
 def test_3d_reduce_falls_back(pool, rng):

@@ -103,17 +103,6 @@ def test_transpose(m, rng):
     assert np.array_equal(m.transpose(a), a.T)
 
 
-def test_gather_rows(m, rng):
-    a = rng.random((4, 6))
-    order = np.argsort(a, axis=1)
-    assert np.array_equal(m.gather_rows(a, order), np.sort(a, axis=1))
-
-
-def test_gather_rows_shape_mismatch(m):
-    with pytest.raises(InvalidParameterError):
-        m.gather_rows(np.ones((3, 4)), np.zeros((2, 4), dtype=int))
-
-
 def test_take_columns(m, rng):
     a = rng.random((5, 8))
     idx = np.array([7, 0, 3])
@@ -156,29 +145,6 @@ def test_take_rows_out_of_range(m):
         m.take_rows(np.ones((3, 2)), np.array([3]))
 
 
-def test_take_submatrix(m, rng):
-    a = rng.random((7, 9))
-    rows, cols = np.array([5, 1]), np.array([8, 0, 4])
-    assert np.array_equal(m.take_submatrix(a, rows, cols), a[np.ix_(rows, cols)])
-
-
-def test_pack_rows(m):
-    vals = np.arange(12).reshape(3, 4)
-    mask = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0]], dtype=bool)
-    assert np.array_equal(m.pack_rows(vals, mask), [[0, 2], [5, 7], [8, 9]])
-
-
-def test_pack_rows_nonuniform_count_rejected(m):
-    mask = np.array([[True, True], [True, False]])
-    with pytest.raises(InvalidParameterError, match="uniform"):
-        m.pack_rows(np.ones((2, 2)), mask)
-
-
-def test_pack_rows_shape_mismatch(m):
-    with pytest.raises(InvalidParameterError):
-        m.pack_rows(np.ones((2, 3)), np.ones((3, 2), dtype=bool))
-
-
 def test_count_votes(m, rng):
     labels = rng.integers(0, 7, size=200)
     assert np.array_equal(m.count_votes(labels, 7), np.bincount(labels, minlength=7))
@@ -217,20 +183,11 @@ def test_masked_axpy_scalar_y(m, rng):
     assert np.allclose(m.masked_axpy(2.0, x, 1.5), 2.0 * x + 1.5)
 
 
-def test_sort_rows(m, rng):
-    a = rng.random((5, 9))
-    assert np.array_equal(m.sort_rows(a), np.sort(a, axis=1))
-
-
-def test_sort_rows_requires_2d(m):
-    with pytest.raises(InvalidParameterError):
-        m.sort_rows(np.arange(5.0))
-
-
 def test_argsort_rows(m, rng):
+    """A row argsort is ``argsort_segments`` over uniform segments."""
     a = rng.random((4, 7))
-    got = m.argsort_rows(a)
-    assert np.array_equal(np.take_along_axis(a, got, 1), np.sort(a, axis=1))
+    got = m.argsort_segments(a.ravel(), np.arange(0, 29, 7))
+    assert np.array_equal(a.ravel()[got].reshape(4, 7), np.sort(a, axis=1))
 
 
 def test_sort_vector(m, rng):
@@ -309,9 +266,11 @@ def test_reduce_charges_log_depth(m, rng):
 
 
 def test_sort_rows_charges_superlinear_work(m, rng):
+    """Sorting rows (``argsort_segments`` over uniform segments) charges
+    ``m log r`` work and ``log r`` depth."""
     a = rng.random((4, 256))
     before = m.snapshot()
-    m.sort_rows(a)
+    m.argsort_segments(a.ravel(), np.arange(0, a.size + 1, 256))
     d = m.ledger.since(before)
     assert d.work == pytest.approx(4 * 256 * 8)
     assert d.depth == pytest.approx(8)
@@ -334,12 +293,13 @@ def test_bump_round_delegates(m):
 def test_frontier_primitives_charge(m, rng):
     a = rng.random((8, 8))
     m.take_rows(a, np.array([1, 2]))
-    m.take_submatrix(a, np.array([0, 3]), np.array([1, 2]))
-    m.pack_rows(a, np.tile(np.array([True, False] * 4), (8, 1)))
+    m.segment_positions(np.arange(0, 65, 8), np.array([0, 3]))
+    m.pack(a.ravel(), np.tile(np.array([True, False]), 32))
     m.count_votes(np.array([0, 1, 1]), 3)
     m.masked_axpy(1.0, a, 0.0)
-    assert m.ledger.calls_by_op["take_rows"] == 2  # take_submatrix shares the label
-    assert m.ledger.calls_by_op["pack_rows"] == 1
+    assert m.ledger.calls_by_op["take_rows"] == 1
+    assert m.ledger.calls_by_op["segment_gather"] == 1
+    assert m.ledger.calls_by_op["pack"] == 1
     assert m.ledger.calls_by_op["count_votes"] == 1
     assert m.ledger.calls_by_op["masked_axpy"] == 1
     assert m.ledger.work > 0
@@ -372,8 +332,11 @@ def test_scan_then_last_equals_reduce(a):
     )
 )
 def test_sort_rows_is_permutation_and_ordered(a):
+    """Rows sorted by ``argsort_segments`` are ordered permutations."""
     m = PramMachine(seed=0)
-    s = m.sort_rows(a)
+    pos = m.argsort_segments(a.ravel(), np.arange(0, a.size + 1, a.shape[1]))
+    assert np.array_equal(np.sort(pos.reshape(a.shape), axis=1), np.arange(a.size).reshape(a.shape))
+    s = a.ravel()[pos].reshape(a.shape)
     assert np.all(np.diff(s, axis=1) >= 0)
     assert np.allclose(np.sort(a, axis=1), s)
 

@@ -248,3 +248,57 @@ class TestMachineSegmented:
         np.testing.assert_array_equal(outs["serial"][0], outs["thread"][0])
         np.testing.assert_array_equal(outs["serial"][1], outs["thread"][1])
         assert outs["serial"][2] == outs["thread"][2]
+
+
+# --------------------------------------------------------------------------
+# argsort_segments: the default sort on uniform rows, with a stable sort's
+# bytes. Rows that tie (equal values, ±0.0, NaNs, repeated infinities) are
+# the ones a non-stable sort may permute.
+# --------------------------------------------------------------------------
+
+_nan, _inf = np.nan, np.inf
+UNIFORM_ROWS = [
+    ("ties", np.random.default_rng(4).integers(0, 3, size=(6, 9)).astype(float)),
+    ("signed-zeros", np.array([[0.0, -0.0, 1.0, -0.0], [-0.0, 0.0, 0.0, -1.0]])),
+    ("nans", np.array([[_nan, 1.0, _nan, 0.5], [2.0, _nan, 1.0, 1.0]])),
+    ("infs", np.array([[_inf, 1.0, -_inf, _inf], [-_inf, -_inf, 0.0, _inf]])),
+    ("mixed", np.array([[_nan, -0.0, _inf, 0.0, 2.0, _nan, -_inf, 2.0, 0.0, _inf]])),
+    ("distinct", np.random.default_rng(5).random((8, 11))),
+    ("one-column", np.array([[3.0], [_nan], [-0.0], [1.0]])),
+    ("single-row", np.array([[2.0, 1.0, 2.0, 0.0, 1.0, 2.0, -0.0]])),
+    ("int-ties", np.random.default_rng(6).integers(0, 4, size=(5, 12))),
+]
+
+
+@pytest.mark.parametrize("name,rows", UNIFORM_ROWS, ids=[c[0] for c in UNIFORM_ROWS])
+def test_argsort_segments_uniform_is_the_stable_sort(name, rows):
+    n_seg, k = rows.shape
+    indptr = np.arange(0, rows.size + 1, k, dtype=np.intp)
+    got = PramMachine(seed=0).argsort_segments(rows.ravel(), indptr)
+    want = (np.argsort(rows, axis=1, kind="stable") + indptr[:-1, None]).ravel()
+    assert got.dtype == np.intp
+    assert got.tobytes() == want.astype(np.intp).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_argsort_segments_ragged_is_the_stable_sort(seed):
+    """Ragged rows, empty ones included, with ties, ±0.0, NaN and inf."""
+    rng = np.random.default_rng(seed)
+    lens = rng.integers(0, 7, size=12)
+    indptr = np.concatenate(([0], np.cumsum(lens))).astype(np.intp)
+    values = rng.choice(np.array([0.0, -0.0, 1.0, 2.0, _nan, _inf, -_inf]), size=indptr[-1])
+    got = PramMachine(seed=0).argsort_segments(values, indptr)
+    want = np.lexsort((values, np.repeat(np.arange(lens.size), lens)))
+    per_row = np.concatenate(
+        [np.argsort(values[a:b], kind="stable") + a for a, b in zip(indptr[:-1], indptr[1:])]
+    )
+    assert got.tobytes() == want.astype(np.intp).tobytes()
+    assert got.tobytes() == per_row.astype(np.intp).tobytes()
+
+
+@pytest.mark.parametrize(
+    "indptr", [np.zeros(1, dtype=np.intp), np.zeros(4, dtype=np.intp)], ids=["no-rows", "empty-rows"]
+)
+def test_argsort_segments_empty_input(indptr):
+    got = PramMachine(seed=0).argsort_segments(np.zeros(0), indptr)
+    assert got.size == 0 and got.dtype == np.intp

@@ -4,13 +4,13 @@ The library runs one k-center body, the CSR one in
 :mod:`repro.core.kcenter_sparse`; a dense instance runs as its full
 CSR. This module keeps an independent second implementation over the
 dense matrix — a stable-sort threshold list and, per probe, the boolean
-threshold matrix ``D ≤ t`` handed to the dense
-:func:`~repro.core.dominator.max_dominator_set` — as the oracle the
+threshold matrix ``D ≤ t`` handed to the dense MaxDom body in
+:mod:`tests.reference.dominator_dense` — as the oracle the
 equivalence suites compare the shipped solver against, field for
 field. It shares no code with the CSR body and is not imported by
 ``src/``.
 
-Its MaxDom rounds count under ``maxdom`` (the dense dominator's label)
+Its MaxDom rounds count under ``maxdom`` (the dense body's label)
 where the CSR body's count under ``maxdom_sparse``;
 :func:`comparable_rounds` maps one onto the other.
 """
@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dominator import max_dominator_set
 from repro.core.result import ClusteringSolution
 from repro.metrics.instance import ClusteringInstance
 from repro.pram.machine import PramMachine, ensure_machine
+from tests.reference.dominator_dense import max_dominator_set
 
 
 def _thresholds(D: np.ndarray) -> np.ndarray:

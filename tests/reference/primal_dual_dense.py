@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.dominator import max_u_dominator_set
-from repro.core.greedy import _instance_gamma
 from repro.core.kmedian_lagrangian import _price_ceiling
 from repro.core.primal_dual import _iteration_cap
 from repro.core.result import ClusteringSolution, FacilityLocationSolution
@@ -27,6 +25,8 @@ from repro.errors import ConvergenceError, InvalidParameterError
 from repro.metrics.instance import ClusteringInstance, FacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
 from repro.util.validation import check_epsilon
+from tests.reference.dominator_dense import max_u_dominator_set
+from tests.reference.greedy_dense import _instance_gamma
 
 _REL_TOL = 1.0 + 1e-12
 
@@ -174,7 +174,7 @@ def _parallel_primal_dual_dense(
         if frontier_dirty:
             unfro = np.flatnonzero(~frozen)  # raised each iteration
             closed = np.flatnonzero(~(free_open | tent_open))
-            D_cu = machine.take_submatrix(D, closed, unfro)
+            D_cu = D[np.ix_(closed, unfro)]
             frontier_dirty = False
 
         # Step 1: raise unfrozen duals to the schedule level.
@@ -227,7 +227,7 @@ def _parallel_primal_dual_dense(
         if old_tent.size and unfro.size:
             H[np.ix_(old_tent, unfro)] |= machine.map(
                 lambda d: (1.0 + eps) * t > d,
-                machine.take_submatrix(D, old_tent, unfro),
+                D[np.ix_(old_tent, unfro)],
             )
 
         # Fold the payments of clients frozen this iteration into the
@@ -265,7 +265,7 @@ def _parallel_primal_dual_dense(
             if tent_idx.size and still.size:
                 H[np.ix_(tent_idx, still)] |= machine.map(
                     lambda d, a: (1.0 + eps) * a > d,
-                    machine.take_submatrix(D, tent_idx, still),
+                    D[np.ix_(tent_idx, still)],
                     alpha[still][None, :],
                 )
 

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.util.validation import check_epsilon, check_k, check_positive_int, check_probability
+from repro.util.validation import (
+    check_epsilon,
+    check_k,
+    check_positive_int,
+    check_probability,
+    round_cap,
+)
 
 
 class TestCheckEpsilon:
@@ -62,3 +68,14 @@ class TestCheckProbability:
     def test_rejects_outside(self, bad):
         with pytest.raises(InvalidParameterError):
             check_probability(bad)
+
+
+class TestRoundCap:
+    def test_ceiling_of_a_finite_bound(self):
+        assert round_cap(3.2, 0.1, what="test bound") == 4
+        assert round_cap(3.0, 0.1, what="test bound") == 3
+
+    @pytest.mark.parametrize("bound", [float("inf"), float("nan")])
+    def test_overflowed_bound_names_epsilon(self, bound):
+        with pytest.raises(InvalidParameterError, match="epsilon=5e-324.*test bound"):
+            round_cap(bound, 5e-324, what="test bound")
