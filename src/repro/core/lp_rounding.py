@@ -27,8 +27,9 @@ bounds the rounds at ``O(log_{1+ε} m)``.
 
 ``MaxUDom`` runs the library's one body, the CSR
 :func:`~repro.core.dominator_sparse.max_u_dominator_set_sparse`, over
-the live ball graph's edges: a round costs the balls' edges, not the
-``n_c × n_f`` incidence matrix.
+the live ball graph. A rounding round still builds and transposes the
+dense ``n_f × n_c`` incidence matrix; only the MaxUDom rounds cost the
+balls' edges.
 """
 
 from __future__ import annotations

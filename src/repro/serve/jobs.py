@@ -160,9 +160,10 @@ def normalize_params(
             # graph is symmetrized) on average 2·neighbors candidates.
             check_schedule(params["epsilon"], n * min(n, 2 * params["neighbors"]))
         elif params["solver"] in ("kmedian", "kmeans"):
-            # The merged instance has at most n points, and the §7 round
-            # cap only grows with n, so a cap that overflows a float
-            # here overflows on any instance the request can build.
+            # The §7 round cap is evaluated on the largest instance the
+            # request can build: n points, which a one-shard job solves
+            # directly. An epsilon that overflows the cap there is
+            # refused, even if smaller shards would not overflow.
             swap_round_cap(n, params["k"], params["epsilon"], params["solver"])
     return params
 

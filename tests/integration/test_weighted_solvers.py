@@ -32,6 +32,8 @@ from repro.metrics.sparse import (
     SparseClusteringInstance,
     SparseFacilityLocationInstance,
 )
+from tests.reference.greedy_dense import greedy_dense
+from tests.reference.primal_dual_dense import primal_dual_dense
 
 EPS = 0.2
 
@@ -58,9 +60,10 @@ def test_unit_weight_parity_fl():
 
     base = euclidean_instance(7, 18, seed=31)
     ones = FacilityLocationInstance(base.D, base.f, client_weights=np.ones(18))
-    for fn in (parallel_greedy, parallel_primal_dual):
-        a = fn(base, seed=9, epsilon=EPS)
-        b = fn(ones, seed=9, epsilon=EPS)
+    # each solver ships one (CSR) body; its dense side is the reference
+    for fn, dense_fn in ((parallel_greedy, greedy_dense), (parallel_primal_dual, primal_dual_dense)):
+        a = dense_fn(base, seed=9, epsilon=EPS)
+        b = dense_fn(ones, seed=9, epsilon=EPS)
         assert np.array_equal(a.opened, b.opened)
         assert a.cost == b.cost
         # sparse path too
@@ -97,11 +100,11 @@ def test_weighted_fl_within_paper_bounds(name, instance):
     # §4: (1+ε)·H_n-ish dual-fitting constant ≤ 3.16(1+ε)²; §5: 3+ε.
     assert greedy.cost <= 3.16 * (1 + EPS) ** 2 * opt * (1 + 1e-9)
     assert pd.cost <= (3.0 + 3 * EPS) * opt * (1 + 1e-9)
-    # weighted sparse paths agree with their dense runs
+    # the weighted sparse path agrees with the dense reference run
     sg = parallel_greedy(
         SparseFacilityLocationInstance.from_instance(instance), seed=1, epsilon=EPS
     )
-    assert np.array_equal(sg.opened, greedy.opened)
+    assert np.array_equal(sg.opened, greedy_dense(instance, seed=1, epsilon=EPS).opened)
 
 
 # -- duplicate-metamorphic on solvers ---------------------------------------
@@ -177,14 +180,12 @@ def test_weighted_fl_paths_agree_dense_sparse():
     instance."""
     from repro.metrics.generators import euclidean_instance
 
-    from tests.reference.primal_dual_dense import primal_dual_dense
-
     base = euclidean_instance(12, 40, seed=17)
     w = np.random.default_rng(3).uniform(0.5, 4.0, 40)
     inst = FacilityLocationInstance(base.D, base.f, client_weights=w)
     sp = SparseFacilityLocationInstance.from_instance(inst)
-    # primal–dual ships one (CSR) body; its dense side is the reference
-    for fn, dense_fn in ((parallel_greedy, parallel_greedy), (parallel_primal_dual, primal_dual_dense)):
+    # each solver ships one (CSR) body; its dense side is the reference
+    for fn, dense_fn in ((parallel_greedy, greedy_dense), (parallel_primal_dual, primal_dual_dense)):
         dense = dense_fn(inst, seed=5, epsilon=0.15)
         sparse = fn(sp, seed=5, epsilon=0.15)
         assert np.array_equal(dense.opened, sparse.opened)
