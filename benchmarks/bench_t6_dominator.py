@@ -29,7 +29,7 @@ def test_t6_maxdom_rounds_and_work(benchmark):
             A = random_graph(n, 8.0 / n, seed)  # constant average degree
             m = PramMachine(seed=seed)
             max_dominator_set(A, m)
-            rounds_seen.append(m.ledger.rounds["maxdom_sparse"])
+            rounds_seen.append(m.ledger.rounds["maxdom"])
             work_seen.append(m.ledger.work)
         table.add(
             n=n,

@@ -8,9 +8,10 @@ Three acts, one invariant each:
 2. *Memory-mapped archives*: ``save_instance(..., compressed=False)``
    plus ``load_instance(..., mmap_mode="r")`` feed a solver straight
    off the file — seeded output identical to the eager load.
-3. *Zero-copy process transport*: ``ProcessBackend.submit_batch``
-   ships large arrays by shared-memory name instead of pickling them;
-   results match the in-process loop exactly.
+3. *Zero-copy process transport*: a supervised batch on a
+   ``ProcessBackend`` (``supervised_submit_batch``) ships large arrays
+   by shared-memory name instead of pickling them; results match the
+   in-process loop exactly.
 
 Run:  python examples/out_of_core.py          (~30 seconds)
       python examples/out_of_core.py --big    (adds a 2M-point spill)
@@ -24,6 +25,7 @@ import time
 import numpy as np
 
 from repro import load_instance, parallel_kmedian, save_instance, shard_and_solve
+from repro.faults import NO_RETRY, supervised_submit_batch
 from repro.metrics.generators import knn_clustering_instance
 from repro.pram.backends import ProcessBackend, SerialBackend
 from repro.shard import ShardStore
@@ -94,13 +96,17 @@ def act_3_zero_copy():
     items = [(b, centers) for b in blocks]
 
     t0 = time.perf_counter()
-    serial = SerialBackend().submit_batch(_block_cost, items)
+    serial, _ = supervised_submit_batch(
+        SerialBackend(), _block_cost, items, policy=NO_RETRY
+    )
     serial_s = time.perf_counter() - t0
     with ProcessBackend(2) as backend:
         t0 = time.perf_counter()
-        zero_copy = backend.submit_batch(_block_cost, items)
+        zero_copy, failures = supervised_submit_batch(
+            backend, _block_cost, items, policy=NO_RETRY
+        )
         zero_copy_s = time.perf_counter() - t0
-    assert zero_copy == serial
+    assert failures == [] and zero_copy == serial
     print(
         f"  6×50k-point blocks: in-process {serial_s:.2f}s vs "
         f"zero-copy pool {zero_copy_s:.2f}s — identical floats out"

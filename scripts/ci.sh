@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gate: lint (when ruff is available) + tier-1 tests + the primal–dual,
-# k-center and greedy suites with RuntimeWarning as an error + end-to-end smoke +
-# a short paper-solvers benchmark run with its output checks.
+# k-center and greedy suites with RuntimeWarning as an error + the batch
+# executor and shard suites with ResourceWarning and RuntimeWarning as errors +
+# end-to-end smoke + a short paper-solvers benchmark run with its output checks.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +39,15 @@ python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.
     tests/core/test_greedy.py tests/core/test_greedy_oracle.py tests/core/test_stars.py \
     tests/core/test_lp_rounding.py tests/pram/test_segmented.py tests/pram/test_machine.py \
     tests/integration/test_weighted_solvers.py
+
+# The Supervisor is the one batch executor: it owns every shared-memory
+# segment and every pool respawn on the default shard path, so a segment,
+# pool or file it fails to release (ResourceWarning) fails these suites.
+echo "== batch executor and shard suites, ResourceWarning and RuntimeWarning as errors =="
+python -X dev -W error::ResourceWarning -W error::RuntimeWarning -m pytest -q \
+    tests/pram/test_backends.py tests/faults/test_supervisor.py \
+    tests/shard/test_coreset.py tests/shard/test_store.py tests/shard/test_solve.py \
+    tests/shard/test_shard_failures.py
 
 echo "== smoke =="
 python scripts/smoke.py

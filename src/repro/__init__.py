@@ -121,7 +121,6 @@ from repro.shard import (
     ShardCoreset,
     ShardSolution,
     build_coreset,
-    build_shard_coresets,
     grid_partition,
     kdtree_partition,
     make_partition,
@@ -233,7 +232,6 @@ __all__ = [
     "ShardCoreset",
     "ShardSolution",
     "build_coreset",
-    "build_shard_coresets",
     "grid_partition",
     "kdtree_partition",
     "make_partition",

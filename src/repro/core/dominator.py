@@ -19,7 +19,7 @@ defined by the original graph.
 :mod:`repro.core.dominator_sparse` — the Lemma 3.1 remark's
 ``O(|E| log |V|)`` work — under their §3 names. They accept a dense
 boolean matrix or a ``scipy.sparse`` one and count their rounds under
-``maxdom_sparse`` and ``maxudom``. The dense-matrix bodies are kept
+``maxdom`` and ``maxudom``. The dense-matrix bodies are kept
 under ``tests/`` as the test suite's oracle; seeded selections match
 them exactly.
 """

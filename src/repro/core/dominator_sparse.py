@@ -128,7 +128,7 @@ def _max_dominator_rounds(
     for _ in range(limit):
         if not candidate.any():
             return selected
-        machine.bump_round("maxdom_sparse")
+        machine.bump_round("maxdom")
         # Priorities are a permutation of 0..n-1, so n stands for "no
         # candidate" in every minimum below.
         pi = machine.random_priorities(n)
@@ -177,7 +177,7 @@ def max_dominator_set_sparse(
 ) -> np.ndarray:
     """``MaxDom`` of a simple graph (MIS of ``G²``, §3) in
     ``O(|E| log |V|)`` work; :func:`repro.core.dominator.max_dominator_set`
-    is this entry. Rounds count under ``maxdom_sparse``.
+    is this entry. Rounds count under ``maxdom``.
 
     The input is validated (square, symmetric; stored zeros and the
     diagonal dropped, rows sorted) before the rounds run, so any

@@ -49,7 +49,7 @@ def parallel_kcenter(
     ClusteringSolution
         ``centers`` (≤ k of them), the achieved bottleneck ``cost``,
         round counters (``kcenter_probe`` per probe plus the
-        ``maxdom_sparse`` dominator rounds), and ``extra = {threshold,
+        ``maxdom`` dominator rounds), and ``extra = {threshold,
         probes, n_thresholds}``.
 
     Notes

@@ -6,8 +6,9 @@ layer to survive partial failure: a million-point
 process pool, and without this package one hung or crashed worker aborts
 the whole solve. Two halves:
 
-* :mod:`repro.faults.supervisor` — :class:`Supervisor` wraps any
-  backend's task pool with per-task timeouts, crash detection
+* :mod:`repro.faults.supervisor` — :class:`Supervisor`, the one
+  executor that sends batches to a backend's task pool, gives every
+  batch per-task timeouts, crash detection
   (sentinel start/finish flags in shared memory plus isolation reruns
   attribute ``BrokenProcessPool`` to the task that actually crashed,
   not to collateral tasks the breakage tore down), retries under a

@@ -1,12 +1,14 @@
 """Supervised batch execution: retry, timeout, backoff, and crash
 recovery over any :class:`~repro.pram.backends.Backend`.
 
-:meth:`Backend.submit_batch` fans independent tasks over a worker pool
-but inherits the pool's failure model: one hung worker stalls the batch
-forever, one crashed process poisons every outstanding future, and a
-raised exception aborts everything with a raw traceback. The
-:class:`Supervisor` wraps the same pools with an explicit failure
-contract governed by a :class:`RetryPolicy`:
+:meth:`Supervisor.submit_batch` is the one executor that sends a batch
+of independent tasks to a backend's worker pool; a backend only owns
+the pool. A bare pool's failure model is poor: one hung worker stalls
+the batch forever, one crashed process poisons every outstanding
+future, and a raised exception aborts everything with a raw traceback.
+The :class:`Supervisor` gives every batch an explicit failure contract
+governed by a :class:`RetryPolicy` (``NO_RETRY`` for fail-fast
+callers):
 
 * **per-task timeouts** — the supervisor stops waiting on a task after
   ``policy.timeout`` seconds (measured from when it turns to that
@@ -72,6 +74,7 @@ from repro.faults.plan import (
 from repro.obs.log import current_log
 from repro.obs.tracer import current_trace_id, current_tracer
 from repro.pram.backends import (
+    _record_shm_bytes,
     _TracedResult,
     _unpack_value,
     fn_picklable,
@@ -278,12 +281,13 @@ class _Outcome:
 
 
 class Supervisor:
-    """Fault-tolerant ``submit_batch`` over an existing backend.
+    """Fault-tolerant batch execution over an existing backend.
 
     The supervisor never owns the backend — it borrows whatever pool the
     backend currently holds, falling back to in-process execution when
     there is none (serial backend, closed backend, unpicklable ``fn`` on
-    a process pool). Results are order-preserving;
+    a process pool). Every task of a batch goes to the pool, a
+    one-task batch included. Results are order-preserving;
     :meth:`submit_batch` returns ``(results, failures)`` where a failed
     task's slot holds ``None`` and its :class:`TaskFailure` explains
     why. Every run of every task — retries behind eventual successes
@@ -511,35 +515,31 @@ class Supervisor:
     def _unwrap_traced(tracer, value, idx, attempt, submit_ts):
         """Strip a worker timing envelope, emitting its spans.
 
-        Returns the raw task value. Queue-wait is measured from the
+        Returns the raw task value. Per task run the trace gains an
+        ``exec`` span (the task body) on the executing worker's lane,
+        and, for pool rounds, a ``queue_wait`` span measured from the
         round's submit timestamp (``None`` for inline execution, which
-        has no queue).
+        has no queue) — the utilization/straggler raw material, mirrored
+        into the ``backend.exec_us`` / ``backend.queue_wait_us``
+        histograms and the ``backend.batch_tasks`` counter.
         """
         if not isinstance(value, _TracedResult):
             return value
         lane = tracer.worker_lane(value.pid, value.tid)
-        args = {"task": idx, "attempt": attempt, "supervised": True}
+        args = {"task": idx, "attempt": attempt}
         if value.trace_id is not None:
             # the id the round was dispatched under — authoritative even
             # if the unwrapping thread's ambient context moved on
             args["trace_id"] = value.trace_id
+        metrics = tracer.metrics
         if submit_ts is not None:
-            tracer.complete(
-                "queue_wait",
-                "backend",
-                submit_ts,
-                max(value.start_us - submit_ts, 0),
-                tid=lane,
-                args=args,
-            )
-        tracer.complete(
-            "exec",
-            "backend",
-            value.start_us,
-            max(value.end_us - value.start_us, 0),
-            tid=lane,
-            args=args,
-        )
+            queued = max(value.start_us - submit_ts, 0)
+            tracer.complete("queue_wait", "backend", submit_ts, queued, tid=lane, args=args)
+            metrics.histogram("backend.queue_wait_us").observe(queued)
+        dur = max(value.end_us - value.start_us, 0)
+        tracer.complete("exec", "backend", value.start_us, dur, tid=lane, args=args)
+        metrics.histogram("backend.exec_us").observe(dur)
+        metrics.counter("backend.batch_tasks").inc()
         return value.value
 
     def _run_inline(self, fn, items, pending, attempts, tracer) -> list[_Outcome]:
@@ -583,10 +583,9 @@ class Supervisor:
 
         ``sentinel=True`` (process pools) plants the shared flag array
         for crash attribution and moves the round's large item arrays
-        by shared memory (the zero-copy transport of
-        :meth:`~repro.pram.backends.Backend.submit_batch`, materialized
-        by ``_supervised_call``); thread pools deliver exceptions
-        in-band and share items directly.
+        by shared memory (:func:`~repro.pram.backends.pack_batch_items`,
+        materialized by ``_supervised_call``); thread pools deliver
+        exceptions in-band and share items directly.
         """
         trace = tracer.enabled
         flags_shm = None
@@ -600,6 +599,7 @@ class Supervisor:
         try:
             if sentinel:
                 round_items, _ = pack_batch_items(round_items, item_shms)
+                _record_shm_bytes(tracer, item_shms)
             submit_ts = tracer.now() if trace else None
             trace_id = current_trace_id()
             futures = []
@@ -762,7 +762,10 @@ def supervised_submit_batch(
     tracer=None,
 ):
     """One-shot convenience: ``Supervisor(backend, policy,
-    fault_plan).submit_batch(fn, items, validate=validate)``."""
+    fault_plan).submit_batch(fn, items, validate=validate)``.
+
+    Returns ``(results, failures)``; a fail-fast caller passes
+    ``policy=NO_RETRY`` and raises on the first failure itself."""
     return Supervisor(backend, policy, fault_plan, tracer=tracer).submit_batch(
         fn, items, validate=validate
     )

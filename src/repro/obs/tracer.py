@@ -36,8 +36,9 @@ Safety property: a :class:`Tracer` records the pid that created it and
 refuses to write from any other process. Forked pool workers inherit
 the parent's tracer object but must never interleave writes into the
 parent's file — worker-side timing instead rides back to the driver
-inside task results (see ``repro.pram.backends``) and is emitted from
-the driver on per-worker lanes.
+inside task results (``repro.pram.backends._TracedResult``, created and
+unwrapped by :class:`repro.faults.Supervisor`, the one batch executor)
+and is emitted from the driver on per-worker lanes.
 """
 
 from __future__ import annotations
@@ -88,8 +89,9 @@ def _now_us() -> int:
 # solve (pram primitives, backend unwrap, shard stages, fault marks)
 # happens in the thread running that solve, one ``trace_context`` around
 # the solve correlates the whole pipeline. Worker-process envelopes
-# additionally carry the id explicitly (see ``_TracedTask``) so spans
-# timed inside forked workers ride back already attributed.
+# additionally carry the id explicitly (see the supervisor's
+# ``_supervised_call``) so spans timed inside forked workers ride back
+# already attributed.
 
 _TRACE_ID: contextvars.ContextVar = contextvars.ContextVar(
     "repro_trace_id", default=None

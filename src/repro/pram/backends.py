@@ -1,21 +1,23 @@
-"""Execution backends: task pools for independent batch tasks.
+"""Execution backends: the worker pools that batch tasks run on.
 
-A backend runs coarse independent tasks through
-:meth:`Backend.submit_batch` — the shard subsystem's per-shard jobs,
-under the fault supervisor when one is configured. It runs no PRAM
+A backend owns a task pool and nothing else. Batches reach it through
+one executor, :meth:`repro.faults.Supervisor.submit_batch` (the shard
+subsystem's per-shard coreset builds, the serving tier's solves), which
+borrows the pool, retries and respawns it. A backend runs no PRAM
 primitive: :class:`~repro.pram.machine.PramMachine` executes those as
 plain NumPy in the calling thread, so seeded results and the ledger's
 model charges are identical on every backend by construction.
 
-* :class:`SerialBackend` — a plain loop on the calling thread. The
-  default, and the reference every pool's batches are tested against.
+* :class:`SerialBackend` — no pool; the Supervisor runs every task in
+  the calling thread. The default, and the reference every pool's
+  batches are tested against.
 * :class:`ThreadBackend` — a ``ThreadPoolExecutor`` task pool. Tasks
   share the caller's memory; NumPy work inside a task releases the GIL.
 * :class:`ProcessBackend` — a ``ProcessPoolExecutor`` task pool. Large
   ndarrays inside batch items travel by shared-memory *name*, never by
-  pickled value.
+  pickled value (:func:`pack_batch_items`).
 
-A closed pool backend keeps running batches correctly, serially.
+A closed pool backend has no pool, so its batches run in the caller.
 
 Backends are constructed directly, through :func:`make_backend`
 (``"serial" | "thread" | "process"``), or implicitly via the
@@ -31,20 +33,13 @@ import atexit
 import os
 import pickle
 import threading
-import time
 import weakref
-from concurrent.futures import (
-    CancelledError,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from multiprocessing import get_context, resource_tracker, shared_memory
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.obs.tracer import current_trace_id, current_tracer
 
 
 _PICKLABLE_FNS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -53,8 +48,8 @@ _PICKLABLE_FNS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def fn_picklable(fn) -> bool:
     """Whether ``fn`` survives ``pickle.dumps`` — cached per function.
 
-    ``submit_batch`` (and the faults supervisor on top of it) probes the
-    task callable before every process-pool fan-out; serializing the
+    The Supervisor probes the task callable before every process-pool
+    fan-out; serializing the
     same module-level function once per batch is pure waste, so the
     verdict is memoized in a :class:`weakref.WeakKeyDictionary` (no
     lifetime extension — a function that dies drops its entry).
@@ -81,9 +76,9 @@ def fn_picklable(fn) -> bool:
 class _TracedResult:
     """Worker-side timing riding back with a batch task's result.
 
-    Created inside the worker (process or thread) by :class:`_TracedTask`
-    and unwrapped by the parent, which emits the queue-wait and exec
-    spans on a per-worker lane. Timestamps are ``perf_counter_ns()``
+    Created inside the worker (process or thread) by the Supervisor's
+    task shim and unwrapped by the parent, which emits the queue-wait and
+    exec spans on a per-worker lane. Timestamps are ``perf_counter_ns()``
     microseconds — ``CLOCK_MONOTONIC``, shared across processes on the
     same machine, so they land on the driver's time axis directly.
     """
@@ -106,85 +101,8 @@ class _TracedResult:
         )
 
 
-class _TracedTask:
-    """Picklable wrapper that stamps a batch task with worker-local timing.
-
-    Wraps the user's ``fn`` for the duration of one traced
-    ``submit_batch``; works identically on every execution path — pool
-    worker, thread pool, serial fallback, cancellation rerun — because
-    it *is* the fn the backend runs.
-
-    The driver's ambient request trace id (if any) is captured at
-    construction and pickled with the task, so the envelope a forked
-    worker sends back is already stamped with the request it served —
-    the cross-process half of request tracing.
-    """
-
-    __slots__ = ("fn", "trace_id")
-    _UNSET = object()
-
-    def __init__(self, fn, trace_id=_UNSET):
-        self.fn = fn
-        self.trace_id = (
-            current_trace_id() if trace_id is _TracedTask._UNSET else trace_id
-        )
-
-    def __call__(self, item):
-        start = time.perf_counter_ns() // 1000
-        value = self.fn(item)
-        return _TracedResult(
-            value,
-            os.getpid(),
-            threading.get_native_id(),
-            start,
-            time.perf_counter_ns() // 1000,
-            self.trace_id,
-        )
-
-    def __reduce__(self):
-        return (_TracedTask, (self.fn, self.trace_id))
-
-
-def _traced_batch(backend, tracer, fn, items) -> list:
-    """Run one traced batch: wrap ``fn``, unwrap results, emit spans.
-
-    Per task the trace gains two complete events on the executing
-    worker's lane — ``queue_wait`` (submit to exec-start) and ``exec``
-    (the task body) — the utilization/straggler raw material. Results
-    are returned exactly as the unwrapped ``fn`` produced them, so
-    traced and untraced batches are byte-identical.
-    """
-    submit_ts = tracer.now()
-    raw = backend._submit_batch(_TracedTask(fn), items)
-    results = []
-    exec_hist = tracer.metrics.histogram("backend.exec_us")
-    wait_hist = tracer.metrics.histogram("backend.queue_wait_us")
-    for i, out in enumerate(raw):
-        if isinstance(out, _TracedResult):
-            lane = tracer.worker_lane(out.pid, out.tid)
-            queued = max(out.start_us - submit_ts, 0)
-            dur = max(out.end_us - out.start_us, 0)
-            task_args = {"task": i, "backend": backend.name}
-            if out.trace_id is not None:
-                # the id the task was dispatched under — authoritative
-                # even if this thread's ambient context moved on
-                task_args["trace_id"] = out.trace_id
-            tracer.complete("queue_wait", "backend", submit_ts, queued, tid=lane, args=task_args)
-            tracer.complete("exec", "backend", out.start_us, dur, tid=lane, args=task_args)
-            wait_hist.observe(queued)
-            exec_hist.observe(dur)
-            results.append(out.value)
-        else:
-            # A path that bypassed the wrapper (shouldn't happen, but a
-            # raw value must never leak a timing envelope to the caller).
-            results.append(out)
-    tracer.metrics.counter("backend.batch_tasks").inc(len(items))
-    return results
-
-
-def _record_shm_bytes(shms) -> None:
+def _record_shm_bytes(tracer, shms) -> None:
     """Account shared-memory bytes shipped for a traced batch."""
-    tracer = current_tracer()
     if not tracer.enabled or not shms:
         return
     nbytes = int(sum(s.size for s in shms))
@@ -195,50 +113,18 @@ def _record_shm_bytes(shms) -> None:
 class Backend:
     """Task-pool interface shared by all backends.
 
-    The default runs every batch task in a plain loop on the calling
-    thread — the serial reference. Backends are context managers:
-    ``with make_backend("thread") as b`` guarantees the worker pool is
-    released. ``close`` is idempotent, and a closed backend still runs
-    every batch correctly — it just runs serially (see :attr:`closed`).
+    The base backend owns no pool: the Supervisor runs its batch tasks
+    in a plain loop on the calling thread — the serial reference.
+    Backends are context managers: ``with make_backend("thread") as b``
+    guarantees the worker pool is released. ``close`` is idempotent,
+    and a closed backend has no pool (see :attr:`closed`).
     """
 
     name = "abstract"
 
-    def submit_batch(self, fn, items) -> list:
-        """Run ``fn`` over ``items``, one task each, preserving order.
-
-        Used by the shard subsystem to execute independent per-shard
-        jobs (e.g. coreset builds) over whatever worker pool this
-        backend owns.
-        The serial backend — and any closed/pool-less backend — runs
-        the tasks in a plain loop, so results are identical on every
-        backend provided ``fn`` is deterministic per item. On a process
-        pool ``fn`` and each item must be picklable; an unpicklable
-        ``fn`` is detected up front and falls back to the serial loop,
-        while unpicklable *items* (or return values) and exceptions
-        raised by ``fn`` itself propagate to the caller — no task ever
-        runs twice.
-
-        When a tracer is active (``REPRO_TRACE`` / ``set_tracer``) each
-        task additionally reports worker-local timing that the driver
-        turns into per-lane queue-wait and exec spans; results are
-        byte-identical to an untraced batch. With tracing off, this
-        method is exactly :meth:`_submit_batch` — no wrapper objects
-        are created.
-        """
-        items = list(items)
-        tracer = current_tracer()
-        if tracer.enabled and items:
-            return _traced_batch(self, tracer, fn, items)
-        return self._submit_batch(fn, items)
-
-    def _submit_batch(self, fn, items) -> list:
-        """Backend-specific batch execution (see :meth:`submit_batch`)."""
-        return [fn(item) for item in items]
-
     @property
     def closed(self) -> bool:
-        """Whether :meth:`close` has run (batches then run serially)."""
+        """Whether :meth:`close` has run (batches then run in the caller)."""
         return False
 
     def close(self) -> None:
@@ -253,7 +139,8 @@ class Backend:
 
 
 class SerialBackend(Backend):
-    """Batch tasks in a plain loop on the calling thread (the default)."""
+    """No pool: batch tasks run in a plain loop on the calling thread
+    (the default)."""
 
     name = "serial"
 
@@ -261,14 +148,12 @@ class SerialBackend(Backend):
 class _PoolBackend(Backend):
     """Shared scaffolding for worker-pool backends.
 
-    Owns the pool, the close/context-manager lifecycle, the fault
-    supervisor's respawn hook, and the order-preserving
-    :meth:`submit_batch` fan-out. Concrete backends provide
-    ``_make_pool``.
+    Owns the pool, the close/context-manager lifecycle and the fault
+    supervisor's respawn hook. Concrete backends provide ``_make_pool``.
     """
 
     #: Whether batch tasks cross a pickling boundary (process pools):
-    #: gates submit_batch's fn-picklability probe, and moves ndarray
+    #: gates the Supervisor's fn-picklability probe, and moves ndarray
     #: item arguments by shared-memory segment name instead of pickled
     #: value.
     _batch_requires_pickle = False
@@ -280,11 +165,8 @@ class _PoolBackend(Backend):
         self.num_workers = int(workers)
         self._pool = self._make_pool() if self.num_workers > 1 else None
         self._closed = False
-        # Guards the pool handle and the in-flight batch futures against
-        # a concurrent close(): batches drain deterministically instead
-        # of racing shutdown (see close()).
+        # Guards the pool handle against a concurrent close() or respawn.
         self._lock = threading.Lock()
-        self._inflight: set = set()
 
     def _make_pool(self):
         raise NotImplementedError
@@ -298,24 +180,20 @@ class _PoolBackend(Backend):
     def close(self):
         """Shut the worker pool down (idempotent, thread-safe).
 
-        After closing, every batch keeps working via the serial
-        fallback — the pinned-down use-after-close contract, asserted
-        by the backend test suite. A close racing an in-flight
-        :meth:`submit_batch` is deterministic: batch tasks already
-        running are drained (``shutdown(wait=True)`` joins them), tasks
-        still queued are cancelled — the batch caller observes the
-        cancellation and runs those items serially, exactly once. No
-        path deadlocks: close never waits on anything the batch caller
-        holds.
+        After closing there is no pool, and the Supervisor runs every
+        batch in the caller — the use-after-close contract, asserted by
+        the backend test suite. A close racing an in-flight supervised
+        batch is deterministic: tasks already running are drained
+        (``shutdown(wait=True)`` joins them), tasks still queued are
+        cancelled, and the Supervisor reruns each cancelled task in the
+        caller, exactly once and without consuming an attempt. No path
+        deadlocks: close never waits on anything the batch caller holds.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             pool, self._pool = self._pool, None
-            inflight = list(self._inflight)
-        for fut in inflight:
-            fut.cancel()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
@@ -325,16 +203,12 @@ class _PoolBackend(Backend):
         The recovery hook used by :class:`repro.faults.Supervisor`
         after a worker crash (``BrokenProcessPool``) or a process-pool
         timeout: the old pool is abandoned without joining (its workers
-        are dead or hung), outstanding futures are cancelled, and — on a
+        are dead or hung), its queued futures are cancelled, and — on a
         still-open backend — a new pool of the same size takes its
         place. Returns the new pool (``None`` when closed or
         single-worker)."""
         with self._lock:
             pool, self._pool = self._pool, None
-            inflight = list(self._inflight)
-            self._inflight.clear()
-        for fut in inflight:
-            fut.cancel()
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
         with self._lock:
@@ -342,112 +216,9 @@ class _PoolBackend(Backend):
                 self._pool = self._make_pool()
             return self._pool
 
-    # -- task batches -----------------------------------------------------
-
-    def _submit_batch(self, fn, items) -> list:
-        """Fan independent tasks across the pool (order-preserving).
-
-        Batches go to the pool whenever it exists and there is more
-        than one task — per-shard jobs are coarse by construction. On a
-        process pool an unpicklable ``fn`` is detected by a
-        (per-function cached) ``pickle.dumps`` probe *before* anything
-        runs and falls back to the serial loop, and large ndarrays
-        inside each item cross by shared-memory segment name — the
-        pickled task payload carries only refs — with results
-        byte-identical to the serial loop (the backend suite asserts
-        it).
-
-        Failure contract (pinned by the backend test suite):
-
-        * an exception raised by ``fn`` on item ``i`` cancels every
-          outstanding task, waits out whatever is already running, and
-          re-raises with the item index attached (``exc.batch_index``
-          plus an ``add_note`` line) — never a silent swallow, and no
-          task ever executes twice;
-        * a concurrent :meth:`close` drains deterministically: tasks it
-          cancelled before they started are re-run serially exactly
-          once, everything else completes on the pool.
-        """
-        items = list(items)
-        with self._lock:
-            pool = None if self._closed else self._pool
-        if pool is None or len(items) < 2:
-            return self._serial_batch(fn, items)
-        if self._batch_requires_pickle and not fn_picklable(fn):
-            return self._serial_batch(fn, items)
-        item_shms: list = []
-        try:
-            if self._batch_requires_pickle:
-                packed_items, _ = pack_batch_items(items, item_shms)
-                _record_shm_bytes(item_shms)
-                calls = [(_shm_batch_call, fn, packed) for packed in packed_items]
-            else:
-                calls = [(fn, item) for item in items]
-            try:
-                with self._lock:
-                    if self._closed or self._pool is None:
-                        raise RuntimeError("backend closed under submit_batch")
-                    futures = [self._pool.submit(*call) for call in calls]
-                    self._inflight.update(futures)
-            except RuntimeError:
-                # Closed (or pool shut down) between the check and the
-                # submit: honor the use-after-close contract serially.
-                return self._serial_batch(fn, items)
-            try:
-                results: list = [None] * len(items)
-                for i, fut in enumerate(futures):
-                    try:
-                        results[i] = fut.result()
-                    except CancelledError:
-                        # close() cancelled it before it started — run the
-                        # item serially, its one and only execution.
-                        try:
-                            results[i] = fn(items[i])
-                        except Exception as exc:
-                            self._annotate_batch_failure(exc, i, len(items))
-                            raise
-                    except Exception as exc:
-                        for later in futures[i + 1:]:
-                            later.cancel()
-                        wait(futures[i + 1:])
-                        self._annotate_batch_failure(exc, i, len(items))
-                        raise
-                return results
-            finally:
-                with self._lock:
-                    self._inflight.difference_update(futures)
-        finally:
-            # By here every future is done or cancelled-before-start
-            # (the result loop waits them out on all paths), so no
-            # worker is mid-attach: unlinking the item segments is safe.
-            for shm in item_shms:
-                shm.close()
-                shm.unlink()
-
-    def _annotate_batch_failure(self, exc, index: int, total: int) -> None:
-        """Attach the failing item's position to a batch exception —
-        the failure contract above."""
-        exc.batch_index = index
-        exc.add_note(
-            f"submit_batch: item {index} of {total} failed on the "
-            f"{self.name} backend"
-        )
-
-    def _serial_batch(self, fn, items) -> list:
-        """Pool-less fallback loop with the same failure annotation as
-        the pool path."""
-        results = []
-        for i, item in enumerate(items):
-            try:
-                results.append(fn(item))
-            except Exception as exc:
-                self._annotate_batch_failure(exc, i, len(items))
-                raise
-        return results
-
 
 class ThreadBackend(_PoolBackend):
-    """Thread-pool task execution for :meth:`~Backend.submit_batch`.
+    """Thread-pool task execution for supervised batches.
 
     Batch items are passed by reference, never copied or pickled.
 
@@ -493,7 +264,7 @@ class _ShmItemRef:
 
     Travels inside the pickled batch-task payload in place of the
     array; the worker swaps it back for a read-only view of the
-    segment (see :func:`_shm_batch_call`).
+    segment (:func:`_unpack_value`).
     """
 
     __slots__ = ("spec",)
@@ -543,6 +314,17 @@ def pack_batch_items(items, shms: list | None = None):
 
 
 def _unpack_value(value, shms: list):
+    """Rebuild a packed item in the worker: shared-memory refs become
+    read-only array views, each attached segment appended to ``shms``
+    for the caller to close.
+
+    Contract: the task must not return live views of its item arrays —
+    the worker closes the segments when the task returns, *before* the
+    result pickles back. Task functions in this codebase return
+    fancy-indexed (hence copied) arrays, so the contract holds by
+    construction; it is the same contract the pickled transport imposed
+    implicitly (pickling a view copies it).
+    """
     if isinstance(value, _ShmItemRef):
         shm, arr = _attach_array(value.spec)
         shms.append(shm)
@@ -557,25 +339,6 @@ def _unpack_value(value, shms: list):
     return value
 
 
-def _shm_batch_call(fn, packed):
-    """Worker-side batch shim: rebuild the item (shared-memory refs →
-    read-only array views) and run ``fn`` on it.
-
-    Contract: ``fn`` must not return live views of its item arrays —
-    the segments close when this call returns, *before* the result
-    pickles back to the parent. Task functions in this codebase return
-    fancy-indexed (hence copied) arrays, so the contract holds by
-    construction; it is the same contract the pickled transport imposed
-    implicitly (pickling a view copies it).
-    """
-    shms: list = []
-    try:
-        return fn(_unpack_value(packed, shms))
-    finally:
-        for shm in shms:
-            shm.close()
-
-
 #: Start method for the process pool. Forked workers start fast and
 #: inherit the parent's loaded modules; the platform default is used
 #: where fork is unavailable.
@@ -583,13 +346,13 @@ _MP_CONTEXT = "fork"
 
 
 class ProcessBackend(_PoolBackend):
-    """Process-pool task execution for :meth:`~Backend.submit_batch`.
+    """Process-pool task execution for supervised batches.
 
-    The pool runs the shard subsystem's per-shard jobs (under the fault
-    supervisor when one is configured). Large ndarrays inside each
-    batch item are copied once into a ``multiprocessing.shared_memory``
-    segment and cross by name; workers attach read-only views, so no
-    point block is ever pickled.
+    The pool runs the shard subsystem's per-shard jobs, sent by the
+    fault supervisor. Large ndarrays inside each batch item are copied
+    once into a ``multiprocessing.shared_memory`` segment and cross by
+    name; workers attach read-only views, so no point block is ever
+    pickled.
 
     Parameters
     ----------

@@ -5,8 +5,9 @@ computation through a :class:`PramMachine`, so the ledger's totals *are*
 the algorithm's work/depth/cache in the paper's model. The machine
 executes every primitive as plain NumPy in the calling thread and
 returns ordinary ``numpy.ndarray`` results. Its backend is only the
-task pool for coarse batch jobs (:meth:`~repro.pram.backends.Backend
-.submit_batch`); no primitive ever reaches it.
+task pool that :class:`repro.faults.Supervisor` sends coarse batch jobs
+to (the shard pipeline's per-shard coreset builds); no primitive ever
+reaches it.
 
 Cost conventions (paper §2):
 
@@ -17,7 +18,6 @@ primitive           work            depth          cache
 ``masked_axpy``     ``m``           ``1``          ``m/B``
 ``reduce``/``scan`` ``m``           ``log m``      ``m/B``
 ``count_votes``     ``m + r``       ``log m``      ``(m + r)/B``
-``distribute``      ``m``           ``1``          ``m/B``
 ``transpose``       ``m``           ``1``          ``m/B``
 ``take_rows``       ``m``           ``1``          ``m/B``
 ``pack``            ``m``           ``log m``      ``m/B``
@@ -68,10 +68,8 @@ _TRACED_PRIMITIVES = (
     "masked_axpy",
     "reduce",
     "scan",
-    "exclusive_scan",
     "argmin",
     "argmax",
-    "distribute",
     "transpose",
     "take_columns",
     "take_rows",
@@ -87,7 +85,6 @@ _TRACED_PRIMITIVES = (
     "pack",
     "sort",
     "sorted_unique",
-    "random_uniform",
     "random_priorities",
 )
 
@@ -98,8 +95,7 @@ def _traced_primitive(tracer, ledger, name, bound):
     Each call emits a ``cat="pram"`` complete event whose args hold the
     work/depth the ledger charged during the call — the correlation
     between model cost and wall cost per op. Spans nest naturally
-    (``where`` → ``map``, ``exclusive_scan`` → ``scan``) the way the
-    calls do.
+    (``where`` → ``map``) the way the calls do.
     """
 
     @functools.wraps(bound)
@@ -247,23 +243,6 @@ class PramMachine:
         self.ledger.charge_basic(f"scan[{oper.name}]", a.size)
         return np.asarray(out)
 
-    def exclusive_scan(self, a: np.ndarray, op="add", axis: int = -1) -> np.ndarray:
-        """Exclusive prefix combine: element ``i`` gets the combine of ``a[:i]``."""
-        a = np.asarray(a)
-        oper = _coerce_op(op)
-        inc = self.scan(a, oper, axis=axis)
-        out = np.empty_like(inc)
-        index = [slice(None)] * a.ndim
-        index[axis] = slice(None, -1)
-        src = tuple(index)
-        index[axis] = slice(1, None)
-        dst = tuple(index)
-        out[dst] = inc[src]
-        index[axis] = 0
-        out[tuple(index)] = oper.identity
-        self.ledger.charge_basic("shift", a.size, depth=1)
-        return out
-
     def argmin(self, a: np.ndarray, axis=None) -> np.ndarray:
         """Index of the minimum (a min-reduction carrying indices)."""
         a = np.asarray(a)
@@ -279,18 +258,6 @@ class PramMachine:
         return np.asarray(out)
 
     # -- data movement -------------------------------------------------------
-
-    def distribute(self, v: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """Broadcast ``v`` across rows or columns to ``shape`` (copying)."""
-        v = np.asarray(v)
-        try:
-            out = np.broadcast_to(v, shape).copy()
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"cannot distribute shape {v.shape} to {shape}: {exc}"
-            ) from exc
-        self.ledger.charge_basic("distribute", out.size, depth=1)
-        return out
 
     def transpose(self, a: np.ndarray) -> np.ndarray:
         """Matrix transposition (materialized, per the cache model)."""
@@ -475,8 +442,7 @@ class PramMachine:
 
     def segment_spread(self, v: np.ndarray, indptr: np.ndarray) -> np.ndarray:
         """Distribute one value per segment across that segment's
-        entries (``np.repeat`` by segment length) — the segmented
-        counterpart of :meth:`distribute`."""
+        entries (``np.repeat`` by segment length)."""
         v = np.asarray(v)
         indptr = np.asarray(indptr, dtype=np.intp)
         if v.shape != (indptr.size - 1,):
@@ -620,12 +586,6 @@ class PramMachine:
         return out
 
     # -- randomness --------------------------------------------------------------
-
-    def random_uniform(self, shape) -> np.ndarray:
-        """Per-element uniform(0,1) draws — one parallel step."""
-        out = self.rng.random(shape)
-        self.ledger.charge_basic("random", out.size, depth=1)
-        return out
 
     def random_priorities(self, n: int) -> np.ndarray:
         """Distinct random priorities for Luby select steps.

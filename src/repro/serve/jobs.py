@@ -37,7 +37,7 @@ from repro.faults.supervisor import RetryPolicy
 from repro.obs.log import current_log
 from repro.pram.machine import PramMachine
 from repro.serve.cache import StoredInstance, result_key
-from repro.shard.solve import _SOLVERS, shard_and_solve
+from repro.shard.solve import _SOLVERS, check_merged_coreset_k, shard_and_solve
 from repro.util.validation import (
     check_epsilon,
     check_k,
@@ -106,8 +106,10 @@ def normalize_params(
     numbers — never truncated or coerced from text — and each value must
     pass the check its solver would run, so a bad request is refused at
     submit rather than failing as a job. ``n`` (the instance's point
-    count) adds ``1 <= k <= n`` and refuses an ``epsilon`` that every
-    instance the request can build would refuse: for
+    count) adds ``1 <= k <= n``, refuses a ``k`` the merged coreset
+    cannot hold (:func:`~repro.shard.solve.check_merged_coreset_k`),
+    and refuses an ``epsilon`` that every instance the request can
+    build would refuse: for
     ``kmedian_lagrangian`` one whose primal–dual schedule is too long
     (:func:`~repro.core.primal_dual.check_schedule`), for ``kmedian``
     and ``kmeans`` one whose §7 round cap overflows a float
@@ -154,6 +156,9 @@ def normalize_params(
     check_nonnegative(params["fallback_slack"], name="fallback_slack")
     if n is not None:
         check_k(params["k"], n)
+        check_merged_coreset_k(
+            params["k"], n, params["shards"], coreset_size=params["coreset_size"]
+        )
         if params["solver"] == "kmedian_lagrangian":
             # Each probe runs the §5 primal–dual on the merged kNN
             # instance: at most n points, each with at most n and (the

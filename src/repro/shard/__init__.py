@@ -36,7 +36,6 @@ test suite pins.
 from repro.shard.coreset import (
     ShardCoreset,
     build_coreset,
-    build_shard_coresets,
     supervised_shard_coresets,
 )
 from repro.shard.merge import merge_coresets
@@ -62,7 +61,6 @@ __all__ = [
     "partition_to_store",
     "ShardCoreset",
     "build_coreset",
-    "build_shard_coresets",
     "supervised_shard_coresets",
     "merge_coresets",
     "random_partition",

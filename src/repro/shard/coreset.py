@@ -19,14 +19,14 @@ approximation bound (:func:`repro.analysis.composed_coreset_bound`)
 charges.
 
 Every shard build runs on its own fresh :class:`~repro.pram.ledger`
-and returns the accrued interval; :func:`build_shard_coresets` fans the
-builds across the backend's worker pool
-(:meth:`~repro.pram.backends.Backend.submit_batch`) and folds the
-per-shard charges into the caller's global ledger under **parallel
-composition** (work adds, depth maxes) via
-:meth:`~repro.pram.ledger.CostLedger.charge_parallel` — so the global
-ledger charges exactly the sum of the per-shard work, with no
-double-charging at the aggregation seam (pinned by a regression test).
+and returns the accrued interval; :func:`supervised_shard_coresets`
+fans the builds across the backend's worker pool under a
+:class:`repro.faults.Supervisor` and folds the per-shard charges into
+the caller's global ledger under **parallel composition** (work adds,
+depth maxes) via :meth:`~repro.pram.ledger.CostLedger.charge_parallel`
+— so the global ledger charges exactly the sum of the per-shard work,
+with no double-charging at the aggregation seam (pinned by a
+regression test).
 """
 
 from __future__ import annotations
@@ -259,55 +259,6 @@ def _store_payloads(store: ShardStore, size, method, seed) -> list:
     ]
 
 
-def build_shard_coresets(
-    points,
-    labels=None,
-    shards: int | None = None,
-    size: int = 128,
-    *,
-    weights=None,
-    method: str = "gonzalez",
-    seed=None,
-    machine: PramMachine | None = None,
-) -> list[ShardCoreset]:
-    """Build every shard's coreset, shard-parallel over the backend.
-
-    ``points`` is either a resident ``(n, dim)`` array accompanied by
-    ``labels``/``shards``, or a :class:`~repro.shard.store.ShardStore`
-    — then ``labels``/``shards``/``weights`` stay ``None`` (the store
-    carries its own partition and weights) and each task streams its
-    block from disk inside the worker.
-
-    Shard seeds derive from one :class:`numpy.random.SeedSequence`
-    spawn, so results are identical however the backend schedules the
-    tasks (serial loop, thread pool, or process pool) and wherever the
-    blocks live (resident or stored). When ``machine`` is given, the
-    per-shard ledger intervals are folded into its global ledger as a
-    single parallel-composition charge.
-
-    Failures propagate raw (first one wins); for supervised execution
-    with retries, timeouts, and structured failure records use
-    :func:`supervised_shard_coresets`.
-    """
-    if isinstance(points, ShardStore):
-        if labels is not None or weights is not None:
-            raise InvalidParameterError(
-                "a ShardStore carries its own partition and weights; "
-                "pass labels/weights only with resident points"
-            )
-        payloads = _store_payloads(points, size, method, seed)
-    else:
-        payloads = _shard_payloads(points, labels, shards, size, weights, method, seed)
-    if machine is not None and not machine.backend.closed:
-        results = machine.backend.submit_batch(_coreset_task, payloads)
-    else:
-        results = [_coreset_task(p) for p in payloads]
-    if machine is not None:
-        machine.ledger.charge_parallel("shard_coreset", [c.costs for c in results])
-        machine.bump_round("shard_coreset")
-    return results
-
-
 def _coreset_validator(expected_weight: np.ndarray):
     """Result validation for supervised builds: a returned coreset must
     be a :class:`ShardCoreset` with finite, strictly positive weights
@@ -350,13 +301,24 @@ def supervised_shard_coresets(
     fault_plan=None,
     tracer=None,
 ):
-    """Fault-tolerant :func:`build_shard_coresets`.
+    """Build every shard's coreset, shard-parallel over the backend.
 
-    Runs the same per-shard tasks — identical payloads, identical
-    seeds — under a :class:`repro.faults.Supervisor`: per-task
-    timeouts, retries with backoff per ``policy``, crash recovery with
-    pool respawn, and result validation that rejects corrupted coresets
+    ``points`` is either a resident ``(n, dim)`` array accompanied by
+    ``labels``/``shards``, or a :class:`~repro.shard.store.ShardStore`
+    — then ``labels``/``shards``/``weights`` stay ``None`` (the store
+    carries its own partition and weights) and each task streams its
+    block from disk inside the worker.
+
+    The per-shard tasks run under a :class:`repro.faults.Supervisor`:
+    per-task timeouts, retries with backoff per ``policy`` (``None``
+    means the default :class:`~repro.faults.RetryPolicy`;
+    ``NO_RETRY`` fails fast), crash recovery with pool respawn, and
+    result validation that rejects corrupted coresets
     (non-finite/non-positive weights, broken weight conservation).
+    Shard seeds derive from one :class:`numpy.random.SeedSequence`
+    spawn, so results are identical however the backend schedules the
+    tasks (serial loop, thread pool, or process pool) and wherever the
+    blocks live (resident or stored).
 
     Returns ``(coresets, failures)`` where ``coresets[s]`` is shard
     ``s``'s :class:`ShardCoreset` or ``None`` if it terminally failed,
@@ -391,11 +353,7 @@ def supervised_shard_coresets(
                 weights=np.asarray(weights, dtype=float),
                 minlength=int(shards),
             )
-    backend = (
-        machine.backend
-        if machine is not None and not machine.backend.closed
-        else SerialBackend()
-    )
+    backend = machine.backend if machine is not None else SerialBackend()
     supervisor = Supervisor(backend, policy, fault_plan, tracer=tracer)
     results, failures = supervisor.submit_batch(
         _coreset_task, payloads, validate=_coreset_validator(expected)

@@ -6,8 +6,11 @@ clustering from "fits in one CSR instance" to millions of points:
 1. **partition** the raw coordinates into shards
    (:mod:`repro.shard.partition`);
 2. **summarize** each shard into a weighted coreset, shard-parallel
-   over the execution backend, per-shard PRAM charges folded into the
-   global ledger (:mod:`repro.shard.coreset`);
+   over the execution backend under the fault
+   :class:`~repro.faults.Supervisor` (fail-fast by default: a shard
+   whose build fails raises :class:`~repro.errors.ShardFailedError`),
+   per-shard PRAM charges folded into the global ledger
+   (:mod:`repro.shard.coreset`);
 3. **merge** the coresets into one weighted kNN
    :class:`~repro.metrics.sparse.SparseClusteringInstance`
    (:mod:`repro.shard.merge`);
@@ -51,14 +54,14 @@ from repro.metrics.sparse import SparseClusteringInstance
 from repro.pram.ledger import CostSnapshot
 from repro.pram.machine import PramMachine, ensure_machine
 from repro.shard.coreset import (
-    build_shard_coresets,
+    _METHODS,
     farthest_point_seeds,
     supervised_shard_coresets,
 )
 from repro.shard.merge import merge_coresets
 from repro.shard.partition import make_partition, shard_sizes
 from repro.shard.store import ShardStore
-from repro.util.validation import check_unit_fraction
+from repro.util.validation import check_positive_int, check_unit_fraction
 
 #: Accepted ``on_shard_failure`` modes for :func:`shard_and_solve`.
 _FAILURE_MODES = ("raise", "retry", "drop")
@@ -89,6 +92,39 @@ _SOLVERS = {
     "kcenter": (_solve_kcenter, None),  # bottleneck: bound is radius-wise, not Σ-movement
     "kmedian_lagrangian": (_solve_lagrangian, lambda eps: 6.0),
 }
+
+
+def check_merged_coreset_k(
+    k: int, n: int, shards: int, coreset: str = "gonzalez", coreset_size=None
+) -> int:
+    """Refuse a ``k`` the merged coreset cannot hold, before any pass runs;
+    return the per-shard coreset size.
+
+    Each of the ``min(shards, n)`` non-empty shards contributes at most
+    ``coreset_size`` representatives (default ``max(16·k, 128)``), and
+    the merged coreset never holds more than the ``n`` input points, so
+    a ``k`` above ``min(n, min(shards, n)·coreset_size)`` could only
+    fail after the partition and coreset passes. ``coreset="none"``
+    keeps every point, so only ``k <= n`` applies to it. Duplicate
+    coordinates can still leave fewer representatives than the bound;
+    the merge then refuses the instance with its own message. Shared by
+    :func:`shard_and_solve` and the serving tier's submit-time checks.
+    """
+    if coreset not in _METHODS:
+        raise InvalidParameterError(
+            f"unknown coreset method {coreset!r}; expected one of {_METHODS}"
+        )
+    size = check_positive_int(
+        max(16 * k, 128) if coreset_size is None else coreset_size,
+        name="coreset_size",
+    )
+    bound = n if coreset == "none" else min(n, min(shards, n) * size)
+    if k > bound:
+        raise InvalidParameterError(
+            f"k={k} exceeds the {bound} representatives a merged coreset of "
+            f"{min(shards, n)} shard(s) at coreset_size={size} can hold"
+        )
+    return size
 
 
 @dataclass
@@ -289,8 +325,7 @@ def shard_and_solve(
     fault_plan:
         Test/CI hook: a :class:`~repro.faults.FaultPlan` injected into
         the supervised builds. ``None`` consults ``REPRO_FAULT_PLAN``
-        in the environment (unset = no injection). Any fault plan or
-        retry policy forces the supervised path even for ``"raise"``.
+        in the environment (unset = no injection).
     spill_dir:
         Raw-points sources only: spill the partitioned blocks to this
         directory as a :class:`~repro.shard.store.ShardStore` and run
@@ -393,7 +428,7 @@ def shard_and_solve(
     k = int(k)
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k must be in [1, {n}], got {k}")
-    per_shard = int(coreset_size) if coreset_size is not None else max(16 * k, 128)
+    per_shard = check_merged_coreset_k(k, n, shards, coreset, coreset_size)
     machine = ensure_machine(machine, backend=backend, seed=seed, tracer=tracer)
     obs = machine.tracer
 
@@ -423,49 +458,30 @@ def shard_and_solve(
     else:
         sizes = np.asarray(store.sizes)
 
-    # Supervision is opt-in: the unsupervised path below is byte-for-byte
-    # the historical one, and the supervised path with zero failures runs
-    # the *same* per-shard payloads with the same seeds, so both agree.
-    supervise = (
-        on_shard_failure != "raise"
-        or retry_policy is not None
-        or fault_plan is not None
-    )
-    failed: list[int] = []
-    failures: list = []
     weights_arr = (
         None if weights_input is None else np.asarray(weights_input, dtype=float)
     )
     src = store if store is not None else points
     src_labels = None if store is not None else labels
     src_shards = None if store is not None else shards
-    core_args = {
-        "shards": int(shards), "size": int(per_shard), "method": coreset,
-        "supervised": supervise,
-    }
+    policy = retry_policy if retry_policy is not None else (
+        RetryPolicy() if on_shard_failure == "retry" else NO_RETRY
+    )
+    core_args = {"shards": int(shards), "size": int(per_shard), "method": coreset}
     with obs.span("shard.coreset", "shard", core_args):
-        if supervise:
-            policy = retry_policy if retry_policy is not None else (
-                RetryPolicy() if on_shard_failure == "retry" else NO_RETRY
-            )
-            coresets, failures = supervised_shard_coresets(
-                src, src_labels, src_shards, per_shard,
-                weights=weights_input, method=coreset, seed=seed, machine=machine,
-                policy=policy, fault_plan=fault_plan, tracer=obs,
-            )
-            failed = [s for s, c in enumerate(coresets) if c is None]
-            core_args["failed"] = len(failed)
-            if failed and on_shard_failure != "drop":
-                raise ShardFailedError(
-                    f"{len(failed)} of {shards} shard coreset build(s) failed "
-                    f"terminally (shards {failed}); first failure: "
-                    f"{failures[0].error}"
-                ) from failures[0].error
-        else:
-            coresets = build_shard_coresets(
-                src, src_labels, src_shards, per_shard,
-                weights=weights_input, method=coreset, seed=seed, machine=machine,
-            )
+        coresets, failures = supervised_shard_coresets(
+            src, src_labels, src_shards, per_shard,
+            weights=weights_input, method=coreset, seed=seed, machine=machine,
+            policy=policy, fault_plan=fault_plan, tracer=obs,
+        )
+        failed = [s for s, c in enumerate(coresets) if c is None]
+        core_args["failed"] = len(failed)
+        if failed and on_shard_failure != "drop":
+            raise ShardFailedError(
+                f"{len(failed)} of {shards} shard coreset build(s) failed "
+                f"terminally (shards {failed}); first failure: "
+                f"{failures[0].error}"
+            ) from failures[0].error
 
     covered_frac = 1.0
     failed_mask = None

@@ -120,14 +120,14 @@ class TestMaxDom:
         A = random_graph(n, 0.1, 3)
         m = PramMachine(seed=3)
         max_dominator_set(A, m)
-        assert m.ledger.rounds["maxdom_sparse"] <= expected_round_bound(n)
+        assert m.ledger.rounds["maxdom"] <= expected_round_bound(n)
 
     def test_work_charged_quadratic_per_round(self):
         n = 32
         A = random_graph(n, 0.2, 1)
         m = PramMachine(seed=1)
         max_dominator_set(A, m)
-        rounds = m.ledger.rounds["maxdom_sparse"]
+        rounds = m.ledger.rounds["maxdom"]
         # each round: O(1) basic ops on n² elements
         assert m.ledger.work <= 30 * rounds * n * n
 
@@ -145,7 +145,7 @@ class TestMaxDom:
         A = random_graph(80, 0.1, 1)
         m = PramMachine(seed=4)
         max_dominator_set(A, m)
-        trace = summarize_rounds(m.ledger.round_log, "maxdom_sparse", m.ledger.work)
+        trace = summarize_rounds(m.ledger.round_log, "maxdom", m.ledger.work)
         assert trace["rounds"] >= 2
         assert trace["work_last"] < A.size
 

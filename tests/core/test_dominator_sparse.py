@@ -105,7 +105,7 @@ class TestCosts:
     def test_rounds_counted(self, machine):
         A = random_graph(40, 0.1, 2)
         max_dominator_set_sparse(A, machine)
-        assert machine.ledger.rounds["maxdom_sparse"] >= 1
+        assert machine.ledger.rounds["maxdom"] >= 1
 
 
 class TestValidation:

@@ -71,7 +71,7 @@ class TestStructure:
         m = PramMachine(seed=0)
         parallel_kcenter(small_clustering, machine=m)
         assert m.ledger.rounds["kcenter_probe"] >= 1
-        assert m.ledger.rounds["maxdom_sparse"] >= 1
+        assert m.ledger.rounds["maxdom"] >= 1
 
     def test_thresholds_charged_as_single_sorted_unique(self, small_clustering):
         """Ledger-honesty regression: the threshold sequence is one

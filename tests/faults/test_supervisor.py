@@ -156,7 +156,7 @@ class TestCrashFaults:
             (f,) = failures
             assert isinstance(f.error, WorkerCrashError)
             # the pool was respawned: the backend still works
-            assert b.submit_batch(_square, [2, 3]) == [4, 9]
+            assert Supervisor(b, NO_RETRY).submit_batch(_square, [2, 3]) == ([4, 9], [])
 
     def test_inline_crash_is_simulated(self):
         results, failures = Supervisor(
@@ -180,7 +180,7 @@ class TestTimeouts:
             assert results[0] is None and results[1] == 0.01
             assert isinstance(failures[0].error, TaskTimeoutError)
             assert wall < 1.5  # did not wait out the 2s sleep
-            assert b.submit_batch(_square, [5]) == [25]
+            assert Supervisor(b, NO_RETRY).submit_batch(_square, [5]) == ([25], [])
 
     def test_inline_timeout_flagged_post_hoc(self):
         policy = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0, timeout=0.05)

@@ -291,6 +291,7 @@ class TestStitchRequestTrace:
         # The end-to-end propagation claim at the obs layer: spans
         # emitted inside forked worker processes come back stamped with
         # the ambient trace id of the submitting driver thread.
+        from repro.faults import NO_RETRY, supervised_submit_batch
         from repro.obs.tracer import trace_context
         from repro.pram.backends import ProcessBackend
 
@@ -299,11 +300,13 @@ class TestStitchRequestTrace:
         try:
             with trace_to(path) as t:
                 with trace_context("proc-req"):
-                    out = backend.submit_batch(_double, list(range(8)))
+                    out, failures = supervised_submit_batch(
+                        backend, _double, list(range(8)), policy=NO_RETRY
+                    )
                 t.flush()
         finally:
             backend.close()
-        assert out == [0, 2, 4, 6, 8, 10, 12, 14]
+        assert out == [0, 2, 4, 6, 8, 10, 12, 14] and failures == []
         from repro.obs.report import stitch_request_trace
 
         stitched = stitch_request_trace(load_trace(path), "proc-req")

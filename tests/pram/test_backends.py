@@ -1,11 +1,13 @@
 """Backends are task pools; machine primitives agree with plain NumPy on each.
 
-Every backend — serial, thread, and process — only runs
-``submit_batch`` tasks. No backend class carries a primitive (pinned
-below): a :class:`PramMachine` runs the primitives as plain NumPy in the
-calling thread, so the primitive tests here build a machine on each
-backend and compare it with NumPy. The rest pins the pool lifecycle,
-the factory and environment default, and the batch contract.
+Every backend — serial, thread, and process — is only the pool that
+:meth:`repro.faults.Supervisor.submit_batch`, the one batch executor,
+sends tasks to. No backend class carries a primitive or a batch method
+of its own (pinned below): a :class:`PramMachine` runs the primitives
+as plain NumPy in the calling thread, so the primitive tests here build
+a machine on each backend and compare it with NumPy. The rest pins the
+pool lifecycle, the factory and environment default, and the batch
+contract the Supervisor keeps on each pool.
 """
 
 import threading
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.faults import NO_RETRY, Supervisor
 from repro.pram.backends import (
     Backend,
     ProcessBackend,
@@ -111,7 +114,7 @@ def test_process_backend_runs_the_serial_kernels(rng):
     no primitive, so a machine on it runs the same NumPy primitives in
     the calling process as a serial machine, with the same charges."""
     for cls in (Backend, SerialBackend, ThreadBackend, ProcessBackend):
-        for kernel in KERNEL_NAMES:
+        for kernel in KERNEL_NAMES + ("submit_batch",):
             assert not hasattr(cls, kernel), (cls.__name__, kernel)
     a = rng.random((40, 12))
 
@@ -137,16 +140,16 @@ def test_pool_backend_close_idempotent(cls):
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
 def test_use_after_close_is_serial_but_correct(cls, rng):
     """Pinned-down contract: a closed pool backend keeps running every
-    batch correctly via the serial fallback (no exception, no pool),
-    and a machine on it keeps computing every primitive."""
+    batch correctly in the caller (no exception, no pool), and a
+    machine on it keeps computing every primitive."""
     b = cls(2)
     m = PramMachine(backend=b)
     a = rng.random((64, 16))
     before = m.reduce(a, ADD, axis=1)
-    batch = b.submit_batch(_square, range(5))
+    batch = _run(b, _square, range(5))
     b.close()
     assert b.closed
-    assert b.submit_batch(_square, range(5)) == batch
+    assert _run(b, _square, range(5)) == batch
     assert np.array_equal(m.reduce(a, ADD, axis=1), before)
     assert np.array_equal(m.sort(a.ravel()), np.sort(a.ravel()))
     assert np.array_equal(m.map(lambda x: x * 2, a), a * 2)
@@ -156,7 +159,7 @@ def test_use_after_close_is_serial_but_correct(cls, rng):
 @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
 def test_backend_context_manager(cls):
     with cls(2) as b:
-        assert b.submit_batch(_square, range(4)) == [0, 1, 4, 9]
+        assert _run(b, _square, range(4)) == [0, 1, 4, 9]
     assert b.closed
 
 
@@ -315,40 +318,41 @@ def test_close_shared_backends_tolerates_late_registration(monkeypatch):
         _SHARED_BACKENDS.update(saved)
 
 
-# -- submit_batch: the shard-parallel task fan-out (PR 5) -------------------
+# -- supervised batches: the shard-parallel task fan-out --------------------
 
 def _square(x):
     return x * x
 
 
+def _thread_name(_):
+    return threading.current_thread().name
+
+
+def _run(backend, fn, items) -> list:
+    """One fail-fast batch through the one executor; its results."""
+    results, failures = Supervisor(backend, NO_RETRY).submit_batch(fn, items)
+    assert failures == []
+    return results
+
+
 class TestSubmitBatch:
     def test_serial_runs_in_order(self):
-        from repro.pram.backends import SerialBackend
-
-        assert SerialBackend().submit_batch(_square, [1, 2, 3]) == [1, 4, 9]
+        assert _run(SerialBackend(), _square, [1, 2, 3]) == [1, 4, 9]
 
     def test_thread_pool_matches_serial(self):
-        from repro.pram.backends import ThreadBackend
-
         with ThreadBackend(num_workers=2) as b:
-            assert b.submit_batch(_square, range(10)) == [x * x for x in range(10)]
+            assert _run(b, _square, range(10)) == [x * x for x in range(10)]
 
     def test_process_pool_matches_serial(self):
-        from repro.pram.backends import ProcessBackend
-
         with ProcessBackend(num_workers=2) as b:
-            assert b.submit_batch(_square, range(6)) == [x * x for x in range(6)]
+            assert _run(b, _square, range(6)) == [x * x for x in range(6)]
 
     def test_closed_backend_falls_back_to_serial(self):
-        from repro.pram.backends import ThreadBackend
-
         b = ThreadBackend(num_workers=2)
         b.close()
-        assert b.submit_batch(_square, [4, 5]) == [16, 25]
+        assert _run(b, _square, [4, 5]) == [16, 25]
 
     def test_unpicklable_fn_falls_back_on_process_pool(self):
-        from repro.pram.backends import ProcessBackend
-
         captured = []
 
         def closure(x):  # locals + side effect: unpicklable for a process pool
@@ -356,17 +360,16 @@ class TestSubmitBatch:
             return x + 1
 
         with ProcessBackend(num_workers=2) as b:
-            assert b.submit_batch(closure, [1, 2]) == [2, 3]
+            assert _run(b, closure, [1, 2]) == [2, 3]
         assert captured == [1, 2]
 
-    def test_single_item_skips_pool(self):
-        from repro.pram.backends import ThreadBackend
-
+    def test_single_item_runs_on_the_pool(self):
+        """A one-task batch goes to the pool like any other batch."""
         with ThreadBackend(num_workers=2) as b:
-            assert b.submit_batch(_square, [7]) == [49]
+            assert _run(b, _thread_name, [7]) != [threading.current_thread().name]
 
 
-# -- submit_batch failure reporting + close-under-in-flight (PR 6) ----------
+# -- failure reporting + close-under-in-flight -------------------------------
 
 def _boom_on_two(x):
     if x == 2:
@@ -380,36 +383,22 @@ def _slow_square(x):
 
 
 class TestSubmitBatchFailures:
-    """The bare ``except Exception`` fix: a failing item re-raises with
-    its batch index attached (``exc.batch_index`` + ``__notes__``) after
-    cancelling the outstanding futures."""
-
-    @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
-    def test_failure_carries_batch_index_and_note(self, cls):
-        with cls(num_workers=2) as b:
-            with pytest.raises(ValueError, match="item 2 exploded") as ei:
-                b.submit_batch(_boom_on_two, [0, 1, 2, 3, 4])
-        assert ei.value.batch_index == 2
-        notes = getattr(ei.value, "__notes__", [])
-        assert any("item 2 of 5" in n and b.name in n for n in notes)
-
-    def test_failure_on_serial_path_also_annotated(self):
-        b = ThreadBackend(num_workers=2)
-        b.close()  # forces the pool-less loop
-        with pytest.raises(ValueError) as ei:
-            b.submit_batch(_boom_on_two, [1, 2, 3])
-        assert ei.value.batch_index == 1
+    """A task that raises fails alone: its ``TaskFailure`` carries the
+    item index and the raised exception as the cause, the other tasks
+    return, and the pool serves the next batch."""
 
     @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
     def test_backend_usable_after_batch_failure(self, cls):
         with cls(num_workers=2) as b:
-            with pytest.raises(ValueError):
-                b.submit_batch(_boom_on_two, [2, 3])
-            assert b.submit_batch(_square, [3, 4]) == [9, 16]
+            results, failures = Supervisor(b, NO_RETRY).submit_batch(_boom_on_two, [2, 3])
+            assert results == [None, 9]
+            (f,) = failures
+            assert f.index == 0 and isinstance(f.error.__cause__, ValueError)
+            assert _run(b, _square, [3, 4]) == [9, 16]
 
 
 class TestCloseUnderInflightBatch:
-    """``close()`` racing a live ``submit_batch`` must neither deadlock
+    """``close()`` racing a live supervised batch must neither deadlock
     nor lose results: cancelled tasks are re-run in the caller, so the
     batch still returns the full, correct output."""
 
@@ -419,14 +408,14 @@ class TestCloseUnderInflightBatch:
         out: dict = {}
 
         def run():
-            out["results"] = b.submit_batch(_slow_square, list(range(12)))
+            out["results"] = _run(b, _slow_square, list(range(12)))
 
         t = threading.Thread(target=run)
         t.start()
         time.sleep(0.05)  # let a few tasks start
         b.close()  # must return promptly, not deadlock
         t.join(timeout=30)
-        assert not t.is_alive(), "submit_batch deadlocked against close()"
+        assert not t.is_alive(), "the batch deadlocked against close()"
         assert out["results"] == [x * x for x in range(12)]
         assert b.closed and b._pool is None
 
@@ -435,7 +424,7 @@ class TestCloseUnderInflightBatch:
         outs = []
         threads = [
             threading.Thread(
-                target=lambda: outs.append(b.submit_batch(_slow_square, range(6)))
+                target=lambda: outs.append(_run(b, _slow_square, range(6)))
             )
             for _ in range(3)
         ]
@@ -474,9 +463,9 @@ def _col_means(arr):
 
 
 class TestZeroCopyTransport:
-    """ProcessBackend.submit_batch ships large ndarrays by shared-memory
-    name; results must be byte-identical to the serial loop, and every
-    segment must be unlinked once the batch drains."""
+    """A supervised batch on a ProcessBackend ships large ndarrays by
+    shared-memory name; results must be byte-identical to the serial
+    loop, and every segment must be unlinked once the batch drains."""
 
     @staticmethod
     def _big(seed, rows=6000):
@@ -542,21 +531,21 @@ class TestZeroCopyTransport:
     def test_zero_copy_matches_serial(self):
         blocks = [self._big(s) for s in range(4)]
         items = [(b, 0.5 + s) for s, b in enumerate(blocks)]
-        want = SerialBackend().submit_batch(_sum_scaled, items)
+        want = [_sum_scaled(item) for item in items]
         with ProcessBackend(2) as zero_copy:
-            got = zero_copy.submit_batch(_sum_scaled, items)
+            got = _run(zero_copy, _sum_scaled, items)
         assert got == want  # float equality: byte-identical transport
 
     def test_worker_views_are_read_only(self):
         items = [(self._big(7), {"w": self._big(8)}), (self._big(9), {"w": self._big(10)})]
         with ProcessBackend(2) as b:
-            flags = b.submit_batch(_writable_flags, items)
+            flags = _run(b, _writable_flags, items)
         assert flags == [[False, False], [False, False]]
 
     def test_array_results_are_safe_copies(self):
         blocks = [self._big(s) for s in (3, 4)]
         with ProcessBackend(2) as b:
-            outs = b.submit_batch(_col_means, blocks)
+            outs = _run(b, _col_means, blocks)
         for out, block in zip(outs, blocks):
             np.testing.assert_array_equal(out, block.mean(axis=0))
 
@@ -575,8 +564,8 @@ class TestZeroCopyTransport:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
 
-        # and the real path: every segment this batch creates is gone
-        # once submit_batch returns (segments other processes create
+        # and the real path: every item segment this batch creates is
+        # gone once the batch returns (segments other processes create
         # meanwhile are none of this test's business)
         created: list = []
         share = backends_mod._share_array
@@ -588,22 +577,23 @@ class TestZeroCopyTransport:
 
         monkeypatch.setattr(backends_mod, "_share_array", recording_share)
         with ProcessBackend(2) as b:
-            b.submit_batch(_sum_scaled, [(self._big(s), 1.0) for s in (6, 7, 8)])
+            _run(b, _sum_scaled, [(self._big(s), 1.0) for s in (6, 7, 8)])
         assert len(created) == 3
         for name in created:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
     def test_thread_backend_never_packs(self, monkeypatch):
-        import repro.pram.backends as backends_mod
+        import repro.faults.supervisor as supervisor_mod
 
         def no_pack(*args, **kwargs):
             raise AssertionError("a thread pool packed its batch items")
 
-        monkeypatch.setattr(backends_mod, "pack_batch_items", no_pack)
+        # the name the Supervisor calls, so the patch sees every pack
+        monkeypatch.setattr(supervisor_mod, "pack_batch_items", no_pack)
         items = [(self._big(9), 2.0), (self._big(10), 3.0)]
         with ThreadBackend(2) as b:
-            got = b.submit_batch(_sum_scaled, items)
+            got = _run(b, _sum_scaled, items)
         assert got == [_sum_scaled(item) for item in items]
 
 

@@ -69,33 +69,11 @@ def test_reduce_3d_thread_backend(rng):
         tm.close()
 
 
-def test_exclusive_scan(m):
-    a = np.array([[1.0, 2.0, 3.0, 4.0]])
-    assert np.array_equal(m.exclusive_scan(a, "add", axis=1), [[0.0, 1.0, 3.0, 6.0]])
-
-
-def test_exclusive_scan_min_identity(m):
-    a = np.array([[5.0, 1.0, 2.0]])
-    out = m.exclusive_scan(a, "min", axis=1)
-    assert np.array_equal(out, [[np.inf, 5.0, 1.0]])
-
-
 def test_argmin_argmax(m, rng):
     a = rng.random((7, 5))
     assert np.array_equal(m.argmin(a, axis=0), np.argmin(a, axis=0))
     assert np.array_equal(m.argmax(a, axis=1), np.argmax(a, axis=1))
     assert m.argmin(a) == np.argmin(a)
-
-
-def test_distribute_row(m):
-    v = np.array([1.0, 2.0, 3.0])
-    out = m.distribute(v, (4, 3))
-    assert out.shape == (4, 3) and np.array_equal(out[2], v)
-
-
-def test_distribute_bad_shape(m):
-    with pytest.raises(InvalidParameterError):
-        m.distribute(np.ones(3), (4, 5))
 
 
 def test_transpose(m, rng):
@@ -229,11 +207,6 @@ def test_sorted_unique_charges_one_sort_plus_pack(rng):
     assert m.ledger.total_calls == 2
     # work = one m·log₂(m) sort + one m pack, nothing else
     assert m.ledger.work == pytest.approx(128 * math.log2(128) + 128)
-
-
-def test_random_uniform_shape_and_range(m):
-    x = m.random_uniform((10, 3))
-    assert x.shape == (10, 3) and np.all((0 <= x) & (x < 1))
 
 
 def test_random_priorities_distinct(m):

@@ -13,7 +13,8 @@ not imported by ``src/``.
 Relays pass through every node, candidate or not: ``G²``/``H'``
 adjacency is defined by the original graph, so a removed midpoint still
 connects two live candidates. Their rounds count under ``maxdom`` and
-``maxudom``; the CSR MaxDom counts under ``maxdom_sparse``.
+``maxudom``, the labels the CSR bodies count under, so a seeded run's
+round counters compare directly.
 """
 
 from __future__ import annotations

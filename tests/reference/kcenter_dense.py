@@ -8,11 +8,8 @@ threshold matrix ``D ≤ t`` handed to the dense MaxDom body in
 :mod:`tests.reference.dominator_dense` — as the oracle the
 equivalence suites compare the shipped solver against, field for
 field. It shares no code with the CSR body and is not imported by
-``src/``.
-
-Its MaxDom rounds count under ``maxdom`` (the dense body's label)
-where the CSR body's count under ``maxdom_sparse``;
-:func:`comparable_rounds` maps one onto the other.
+``src/``. Its MaxDom rounds count under ``maxdom``, as the CSR body's
+do, so the two solutions' round counters compare directly.
 """
 
 from __future__ import annotations
@@ -83,9 +80,3 @@ def kcenter_dense(
         model_costs=machine.ledger.since(start),
         extra={"threshold": best_t, "probes": probes, "n_thresholds": int(thresholds.size)},
     )
-
-
-def comparable_rounds(rounds: dict) -> dict:
-    """Round counters with the dense dominator's label mapped onto the
-    CSR one's, so the two bodies' counts compare directly."""
-    return {("maxdom_sparse" if k == "maxdom" else k): v for k, v in rounds.items()}

@@ -225,11 +225,12 @@ class TestStrictSolveSchema:
          {"k": 61}, {"k": 2, "epsilon": -1}, {"k": 2, "coreset_size": 0},
          {"k": 2, "fallback_slack": -1.0}, {"k": "2"}, {"k": 2, "seed": -3},
          {"k": 2, "solver": "kmedian_lagrangian", "epsilon": 1e-9},
-         {"k": 3, "solver": "kmedian", "epsilon": 5e-324}],
+         {"k": 3, "solver": "kmedian", "epsilon": 5e-324},
+         {"k": 5, "shards": 2, "coreset_size": 1}],
         ids=["k-fraction", "k-bool", "seed-fraction", "shards-fraction",
              "k-over-n", "epsilon-negative", "coreset-zero", "slack-negative",
              "k-text", "seed-negative", "lagrangian-schedule-too-long",
-             "kmedian-epsilon-subnormal"],
+             "kmedian-epsilon-subnormal", "k-over-merged-coreset"],
     )
     def test_rejected_at_submit(self, served, sixty, params):
         jobs_before = served.health()["jobs"]["total"]

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
+from repro.faults import NO_RETRY
 from repro.pram.backends import SerialBackend, ThreadBackend
 from repro.pram.ledger import CostLedger
 from repro.pram.machine import PramMachine
-from repro.shard.coreset import build_coreset, build_shard_coresets
+from repro.shard.coreset import build_coreset, supervised_shard_coresets
 from repro.shard.partition import random_partition
 
 
@@ -79,14 +80,14 @@ def test_gonzalez_movement_beats_sampling_typically(points):
 
 def test_shard_coresets_independent_of_backend_scheduling(points):
     labels = random_partition(400, 4, seed=5)
-    kwargs = dict(weights=None, method="gonzalez", seed=13)
-    serial = build_shard_coresets(
+    kwargs = dict(weights=None, method="gonzalez", seed=13, policy=NO_RETRY)
+    serial = supervised_shard_coresets(
         points, labels, 4, 40, machine=PramMachine(SerialBackend()), **kwargs
-    )
+    )[0]
     with ThreadBackend(num_workers=2) as tb:
-        threaded = build_shard_coresets(
+        threaded = supervised_shard_coresets(
             points, labels, 4, 40, machine=PramMachine(tb), **kwargs
-        )
+        )[0]
     for a, b in zip(serial, threaded):
         assert np.array_equal(a.origin, b.origin)
         assert np.array_equal(a.weights, b.weights)
@@ -100,9 +101,10 @@ def test_shard_ledger_charges_sum_of_per_shard_work(points):
     labels = random_partition(400, 5, seed=2)
     machine = PramMachine(seed=0)
     before = machine.ledger.snapshot()
-    coresets = build_shard_coresets(
-        points, labels, 5, 30, method="gonzalez", seed=4, machine=machine
-    )
+    coresets = supervised_shard_coresets(
+        points, labels, 5, 30, method="gonzalez", seed=4, machine=machine,
+        policy=NO_RETRY,
+    )[0]
     delta = machine.ledger.since(before)
     assert delta.work == pytest.approx(sum(c.costs.work for c in coresets))
     assert delta.cache == pytest.approx(sum(c.costs.cache for c in coresets))
@@ -128,7 +130,7 @@ def test_charge_parallel_combines_snapshots():
 def test_empty_shard_rejected(points):
     labels = np.zeros(400, dtype=np.intp)  # everything on shard 0
     with pytest.raises(InvalidParameterError, match="empty"):
-        build_shard_coresets(points, labels, 2, 10, seed=0)
+        supervised_shard_coresets(points, labels, 2, 10, seed=0, policy=NO_RETRY)
 
 
 def test_out_of_range_labels_rejected(points):
@@ -137,10 +139,10 @@ def test_out_of_range_labels_rejected(points):
     labels = random_partition(400, 3, seed=1)
     labels[7] = 3  # outside [0, shards)
     with pytest.raises(InvalidParameterError, match=r"\[0, 3\)"):
-        build_shard_coresets(points, labels, 3, 20, seed=0)
+        supervised_shard_coresets(points, labels, 3, 20, seed=0, policy=NO_RETRY)
     labels[7] = -1
     with pytest.raises(InvalidParameterError, match=r"\[0, 3\)"):
-        build_shard_coresets(points, labels, 3, 20, seed=0)
+        supervised_shard_coresets(points, labels, 3, 20, seed=0, policy=NO_RETRY)
 
 
 @pytest.mark.parametrize("method", ["gonzalez", "sample"])

@@ -10,6 +10,8 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.metrics.generators import knn_clustering_instance
+from repro.obs import trace_to
+from repro.obs.report import load_trace
 from repro.core.kcenter import parallel_kcenter
 from repro.core.kmedian_lagrangian import parallel_kmedian_lagrangian
 from repro.core.local_search import parallel_kmedian
@@ -48,6 +50,22 @@ def test_merge_rejects_budget_overflow(points):
         merge_coresets([], 2)
     with pytest.raises(InvalidParameterError):
         merge_coresets([object()], 2)
+
+
+def test_k_over_merged_coreset_refused_before_any_pass(points, tmp_path):
+    """Two shards of one representative each can never hold k=5: the
+    driver refuses the k up front, before the partition and coreset
+    passes, instead of failing in the merge after them."""
+    path = tmp_path / "t.jsonl"
+    with trace_to(path) as tracer:
+        with pytest.raises(InvalidParameterError, match="k=5 exceeds the 2"):
+            shard_and_solve(points, 5, shards=2, coreset_size=1, seed=0)
+        tracer.flush()
+    events = load_trace(path) if path.exists() else []
+    assert not {"shard.partition", "shard.coreset"} & {e["name"] for e in events}
+    # coreset="none" keeps every point, so the same budget is solvable
+    sol = shard_and_solve(points, 5, shards=2, coreset="none", coreset_size=1, seed=0)
+    assert sol.centers.size <= 5
 
 
 # -- identity pipeline: byte parity with the direct solvers -----------------

@@ -21,7 +21,6 @@ from repro.shard import (
     STORE_VERSION,
     ShardStore,
     StoredShard,
-    build_shard_coresets,
     make_partition,
     partition_to_store,
     shard_and_solve,
@@ -250,10 +249,17 @@ class TestValidation:
 # -- coreset parity ---------------------------------------------------------
 
 
+def _coresets(*args, **kwargs):
+    """Every shard's coreset, built fail-fast."""
+    coresets, failures = supervised_shard_coresets(*args, policy=NO_RETRY, **kwargs)
+    assert failures == []
+    return coresets
+
+
 class TestCoresetParity:
     def test_store_coresets_byte_identical_to_resident(self, store):
-        res = build_shard_coresets(POINTS, LABELS, SHARDS, 32, seed=SEED)
-        via = build_shard_coresets(store, size=32, seed=SEED)
+        res = _coresets(POINTS, LABELS, SHARDS, 32, seed=SEED)
+        via = _coresets(store, size=32, seed=SEED)
         assert len(via) == len(res)
         for a, b in zip(via, res):
             np.testing.assert_array_equal(a.points, b.points)
@@ -261,17 +267,17 @@ class TestCoresetParity:
             np.testing.assert_array_equal(a.origin, b.origin)
 
     def test_weighted_store_coresets_byte_identical(self, wstore):
-        res = build_shard_coresets(
+        res = _coresets(
             POINTS, LABELS, SHARDS, 32, weights=WEIGHTS, seed=SEED
         )
-        via = build_shard_coresets(wstore, size=32, seed=SEED)
+        via = _coresets(wstore, size=32, seed=SEED)
         for a, b in zip(via, res):
             np.testing.assert_array_equal(a.points, b.points)
             np.testing.assert_array_equal(a.weights, b.weights)
 
     @pytest.mark.parametrize("backend_name", ["thread", "process"])
     def test_store_coresets_parallel_backends(self, store, backend_name):
-        res = build_shard_coresets(POINTS, LABELS, SHARDS, 32, seed=SEED)
+        res = _coresets(POINTS, LABELS, SHARDS, 32, seed=SEED)
         backend = (
             ThreadBackend(2)
             if backend_name == "thread"
@@ -279,19 +285,19 @@ class TestCoresetParity:
         )
         with backend as b:
             m = PramMachine(backend=b, seed=0)
-            via = build_shard_coresets(store, size=32, seed=SEED, machine=m)
+            via = _coresets(store, size=32, seed=SEED, machine=m)
         for a, b_ in zip(via, res):
             np.testing.assert_array_equal(a.points, b_.points)
             np.testing.assert_array_equal(a.weights, b_.weights)
 
     def test_store_rejects_conflicting_resident_args(self, store):
         with pytest.raises(InvalidParameterError, match="ShardStore"):
-            build_shard_coresets(store, LABELS, SHARDS, 32, seed=SEED)
-        with pytest.raises(InvalidParameterError, match="ShardStore"):
             supervised_shard_coresets(store, LABELS, SHARDS, 32, seed=SEED)
+        with pytest.raises(InvalidParameterError, match="ShardStore"):
+            supervised_shard_coresets(store, weights=WEIGHTS, size=32, seed=SEED)
 
     def test_supervised_store_coresets_match_unsupervised(self, store):
-        res = build_shard_coresets(store, size=32, seed=SEED)
+        res = _coresets(store, size=32, seed=SEED)
         with ThreadBackend(2) as b:
             m = PramMachine(backend=b, seed=0)
             via, failures = supervised_shard_coresets(store, size=32, seed=SEED, machine=m)
