@@ -8,8 +8,9 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-# Backend matrix hook: REPRO_BACKEND=serial|thread|process makes every
-# default-constructed PramMachine run on that backend (see
+# Backend matrix hook: REPRO_BACKEND=serial|thread|process is the pool
+# every default-constructed PramMachine carries, and so the pool
+# shard_and_solve fans out to by default (see
 # repro.pram.backends.shared_backend). Unset means serial.
 echo "== backend: ${REPRO_BACKEND:-serial} (workers=${REPRO_NUM_WORKERS:-auto}) =="
 
@@ -43,11 +44,13 @@ python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.
 # The Supervisor is the one batch executor: it owns every shared-memory
 # segment and every pool respawn on the default shard path, so a segment,
 # pool or file it fails to release (ResourceWarning) fails these suites.
+# The store fuzz suite opens hundreds of garbled stores, each of whose
+# block files must be closed whether or not ShardStore.open accepts it.
 echo "== batch executor and shard suites, ResourceWarning and RuntimeWarning as errors =="
 python -X dev -W error::ResourceWarning -W error::RuntimeWarning -m pytest -q \
     tests/pram/test_backends.py tests/faults/test_supervisor.py \
-    tests/shard/test_coreset.py tests/shard/test_store.py tests/shard/test_solve.py \
-    tests/shard/test_shard_failures.py
+    tests/shard/test_coreset.py tests/shard/test_store.py tests/shard/test_store_fuzz.py \
+    tests/shard/test_solve.py tests/shard/test_shard_failures.py
 
 echo "== smoke =="
 python scripts/smoke.py

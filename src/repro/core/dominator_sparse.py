@@ -172,7 +172,6 @@ def max_dominator_set_sparse(
     adjacency,
     machine: PramMachine | None = None,
     *,
-    backend=None,
     max_rounds: int | None = None,
 ) -> np.ndarray:
     """``MaxDom`` of a simple graph (MIS of ``G²``, §3) in
@@ -187,10 +186,6 @@ def max_dominator_set_sparse(
     ----------
     adjacency:
         scipy.sparse matrix or dense boolean array (symmetric).
-    backend:
-        Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Selections are
-        backend-invariant.
 
     Returns
     -------
@@ -199,7 +194,7 @@ def max_dominator_set_sparse(
     """
     A = _to_csr(adjacency)
     n = A.shape[0]
-    machine = ensure_machine(machine, backend=backend)
+    machine = ensure_machine(machine)
     if n == 0:
         return np.zeros(0, dtype=bool)
     limit = (n + 1) if max_rounds is None else int(max_rounds)
@@ -210,7 +205,6 @@ def max_u_dominator_set_sparse(
     biadjacency,
     machine: PramMachine | None = None,
     *,
-    backend=None,
     candidates: np.ndarray | None = None,
     max_rounds: int | None = None,
 ) -> np.ndarray:
@@ -235,7 +229,7 @@ def max_u_dominator_set_sparse(
     """
     B = _as_csr(biadjacency, "biadjacency")
     nu, nv = B.shape
-    machine = ensure_machine(machine, backend=backend)
+    machine = ensure_machine(machine)
     if nu == 0:
         return np.zeros(0, dtype=bool)
     candidate = (

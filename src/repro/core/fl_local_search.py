@@ -61,7 +61,6 @@ def parallel_fl_local_search(
     epsilon: float = 0.1,
     machine: PramMachine | None = None,
     seed=None,
-    backend=None,
     initial=None,
     max_rounds: int | None = None,
 ) -> FacilityLocationSolution:
@@ -73,11 +72,6 @@ def parallel_fl_local_search(
         Improvement slack: a move is applied only if it improves the
         objective by a ``(1 − β/(n_f+1))`` factor, ``β = ε/(1+ε)``
         (local optima of the exact neighborhood are 3-approximate).
-    backend:
-        Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Results are
-        backend-invariant: every backend runs the primitives as the
-        same NumPy calls in the caller.
     initial:
         Starting facility set (defaults to the single facility
         minimizing the Eq. (1) objective alone — computable in one
@@ -96,7 +90,7 @@ def parallel_fl_local_search(
         initial cost.
     """
     eps = check_epsilon(epsilon, upper=1.0)
-    machine = ensure_machine(machine, backend=backend, seed=seed)
+    machine = ensure_machine(machine, seed=seed)
     D = instance.D
     f = instance.f.astype(float)
     nf, nc = D.shape

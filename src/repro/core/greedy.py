@@ -59,7 +59,6 @@ def parallel_greedy(
     epsilon: float = 0.1,
     machine: PramMachine | None = None,
     seed=None,
-    backend=None,
     preprocess: bool = True,
     max_outer_rounds: int | None = None,
     max_subselect_rounds: int | None = None,
@@ -73,12 +72,7 @@ def parallel_greedy(
         sequential greedy more closely (better cost, more rounds).
     machine:
         PRAM machine to execute/charge on (a fresh one if absent;
-        ``seed``/``backend`` are only used when constructing it).
-    backend:
-        Execution backend for the fresh machine — a name
-        (``"serial"``/``"thread"``/``"process"``) or a
-        :class:`~repro.pram.backends.Backend` instance. Mutually
-        exclusive with ``machine``. Results are backend-invariant.
+        ``seed`` is only used when constructing it).
     preprocess:
         Apply the ``γ/m²`` cheap-star preprocessing (§4, "Bounding the
         number of rounds"). Disable to measure its effect (bench E5).
@@ -110,7 +104,7 @@ def parallel_greedy(
     its full CSR.
     """
     eps = check_epsilon(epsilon, upper=1.0)
-    machine = ensure_machine(machine, backend=backend, seed=seed)
+    machine = ensure_machine(machine, seed=seed)
     m = max(instance.m, 2)
 
     outer_cap = max_outer_rounds if max_outer_rounds is not None else instance.n_clients + 8

@@ -40,7 +40,6 @@ def parallel_kcenter(
     *,
     machine: PramMachine | None = None,
     seed=None,
-    backend=None,
 ) -> ClusteringSolution:
     """2-approximate k-center via parallel bottleneck search.
 
@@ -68,7 +67,7 @@ def parallel_kcenter(
     ``w_j`` co-located copies is the copy itself — so the search runs
     identically and the 2-approximation guarantee is unchanged.
     """
-    machine = ensure_machine(machine, backend=backend, seed=seed)
+    machine = ensure_machine(machine, seed=seed)
     if isinstance(instance, SparseClusteringInstance):
         return _parallel_kcenter_sparse(instance, machine)
     return _parallel_kcenter_sparse(

@@ -90,7 +90,6 @@ def parallel_kmedian_lagrangian(
     epsilon: float = 0.1,
     machine: PramMachine | None = None,
     seed=None,
-    backend=None,
     max_probes: int = 40,
 ) -> ClusteringSolution:
     """k-median via Lagrangian relaxation of the facility budget.
@@ -99,11 +98,6 @@ def parallel_kmedian_lagrangian(
     ----------
     epsilon:
         Slack passed through to the §5 primal–dual subroutine.
-    backend:
-        Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Results are
-        backend-invariant: every backend runs the primitives as the
-        same NumPy calls in the caller.
     max_probes:
         Binary-search probes over the price λ (each probe is one full
         primal–dual run; 40 resolves λ to ~2⁻⁴⁰ of its range).
@@ -126,7 +120,7 @@ def parallel_kmedian_lagrangian(
     """
     eps = check_epsilon(epsilon)
     check_positive_int(max_probes, name="max_probes")
-    machine = ensure_machine(machine, backend=backend, seed=seed)
+    machine = ensure_machine(machine, seed=seed)
     n, k = instance.n, instance.k
     if k >= n:
         centers = np.arange(n)

@@ -109,7 +109,6 @@ def parallel_local_search(
     epsilon: float = 0.5,
     machine: PramMachine | None = None,
     seed=None,
-    backend=None,
     initial=None,
     max_rounds: int | None = None,
 ) -> ClusteringSolution:
@@ -122,11 +121,6 @@ def parallel_local_search(
     epsilon:
         Improvement slack ``0 < ε < 1`` (β = ε/(1+ε)); smaller ε means
         more rounds and a guarantee closer to 5 (resp. 81).
-    backend:
-        Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Results are
-        backend-invariant: every backend runs the primitives as the
-        same NumPy calls in the caller.
     initial:
         Optional warm-start centers (defaults to parallel k-center).
     max_rounds:
@@ -161,12 +155,11 @@ def parallel_local_search(
     eps = check_epsilon(epsilon, upper=1.0 - 1e-9)
     n, k = instance.n, instance.k
     cap = max_rounds if max_rounds is not None else swap_round_cap(n, k, eps, objective)
+    machine = ensure_machine(machine, seed=seed)
     if isinstance(instance, SparseClusteringInstance):
         from repro.core.local_search_sparse import _parallel_local_search_sparse
 
-        machine = ensure_machine(machine, backend=backend, seed=seed)
         return _parallel_local_search_sparse(instance, objective, eps, machine, initial, cap)
-    machine = ensure_machine(machine, backend=backend, seed=seed)
     beta = eps / (1.0 + eps)
 
     start = machine.snapshot()

@@ -57,7 +57,6 @@ def parallel_lp_rounding(
     filter_alpha: float = 1.0 / 3.0,
     machine: PramMachine | None = None,
     seed=None,
-    backend=None,
     max_rounds: int | None = None,
 ) -> FacilityLocationSolution:
     """Round an optimal LP solution to an integral one (Algorithm of §6.2).
@@ -67,11 +66,6 @@ def parallel_lp_rounding(
     primal:
         Optimal LP solution; solved here (sequentially, as substrate)
         when absent — the parallel claim covers only the rounding.
-    backend:
-        Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Results are
-        backend-invariant: every backend runs the primitives as the
-        same NumPy calls in the caller.
     filter_alpha:
         The filter radius parameter ``a ∈ (0, 1)``; ``1/3`` gives the
         headline ``4+ε``.
@@ -88,7 +82,7 @@ def parallel_lp_rounding(
     a = float(filter_alpha)
     if not 0.0 < a < 1.0:
         raise InvalidParameterError(f"filter_alpha must lie in (0,1), got {filter_alpha}")
-    machine = ensure_machine(machine, backend=backend, seed=seed)
+    machine = ensure_machine(machine, seed=seed)
     m = max(instance.m, 2)
     cap = max_rounds if max_rounds is not None else 64 + 8 * round_cap(
         math.log(m) / math.log1p(eps), eps, what="LP rounding round bound"

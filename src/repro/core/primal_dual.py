@@ -31,10 +31,10 @@ nearest open distances and skips the levels before it, which still
 count in ``rounds["pd_iterations"]``. A solve costs its events plus one
 merge of the skipped levels' edges per event, rather than a pass over
 the paying set at every level. Payment sums run in a fixed flat order,
-so seeded solutions are deterministic, identical across backends and
-identical to running every level; the test suite checks them field for
-field against a dense reference and a level-by-level CSR reference,
-both kept under ``tests/``.
+so seeded solutions are deterministic and identical to running every
+level; the test suite checks them field for field against a dense
+reference and a level-by-level CSR reference, both kept under
+``tests/``.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ def parallel_primal_dual(
     epsilon: float = 0.1,
     machine: PramMachine | None = None,
     seed=None,
-    backend=None,
     preprocess: bool = True,
     max_iterations: int | None = None,
 ) -> FacilityLocationSolution:
@@ -66,11 +65,6 @@ def parallel_primal_dual(
     epsilon:
         Geometric raising slack ``ε > 0``; the guarantee is ``(3+ε′)``
         with ``ε′ → 0`` as ``ε → 0``.
-    backend:
-        Execution backend for a freshly constructed machine — a name
-        (``"serial"``/``"thread"``/``"process"``) or a
-        :class:`~repro.pram.backends.Backend` instance. Mutually
-        exclusive with ``machine``. Results are backend-invariant.
     preprocess:
         Open "free" facilities at level ``γ/m²`` first (§5
         preprocessing). Disable for the E5 ablation — without it the
@@ -99,7 +93,7 @@ def parallel_primal_dual(
         surviving independent set ``I``.
     """
     eps = check_epsilon(epsilon)
-    machine = ensure_machine(machine, backend=backend, seed=seed)
+    machine = ensure_machine(machine, seed=seed)
     iter_cap = _iteration_cap(instance, eps, max_iterations)
     sparse = (
         instance

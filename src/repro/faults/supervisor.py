@@ -681,10 +681,13 @@ class Supervisor:
             ):
                 # Breakage with no task observed mid-run (a worker died
                 # between tasks, or flags were lost): escalate the
-                # collaterals to suspects so the isolation rounds keep
-                # the round count bounded.
+                # collaterals that entered the pool to suspects so the
+                # isolation rounds keep the round count bounded. A task
+                # whose submit raised never ran and cannot be the
+                # crasher: it stays free and reruns in one ordinary
+                # round on the respawned pool.
                 for slot, outcome in enumerate(raw):
-                    if outcome.kind == "free":
+                    if outcome.kind == "free" and futures[slot] is not None:
                         raw[slot] = _Outcome("suspect", duration=outcome.duration)
             if broke or (timed_out and sentinel):
                 # A broken pool is unusable; a hung process worker would

@@ -145,6 +145,11 @@ class SerialBackend(Backend):
     name = "serial"
 
 
+#: The largest pool a backend builds. A forked process pool starts all
+#: its workers at the first submit, so a larger count is refused.
+MAX_WORKERS = 32 * (os.cpu_count() or 1)
+
+
 class _PoolBackend(Backend):
     """Shared scaffolding for worker-pool backends.
 
@@ -160,8 +165,10 @@ class _PoolBackend(Backend):
 
     def __init__(self, num_workers: int | None = None):
         workers = num_workers if num_workers is not None else (os.cpu_count() or 1)
-        if workers < 1:
-            raise InvalidParameterError(f"num_workers must be >= 1, got {num_workers}")
+        if not 1 <= workers <= MAX_WORKERS:
+            raise InvalidParameterError(
+                f"num_workers must be in [1, {MAX_WORKERS}], got {num_workers}"
+            )
         self.num_workers = int(workers)
         self._pool = self._make_pool() if self.num_workers > 1 else None
         self._closed = False
@@ -439,15 +446,16 @@ def shared_backend(spec: "str | Backend | None" = None) -> Backend:
     """Process-wide cached backend for machines built without one.
 
     ``spec=None`` reads ``REPRO_BACKEND`` (default ``"serial"``) —
-    the hook the CI backend matrix uses to run the whole test suite on
-    a different substrate. An empty or whitespace-only value counts as
-    unset (CI matrices routinely materialize ``REPRO_BACKEND=""`` for
-    the default leg), never as a backend literally named ``""``.
-    ``REPRO_NUM_WORKERS`` sizes pool backends.
-    Instances are cached per ``(name, workers)`` and shared by every
-    :class:`PramMachine` that did not receive an explicit backend
-    object, so a test run never stacks up worker pools; they are closed
-    atexit, and ``PramMachine.close`` deliberately leaves them open.
+    the hook the CI backend matrix uses to vary the pool that
+    :func:`~repro.shard.shard_and_solve` fans out to by default. An
+    empty or whitespace-only value counts as unset (CI matrices
+    routinely materialize ``REPRO_BACKEND=""`` for the default leg),
+    never as a backend literally named ``""``. ``REPRO_NUM_WORKERS``
+    sizes pool backends. Instances are cached per ``(name, workers)``
+    and shared by every :class:`PramMachine` that did not receive a
+    backend object (returned unchanged here, and closed by whoever made
+    it), so a test run never stacks up worker pools; they are closed
+    atexit.
     """
     if isinstance(spec, Backend):
         return spec

@@ -154,8 +154,8 @@ class CostLedger:
         Each bump appends a :class:`RoundMark` (positionally compatible
         with the historical ``(label, index, work_so_far, wall_time)``
         tuple) to :attr:`round_log`, so benches can difference
-        consecutive entries into per-round ledger work and wall-clock —
-        the perf-trajectory instrument behind ``repro.bench.regressions``.
+        consecutive entries into per-round ledger work and wall-clock
+        (:func:`repro.bench.summarize_rounds`).
         """
         self.rounds[label] += 1
         self.round_log.append(

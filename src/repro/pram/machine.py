@@ -152,14 +152,15 @@ class PramMachine:
     Parameters
     ----------
     backend:
-        Task pool for batch jobs (the primitives never use it): a
-        :class:`Backend` instance (the machine then owns it —
-        :meth:`close` shuts it down), a backend name
+        The task pool that :func:`~repro.shard.shard_and_solve` sends
+        its coreset builds to when handed this machine (the primitives
+        never use it): a :class:`Backend` instance, kept as given and
+        closed by whoever created it, a backend name
         (``"serial"``/``"thread"``/``"process"``, resolved to the
         process-wide :func:`~repro.pram.backends.shared_backend` for
         that configuration), or ``None`` for the environment default
         (``REPRO_BACKEND``, serial unless set). Shared backends are
-        left open by :meth:`close` and released atexit.
+        released atexit.
     ledger:
         Cost accumulator; a fresh :class:`CostLedger` by default.
     seed:
@@ -181,12 +182,7 @@ class PramMachine:
         seed=None,
         tracer=None,
     ):
-        if backend is None or isinstance(backend, str):
-            self.backend = shared_backend(backend)
-            self._owns_backend = False
-        else:
-            self.backend = backend
-            self._owns_backend = True
+        self.backend = shared_backend(backend)
         self.ledger = ledger if ledger is not None else CostLedger()
         self.rng = ensure_rng(seed)
         self.tracer = tracer if tracer is not None else current_tracer()
@@ -612,23 +608,6 @@ class PramMachine:
         """Current ledger totals (subtract later to cost an interval)."""
         return self.ledger.snapshot()
 
-    def close(self) -> None:
-        """Release the backend's worker pool (thread/process backends).
-
-        Only backends this machine owns (instances passed to the
-        constructor) are closed; shared environment-default backends
-        stay open for other machines and are released atexit.
-        """
-        if self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "PramMachine":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
 
 def ensure_machine(
     machine: PramMachine | None = None,
@@ -640,11 +619,11 @@ def ensure_machine(
     """Return ``machine``, or build one on the requested backend.
 
     The shared helper behind every algorithm entry point's
-    ``machine=None, backend=None`` signature: an explicit machine wins
-    (passing both is ambiguous and rejected, and likewise for
-    ``tracer=`` — the machine already carries its tracer), otherwise a
-    fresh machine is built on the named backend, or on the environment
-    default when neither is given.
+    ``machine=None`` signature. An explicit machine wins; passing
+    ``backend=`` (only :func:`~repro.shard.shard_and_solve` takes one)
+    or ``tracer=`` with it is ambiguous and rejected, since the machine
+    already carries both. Otherwise a fresh machine is built on the
+    named backend, or on the environment default when none is given.
     """
     if machine is not None:
         if backend is not None:

@@ -34,18 +34,53 @@ page cache is the shared medium.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
+from tokenize import TokenError
 
 import numpy as np
 
 from repro.errors import InvalidInstanceError, InvalidParameterError
+from repro.metrics.io import _read_npy_header
 
 #: Manifest schema version; bump on incompatible layout changes.
 STORE_VERSION = 1
 
 _MANIFEST = "manifest.json"
 _FORMAT = "repro-shard-store"
+_KEYS = ("version", "shards", "n", "dim", "has_weights", "sizes", "weight_totals")
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
+def _manifest_problem(m: dict) -> str | None:
+    """Why a manifest holding every key in ``_KEYS`` is not one
+    :meth:`ShardStore.create` could have written, or ``None``: counts
+    are JSON integers, ``n == sum(sizes)`` over non-empty shards, weight
+    totals are finite positive floats, and an unweighted store's totals
+    are its sizes."""
+
+    def count(value, low=1):
+        return type(value) is int and low <= value <= _INTP_MAX
+
+    for key, low in (("version", 1), ("shards", 1), ("n", 1), ("dim", 0)):
+        if not count(m[key], low):
+            return f"{key} must be an integer >= {low}, got {m[key]!r}"
+    if type(m["has_weights"]) is not bool:
+        return f"has_weights must be true or false, got {m['has_weights']!r}"
+    sizes, totals = m["sizes"], m["weight_totals"]
+    if not (
+        isinstance(sizes, list) and isinstance(totals, list)
+        and len(sizes) == len(totals) == m["shards"]
+    ):
+        return f"needs one size and one weight total per shard ({m['shards']})"
+    if not all(count(size) for size in sizes) or sum(sizes) != m["n"]:
+        return f"shard sizes {sizes!r} must be integers >= 1 summing to n={m['n']!r}"
+    if not all(type(t) is float and math.isfinite(t) and t > 0 for t in totals):
+        return f"weight totals {totals!r} must be finite and positive"
+    if not m["has_weights"] and totals != [float(size) for size in sizes]:
+        return f"an unweighted store's weight totals {totals!r} must equal its sizes"
+    return None
 
 
 def _block_name(shard: int, part: str) -> str:
@@ -198,7 +233,10 @@ class ShardStore:
     @classmethod
     def open(cls, directory: str) -> "ShardStore":
         """Reopen an existing store, verifying the manifest and every
-        block's ``.npy`` header (shape and dtype) against it."""
+        block's ``.npy`` header (shape and dtype) against it.
+
+        Any manifest or block :meth:`create` could not have written
+        raises :class:`~repro.errors.InvalidInstanceError`."""
         path = os.path.join(directory, _MANIFEST)
         if not os.path.isfile(path):
             raise InvalidInstanceError(
@@ -207,7 +245,7 @@ class ShardStore:
         try:
             with open(path) as fh:
                 manifest = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, deep nesting
             raise InvalidInstanceError(
                 f"shard store {directory!r} has an unreadable {_MANIFEST}: {exc}"
             ) from None
@@ -216,36 +254,31 @@ class ShardStore:
             raise InvalidInstanceError(
                 f"{directory!r} manifest has format {fmt!r}, expected {_FORMAT!r}"
             )
-        if int(manifest.get("version", -1)) > STORE_VERSION:
+        for key in _KEYS:
+            if key not in manifest:
+                raise InvalidInstanceError(
+                    f"shard store {directory!r} manifest lacks key {key!r}"
+                )
+        version = manifest["version"]
+        if type(version) is int and version > STORE_VERSION:
             raise InvalidInstanceError(
                 f"shard store {directory!r} has schema version "
-                f"{manifest['version']}, newer than supported {STORE_VERSION}"
+                f"{version}, newer than supported {STORE_VERSION}"
             )
-        try:
-            store = cls(directory, manifest)
-        except KeyError as exc:
+        problem = _manifest_problem(manifest)
+        if problem is not None:
             raise InvalidInstanceError(
-                f"shard store {directory!r} manifest lacks key {exc}"
-            ) from None
-        except (TypeError, ValueError) as exc:
-            raise InvalidInstanceError(
-                f"shard store {directory!r} manifest is malformed: {exc}"
-            ) from None
-        per_shard = (store.shards,)
-        if store.sizes.shape != per_shard or store.weight_totals.shape != per_shard:
-            raise InvalidInstanceError(
-                f"shard store {directory!r} manifest needs one size and one "
-                f"weight total per shard ({store.shards})"
+                f"shard store {directory!r} manifest is malformed: {problem}"
             )
+        store = cls(directory, manifest)
         for s in range(store.shards):
             store._verify_blocks(s)
         return store
 
     def _verify_blocks(self, s: int) -> None:
         """Check shard ``s``'s block headers against the manifest and the
-        dtypes :meth:`create` writes. The read-only memmap load parses
-        the header and maps the data without reading it, so a block
-        whose file is too short fails here as well."""
+        dtypes :meth:`create` writes. Only the ``.npy`` header is read;
+        the file must also be long enough for the data it announces."""
         ref = self.shard_ref(s)
         blocks = (
             (ref.points_path, (ref.size, ref.dim), np.dtype(np.float64)),
@@ -260,15 +293,23 @@ class ShardStore:
                     f"shard store {self.directory!r} is missing block file {path!r}"
                 )
             try:
-                block = np.load(path, mmap_mode="r")
-            except (OSError, ValueError) as exc:
+                with open(path, "rb") as fh:
+                    got_shape, _, got_dtype, data_start = _read_npy_header(fh)
+                    spare = os.fstat(fh.fileno()).st_size - data_start
+            except (OSError, ValueError, TokenError, InvalidInstanceError) as exc:
                 raise InvalidInstanceError(
                     f"shard store {self.directory!r} block {path!r} is unreadable: {exc}"
                 ) from None
-            if block.shape != shape or block.dtype != dtype:
+            if got_shape != shape or got_dtype != dtype:
                 raise InvalidInstanceError(
                     f"shard store {self.directory!r} block {path!r} holds "
-                    f"{block.dtype}{block.shape}, the manifest expects {dtype}{shape}"
+                    f"{got_dtype}{got_shape}, the manifest expects {dtype}{shape}"
+                )
+            need = math.prod(shape) * dtype.itemsize
+            if spare < need:
+                raise InvalidInstanceError(
+                    f"shard store {self.directory!r} block {path!r} is unreadable: "
+                    f"{spare} data bytes, its header announces {need}"
                 )
 
     # -- access -------------------------------------------------------------

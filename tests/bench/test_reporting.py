@@ -1,10 +1,7 @@
-"""Tests for round-trace summarization shared by reporting and regressions."""
+"""Tests for round-trace summarization."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench.regressions import _per_round
 from repro.bench.reporting import summarize_rounds
 from repro.pram.ledger import CostLedger, RoundMark
 
@@ -78,30 +75,3 @@ class TestSummarizeRounds:
         assert s["rounds"] == 2
         assert s["work_total"] == 30.0
 
-
-class TestPerRound:
-    def test_empty_log(self):
-        assert _per_round([], "outer", 100.0, 1.0) == []
-
-    def test_single_mark_spans_to_final(self):
-        log = [_mark("outer", 1, 10.0, 0.5)]
-        rows = _per_round(log, "outer", 30.0, 2.5)
-        assert rows == [{"round": 1, "ledger_work": 20.0, "wall_s": 2.0}]
-
-    def test_mixed_labels(self):
-        log = [
-            _mark("outer", 1, 0.0, 0.0),
-            _mark("inner", 1, 1.0, 0.1),
-            _mark("outer", 2, 10.0, 1.0),
-        ]
-        rows = _per_round(log, "outer", 25.0, 3.0)
-        assert [r["round"] for r in rows] == [1, 2]
-        assert rows[0]["ledger_work"] == 10.0
-        assert rows[0]["wall_s"] == pytest.approx(1.0)
-        assert rows[1]["ledger_work"] == 15.0
-        assert rows[1]["wall_s"] == pytest.approx(2.0)
-
-    def test_accepts_legacy_tuples(self):
-        log = [("outer", 1, 0.0, 0.0), ("outer", 2, 10.0, 1.0)]
-        rows = _per_round(log, "outer", 20.0, 2.0)
-        assert [r["ledger_work"] for r in rows] == [10.0, 10.0]

@@ -2,7 +2,6 @@
 
 import json
 
-from repro.bench.regressions import run_regression
 from repro.bench.reporting import summarize_rounds
 from repro.bench.sparse_bench import run_sparse_bench
 from repro.bench.workloads import sparse_scaling_suite
@@ -140,11 +139,3 @@ def test_summarize_rounds_deltas():
     assert out["work_last"] == 6.0
     assert out["work_total"] == 10.0
 
-
-def test_regressions_summary_flag_caps_traces():
-    report = run_regression(nf=10, nc=28, seed=3, machine_seed=2, epsilon=0.2, summary=True)
-    for entry in report["algorithms"].values():
-        row = entry["backends"]["serial"]
-        assert "per_round" not in row
-        assert row["round_summary"]["rounds"] >= 1
-    json.dumps(report)

@@ -164,13 +164,6 @@ class TestRowOrder:
 
 
 class TestEntryPoints:
-    def test_backend_kwarg(self):
-        inst = knn_instance(12, 50, k=4, seed=1)
-        via_machine = parallel_greedy(inst, epsilon=0.1, machine=PramMachine(seed=7))
-        via_backend = parallel_greedy(inst, epsilon=0.1, seed=7, backend="serial")
-        assert np.array_equal(via_machine.opened, via_backend.opened)
-        assert via_machine.cost == via_backend.cost
-
     def test_solution_metadata(self):
         inst = knn_instance(12, 50, k=4, seed=2)
         sol = parallel_primal_dual(inst, epsilon=0.2, machine=PramMachine(seed=9))

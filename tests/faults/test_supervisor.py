@@ -1,6 +1,8 @@
 """Supervisor: retry/timeout/backoff/crash recovery over real pools."""
 
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -157,6 +159,27 @@ class TestCrashFaults:
             assert isinstance(f.error, WorkerCrashError)
             # the pool was respawned: the backend still works
             assert Supervisor(b, NO_RETRY).submit_batch(_square, [2, 3]) == ([4, 9], [])
+
+    def test_pool_broken_between_batches_reruns_in_one_round(self, monkeypatch):
+        """A worker that dies between batches breaks the pool before the
+        next batch's tasks enter it: every submit raises, so no task can
+        be the crasher. They stay free and rerun together on the
+        respawned pool in one ordinary round, not one at a time."""
+        with ProcessBackend(2) as b:
+            assert Supervisor(b, NO_RETRY).submit_batch(_square, [1, 2]) == ([1, 4], [])
+            assert isinstance(b._pool.submit(os._exit, 1).exception(), BrokenProcessPool)
+            sup = Supervisor(b, NO_RETRY)
+            rounds = []
+            real = sup._run_round
+
+            def spy(fn, items, pending, attempts, tracer):
+                rounds.append(list(pending))
+                return real(fn, items, pending, attempts, tracer)
+
+            monkeypatch.setattr(sup, "_run_round", spy)
+            assert sup.submit_batch(_square, range(4)) == ([0, 1, 4, 9], [])
+        assert [a.outcome for a in sup.attempt_log] == ["free"] * 4 + ["ok"] * 4
+        assert rounds == [[0, 1, 2, 3], [0, 1, 2, 3]]
 
     def test_inline_crash_is_simulated(self):
         results, failures = Supervisor(

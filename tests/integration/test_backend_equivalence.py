@@ -6,7 +6,7 @@ model charges. The first half sweeps the satellite algorithms
 serial-vs-thread; the second half is the parity gate: seeded runs of
 greedy, primal–dual, and both dominator variants must be
 **byte-identical** on serial, thread, and process backends. Last, a
-spy on each pool checks that a solve sends it no task at all.
+spy on each pool checks that no core solver sends it a task at all.
 """
 
 import numpy as np
@@ -14,9 +14,13 @@ import pytest
 
 from repro import PramMachine, ProcessBackend, SerialBackend, ThreadBackend
 from repro.core.dominator import max_dominator_set, max_u_dominator_set
-from repro.core.dominator_sparse import max_dominator_set_sparse
+from repro.core.dominator_sparse import (
+    max_dominator_set_sparse,
+    max_u_dominator_set_sparse,
+)
 from repro.core.fl_local_search import parallel_fl_local_search
 from repro.core.greedy import parallel_greedy
+from repro.core.kcenter import parallel_kcenter
 from repro.core.kmedian_lagrangian import parallel_kmedian_lagrangian
 from repro.core.local_search import parallel_kmeans, parallel_kmedian
 from repro.core.lp_rounding import parallel_lp_rounding
@@ -28,10 +32,8 @@ from repro.metrics.generators import euclidean_clustering, euclidean_instance
 @pytest.fixture
 def pair():
     """Matched (serial, threaded) machines with identical seeds."""
-    serial = PramMachine(seed=77)
-    threaded = PramMachine(backend=ThreadBackend(2), seed=77)
-    yield serial, threaded
-    threaded.close()
+    with ThreadBackend(2) as backend:
+        yield PramMachine(seed=77), PramMachine(backend=backend, seed=77)
 
 
 def test_lp_rounding_backend_equivalence(pair):
@@ -185,15 +187,65 @@ def test_maxdom_sparse_byte_identical_across_backends(backend_set):
     _assert_all_equal(results, lambda a, b: np.testing.assert_array_equal(a, b))
 
 
+def _answer(result):
+    """The comparable bytes of a solve: a selection mask, or a
+    solution's chosen set, cost, duals and round counters."""
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    chosen = result.opened if hasattr(result, "opened") else result.centers
+    alpha = getattr(result, "alpha", None)
+    return (
+        np.asarray(chosen).tobytes(),
+        result.cost,
+        None if alpha is None else alpha.tobytes(),
+        result.rounds,
+    )
+
+
+def _core_solves():
+    """One seeded solve per core entry point that builds its own machine
+    when given none; each takes the machine to run on."""
+    fl = euclidean_instance(400, 400, seed=11)
+    small_fl = euclidean_instance(12, 40, seed=5)
+    primal = solve_primal(small_fl)
+    clustering = euclidean_clustering(120, 4, seed=5)
+    rng = np.random.default_rng(2)
+    A = np.triu(rng.random((200, 200)) < 0.03, 1)
+    A = A | A.T
+    B = rng.random((120, 80)) < 0.05
+    return {
+        "greedy": lambda m: parallel_greedy(fl, epsilon=0.1, machine=m),
+        "primal_dual": lambda m: parallel_primal_dual(fl, epsilon=0.1, machine=m),
+        "kcenter": lambda m: parallel_kcenter(clustering, machine=m),
+        "kmedian": lambda m: parallel_kmedian(clustering, epsilon=0.3, machine=m),
+        "kmeans": lambda m: parallel_kmeans(clustering, epsilon=0.3, machine=m),
+        "lagrangian": lambda m: parallel_kmedian_lagrangian(
+            clustering, epsilon=0.2, machine=m, max_probes=8
+        ),
+        "lp_rounding": lambda m: parallel_lp_rounding(
+            small_fl, primal, epsilon=0.1, machine=m
+        ),
+        "fl_local_search": lambda m: parallel_fl_local_search(
+            small_fl, epsilon=0.1, machine=m
+        ),
+        "maxdom": lambda m: max_dominator_set_sparse(A, m),
+        "maxudom": lambda m: max_u_dominator_set_sparse(B, m),
+    }
+
+
 @pytest.mark.parametrize("make_pool", [ThreadBackend, ProcessBackend], ids=["thread", "process"])
 def test_primitives_never_reach_the_pool(monkeypatch, make_pool):
-    """Every backend is a task pool only. A dense primal-dual solve on
-    400 × 400 matrices (160,000 elements per primitive) sends its pool
-    no task, through ``submit`` or ``map``, and the answer and ledger
-    equal the serial run's exactly."""
-    inst = euclidean_instance(400, 400, seed=11)
-    serial = PramMachine(seed=5)
-    want = parallel_primal_dual(inst, epsilon=0.1, machine=serial)
+    """Every backend is a task pool only, and no core solver sends it a
+    task. Each core entry point (greedy and primal-dual on dense
+    400 × 400 matrices, k-center, k-median, k-means, the Lagrangian, LP
+    rounding, FL local search, MaxDom and MaxUDom) solves on a machine
+    carrying a spied pool; none submits through ``submit`` or ``map``,
+    and each answer and ledger equals a serial machine's exactly."""
+    solves = _core_solves()
+    want = {}
+    for name, solve in solves.items():
+        serial = PramMachine(seed=5)
+        want[name] = (_answer(solve(serial)), serial.ledger.snapshot())
     submitted = []
     with make_pool(2) as backend:
         for method in ("submit", "map"):
@@ -204,24 +256,8 @@ def test_primitives_never_reach_the_pool(monkeypatch, make_pool):
                 return _real(fn, *args, **kwargs)
 
             monkeypatch.setattr(backend._pool, method, spy)
-        machine = PramMachine(backend=backend, seed=5)
-        got = parallel_primal_dual(inst, epsilon=0.1, machine=machine)
-    assert submitted == []
-    assert np.array_equal(got.opened, want.opened)
-    assert got.cost == want.cost
-    assert (machine.ledger.work, machine.ledger.depth, machine.ledger.cache) == (
-        serial.ledger.work, serial.ledger.depth, serial.ledger.cache
-    )
-
-
-def test_backend_kwarg_entry_point_parity():
-    """The public backend= plumbing reaches the same results as machine=."""
-    inst = euclidean_instance(10, 30, seed=9)
-    via_machine = parallel_greedy(inst, epsilon=0.1, machine=PramMachine(seed=7))
-    with ThreadBackend(2) as backend:
-        via_backend = parallel_greedy(
-            inst, epsilon=0.1, seed=7, backend=backend
-        )
-    assert np.array_equal(via_machine.opened, via_backend.opened)
-    assert via_machine.cost == via_backend.cost
-    assert np.array_equal(via_machine.alpha, via_backend.alpha)
+        for name, solve in solves.items():
+            machine = PramMachine(backend=backend, seed=5)
+            got = (_answer(solve(machine)), machine.ledger.snapshot())
+            assert submitted == [], name
+            assert got == want[name], name

@@ -97,16 +97,16 @@ def test_kmedian_parallel_and_sequential(name, inst):
 def test_thread_backend_reproduces_serial_results(small_fl, small_clustering):
     """Backends change execution, never results (same seeds)."""
     serial_g = parallel_greedy(small_fl, epsilon=0.1, machine=PramMachine(seed=4))
-    thread_machine = PramMachine(backend=ThreadBackend(2), seed=4)
-    thread_g = parallel_greedy(small_fl, epsilon=0.1, machine=thread_machine)
-    thread_machine.close()
+    serial_k = parallel_kcenter(small_clustering, machine=PramMachine(seed=4))
+    with ThreadBackend(2) as backend:
+        thread_g = parallel_greedy(
+            small_fl, epsilon=0.1, machine=PramMachine(backend=backend, seed=4)
+        )
+        thread_k = parallel_kcenter(
+            small_clustering, machine=PramMachine(backend=backend, seed=4)
+        )
     assert np.array_equal(serial_g.opened, thread_g.opened)
     assert serial_g.cost == pytest.approx(thread_g.cost)
-
-    serial_k = parallel_kcenter(small_clustering, machine=PramMachine(seed=4))
-    tm = PramMachine(backend=ThreadBackend(2), seed=4)
-    thread_k = parallel_kcenter(small_clustering, machine=tm)
-    tm.close()
     assert np.array_equal(serial_k.centers, thread_k.centers)
 
 
@@ -114,9 +114,9 @@ def test_ledger_work_identical_across_backends(small_fl):
     """The model charge is a function of the algorithm, not the backend."""
     m1 = PramMachine(seed=5)
     parallel_primal_dual(small_fl, epsilon=0.1, machine=m1)
-    m2 = PramMachine(backend=ThreadBackend(2), seed=5)
-    parallel_primal_dual(small_fl, epsilon=0.1, machine=m2)
-    m2.close()
+    with ThreadBackend(2) as backend:
+        m2 = PramMachine(backend=backend, seed=5)
+        parallel_primal_dual(small_fl, epsilon=0.1, machine=m2)
     assert m1.ledger.work == pytest.approx(m2.ledger.work)
     assert m1.ledger.depth == pytest.approx(m2.ledger.depth)
 

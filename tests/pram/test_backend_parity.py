@@ -21,9 +21,8 @@ from repro.pram.machine import PramMachine
 
 @pytest.fixture(scope="module", params=["thread", "process"])
 def pool(request):
-    backend = ThreadBackend(3) if request.param == "thread" else ProcessBackend(2)
-    with PramMachine(backend=backend, seed=0) as machine:
-        yield machine
+    with (ThreadBackend(3) if request.param == "thread" else ProcessBackend(2)) as backend:
+        yield PramMachine(backend=backend, seed=0)
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ import pytest
 from repro.errors import InvalidParameterError
 from repro.faults import NO_RETRY, Supervisor
 from repro.pram.backends import (
+    MAX_WORKERS,
     Backend,
     ProcessBackend,
     SerialBackend,
@@ -122,7 +123,8 @@ def test_process_backend_runs_the_serial_kernels(rng):
         return m.reduce(a, "add", axis=0), m.argsort_segments(*_rows(a)), m.masked_axpy(2.0, a, 1.0)
 
     serial = PramMachine(backend="serial")
-    with PramMachine(backend=ProcessBackend(2)) as pm:
+    with ProcessBackend(2) as b:
+        pm = PramMachine(backend=b)
         for got, want in zip(run(pm), run(serial)):
             assert np.array_equal(got, want)
     assert pm.ledger.work == serial.ledger.work
@@ -257,6 +259,35 @@ def test_shared_backend_rejects_bad_env(monkeypatch):
     monkeypatch.setenv("REPRO_NUM_WORKERS", "lots")
     with pytest.raises(InvalidParameterError):
         shared_backend()
+
+
+@pytest.fixture
+def no_pool_starts(monkeypatch):
+    """Fail the test if any pool backend gets as far as building a pool."""
+    for cls in (ThreadBackend, ProcessBackend):
+        monkeypatch.setattr(cls, "_make_pool", lambda self: pytest.fail("pool built"))
+
+
+@pytest.mark.parametrize("workers", [10**6, 10**20])
+@pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+def test_pool_size_above_ceiling_refused_before_any_pool(no_pool_starts, cls, workers):
+    with pytest.raises(InvalidParameterError, match=rf"\[1, {MAX_WORKERS}\], got {workers}"):
+        cls(workers)
+
+
+def test_env_pool_size_above_ceiling_refused(no_pool_starts, monkeypatch):
+    from repro.pram.backends import _SHARED_BACKENDS
+
+    monkeypatch.setenv("REPRO_BACKEND", "process")
+    monkeypatch.setenv("REPRO_NUM_WORKERS", str(10**20))
+    with pytest.raises(InvalidParameterError, match=f"got {10**20}"):
+        shared_backend()
+    assert ("process", 10**20) not in _SHARED_BACKENDS
+
+
+def test_pool_size_ceiling_admits_the_documented_count():
+    with make_backend("thread", num_workers=8) as b:  # the README's pool size
+        assert b.num_workers == 8
 
 
 def test_shared_backend_instance_passthrough():

@@ -59,14 +59,10 @@ def test_reduce_3d(m, rng, axis):
 
 
 def test_reduce_3d_thread_backend(rng):
-    from repro.pram.backends import ThreadBackend
-
-    tm = PramMachine(backend=ThreadBackend(2), seed=0)
-    try:
+    with ThreadBackend(2) as backend:
+        tm = PramMachine(backend=backend, seed=0)
         a = rng.random((6, 7, 8))
         assert np.allclose(tm.reduce(a, "add", axis=2), a.sum(axis=2))
-    finally:
-        tm.close()
 
 
 def test_argmin_argmax(m, rng):
@@ -316,20 +312,10 @@ def test_sort_rows_is_permutation_and_ordered(a):
 
 # -- backend lifecycle --------------------------------------------------------
 
-def test_machine_context_manager_closes_owned_backend(rng):
-    backend = ThreadBackend(2)
-    with PramMachine(backend=backend, seed=1) as m:
-        a = rng.random((16, 8))
-        assert np.allclose(m.reduce(a, "add", axis=1), a.sum(axis=1))
-    assert backend.closed
-
-
 def test_machine_close_leaves_shared_backend_open():
-    m = PramMachine(backend="serial", seed=1)
-    shared = m.backend
-    m.close()
+    """A named backend resolves to one shared, open instance."""
+    shared = PramMachine(backend="serial", seed=1).backend
     assert not shared.closed
-    # a second machine on the same spec reuses the still-open instance
     assert PramMachine(backend="serial").backend is shared
 
 

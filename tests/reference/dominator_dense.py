@@ -41,7 +41,6 @@ def max_dominator_set(
     adjacency: np.ndarray,
     machine: PramMachine | None = None,
     *,
-    backend=None,
     max_rounds: int | None = None,
 ) -> np.ndarray:
     """Maximal dominator set of a simple graph (MIS of ``G²``), §3.
@@ -52,10 +51,6 @@ def max_dominator_set(
         Symmetric boolean matrix (diagonal ignored).
     machine:
         PRAM machine to execute/charge on; a fresh one if absent.
-    backend:
-        Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Selections are
-        backend-invariant.
     max_rounds:
         Safety bound; defaults to ``n + 1`` (every round selects the
         globally minimum-priority candidate, so ≥ 1 node leaves per
@@ -68,7 +63,7 @@ def max_dominator_set(
     """
     A = _as_adjacency(adjacency)
     n = A.shape[0]
-    machine = ensure_machine(machine, backend=backend)
+    machine = ensure_machine(machine)
     if n == 0:
         return np.zeros(0, dtype=bool)
     limit = (n + 1) if max_rounds is None else int(max_rounds)
@@ -130,7 +125,6 @@ def max_u_dominator_set(
     biadjacency: np.ndarray,
     machine: PramMachine | None = None,
     *,
-    backend=None,
     candidates: np.ndarray | None = None,
     max_rounds: int | None = None,
 ) -> np.ndarray:
@@ -140,10 +134,6 @@ def max_u_dominator_set(
     ----------
     biadjacency:
         ``|U| × |V|`` boolean incidence matrix.
-    backend:
-        Execution backend name or instance for a freshly constructed
-        machine; mutually exclusive with ``machine``. Selections are
-        backend-invariant.
     candidates:
         Optional mask restricting which U-nodes may be selected (the
         callers in §5/§6.2 run on subsets of a fixed graph); conflicts
@@ -160,7 +150,7 @@ def max_u_dominator_set(
     B = np.asarray(biadjacency, dtype=bool)
     if B.ndim != 2:
         raise InvalidParameterError(f"biadjacency must be 2-D, got shape {B.shape}")
-    machine = ensure_machine(machine, backend=backend)
+    machine = ensure_machine(machine)
     nu = B.shape[0]
     if nu == 0:
         return np.zeros(0, dtype=bool)

@@ -12,6 +12,7 @@ from repro.errors import InvalidParameterError
 from repro.metrics.generators import knn_clustering_instance
 from repro.obs import trace_to
 from repro.obs.report import load_trace
+from repro.pram.machine import PramMachine
 from repro.core.kcenter import parallel_kcenter
 from repro.core.kmedian_lagrangian import parallel_kmedian_lagrangian
 from repro.core.local_search import parallel_kmedian
@@ -73,7 +74,7 @@ def test_k_over_merged_coreset_refused_before_any_pass(points, tmp_path):
 @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 def test_shards1_kmedian_byte_identical_to_direct(backend):
     inst = knn_clustering_instance(300, 10, neighbors=48, seed=3)
-    direct = parallel_kmedian(inst, seed=7, epsilon=0.5, backend=backend)
+    direct = parallel_kmedian(inst, epsilon=0.5, machine=PramMachine(backend=backend, seed=7))
     via = shard_and_solve(
         inst, 10, shards=1, solver="kmedian", seed=7, epsilon=0.5, backend=backend
     )
