@@ -26,12 +26,14 @@ python -m pytest -x -q
 
 # The primal–dual level skip takes logs, divides and meets +inf
 # thresholds, the k-center MaxDom rounds compare priorities against a
-# no-candidate sentinel and reduce empty segments, and the greedy body
-# divides by prefix ranks and compares star prices against +inf; a nan
-# or inf there would skip levels, pick dominators or open facilities
-# wrongly without an error, so these suites run with RuntimeWarning as
-# an error.
-echo "== primal-dual, k-center and greedy suites, RuntimeWarning as error =="
+# no-candidate sentinel and reduce empty segments, the greedy body
+# divides by prefix ranks and compares star prices against +inf, and the
+# §7 swap loop clamps infinite service costs to a finite sentinel that
+# moves with every swap, so its swap terms must never form inf - inf; a
+# nan or inf there would skip levels, pick dominators, open facilities
+# or swap centers wrongly without an error, so these suites run with
+# RuntimeWarning as an error.
+echo "== primal-dual, k-center, greedy and swap-loop suites, RuntimeWarning as error =="
 python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.py \
     tests/core/test_sparse_paths.py tests/core/test_kmedian_lagrangian.py \
     tests/core/test_kcenter.py tests/core/test_kcenter_oracle.py \
@@ -39,11 +41,13 @@ python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.
     tests/integration/test_sparse_equivalence.py \
     tests/core/test_greedy.py tests/core/test_greedy_oracle.py tests/core/test_stars.py \
     tests/core/test_lp_rounding.py tests/pram/test_segmented.py tests/pram/test_machine.py \
-    tests/integration/test_weighted_solvers.py
+    tests/integration/test_weighted_solvers.py tests/core/test_local_search_oracle.py
 
 # The Supervisor is the one batch executor: it owns every shared-memory
 # segment and every pool respawn on the default shard path, so a segment,
 # pool or file it fails to release (ResourceWarning) fails these suites.
+# The coreset suite also runs identity fan-outs, which build in the
+# caller and must start no pool worker.
 # The store fuzz suite opens hundreds of garbled stores, each of whose
 # block files must be closed whether or not ShardStore.open accepts it.
 echo "== batch executor and shard suites, ResourceWarning and RuntimeWarning as errors =="

@@ -28,6 +28,14 @@ best swap is ``min`` over the union of (i) pairs with nonzero ``C``
 full ``k × |candidates|`` matrix instead (same argmin order as the
 dense path), large ones stay on the grouped edge list.
 
+**Only touched rows are recomputed.** A swap ``S − a + c`` changes the
+open set only for the rows that store ``a`` or ``c``. Each row's
+``d1``/``d2``/serving center and each edge's two terms persist across
+swaps; a swap recomputes them on those rows (plus the rows clamped to
+the sentinel, which moves with the cost) and leaves every other row
+alone. The sums keep their flat edge order, so every round computes
+the bits a full recomputation would.
+
 **Parity.** On dense-representable instances the service state
 (``d1``, ``d2``, serving slots) is computed by segmented kernels that
 see exactly the dense columns, and the warm start consumes the
@@ -54,85 +62,78 @@ from repro.pram.machine import PramMachine
 _SWAP_MATRIX_CAP = 1 << 23
 
 
-def _service_state(
+def _row_state(
     machine: PramMachine,
     indptr: np.ndarray,
     cols: np.ndarray,
     dp: np.ndarray,
     fb: np.ndarray,
-    centers: np.ndarray,
-    n: int,
-    dp_max: float,
+    open_mask: np.ndarray,
 ):
-    """Per-node best/second-best open service cost and serving slot.
+    """Per-row best/second-best open service cost and serving center,
+    over the rows whose segments ``indptr`` delimits in ``cols``/``dp``
+    (every row, or the gathered segments of the rows a swap touched).
 
-    Returns ``(d1, d2, near_slot)``: fallback-capped best and
-    removal-of-server costs, and the index into the sorted ``centers``
-    array of each node's serving center (``-1`` when the fallback
-    serves it). All segmented min-reductions over the CSR structure —
-    ``O(nnz)``.
-
-    Infinite service costs — a node with no open stored candidate and
-    no finite fallback (``d1 = inf``), or no *second* open candidate
-    (``d2 = inf``, e.g. ``k = 1``) — are clamped to a finite sentinel
-    strictly above any achievable objective, so the swap decomposition
-    never forms ``inf − inf`` or ``inf`` + ``-inf`` NaNs. The ordering
-    of swap values is preserved: a swap that leaves such a node
-    unserved carries a sentinel-sized delta (never chosen while any
-    covering swap exists, and not an improvement otherwise), while a
-    swap that covers the node contributes ``min(sentinel, d) = d``,
-    identical to the unclamped math. The *returned* cost is always
-    re-evaluated by the instance objective, so a genuinely unservable
-    final state still reports ``inf``.
+    Returns ``(d1, d2, near)`` before the sentinel clamp: the
+    fallback-capped best cost, the cost once the serving center closes
+    (``d1`` again for a fallback-served row, which keeps its cost
+    whichever center closes), and the serving center's node id (``-1``
+    when the fallback serves). Segmented min-reductions and a first-min
+    argmin, none of which depends on which other rows are present, so a
+    touched row's state is the one a full pass computes. Rows are never
+    empty — the diagonal is always stored.
     """
-    open_mask = np.zeros(n, dtype=bool)
-    open_mask[centers] = True
     open_e = np.asarray(machine.take_rows(open_mask, cols))
     val = np.asarray(machine.where(open_e, dp, np.inf))
     d1s = np.asarray(machine.segmented_reduce(val, indptr, "min"))
     near_entry = machine.segmented_argmin(val, indptr)
-    # Mask each node's serving entry and reduce again (rows are never
-    # empty — the diagonal is always stored).
+    # Mask each row's serving entry and reduce again.
     val2 = val.copy()
     val2[near_entry] = np.inf
     machine.ledger.charge_basic("map", max(val.size, 1), depth=1)
     d2s = np.asarray(machine.segmented_reduce(val2, indptr, "min"))
     served = np.isfinite(d1s) & (d1s <= fb)
     d1 = np.asarray(machine.map(np.minimum, d1s, fb))
-    d2 = np.asarray(machine.map(np.minimum, d2s, fb))
-    near_slot = np.where(
-        served, np.searchsorted(centers, cols[near_entry]), -1
-    ).astype(np.intp)
-    # Fallback-served nodes keep their cost whichever center closes.
-    d2 = np.where(served, d2, d1)
-    # Finite sentinel above any achievable objective (see docstring).
-    finite_d1 = d1[np.isfinite(d1)]
-    big = 1.0 + float(finite_d1.sum()) + dp_max
-    d1 = np.minimum(d1, big)
-    d2 = np.minimum(d2, big)
-    machine.ledger.charge_basic("map", n, depth=1)
-    return d1, d2, near_slot
+    d2 = np.where(served, np.asarray(machine.map(np.minimum, d2s, fb)), d1)
+    near = np.where(served, cols[near_entry], -1).astype(np.intp)
+    return d1, d2, near
+
+
+def _sentinel(d1: np.ndarray, dp_max: float) -> float:
+    """The finite clamp for infinite service costs, strictly above any
+    achievable objective: ``1 + Σ finite d1 + max dᵖ``.
+
+    Infinite costs — a node with no open stored candidate and no finite
+    fallback (``d1 = inf``), or no *second* open candidate (``d2 =
+    inf``, e.g. ``k = 1``) — are clamped to it, so the swap
+    decomposition never forms ``inf − inf`` or ``inf + -inf`` NaNs. The
+    ordering of swap values is preserved: a swap that leaves such a
+    node unserved carries a sentinel-sized delta (never chosen while any
+    covering swap exists, and not an improvement otherwise), while a
+    swap that covers the node contributes ``min(sentinel, d) = d``,
+    identical to the unclamped math. The *returned* cost is always
+    re-evaluated by the instance objective, so a genuinely unservable
+    final state still reports ``inf``.
+    """
+    return 1.0 + float(d1[np.isfinite(d1)].sum()) + dp_max
 
 
 def _grouped_best_swap(
     machine: PramMachine,
     reassign: np.ndarray,
     G1: np.ndarray,
-    near_e: np.ndarray,
-    cl_e: np.ndarray,
-    c_e: np.ndarray,
-    mask: np.ndarray,
+    keys: np.ndarray,
+    vals: np.ndarray,
     ncand: int,
 ):
     """Best swap without the k × |candidates| table.
 
-    Every pair with a nonzero correction is summed per ``(slot,
-    candidate)`` key (sort + segmented sum over at most ``nnz`` edges);
-    since corrections are ≤ 0, the global minimum is the better of the
-    grouped minimum and ``argmin reassign + argmin G1``.
+    ``keys``/``vals`` are the nonzero corrections in flat edge order,
+    keyed ``slot · ncand + candidate``. They are summed per key (sort +
+    segmented sum over at most ``nnz`` edges); since corrections are
+    ≤ 0, the global minimum is the better of the grouped minimum and
+    ``argmin reassign + argmin G1``.
     """
-    keys = machine.pack(near_e * ncand + cl_e, mask)
-    vals = machine.pack(c_e, mask)
     t1, t1_pair = np.inf, None
     if keys.size:
         order = np.argsort(keys, kind="stable")
@@ -163,7 +164,18 @@ def _parallel_local_search_sparse(
     initial,
     cap: int,
 ) -> ClusteringSolution:
-    """Sparse execution of the §7 swap loop (see module docstring)."""
+    """Sparse execution of the §7 swap loop (see module docstring).
+
+    The service state (``d1``, ``d2`` and the serving center's node id
+    per row) and the per-edge terms ``g_e = min(0, dᵖ − d1)`` and
+    ``c_e = min(0, dᵖ − d2) − g_e`` persist across swaps. Swapping
+    ``a`` out and ``c`` in changes the open set only for the rows that
+    store ``a`` or ``c`` — by symmetry, the columns of rows ``a`` and
+    ``c`` — so only those rows are recomputed, and only their edges'
+    terms, plus every row clamped to the sentinel when the sentinel
+    moves. Serving slots and candidate indices are mapped from node ids
+    once per round, in ``O(n)``.
+    """
     n, k = instance.n, instance.k
     beta = eps / (1.0 + eps)
     power = _OBJECTIVE_POWER[objective]
@@ -193,9 +205,42 @@ def _parallel_local_search_sparse(
         fb = np.asarray(machine.map(lambda f, ww: f * ww, fb, w))
 
     dp_max = float(dp.max()) if dp.size else 0.0
-    d1, d2, near_slot = _service_state(
-        machine, indptr, cols, dp, fb, centers, n, dp_max
-    )
+    open_mask = np.zeros(n, dtype=bool)
+    open_mask[centers] = True
+    # Unclamped state; d1/d2 are its clamp to the sentinel ``big``.
+    d1u, d2u, near = _row_state(machine, indptr, cols, dp, fb, open_mask)
+    big = _sentinel(d1u, dp_max)
+    d1, d2 = np.minimum(d1u, big), np.minimum(d2u, big)
+    machine.ledger.charge_basic("map", n, depth=1)
+    g_e = np.empty(dp.size)
+    c_e = np.empty(dp.size)
+    # The edges whose term enters G1 (resp. C) this round.
+    g_live = np.empty(dp.size, dtype=bool)
+    c_live = np.empty(dp.size, dtype=bool)
+
+    def refresh_edges(pos: np.ndarray) -> None:
+        """Recompute the terms and live flags of the edges at ``pos``.
+
+        A dropped edge's term is an exact zero: ``g_e``/``c_e`` of ±0.0,
+        or an edge into an open center, which the full pass scattered
+        as +0.0. Every sum below starts from +0.0 and adds in flat edge
+        order; a sum that starts at +0.0 is never -0.0 (x + (-x) and
+        +0.0 + -0.0 are +0.0), and adding ±0.0 to anything else leaves
+        its bits unchanged, so dropping these terms keeps every G1 and
+        C sum bit-identical to the full pass.
+        """
+        rows = rows_e[pos]
+        d = dp[pos]
+        g = np.minimum(0.0, d - d1[rows])
+        c = np.minimum(0.0, d - d2[rows]) - g
+        out = ~open_mask[cols[pos]]
+        g_e[pos], c_e[pos] = g, c
+        g_live[pos] = out & (g != 0.0)
+        c_live[pos] = out & (near[rows] >= 0) & (c != 0.0)
+        machine.ledger.charge_basic("take_rows", max(4 * pos.size, 1), depth=1)
+        machine.ledger.charge_basic("map", max(4 * pos.size, 1), depth=1)
+
+    refresh_edges(np.arange(dp.size))
     cost = float(machine.reduce(d1, "add"))
     initial_cost = cost
     swaps: list[tuple[int, int, float]] = []
@@ -208,17 +253,18 @@ def _parallel_local_search_sparse(
             raise ConvergenceError(
                 f"local search exceeded {cap} rounds (n={n}, k={k}, eps={eps})"
             )
-        out_mask = np.ones(n, dtype=bool)
-        out_mask[centers] = False
-        candidates = np.flatnonzero(out_mask)
+        candidates = np.flatnonzero(~open_mask)
         if candidates.size == 0:
             break  # k = n: every node is a center
         ncand = candidates.size
         cand_local = np.full(n, -1, dtype=np.intp)
         cand_local[candidates] = np.arange(ncand)
+        slot = np.full(n, -1, dtype=np.intp)
+        slot[centers] = np.arange(k)
+        served = near >= 0
+        near_slot = np.where(served, slot[near], -1)
         machine.ledger.charge_basic("map", n, depth=1)
 
-        served = near_slot >= 0
         reassign = np.asarray(
             machine.scatter_add(
                 np.where(served, d2 - d1, 0.0), np.where(served, near_slot, 0), k
@@ -226,34 +272,22 @@ def _parallel_local_search_sparse(
         )
         machine.ledger.charge_basic("map", n, depth=1)
 
-        cl_e = np.asarray(machine.take_rows(cand_local, cols))
-        valid_e = cl_e >= 0
-        d1_e = np.asarray(machine.take_rows(d1, rows_e))
-        g_e = np.asarray(machine.map(lambda d, b: np.minimum(0.0, d - b), dp, d1_e))
-        G1 = np.asarray(
-            machine.scatter_add(
-                np.where(valid_e, g_e, 0.0), np.where(valid_e, cl_e, 0), ncand
-            )
+        # Every gather index here and in refresh_edges comes from the
+        # validated structure, in range by construction, so the gathers
+        # are charged directly instead of re-checked by take_rows.
+        g_pos = np.flatnonzero(g_live)
+        c_pos = np.flatnonzero(c_live)
+        G1 = np.asarray(machine.scatter_add(g_e[g_pos], cand_local[cols[g_pos]], ncand))
+        keys = near_slot[rows_e[c_pos]] * ncand + cand_local[cols[c_pos]]
+        vals = c_e[c_pos]
+        machine.ledger.charge_basic("pack", max(2 * dp.size, 1))
+        machine.ledger.charge_basic(
+            "take_rows", max(2 * g_pos.size + 3 * c_pos.size, 1), depth=1
         )
-        near_e = np.asarray(machine.take_rows(near_slot, rows_e))
-        d2_e = np.asarray(machine.take_rows(d2, rows_e))
-        c_e = np.asarray(
-            machine.map(
-                lambda d, b2, g: np.minimum(0.0, d - b2) - g, dp, d2_e, g_e
-            )
-        )
-        corr_mask = valid_e & (near_e >= 0) & (c_e != 0.0)
-        machine.ledger.charge_basic("map", max(dp.size, 1), depth=1)
+        machine.ledger.charge_basic("map", max(c_pos.size, 1), depth=1)
 
         if k * ncand <= _SWAP_MATRIX_CAP:
-            keys = near_e * ncand + cl_e
-            Cflat = np.asarray(
-                machine.scatter_add(
-                    np.where(corr_mask, c_e, 0.0),
-                    np.where(corr_mask, keys, 0),
-                    k * ncand,
-                )
-            )
+            Cflat = np.asarray(machine.scatter_add(vals, keys, k * ncand))
             delta = np.asarray(
                 machine.map(
                     lambda r, g, cc: r + g + cc,
@@ -266,17 +300,36 @@ def _parallel_local_search_sparse(
             a, c = divmod(flat_best, ncand)
             best = cost + float(delta[a, c])
         else:
-            a, c, dbest = _grouped_best_swap(
-                machine, reassign, G1, near_e, cl_e, c_e, corr_mask, ncand
-            )
+            a, c, dbest = _grouped_best_swap(machine, reassign, G1, keys, vals, ncand)
             best = cost + dbest
 
         if best < (1.0 - beta / k) * cost:
-            swaps.append((int(centers[a]), int(candidates[c]), best))
-            centers = np.sort(np.concatenate([np.delete(centers, a), [candidates[c]]]))
-            d1, d2, near_slot = _service_state(
-                machine, indptr, cols, dp, fb, centers, n, dp_max
+            out_node, in_node = int(centers[a]), int(candidates[c])
+            swaps.append((out_node, in_node, best))
+            centers = np.sort(np.concatenate([np.delete(centers, a), [in_node]]))
+            open_mask[out_node], open_mask[in_node] = False, True
+            # The rows that store a swapped node: the structure is
+            # symmetric, so these are the columns of its own row.
+            touched = np.union1d(
+                cols[indptr[out_node]:indptr[out_node + 1]],
+                cols[indptr[in_node]:indptr[in_node + 1]],
             )
+            pos, sub = machine.segment_positions(indptr, touched)
+            d1u[touched], d2u[touched], near[touched] = _row_state(
+                machine, sub, cols[pos], dp[pos], fb[touched], open_mask
+            )
+            moved = _sentinel(d1u, dp_max)
+            if moved != big:
+                # Every row clamped to the old or the new sentinel
+                # changes with it (d2u ≥ d1u, so one test covers both).
+                clamped = np.flatnonzero(d2u >= min(big, moved))
+                if clamped.size:
+                    touched = np.union1d(touched, clamped)
+                    pos, _ = machine.segment_positions(indptr, touched)
+                big = moved
+            d1, d2 = np.minimum(d1u, big), np.minimum(d2u, big)
+            machine.ledger.charge_basic("map", n, depth=1)
+            refresh_edges(pos)
             cost = best
         else:
             break

@@ -32,6 +32,7 @@ import os
 import struct
 import zipfile
 import zlib
+from tokenize import TokenError
 
 import numpy as np
 from numpy.lib import format as _npy_format
@@ -166,9 +167,11 @@ def _check_schema(data, kind: str, path) -> None:
 #: What zipfile, zlib, struct and NumPy's ``.npy`` reader raise on a
 #: damaged archive: a truncated stream, a bad CRC, header or offset, an
 #: unsupported compression method or encryption flag, a missing member,
-#: an object or non-scalar member where a scalar belongs.
+#: an object or non-scalar member where a scalar belongs, a version-1.0
+#: header whose brackets do not balance (``TokenError``).
 _PARSE_ERRORS = (
     zipfile.BadZipFile,
+    TokenError,
     zlib.error,
     struct.error,
     EOFError,

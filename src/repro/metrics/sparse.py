@@ -647,18 +647,22 @@ def _symmetrized_clustering_csr(
     dedupe, and return a sorted node-major CSR — the shared tail of
     every clustering sparsifier. ``O(nnz log nnz)``.
 
-    One stable sort on the key ``r·n + c`` orders the entries exactly as
-    a stable two-key sort on ``(r, c)`` would (``0 <= c < n``), and a
-    duplicate pair keeps its first occurrence."""
+    One sort on the key ``r·n + c`` orders the pairs as a two-key sort
+    on ``(r, c)`` would (``0 <= c < n``), and a duplicate pair keeps its
+    first occurrence. The sort is NumPy's default kind, which may
+    permute equal keys; the smallest original index in each run of
+    equal keys is the occurrence a stable sort keeps first, so the
+    output is the stable sort's byte for byte."""
     diag = np.arange(n, dtype=np.intp)
     r = np.concatenate([rows, cols, diag])
     c = np.concatenate([cols, rows, diag])
     v = np.concatenate([vals, vals, np.zeros(n)])
     key = r.astype(np.int64, copy=False) * n + c
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
-    order = order[np.concatenate(([True], key[1:] != key[:-1]))]
-    r, c, v = r[order], c[order], v[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    first = np.minimum.reduceat(order, starts)
+    r, c, v = r[first], c[first], v[first]
     indptr = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=n)))).astype(np.intp)
     c = c.astype(np.intp, copy=False)
     _freeze(indptr, c, v)

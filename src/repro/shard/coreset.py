@@ -21,7 +21,8 @@ charges.
 Every shard build runs on its own fresh :class:`~repro.pram.ledger`
 and returns the accrued interval; :func:`supervised_shard_coresets`
 fans the builds across the backend's worker pool under a
-:class:`repro.faults.Supervisor` and folds the per-shard charges into
+:class:`repro.faults.Supervisor` (in the caller when every build is an
+identity copy) and folds the per-shard charges into
 the caller's global ledger under **parallel composition** (work adds,
 depth maxes) via :meth:`~repro.pram.ledger.CostLedger.charge_parallel`
 — so the global ledger charges exactly the sum of the per-shard work,
@@ -320,6 +321,15 @@ def supervised_shard_coresets(
     tasks (serial loop, thread pool, or process pool) and wherever the
     blocks live (resident or stored).
 
+    The batch goes to the machine's pool only when some shard has
+    seeding work. When every coreset is the identity (``method="none"``
+    or no shard above ``size`` points) each build is a copy of its
+    shard, and the whole batch runs in the caller under the same
+    Supervisor — retries, injected faults (a ``crash`` there is the
+    simulated :class:`~repro.errors.WorkerCrashError`) and result
+    validation included — so no pool worker starts for it. A batch is
+    never split between the caller and the pool.
+
     Returns ``(coresets, failures)`` where ``coresets[s]`` is shard
     ``s``'s :class:`ShardCoreset` or ``None`` if it terminally failed,
     and ``failures`` the :class:`repro.faults.TaskFailure` records.
@@ -342,8 +352,10 @@ def supervised_shard_coresets(
             )
         payloads = _store_payloads(points, size, method, seed)
         expected = np.asarray(points.weight_totals, dtype=float)
+        sizes = points.sizes
     else:
         payloads = _shard_payloads(points, labels, shards, size, weights, method, seed)
+        sizes = [payload[0].shape[0] for payload in payloads]
         labels_arr = np.asarray(labels, dtype=np.intp)
         if weights is None:
             expected = np.bincount(labels_arr, minlength=int(shards)).astype(float)
@@ -353,7 +365,12 @@ def supervised_shard_coresets(
                 weights=np.asarray(weights, dtype=float),
                 minlength=int(shards),
             )
-    backend = machine.backend if machine is not None else SerialBackend()
+    # Every shard's coreset is the identity (build_coreset's own rule)
+    # exactly when the batch only copies shards: a pool would ship each
+    # shard to a worker and the copy back, which costs more than the
+    # copy, so such a fan-out runs in the caller, still supervised.
+    identity = method == "none" or max(sizes, default=0) <= size
+    backend = machine.backend if machine is not None and not identity else SerialBackend()
     supervisor = Supervisor(backend, policy, fault_plan, tracer=tracer)
     results, failures = supervisor.submit_batch(
         _coreset_task, payloads, validate=_coreset_validator(expected)

@@ -10,7 +10,9 @@ clustering from "fits in one CSR instance" to millions of points:
    :class:`~repro.faults.Supervisor` (fail-fast by default: a shard
    whose build fails raises :class:`~repro.errors.ShardFailedError`),
    per-shard PRAM charges folded into the global ledger
-   (:mod:`repro.shard.coreset`);
+   (:mod:`repro.shard.coreset`); when every shard fits its coreset
+   budget the builds are identity copies and run in the caller, under
+   the same Supervisor, so no pool worker starts;
 3. **merge** the coresets into one weighted kNN
    :class:`~repro.metrics.sparse.SparseClusteringInstance`
    (:mod:`repro.shard.merge`);

@@ -417,6 +417,28 @@ def test_parse_failure_is_chained(tmp_path):
 
 
 @pytest.mark.parametrize("mmap_mode", [None, "r"], ids=["eager", "mmap"])
+def test_unbalanced_npy_header_raises_invalid_instance(tmp_path, mmap_mode):
+    """A version-1.0 ``.npy`` header whose closing brace is gone makes
+    NumPy's header parser raise ``tokenize.TokenError``; the archive is
+    large enough that the eager load reaches the header before the zip
+    CRC check."""
+    path = tmp_path / "unbalanced.npz"
+    save_instance(path, euclidean_instance(60, 200, seed=1), compressed=False)
+    data = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("D.npy")
+    fname_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    member = info.header_offset + 30 + fname_len + extra_len
+    header_len = struct.unpack_from("<H", data, member + 8)[0]
+    brace = data.rindex(b"}", member, member + 10 + header_len)
+    data[brace] = ord(" ")
+    path.write_bytes(bytes(data))
+    with pytest.raises(InvalidInstanceError, match=re.escape(str(path))) as info:
+        load_instance(path, mmap_mode=mmap_mode)
+    assert type(info.value.__cause__).__name__ == "TokenError"
+
+
+@pytest.mark.parametrize("mmap_mode", [None, "r"], ids=["eager", "mmap"])
 def test_missing_archive_still_raises_file_not_found(tmp_path, mmap_mode):
     with pytest.raises(FileNotFoundError):
         load_instance(tmp_path / "absent.npz", mmap_mode=mmap_mode)

@@ -582,3 +582,92 @@ def test_symmetrized_csr_matches_lexsort_reference(edges):
     for a, b in zip(got, want):
         assert a.dtype == b.dtype
         assert np.array_equal(a, b)
+
+
+# The default-kind sort keeps the stable sort's first occurrences.
+
+_SIGNED_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def _duplicate_edge_lists(draw):
+    """``(n, rows, cols, vals)`` whose endpoints come from the first
+    ``used <= n`` nodes, so the remaining nodes are isolated; a pair
+    repeats, in either orientation, with independently drawn values
+    (``±0.0`` among them). ``n = 1`` is drawn often."""
+    n = draw(st.integers(1, 3) | st.integers(1, 40))
+    used = draw(st.integers(1, n))
+    m = draw(st.integers(0, 120))
+    node = st.integers(0, used - 1)
+    rows = draw(st.lists(node, min_size=m, max_size=m))
+    cols = draw(st.lists(node, min_size=m, max_size=m))
+    vals = draw(st.lists(_SIGNED_VALUES, min_size=m, max_size=m))
+    dtype = draw(st.sampled_from([np.intp, np.int32]))
+    return (
+        n,
+        np.asarray(rows, dtype=dtype),
+        np.asarray(cols, dtype=dtype),
+        np.asarray(vals, dtype=float),
+    )
+
+
+def _assert_same_csr(got, want):
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_duplicate_edge_lists())
+def test_symmetrized_csr_matches_stable_sort_bytes(edges):
+    from repro.metrics.sparse import _symmetrized_clustering_csr
+    from tests.reference.symmetrize_stable import symmetrized_clustering_csr_stable
+
+    _assert_same_csr(
+        _symmetrized_clustering_csr(*edges), symmetrized_clustering_csr_stable(*edges)
+    )
+
+
+def test_symmetrized_csr_first_occurrence_wins():
+    """A repeated pair keeps the value of its first occurrence; the
+    transposed copies come after every given edge, so the pair (1, 0)
+    below keeps the second edge's value, not the first edge's."""
+    from repro.metrics.sparse import _symmetrized_clustering_csr
+
+    rows = np.array([0, 1, 0, 2], dtype=np.intp)
+    cols = np.array([1, 0, 1, 2], dtype=np.intp)
+    vals = np.array([1.0, 2.0, 3.0, -0.0])
+    indptr, indices, data = _symmetrized_clustering_csr(3, rows, cols, vals)
+    assert indptr.tolist() == [0, 2, 4, 5]
+    assert indices.tolist() == [0, 1, 0, 1, 2]
+    assert data.tolist() == [0.0, 1.0, 2.0, 0.0, -0.0]
+    assert np.signbit(data[4])  # the given -0.0 precedes the diagonal's +0.0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n,neighbors", [(600, 16), (3000, 64)])
+def test_symmetrized_csr_matches_stable_sort_on_knn_graphs(n, neighbors, seed):
+    """kNN edge lists at the sizes the kNN instance builders and the served merge
+    sort, with duplicate points, so long runs of equal keys reach the
+    default sort's partitioning, not just its insertion sort. Each edge
+    carries a distinct value (a kNN distance is the same from both
+    ends, which would hide a wrong occurrence)."""
+    from scipy.spatial import cKDTree
+
+    from repro.metrics.sparse import _symmetrized_clustering_csr
+    from tests.reference.symmetrize_stable import symmetrized_clustering_csr_stable
+
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, 12, size=(n, 2)).astype(float)
+    dist, near = cKDTree(pts).query(pts, k=neighbors)
+    edges = (
+        n,
+        np.repeat(np.arange(n, dtype=np.intp), neighbors),
+        near.ravel().astype(np.intp),
+        dist.ravel() + rng.permutation(dist.size) / dist.size,
+    )
+    _assert_same_csr(
+        _symmetrized_clustering_csr(*edges), symmetrized_clustering_csr_stable(*edges)
+    )

@@ -19,6 +19,7 @@ from repro.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.metrics.generators import euclidean_clustering, euclidean_instance
 from repro.obs.tracer import NULL_TRACER, set_tracer, trace_to
 from repro.pram.backends import make_backend
+from tests.pool_lanes import assert_coreset_batch_on_pool
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -99,7 +100,9 @@ def test_shard_and_solve_identical_with_tracing(tmp_path, backend_name):
     points = rng.normal(size=(500, 2))
 
     def solve(machine):
-        return shard_and_solve(points, 4, shards=4, seed=11, machine=machine)
+        # coreset_size below every shard's size: the fan-out seeds, so a
+        # thread or process machine sends it to its pool
+        return shard_and_solve(points, 4, shards=4, coreset_size=64, seed=11, machine=machine)
 
     off = _run(solve, backend_name)
     on = _run(solve, backend_name, tmp_path / "shard.jsonl")
@@ -108,6 +111,10 @@ def test_shard_and_solve_identical_with_tracing(tmp_path, backend_name):
     assert off.true_cost == on.true_cost
     assert np.array_equal(off.coreset_sizes, on.coreset_sizes)
     assert off.model_costs.work == on.model_costs.work
+    if backend_name != "serial":
+        assert_coreset_batch_on_pool(
+            tmp_path / "shard.jsonl", process=backend_name == "process"
+        )
 
 
 @pytest.mark.parametrize("backend_name", ["serial", "process"])
@@ -119,11 +126,11 @@ def test_shard_identical_under_fault_retry(tmp_path, backend_name):
     plan = FaultPlan([FaultSpec("raise", 1, attempt=1)])
 
     def clean(machine):
-        return shard_and_solve(points, 4, shards=4, seed=11, machine=machine)
+        return shard_and_solve(points, 4, shards=4, coreset_size=64, seed=11, machine=machine)
 
     def faulted(machine):
         return shard_and_solve(
-            points, 4, shards=4, seed=11, machine=machine,
+            points, 4, shards=4, coreset_size=64, seed=11, machine=machine,
             retry_policy=policy, fault_plan=plan,
         )
 
@@ -137,6 +144,8 @@ def test_shard_identical_under_fault_retry(tmp_path, backend_name):
 
     events = load_trace(tmp_path / "fault.jsonl")
     assert any(e.get("cat") == "fault" and e["name"] == "task_fail" for e in events)
+    if backend_name == "process":
+        assert_coreset_batch_on_pool(tmp_path / "fault.jsonl", process=True)
 
 
 def test_env_var_tracing_identical(tmp_path, monkeypatch):

@@ -5,16 +5,22 @@ for the shard-parallel aggregation seam.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.faults import NO_RETRY
-from repro.pram.backends import SerialBackend, ThreadBackend
+from repro.faults import NO_RETRY, FaultPlan, RetryPolicy
+from repro.obs import trace_to
+from repro.pram.backends import ProcessBackend, SerialBackend, ThreadBackend
 from repro.pram.ledger import CostLedger
 from repro.pram.machine import PramMachine
+from repro.shard import ShardStore
 from repro.shard.coreset import build_coreset, supervised_shard_coresets
 from repro.shard.partition import random_partition
+from tests.pool_lanes import assert_coreset_batch_on_pool
 
 
 @pytest.fixture
@@ -156,3 +162,75 @@ def test_duplicate_coordinates_never_yield_zero_weight_reps(method):
     assert np.all(c.weights > 0)
     assert c.weights.sum() == pytest.approx(40.0)
     assert c.size <= 12
+
+
+# -- identity fan-outs run in the caller -------------------------------------
+
+def _uneven_labels(sizes):
+    """Shard labels with the given shard sizes, interleaved."""
+    labels = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+    return np.random.default_rng(8).permutation(labels)
+
+
+def _coreset_bytes(coresets):
+    return [
+        (c.points.tobytes(), c.weights.tobytes(), c.origin.tobytes(), c.movement, c.costs)
+        for c in coresets
+    ]
+
+
+def _source(kind, points, labels, shards, tmp_path):
+    if kind == "resident":
+        return dict(points=points, labels=labels, shards=shards)
+    store = ShardStore.create(str(tmp_path / "store"), points, labels, shards)
+    return dict(points=store)
+
+
+@pytest.mark.parametrize("plan", [None, "crash"], ids=["clean", "crash-retried"])
+@pytest.mark.parametrize("source", ["resident", "store"])
+@pytest.mark.parametrize("spec", [dict(size=100), dict(size=8, method="none")],
+                         ids=["fits", "method-none"])
+def test_identity_fanout_starts_no_pool_worker(points, tmp_path, source, spec, plan):
+    """Every shard fits its coreset budget (or ``method="none"``): each
+    build is a copy, so the batch runs in the caller under the
+    Supervisor — no worker process starts, an injected crash is the
+    simulated one and its retry reproduces the clean bytes, and the
+    answer is a serial backend's byte for byte."""
+    labels = _uneven_labels([100, 100, 99, 100, 1])
+    src = _source(source, points, labels, 5, tmp_path)
+    kwargs = dict(
+        seed=13,
+        policy=RetryPolicy(base_delay=0.0, jitter=0.0) if plan else NO_RETRY,
+        fault_plan=FaultPlan.single(plan, 2) if plan else None,
+        **spec,
+    )
+    want, _ = supervised_shard_coresets(machine=PramMachine(SerialBackend()), **src, **kwargs)
+    with ProcessBackend(2) as pool:
+        before = set(multiprocessing.active_children())
+        got, failures = supervised_shard_coresets(machine=PramMachine(pool), **src, **kwargs)
+        started = set(multiprocessing.active_children()) - before
+    assert not started
+    assert not failures
+    assert _coreset_bytes(got) == _coreset_bytes(want)
+    assert all(c.movement == 0.0 for c in got)
+
+
+@pytest.mark.parametrize("pool_cls", [ThreadBackend, ProcessBackend])
+def test_one_shard_above_budget_sends_the_whole_batch_to_the_pool(points, tmp_path, pool_cls):
+    """Four shards fit the budget and one holds a point more: the batch
+    is not split, all five builds run on pool workers, and the answer
+    is the serial backend's."""
+    labels = _uneven_labels([99, 100, 99, 101, 1])
+    kwargs = dict(size=100, seed=13, policy=NO_RETRY)
+    want, _ = supervised_shard_coresets(
+        points, labels, 5, machine=PramMachine(SerialBackend()), **kwargs
+    )
+    path = tmp_path / "batch.jsonl"
+    with pool_cls(2) as pool, trace_to(path):
+        got, _ = supervised_shard_coresets(points, labels, 5, machine=PramMachine(pool), **kwargs)
+    assert _coreset_bytes(got) == _coreset_bytes(want)
+    assert [c.size for c in got] == [99, 100, 99, 100, 1]  # shard 3 seeded
+    lanes = assert_coreset_batch_on_pool(
+        path, process=pool_cls is ProcessBackend, caller=threading.get_native_id()
+    )
+    assert len(lanes) == 5
