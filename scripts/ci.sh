@@ -50,11 +50,14 @@ python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.
 # caller and must start no pool worker.
 # The store fuzz suite opens hundreds of garbled stores, each of whose
 # block files must be closed whether or not ShardStore.open accepts it.
+# The shard-source suites write, refuse and reopen stores, and feed NaN,
+# infinite and fractional labels and weights to the source's checks.
 echo "== batch executor and shard suites, ResourceWarning and RuntimeWarning as errors =="
 python -X dev -W error::ResourceWarning -W error::RuntimeWarning -m pytest -q \
     tests/pram/test_backends.py tests/faults/test_supervisor.py \
     tests/shard/test_coreset.py tests/shard/test_store.py tests/shard/test_store_fuzz.py \
-    tests/shard/test_solve.py tests/shard/test_shard_failures.py
+    tests/shard/test_solve.py tests/shard/test_shard_failures.py \
+    tests/shard/test_source_checks.py tests/shard/test_source_properties.py
 
 echo "== smoke =="
 python scripts/smoke.py

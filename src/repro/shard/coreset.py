@@ -18,6 +18,13 @@ weights``) and report their *movement* — the quantity the composed
 approximation bound (:func:`repro.analysis.composed_coreset_bound`)
 charges.
 
+The fan-out reads its shards from one *source*: resident points,
+checked and grouped by shard once (the store module's in-memory twin of
+a :class:`~repro.shard.store.ShardStore`), or a store itself. Either
+hands shard ``s``'s task its block — plain arrays, or a picklable ref
+the task opens — and the shard's weight total for result validation, so
+there is one payload builder for both.
+
 Every shard build runs on its own fresh :class:`~repro.pram.ledger`
 and returns the accrued interval; :func:`supervised_shard_coresets`
 fans the builds across the backend's worker pool under a
@@ -36,10 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidInstanceError, InvalidParameterError
 from repro.pram.ledger import CostLedger, CostSnapshot
 from repro.pram.machine import PramMachine
-from repro.shard.store import ShardStore, StoredShard
+from repro.shard.partition import _check_points, _check_weights
+from repro.shard.store import ShardStore, StoredShard, _ResidentShards
 
 _METHODS = ("gonzalez", "sample", "none")
 
@@ -123,11 +131,7 @@ def build_coreset(
     every point its own representative, movement 0 — the pass-through
     that makes a ``shards=1`` pipeline equal the direct solve.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[0] == 0:
-        raise InvalidParameterError(
-            f"shard points must be a non-empty (n, dim) array, got shape {points.shape}"
-        )
+    points = _check_points(points)
     n = points.shape[0]
     if method not in _METHODS:
         raise InvalidParameterError(
@@ -136,11 +140,7 @@ def build_coreset(
     size = int(size)
     if size < 1:
         raise InvalidParameterError(f"coreset size must be >= 1, got {size}")
-    weights = (
-        np.ones(n) if weights is None else np.asarray(weights, dtype=float).copy()
-    )
-    if weights.shape != (n,) or (weights.size and weights.min() <= 0):
-        raise InvalidParameterError("shard weights must be strictly positive, one per point")
+    weights = np.ones(n) if weights is None else _check_weights(weights, n).copy()
     origin = (
         np.arange(n, dtype=np.intp)
         if origin is None
@@ -194,69 +194,28 @@ def build_coreset(
 def _coreset_task(payload) -> ShardCoreset:
     """Module-level worker (picklable for the process pool).
 
-    A payload's points slot may hold a
-    :class:`~repro.shard.store.StoredShard` instead of a resident
-    block: the ref is resolved to read-only memmap views *here*, inside
-    whichever process runs the task — the out-of-core path ships paths,
-    not points, and the OS page cache is the shared medium."""
-    points, weights, origin, size, method, seed = payload
-    if isinstance(points, StoredShard):
-        points, weights, origin = points.load()
+    A payload's block is either a resident ``(points, weights, origin)``
+    triple or a :class:`~repro.shard.store.StoredShard`, which is
+    resolved to read-only memmap views *here*, inside whichever process
+    runs the task — the out-of-core path ships paths, not points, and
+    the OS page cache is the shared medium."""
+    block, size, method, seed = payload
+    points, weights, origin = block.load() if isinstance(block, StoredShard) else block
     return build_coreset(
         points, size, weights=weights, origin=origin, method=method, seed=seed
     )
 
 
-def _shard_payloads(points, labels, shards, size, weights, method, seed) -> list:
-    """Validated per-shard task payloads, seeds spawned from one
+def _payloads(source, size, method, seed) -> list:
+    """Per-shard task payloads, seeds spawned from one
     :class:`numpy.random.SeedSequence` — the determinism anchor: a
     shard's payload (and therefore its coreset, on any attempt of any
-    backend) depends only on ``(seed, shard index)``, never on
-    scheduling or on which other shards failed."""
-    points = np.asarray(points, dtype=float)
-    labels = np.asarray(labels, dtype=np.intp)
-    n = points.shape[0]
-    if labels.shape != (n,):
-        raise InvalidParameterError(f"labels must have shape ({n},), got {labels.shape}")
-    shards = int(shards)
-    if labels.size and (labels.min() < 0 or labels.max() >= shards):
-        # An out-of-range label would silently drop its points from
-        # every shard, breaking the weight-conservation invariant.
-        raise InvalidParameterError(
-            f"labels must lie in [0, {shards}); got range "
-            f"[{int(labels.min())}, {int(labels.max())}]"
-        )
-    weights_arr = None if weights is None else np.asarray(weights, dtype=float)
-    child_seeds = np.random.SeedSequence(seed).spawn(shards)
-    payloads = []
-    for s in range(shards):
-        idx = np.flatnonzero(labels == s)
-        if idx.size == 0:
-            raise InvalidParameterError(f"shard {s} is empty; labels must cover every shard")
-        payloads.append(
-            (
-                points[idx],
-                None if weights_arr is None else weights_arr[idx],
-                idx,
-                size,
-                method,
-                child_seeds[s],
-            )
-        )
-    return payloads
-
-
-def _store_payloads(store: ShardStore, size, method, seed) -> list:
-    """Per-shard task payloads over a :class:`ShardStore` — the same
-    tuple shape as :func:`_shard_payloads` with the points slot holding
-    a picklable :class:`StoredShard` ref, and seeds spawned from the
-    same :class:`numpy.random.SeedSequence` rule. A store written from
-    ``(points, labels)`` therefore produces byte-identical coresets to
-    the resident payloads for the same ``(seed, shard index)``."""
-    child_seeds = np.random.SeedSequence(seed).spawn(store.shards)
+    backend, resident or stored) depends only on ``(seed, shard
+    index)``, never on scheduling or on which other shards failed."""
+    child_seeds = np.random.SeedSequence(seed).spawn(source.shards)
     return [
-        (store.shard_ref(s), None, None, size, method, child_seeds[s])
-        for s in range(store.shards)
+        (source.task_block(s), size, method, child_seeds[s])
+        for s in range(source.shards)
     ]
 
 
@@ -264,8 +223,8 @@ def _coreset_validator(expected_weight: np.ndarray):
     """Result validation for supervised builds: a returned coreset must
     be a :class:`ShardCoreset` with finite, strictly positive weights
     conserving the shard's total — the contract a corrupted result
-    (injected or real) breaks."""
-    from repro.errors import InvalidInstanceError
+    (injected or real) breaks. A NaN on either side fails the
+    comparison."""
 
     def validate(index: int, coreset) -> None:
         if not isinstance(coreset, ShardCoreset):
@@ -279,7 +238,7 @@ def _coreset_validator(expected_weight: np.ndarray):
                 f"positive (corrupt result?)"
             )
         want = float(expected_weight[index])
-        if abs(float(w.sum()) - want) > 1e-6 * max(want, 1.0):
+        if not abs(float(w.sum()) - want) <= 1e-6 * max(want, 1.0):
             raise InvalidInstanceError(
                 f"shard {index} coreset does not conserve weight: "
                 f"{float(w.sum())!r} != {want!r}"
@@ -319,7 +278,10 @@ def supervised_shard_coresets(
     Shard seeds derive from one :class:`numpy.random.SeedSequence`
     spawn, so results are identical however the backend schedules the
     tasks (serial loop, thread pool, or process pool) and wherever the
-    blocks live (resident or stored).
+    blocks live (resident or stored). Resident inputs pass the
+    partition checks before any task runs, so a bad label, weight or
+    point is an :class:`~repro.errors.InvalidParameterError`, never a
+    failed shard.
 
     The batch goes to the machine's pool only when some shard has
     seeding work. When every coreset is the identity (``method="none"``
@@ -344,36 +306,26 @@ def supervised_shard_coresets(
     from repro.faults.supervisor import Supervisor
     from repro.pram.backends import SerialBackend
 
-    if isinstance(points, ShardStore):
+    if isinstance(points, (ShardStore, _ResidentShards)):
         if labels is not None or weights is not None:
             raise InvalidParameterError(
                 "a ShardStore carries its own partition and weights; "
                 "pass labels/weights only with resident points"
             )
-        payloads = _store_payloads(points, size, method, seed)
-        expected = np.asarray(points.weight_totals, dtype=float)
-        sizes = points.sizes
+        source = points
     else:
-        payloads = _shard_payloads(points, labels, shards, size, weights, method, seed)
-        sizes = [payload[0].shape[0] for payload in payloads]
-        labels_arr = np.asarray(labels, dtype=np.intp)
-        if weights is None:
-            expected = np.bincount(labels_arr, minlength=int(shards)).astype(float)
-        else:
-            expected = np.bincount(
-                labels_arr,
-                weights=np.asarray(weights, dtype=float),
-                minlength=int(shards),
-            )
+        source = _ResidentShards.of(points, labels, shards, weights)
     # Every shard's coreset is the identity (build_coreset's own rule)
     # exactly when the batch only copies shards: a pool would ship each
     # shard to a worker and the copy back, which costs more than the
     # copy, so such a fan-out runs in the caller, still supervised.
-    identity = method == "none" or max(sizes, default=0) <= size
+    identity = method == "none" or int(source.sizes.max()) <= size
     backend = machine.backend if machine is not None and not identity else SerialBackend()
     supervisor = Supervisor(backend, policy, fault_plan, tracer=tracer)
     results, failures = supervisor.submit_batch(
-        _coreset_task, payloads, validate=_coreset_validator(expected)
+        _coreset_task,
+        _payloads(source, size, method, seed),
+        validate=_coreset_validator(source.weight_totals),
     )
     if machine is not None:
         survived = [c.costs for c in results if c is not None]

@@ -22,6 +22,8 @@ given its seed).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.errors import InvalidParameterError
@@ -39,11 +41,63 @@ def _check_points(points) -> np.ndarray:
     return points
 
 
-def _check_shards(shards: int, n: int) -> int:
-    shards = int(shards)
-    if not 1 <= shards <= n:
-        raise InvalidParameterError(f"shards must be in [1, {n}], got {shards}")
-    return shards
+def _check_shards(shards, n: int) -> int:
+    if not (isinstance(shards, numbers.Real) and 1 <= shards <= n and shards == int(shards)):
+        raise InvalidParameterError(
+            f"shards must be >= 1, a whole number and at most the {n} points; "
+            f"got {shards!r}"
+        )
+    return int(shards)
+
+
+def _check_weights(weights, n: int):
+    """``None``, or ``n`` finite, strictly positive point weights
+    (multiplicities) as a float array."""
+    if weights is None:
+        return None
+    arr = np.asarray(weights)
+    if arr.dtype.kind not in "biuf" or arr.shape != (n,):
+        raise InvalidParameterError(
+            f"weights must be a real ({n},) array, one per point; got {arr.dtype} "
+            f"of shape {arr.shape}"
+        )
+    arr = arr.astype(float, copy=False)
+    if not (np.all(np.isfinite(arr)) and arr.min() > 0):
+        raise InvalidParameterError(
+            "weights must be finite and strictly positive, one per point"
+        )
+    return arr
+
+
+def _check_labels(labels, n: int, shards: int):
+    """Check that ``labels`` puts each of ``n`` points on one of ``shards``
+    non-empty shards. Returns the labels as the narrowest unsigned type
+    holding ``shards - 1`` (NumPy's stable sort is a radix sort on 8- and
+    16-bit keys) and the points per shard."""
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise InvalidParameterError(f"labels must have shape ({n},), got {labels.shape}")
+    kind = labels.dtype.kind
+    if kind not in "biuf" or (kind == "f" and not np.array_equal(labels, np.floor(labels))):
+        # Truncating 0.7 would move its point to shard 0 without a word.
+        raise InvalidParameterError(
+            f"labels must be whole numbers naming shards, got dtype {labels.dtype} "
+            "with a fractional, NaN or non-numeric label"
+        )
+    low, high = labels.min(), labels.max()
+    if low < 0 or high >= shards:
+        # An out-of-range label would silently drop its point from
+        # every shard, breaking weight conservation.
+        raise InvalidParameterError(
+            f"labels must lie in [0, {shards}); got range [{low}, {high}]"
+        )
+    key = labels.astype(np.min_scalar_type(shards - 1))
+    sizes = np.bincount(key, minlength=shards)
+    if not sizes.all():
+        raise InvalidParameterError(
+            f"shard {int(np.argmin(sizes))} is empty; labels must cover every shard"
+        )
+    return key, sizes
 
 
 def random_partition(n: int, shards: int, *, seed=None) -> np.ndarray:
@@ -131,9 +185,5 @@ def make_partition(points, shards: int, method: str = "locality", *, seed=None) 
 
 def shard_sizes(labels: np.ndarray, shards: int) -> np.ndarray:
     """Points per shard (validates that every shard is non-empty)."""
-    sizes = np.bincount(np.asarray(labels, dtype=np.intp), minlength=int(shards))
-    if sizes.size > int(shards) or np.any(sizes == 0):
-        raise InvalidParameterError(
-            f"labels do not form a partition into {shards} non-empty shards"
-        )
-    return sizes
+    labels = np.asarray(labels)
+    return _check_labels(labels, labels.size, _check_shards(shards, labels.size))[1]

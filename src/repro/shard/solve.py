@@ -4,7 +4,11 @@
 clustering from "fits in one CSR instance" to millions of points:
 
 1. **partition** the raw coordinates into shards
-   (:mod:`repro.shard.partition`);
+   (:mod:`repro.shard.partition`) and group the points by shard once,
+   checking points, weights and labels on the way; that grouped source
+   (or a :class:`~repro.shard.store.ShardStore` written from it) feeds
+   every later stage, so each stage has one body for resident and
+   stored blocks;
 2. **summarize** each shard into a weighted coreset, shard-parallel
    over the execution backend under the fault
    :class:`~repro.faults.Supervisor` (fail-fast by default: a shard
@@ -22,7 +26,8 @@ clustering from "fits in one CSR instance" to millions of points:
 5. **map back**: centers are actual input points (coreset
    representatives are never synthetic), so the answer is a set of
    original point ids, and the *true* objective over all input points
-   is evaluated exactly with one KD-tree query;
+   is evaluated exactly, streaming the source's blocks through one
+   KD-tree;
 6. **account**: the composed guarantee ``cost_true ≤ c·opt + (c+1)·R``
    (``R`` = total coreset movement) is reported via
    :func:`repro.analysis.composed_coreset_bound` for the k-median
@@ -61,8 +66,7 @@ from repro.shard.coreset import (
     supervised_shard_coresets,
 )
 from repro.shard.merge import merge_coresets
-from repro.shard.partition import make_partition, shard_sizes
-from repro.shard.store import ShardStore
+from repro.shard.store import ShardStore, _ResidentShards
 from repro.util.validation import check_positive_int, check_unit_fraction
 
 #: Accepted ``on_shard_failure`` modes for :func:`shard_and_solve`.
@@ -188,58 +192,36 @@ def _gonzalez_warm_start(points: np.ndarray, k: int) -> np.ndarray:
     return np.unique(farthest_point_seeds(points, k, start))
 
 
-def _true_cost(points, weights, center_points, objective: str, machine: PramMachine) -> float:
-    """Exact objective of the chosen centers over every input point:
-    one KD-tree query over the full dataset (the only full-data pass
-    after partitioning)."""
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(center_points).query(points)
-    n = points.shape[0]
-    machine.ledger.charge_basic(
-        "shard_true_cost", n * int(np.ceil(np.log2(max(center_points.shape[0], 2))))
-    )
-    if objective == "kcenter":
-        return float(dist.max())
-    d = dist if objective != "kmeans" else dist * dist
-    if weights is None:
-        return float(d.sum())
-    return float(np.sum(weights * d))
-
-
-def _true_cost_store(
-    store: ShardStore, center_points, objective: str, machine: PramMachine
+def _true_cost(
+    blocks, n: int, weighted: bool, center_points, objective: str, machine: PramMachine
 ) -> float:
-    """Streamed :func:`_true_cost` over a shard store.
+    """Exact objective of the chosen centers over ``n`` points, streamed
+    as ``(points, weights_or_None, origin)`` blocks through one KD-tree.
 
-    One shard is resident at a time; each block's nearest-center
-    distances are scattered into an ``(n,)`` array at their original
-    positions, and the objective reduces over that array in original
-    point order. Because the KD query computes each point independently
-    and the reduction order matches the single-pass query exactly, the
-    result is **byte-identical** to the resident evaluation — the store
-    parity suite pins it.
+    Each block's nearest-center distances (and weights) land at its
+    points' original positions, and the objective reduces over that
+    ``(n,)`` array in point order. The KD query computes each point
+    independently, so the result is **byte-identical** however the
+    points are blocked: one resident block in point order, or one
+    stored block per shard at a time (the store parity suite pins it).
     """
     from scipy.spatial import cKDTree
 
     tree = cKDTree(center_points)
-    d_full = np.empty(store.n)
-    w_full = np.empty(store.n) if store.has_weights else None
-    for _, pts, w, origin in store.iter_shards():
-        dist, _ = tree.query(np.asarray(pts))
-        d_full[origin] = dist
-        if w_full is not None:
-            w_full[origin] = w
+    d = np.empty(n)
+    w = np.empty(n) if weighted else None
+    for points, weights, origin in blocks:
+        d[origin] = tree.query(np.asarray(points))[0]
+        if weighted:
+            w[origin] = weights
     machine.ledger.charge_basic(
-        "shard_true_cost",
-        store.n * int(np.ceil(np.log2(max(center_points.shape[0], 2)))),
+        "shard_true_cost", n * int(np.ceil(np.log2(max(center_points.shape[0], 2))))
     )
     if objective == "kcenter":
-        return float(d_full.max())
-    d = d_full if objective != "kmeans" else d_full * d_full
-    if w_full is None:
-        return float(d.sum())
-    return float(np.sum(w_full * d))
+        return float(d.max())
+    if objective == "kmeans":
+        d = d * d
+    return float(d.sum()) if w is None else float(np.sum(w * d))
 
 
 def shard_and_solve(
@@ -301,7 +283,10 @@ def shard_and_solve(
         workloads, for <25% of the wall-clock back at 64).
     weights:
         Optional per-point input weights (the pipeline composes: a
-        weighted input yields weight-aggregated coresets).
+        weighted input yields weight-aggregated coresets). They must be
+        finite and strictly positive, one per point; anything else is
+        an :class:`~repro.errors.InvalidParameterError` before the
+        partitioner runs.
     seed / backend / machine:
         Standard execution controls; coreset seeding derives from
         ``seed`` through a SeedSequence spawn, so results do not depend
@@ -402,11 +387,7 @@ def shard_and_solve(
         )
 
     # -- the scale path: raw coordinates or an out-of-core store --------
-    store: ShardStore | None = None
-    points = None
-    labels = None
     if isinstance(source, ShardStore):
-        store = source
         if weights is not None:
             raise InvalidParameterError(
                 "a ShardStore carries its own weights; pass weights only "
@@ -417,8 +398,8 @@ def shard_and_solve(
                 "spill_dir applies to raw-points sources; the store is "
                 "already on disk"
             )
-        shards = store.shards
-        n = store.n
+        shards = source.shards
+        n = source.n
     else:
         points = np.asarray(source, dtype=float)
         if points.ndim != 2 or points.shape[0] == 0:
@@ -434,15 +415,15 @@ def shard_and_solve(
     machine = ensure_machine(machine, backend=backend, seed=seed, tracer=tracer)
     obs = machine.tracer
 
-    weights_input = weights
-    if store is None:
+    if not isinstance(source, ShardStore):
         part_args = {"shards": int(shards), "n": int(n), "partition": partition}
         with obs.span("shard.partition", "shard", part_args):
-            labels = make_partition(points, shards, partition, seed=seed)
-            sizes = shard_sizes(labels, shards)
+            source = _ResidentShards.partitioned(
+                points, shards, partition, weights=weights, seed=seed
+            )
             machine.ledger.charge_basic("shard_partition", n)
             machine.bump_round("shard_partition")
-            part_args["sizes"] = [int(s) for s in sizes]
+            part_args["sizes"] = source.sizes.tolist()
         if spill_dir is not None:
             # Spill the blocks and stream everything downstream from
             # disk: identical bits in identical order, so the result is
@@ -451,29 +432,17 @@ def shard_and_solve(
                 "shard.spill", "shard",
                 {"bytes": int(points.nbytes), "shards": int(shards)},
             ):
-                store = ShardStore.create(
-                    spill_dir, points, labels, shards, weights=weights
-                )
-            points = None
-            labels = None
-            weights_input = None
-    else:
-        sizes = np.asarray(store.sizes)
+                source = source.spill(spill_dir)
+            points = None  # any float copy of the input: the blocks are on disk
+    stored = isinstance(source, ShardStore)
 
-    weights_arr = (
-        None if weights_input is None else np.asarray(weights_input, dtype=float)
-    )
-    src = store if store is not None else points
-    src_labels = None if store is not None else labels
-    src_shards = None if store is not None else shards
     policy = retry_policy if retry_policy is not None else (
         RetryPolicy() if on_shard_failure == "retry" else NO_RETRY
     )
     core_args = {"shards": int(shards), "size": int(per_shard), "method": coreset}
     with obs.span("shard.coreset", "shard", core_args):
         coresets, failures = supervised_shard_coresets(
-            src, src_labels, src_shards, per_shard,
-            weights=weights_input, method=coreset, seed=seed, machine=machine,
+            source, size=per_shard, method=coreset, seed=seed, machine=machine,
             policy=policy, fault_plan=fault_plan, tracer=obs,
         )
         failed = [s for s, c in enumerate(coresets) if c is None]
@@ -486,25 +455,14 @@ def shard_and_solve(
             ) from failures[0].error
 
     covered_frac = 1.0
-    failed_mask = None
     if failed:
         if len(failed) == shards:
             raise ShardFailedError(
                 f"every shard failed ({shards}/{shards}); nothing to degrade "
                 f"onto. First failure: {failures[0].error}"
             ) from failures[0].error
-        if store is not None:
-            total_w = store.total_weight
-            dropped_w = float(store.weight_totals[np.asarray(failed, dtype=int)].sum())
-        else:
-            failed_mask = np.isin(labels, np.asarray(failed, dtype=np.intp))
-            if weights_arr is None:
-                total_w = float(n)
-                dropped_w = float(np.count_nonzero(failed_mask))
-            else:
-                total_w = float(weights_arr.sum())
-                dropped_w = float(weights_arr[failed_mask].sum())
-        covered_frac = 1.0 - dropped_w / total_w
+        dropped_w = float(source.weight_totals[np.asarray(failed, dtype=int)].sum())
+        covered_frac = 1.0 - dropped_w / source.total_weight
         if covered_frac < float(coverage_floor):
             raise ShardFailedError(
                 f"refusing to degrade: surviving shards cover "
@@ -544,31 +502,25 @@ def shard_and_solve(
         sol = run(merged, machine, epsilon, **solver_kwargs)
     merged_centers = np.sort(sol.centers)
     centers = np.sort(origin[merged_centers])
-    with obs.span(
-        "shard.true_cost", "shard", {"store": store is not None, "n": int(n)}
-    ):
-        if store is not None:
-            true_cost = _true_cost_store(
-                store, merged_points[merged_centers], sol.objective, machine
-            )
-        else:
-            true_cost = _true_cost(
-                points, weights_arr, merged_points[merged_centers], sol.objective,
-                machine,
-            )
+    center_points = merged_points[merged_centers]
+    with obs.span("shard.true_cost", "shard", {"store": stored, "n": int(n)}):
+        true_cost = _true_cost(
+            source.pass_blocks(), n, source.has_weights, center_points,
+            sol.objective, machine,
+        )
         # The solver's reported cost is the *fallback-capped* truncated
         # objective; the movement bound composes against the exact coreset
         # cost, so evaluate that too (one tiny KD query over the merged
         # points): true_cost ≤ merged_cost_exact + movement for k-median.
         merged_cost_exact = _true_cost(
-            merged_points, merged.weights, merged_points[merged_centers],
-            sol.objective, machine,
+            [(merged_points, merged.weights, slice(None))], merged.n, True,
+            center_points, sol.objective, machine,
         )
     extra = {
         "identity": False,
         "solver": solver,
         "partition": partition,
-        "store": store is not None,
+        "store": stored,
         "coreset": coreset,
         "coreset_size": per_shard,
         "neighbors": neighbors_eff,
@@ -591,33 +543,22 @@ def shard_and_solve(
             "shard.degraded_account", "shard",
             {"failed": len(failed), "covered_frac": covered_frac},
         ):
-            if store is not None:
-                # Gather the failed shards' blocks and restore global point
-                # order (each block's origin is ascending; a stable argsort
-                # over the concatenation is the merge) — the same rows, in
-                # the same order, a resident ``points[failed_mask]`` yields.
-                blocks = [store.load_shard(s) for s in failed]
-                forder = np.argsort(
-                    np.concatenate([o for _, _, o in blocks]), kind="stable"
-                )
-                fp = np.concatenate([np.asarray(p) for p, _, _ in blocks])[forder]
-                fw = (
-                    np.concatenate([np.asarray(w) for _, w, _ in blocks])[forder]
-                    if store.has_weights
-                    else np.ones(fp.shape[0])
-                )
-            else:
-                fp = points[failed_mask]
-                fw = (
-                    np.ones(fp.shape[0])
-                    if weights_arr is None
-                    else weights_arr[failed_mask]
-                )
+            # Gather the failed shards' blocks and restore global point
+            # order (each block's origin is ascending; a stable argsort
+            # over the concatenation is the merge).
+            blocks = [source.load_shard(s) for s in failed]
+            forder = np.argsort(
+                np.concatenate([o for _, _, o in blocks]), kind="stable"
+            )
+            fp = np.concatenate([np.asarray(p) for p, _, _ in blocks])[forder]
+            fw = (
+                np.concatenate([np.asarray(w) for _, w, _ in blocks])[forder]
+                if source.has_weights
+                else np.ones(fp.shape[0])
+            )
             dist_rep, rep_idx = cKDTree(merged_points).query(fp)
             dropped_movement = float(np.sum(fw * dist_rep))
-            rep_to_center, _ = cKDTree(merged_points[merged_centers]).query(
-                merged_points[rep_idx]
-            )
+            rep_to_center, _ = cKDTree(center_points).query(merged_points[rep_idx])
             dropped_rep_service = float(np.sum(fw * rep_to_center))
             machine.ledger.charge_basic(
                 "shard_degraded_account",
@@ -647,7 +588,7 @@ def shard_and_solve(
         objective=sol.objective,
         solution=sol,
         shards=shards,
-        shard_sizes=sizes,
+        shard_sizes=source.sizes,
         coreset_sizes=np.asarray([0 if c is None else c.size for c in coresets]),
         movement=movement,
         bound=bound,

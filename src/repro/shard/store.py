@@ -18,12 +18,17 @@ Layout of a store directory::
     shard_00000.weights.npy   # (n_s,) float64 (only for weighted stores)
     ...
 
-**Byte-identity invariant**: ``ShardStore.create(points, labels, ...)``
-writes shard ``s`` as ``points[np.flatnonzero(labels == s)]`` — the same
-expression the in-RAM payload builder uses — so a coreset built from a
-stored block is byte-identical to one built from the resident slice,
-and the whole shard-and-conquer result is invariant to where the blocks
-live (pinned by the store parity suite).
+**One layout, two homes.** Resident points are grouped by shard once,
+in :class:`_ResidentShards`, the store's in-memory twin: it runs the
+partition checks (points, weights, labels, shard count) and one stable
+sort of the labels. :meth:`ShardStore.create` writes its blocks from
+that layout, so block ``s`` holds exactly the rows the resident source
+hands to shard ``s``'s coreset task, in ascending point order. Both
+sources offer the same read surface (``sizes``, ``weight_totals``,
+``load_shard``, a per-shard task block, the blocks of a full pass), so
+every pipeline stage has one body, and the whole shard-and-conquer
+result is invariant to where the blocks live (pinned by the store
+parity suite and its ``hypothesis`` property).
 
 Workers receive a :class:`StoredShard` — a few paths and integers, a
 trivially picklable ref — and open the memmaps *inside* the worker, so
@@ -43,6 +48,13 @@ import numpy as np
 
 from repro.errors import InvalidInstanceError, InvalidParameterError
 from repro.metrics.io import _read_npy_header
+from repro.shard.partition import (
+    _check_labels,
+    _check_points,
+    _check_shards,
+    _check_weights,
+    make_partition,
+)
 
 #: Manifest schema version; bump on incompatible layout changes.
 STORE_VERSION = 1
@@ -162,73 +174,14 @@ class ShardStore:
     ) -> "ShardStore":
         """Spill ``points`` to ``directory`` as per-shard blocks.
 
-        Validation mirrors the in-RAM payload builder exactly (label
-        range, no empty shard, strictly positive weights) so a store
-        accepts precisely the inputs the resident pipeline would.
-        ``points`` may itself be a memmap — blocks are gathered shard
-        by shard, so residency stays one shard at a time.
+        The inputs pass the resident source's checks (finite points,
+        labels covering every shard, finite strictly positive weights)
+        before any file is written, so a store accepts precisely the
+        inputs the resident pipeline would. ``points`` may itself be a
+        memmap: blocks are gathered shard by shard, so residency stays
+        one shard at a time.
         """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[0] == 0:
-            raise InvalidParameterError(
-                f"points must be a non-empty (n, dim) array, got shape {points.shape}"
-            )
-        n, dim = points.shape
-        labels = np.asarray(labels, dtype=np.intp)
-        if labels.shape != (n,):
-            raise InvalidParameterError(
-                f"labels must have shape ({n},), got {labels.shape}"
-            )
-        shards = int(shards)
-        if shards < 1:
-            raise InvalidParameterError(f"shards must be >= 1, got {shards}")
-        if labels.min() < 0 or labels.max() >= shards:
-            raise InvalidParameterError(
-                f"labels must lie in [0, {shards}); got range "
-                f"[{int(labels.min())}, {int(labels.max())}]"
-            )
-        weights_arr = None
-        if weights is not None:
-            weights_arr = np.asarray(weights, dtype=float)
-            if weights_arr.shape != (n,) or (
-                weights_arr.size and weights_arr.min() <= 0
-            ):
-                raise InvalidParameterError(
-                    "weights must be strictly positive, one per point"
-                )
-        os.makedirs(directory, exist_ok=True)
-        sizes = []
-        weight_totals = []
-        for s in range(shards):
-            idx = np.flatnonzero(labels == s)
-            if idx.size == 0:
-                raise InvalidParameterError(
-                    f"shard {s} is empty; labels must cover every shard"
-                )
-            sizes.append(int(idx.size))
-            np.save(os.path.join(directory, _block_name(s, "points")), points[idx])
-            np.save(
-                os.path.join(directory, _block_name(s, "origin")),
-                idx.astype(np.intp),
-            )
-            if weights_arr is not None:
-                block_w = weights_arr[idx]
-                np.save(os.path.join(directory, _block_name(s, "weights")), block_w)
-                weight_totals.append(float(block_w.sum()))
-            else:
-                weight_totals.append(float(idx.size))
-        manifest = {
-            "format": _FORMAT,
-            "version": STORE_VERSION,
-            "shards": shards,
-            "n": int(n),
-            "dim": int(dim),
-            "has_weights": weights_arr is not None,
-            "sizes": sizes,
-            "weight_totals": weight_totals,
-        }
-        _write_manifest(directory, manifest)
-        return cls(directory, manifest)
+        return _ResidentShards.of(points, labels, shards, weights).spill(directory)
 
     @classmethod
     def open(cls, directory: str) -> "ShardStore":
@@ -349,6 +302,14 @@ class ShardStore:
             points, weights, origin = self.load_shard(s, mmap_mode=mmap_mode)
             yield s, points, weights, origin
 
+    #: What shard ``s``'s coreset task receives: the ref, opened inside
+    #: whichever process runs the task.
+    task_block = shard_ref
+
+    def pass_blocks(self):
+        """The blocks a full pass streams: one per shard."""
+        return (block[1:] for block in self.iter_shards())
+
     @property
     def total_weight(self) -> float:
         return float(self.weight_totals.sum())
@@ -358,6 +319,93 @@ class ShardStore:
             f"ShardStore({self.directory!r}, shards={self.shards}, "
             f"n={self.n}, dim={self.dim}, weighted={self.has_weights})"
         )
+
+
+class _ResidentShards:
+    """Resident points grouped by shard once: :class:`ShardStore`'s
+    in-memory twin, with its read surface. Shard ``s`` is the run
+    ``order[indptr[s]:indptr[s + 1]]`` of one stable sort of the labels
+    (narrowed so NumPy sorts them by radix): its point ids in ascending
+    order, the rows :meth:`ShardStore.create` writes as block ``s``.
+    Blocks are gathered from the caller's arrays one shard at a time.
+    """
+
+    def __init__(self, points, weights, labels, shards):
+        """``points`` and ``weights`` come checked (:meth:`of`,
+        :meth:`partitioned`); the shard count and labels are checked here."""
+        self.n, self.dim = points.shape
+        self.shards = _check_shards(shards, self.n)
+        key, self.sizes = _check_labels(labels, self.n, self.shards)
+        self._points = points
+        self._weights = weights
+        self._order = np.argsort(key, kind="stable")
+        self._order.flags.writeable = False
+        self._indptr = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.has_weights = weights is not None
+        self.weight_totals = (
+            np.asarray([float(weights[self._origin(s)].sum()) for s in range(self.shards)])
+            if self.has_weights
+            else self.sizes.astype(float)
+        )
+
+    @classmethod
+    def of(cls, points, labels, shards, weights=None) -> "_ResidentShards":
+        points = _check_points(points)
+        return cls(points, _check_weights(weights, points.shape[0]), labels, shards)
+
+    @classmethod
+    def partitioned(cls, points, shards, method, *, weights=None, seed=None):
+        """Check ``points`` and ``weights``, then partition the points
+        with :func:`~repro.shard.partition.make_partition` and group
+        them: a bad weight is refused before the partitioner runs."""
+        points = _check_points(points)
+        weights = _check_weights(weights, points.shape[0])
+        return cls(points, weights, make_partition(points, shards, method, seed=seed), shards)
+
+    @property
+    def total_weight(self) -> float:
+        return float(self.weight_totals.sum())
+
+    def _origin(self, s: int) -> np.ndarray:
+        return self._order[self._indptr[s]:self._indptr[s + 1]]
+
+    def load_shard(self, s: int):
+        """``(points, weights_or_None, origin)`` of shard ``s``: copies
+        of its rows and a read-only view of its point ids, in ascending
+        point order."""
+        origin = self._origin(s)
+        weights = None if self._weights is None else self._weights[origin]
+        return self._points[origin], weights, origin
+
+    #: What shard ``s``'s coreset task receives: plain arrays, which the
+    #: process pool's shared-memory transport carries.
+    task_block = load_shard
+
+    def pass_blocks(self):
+        """The blocks a full pass streams: one, in point order."""
+        return [(self._points, self._weights, slice(None))]
+
+    def spill(self, directory: str) -> ShardStore:
+        """Write every shard's block, then the manifest, to ``directory``."""
+        os.makedirs(directory, exist_ok=True)
+        for s in range(self.shards):
+            points, weights, origin = self.load_shard(s)
+            np.save(os.path.join(directory, _block_name(s, "points")), points)
+            np.save(os.path.join(directory, _block_name(s, "origin")), origin)
+            if weights is not None:
+                np.save(os.path.join(directory, _block_name(s, "weights")), weights)
+        manifest = {
+            "format": _FORMAT,
+            "version": STORE_VERSION,
+            "shards": self.shards,
+            "n": self.n,
+            "dim": self.dim,
+            "has_weights": self.has_weights,
+            "sizes": self.sizes.tolist(),
+            "weight_totals": self.weight_totals.tolist(),
+        }
+        _write_manifest(directory, manifest)
+        return ShardStore(directory, manifest)
 
 
 def partition_to_store(
@@ -375,19 +423,17 @@ def partition_to_store(
     The labels come from the same :func:`repro.shard.partition
     .make_partition` the resident driver uses (identical partitioner,
     identical seed handling), so a store built here and a resident run
-    with the same arguments shard the data identically. When a
+    with the same arguments shard the data identically. Points and
+    weights are checked before the partitioner runs. When a
     ``machine`` is given the partition pass is charged to its ledger —
     the same ``shard_partition`` charge the driver makes — so model
     accounting is independent of where the blocks end up.
     """
-    from repro.shard.partition import make_partition
-
-    points = np.asarray(points, dtype=float)
-    labels = make_partition(points, shards, partition, seed=seed)
-    store = ShardStore.create(
-        directory, points, labels, int(shards), weights=weights
+    source = _ResidentShards.partitioned(
+        points, shards, partition, weights=weights, seed=seed
     )
+    store = source.spill(directory)
     if machine is not None:
-        machine.ledger.charge_basic("shard_partition", points.shape[0])
+        machine.ledger.charge_basic("shard_partition", source.n)
         machine.bump_round("shard_partition")
     return store

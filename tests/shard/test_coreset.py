@@ -72,6 +72,12 @@ def test_coreset_validation(points):
         build_coreset(points, 10, weights=np.zeros(400))
     with pytest.raises(InvalidParameterError):
         build_coreset(points, 10, origin=np.arange(3))
+    first = np.arange(400) == 0
+    for bad in (np.inf, np.nan):
+        with pytest.raises(InvalidParameterError, match="finite and strictly positive"):
+            build_coreset(points, 10, weights=np.where(first, bad, 1.0))
+    with pytest.raises(InvalidParameterError, match="points must be finite"):
+        build_coreset(np.where(first[:, None], np.nan, points), 10)
 
 
 def test_gonzalez_movement_beats_sampling_typically(points):
