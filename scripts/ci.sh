@@ -24,8 +24,9 @@ fi
 echo "== tier-1 pytest =="
 python -m pytest -x -q
 
-# The primal–dual level skip takes logs, divides and meets +inf
-# thresholds, the k-center MaxDom rounds compare priorities against a
+# The primal–dual level skip divides and its bucket-bound search meets
+# +inf thresholds (also on every Lagrangian probe, which shares one
+# distance order per call), the k-center MaxDom rounds compare priorities against a
 # no-candidate sentinel and reduce empty segments, the greedy body
 # divides by prefix ranks and compares star prices against +inf, and the
 # §7 swap loop clamps infinite service costs to a finite sentinel that
@@ -36,6 +37,7 @@ python -m pytest -x -q
 echo "== primal-dual, k-center, greedy and swap-loop suites, RuntimeWarning as error =="
 python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.py \
     tests/core/test_sparse_paths.py tests/core/test_kmedian_lagrangian.py \
+    tests/core/test_lagrangian_oracle.py \
     tests/core/test_kcenter.py tests/core/test_kcenter_oracle.py \
     tests/core/test_dominator.py tests/core/test_dominator_sparse.py \
     tests/integration/test_sparse_equivalence.py \

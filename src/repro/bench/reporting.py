@@ -7,6 +7,26 @@ import numpy as np
 from repro.pram.ledger import RoundMark
 
 
+def expand_rounds(round_log, label: str) -> list:
+    """The cumulative ledger work at the start of each ``label`` round,
+    one entry per round.
+
+    A mark whose index jumps by ``count`` over the label's previous
+    mark (the first mark counts from 0) stands for ``count`` rounds, all
+    starting at its work: the ``count − 1`` skipped ones did no work
+    (:meth:`repro.pram.ledger.CostLedger.bump_rounds`). ``round_log``
+    holds :class:`repro.pram.ledger.RoundMark` entries; bare
+    ``(label, index, work, wall)`` tuples are also accepted.
+    """
+    works: list = []
+    last = 0
+    for mark in map(RoundMark.coerce, round_log):
+        if mark.label == label:
+            works.extend([mark.work] * max(mark.index - last, 1))
+            last = mark.index
+    return works
+
+
 def summarize_rounds(round_log, label: str, final_work: float) -> dict:
     """Compress a ledger round trace into fixed-size summary stats.
 
@@ -15,13 +35,9 @@ def summarize_rounds(round_log, label: str, final_work: float) -> dict:
     summary keeps the trajectory's shape — how much a round costs at
     the start vs. the end of the run — in O(1) space:
     ``{rounds, work_total, work_first, work_last, work_median}``.
-
-    ``round_log`` holds :class:`repro.pram.ledger.RoundMark` entries;
-    bare ``(label, index, work, wall)`` tuples are also accepted.
+    Runs of skipped rounds count one by one (:func:`expand_rounds`).
     """
-    marks = [
-        m.work for m in map(RoundMark.coerce, round_log) if m.label == label
-    ]
+    marks = expand_rounds(round_log, label)
     if not marks:
         return {"rounds": 0}
     deltas = np.diff(np.asarray(marks + [final_work]))

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.primal_dual import parallel_primal_dual
+from repro.core.primal_dual import _iteration_cap
+from repro.core.primal_dual_sparse import _edge_order, _parallel_primal_dual_sparse
 from repro.core.result import ClusteringSolution
 from repro.errors import InvalidParameterError
 from repro.metrics.instance import ClusteringInstance
@@ -43,7 +44,9 @@ def _relaxation(instance: ClusteringInstance) -> SparseFacilityLocationInstance:
     (:meth:`~repro.metrics.sparse.SparseFacilityLocationInstance.with_opening_costs`)
     and runs the §5 primal–dual on it. A sparse clustering instance
     keeps its candidate structure and fallback column; a dense one
-    becomes its full CSR.
+    becomes its full CSR. Its opening costs are all equal (zero), so the
+    call's edge order keeps the clients' nearest distances, from which
+    every probe's ``γ`` follows in ``O(n)``.
     """
     weights = None if instance.has_unit_weights else instance.weights
     free = np.zeros(instance.n)
@@ -113,9 +116,11 @@ def parallel_kmedian_lagrangian(
     -----
     ``instance`` may also be a
     :class:`~repro.metrics.sparse.SparseClusteringInstance`. Either way
-    the relaxation's CSR structure is built once per call and each
-    probe runs the §5 primal–dual on it, so a level's work follows the
-    candidate edges that pay at it; a dense-representable sparse
+    the relaxation's CSR structure, its edges sorted by distance and the
+    iteration cap are built once per call, and every probe runs the §5
+    primal–dual on them: a probe changes only λ, so it pays only for
+    its own thresholds, its bucket bounds (a ``searchsorted`` into the
+    shared order) and its events. A dense-representable sparse
     instance gives the dense instance's seeded solution byte for byte.
     """
     eps = check_epsilon(epsilon)
@@ -134,6 +139,8 @@ def parallel_kmedian_lagrangian(
     # facility always wins.
     lo, hi = 0.0, _price_ceiling(instance)
     relaxed = _relaxation(instance)
+    iter_cap = _iteration_cap(relaxed, eps, None)
+    order = _edge_order(machine, relaxed)
     best_centers: np.ndarray | None = None
     best_cost = np.inf
     trace: list[dict] = []
@@ -142,9 +149,8 @@ def parallel_kmedian_lagrangian(
     for _ in range(max_probes):
         lam = 0.5 * (lo + hi)
         machine.bump_round("lagrangian_probe")
-        sol = parallel_primal_dual(
-            relaxed.with_opening_costs(np.full(n, lam)), epsilon=eps, machine=machine
-        )
+        priced = relaxed.with_opening_costs(np.full(n, lam))
+        sol = _parallel_primal_dual_sparse(priced, eps, machine, True, iter_cap, priced, order)
         n_open = sol.opened.size
         cost = instance.kmedian_cost(sol.opened) if n_open <= k else np.inf
         trace.append({"lambda": lam, "n_open": n_open})

@@ -14,9 +14,12 @@ virtual facility is unreachable.
 **Only events cost work.** At level ``ℓ`` a frontier edge ``(i, j)``
 (facility closed, client unfrozen) pays ``max(0, c_ℓ − d)`` with
 ``c_ℓ = (1+ε)t_ℓ``, an exact ``+0.0`` unless ``d < c_ℓ``. Once per
-solve the thresholds ``c_ℓ`` are listed with the loop's own float
-expressions and the frontier edges are counting-sorted by the level at
-which they start paying. The *paying set* — the frontier edges with
+call the candidate edges are sorted by distance (:func:`_edge_order`;
+a Lagrangian search sorts once for all of its probes, whose opening
+costs are all it changes). A solve lists its thresholds ``c_ℓ`` with
+the loop's own float expressions; the edges that start paying at level
+``ℓ`` are then the slice of that order between two ``searchsorted``
+bounds. The *paying set* — the frontier edges with
 ``d < c_ℓ``, kept in CSR flat order — and the per-epoch gathers (``f``,
 ``paid_frozen`` and ``dmin_open`` over the frontier) change only when a
 facility opens or a client freezes. Between two such events (an
@@ -50,11 +53,17 @@ level body:
   ``paid_frozen``, per facility in ascending client order.
 
 A solve thus costs its events plus one bucket merge per skipped range;
-a facility's full candidate row is read once, when it opens. Every
-dropped term is an exact ``+0.0`` and every sum keeps its order, so the
-result is bit-identical to running the body at every level. Where pow
-rounding breaks the thresholds' ascent (ε below about 10⁻¹⁵) no level
-is skipped.
+a facility's full candidate row is read once, when it opens. The
+order also makes a solve's setup cheap: the preprocessing sums only the
+prefix of edges within ``γ/m²·(1+10⁻¹²)``, in flat order; the frontier
+is the order itself unless something opened free or froze; and with
+every opening cost equal to ``λ``, ``γ`` is ``fl(λ + min_i d_ij)``
+capped by the fallback, which equals ``min_i fl(λ + d_ij)`` because
+rounding is monotone. Every dropped term is an exact ``+0.0`` and every
+sum keeps its order, so the result is bit-identical to running the body
+at every level. Where pow rounding breaks the thresholds' ascent (ε
+below about 10⁻¹⁵) no level is skipped. A run of skipped levels is one
+:class:`~repro.pram.ledger.RoundMark` whose index jumps by its length.
 
 ``H`` lives as a boolean mask over the instance's edge set (a
 facility's H-row is a subset of its candidate segment); the §3
@@ -75,7 +84,7 @@ from repro.core.result import FacilityLocationSolution
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.metrics.sparse import SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine
-from repro.util.csr import group_by_key, rows_strictly_ascending
+from repro.util.csr import rows_strictly_ascending
 
 _REL_TOL = 1.0 + 1e-12
 
@@ -88,15 +97,88 @@ MAX_SCHEDULE_LEVELS = 2**20
 _MIN_WINDOW = 1024
 
 
+class _Edges(NamedTuple):
+    """Candidate edges in ascending distance, one array per field."""
+
+    d: np.ndarray
+    pos: np.ndarray  # flat positions
+    client: np.ndarray
+    facility: np.ndarray
+
+    def pack(self, machine: PramMachine, keep: np.ndarray) -> "_Edges":
+        return _Edges(*(machine.pack(col, keep) for col in self))
+
+
+class _EdgeOrder(NamedTuple):
+    """What a call's candidate structure fixes, whatever the opening
+    costs (:func:`_edge_order`)."""
+
+    edges: _Edges
+    rows: np.ndarray  # the facility of each flat position
+    ascending_rows: bool  # every row stores its clients in ascending order
+    nearest: np.ndarray | None  # per client, its nearest stored distance (equal costs only)
+
+
 class _Schedule(NamedTuple):
     """A solve's thresholds and the frontier edges bucketed by level."""
 
     c: np.ndarray  # c[ℓ-1] = (1+ε)t_ℓ, the level body's own float expression
     reach: np.ndarray  # c·(1+10⁻¹²): the freeze test's left-hand side
     ascending: bool  # c nondecreasing, so levels may be skipped
-    bucket_ptr: np.ndarray  # level ℓ's edges: bucket[bucket_ptr[ℓ-1]:bucket_ptr[ℓ]]
-    bucket: np.ndarray
+    bucket_ptr: np.ndarray  # level ℓ's edges: frontier[bucket_ptr[ℓ-1]:bucket_ptr[ℓ]]
     busy: np.ndarray  # busy[ℓ]: the levels ≤ ℓ whose bucket has edges
+
+
+def _edge_order(machine: PramMachine, instance: SparseFacilityLocationInstance) -> _EdgeOrder:
+    """Sort ``instance``'s candidate edges by distance, once per call.
+
+    NumPy's default ``argsort`` puts equal distances in a fixed but
+    unspecified order; no answer depends on it, since every payment sum
+    runs in flat order. ``nearest`` is kept only when every opening
+    cost is equal, the one case :func:`_gamma` reads it.
+    """
+    data, indices = instance.data, instance.indices
+    rows = instance.rows_flat()
+    order = np.argsort(data)
+    machine.ledger.charge_sort("edge_order", max(order.size, 1), max(order.size, 2))
+    edges = _Edges(
+        machine.take_rows(data, order),
+        order,
+        machine.take_rows(indices, order),
+        machine.take_rows(rows, order),
+    )
+    # Folds add each facility's terms in client order; flat order is
+    # that order unless some row stores its columns out of order.
+    ascending = rows_strictly_ascending(instance.indptr, indices)
+    machine.ledger.charge_basic("fold_order", max(instance.nnz, 1))
+    nearest = None
+    if _equal_costs(instance.f):
+        nearest = machine.scatter_min(data, indices, instance.n_clients)
+    return _EdgeOrder(edges, rows, ascending, nearest)
+
+
+def _equal_costs(f: np.ndarray) -> bool:
+    """Whether every opening cost has the same bits (``±0.0`` differ)."""
+    bits = f.view(np.uint64)
+    return bool(bits.size) and bool(np.all(bits == bits[0]))
+
+
+def _gamma(
+    machine: PramMachine, instance: SparseFacilityLocationInstance, order: _EdgeOrder
+) -> float:
+    """Eq. (2)'s bound ``γ``. With every opening cost equal to ``λ``,
+    ``min_i fl(λ + d_ij) = fl(λ + min_i d_ij)`` exactly, because
+    rounding is monotone: ``O(n)`` from the order's nearest distances.
+    Other costs take :func:`~repro.core.greedy_sparse._sparse_gamma`'s
+    ``O(nnz)`` pass."""
+    f = instance.f
+    if order.nearest is None or not _equal_costs(f):
+        return _sparse_gamma(machine, instance)
+    lam = f[0]
+    gamma_j = machine.map(
+        lambda near, fb: np.minimum(near + lam, fb), order.nearest, instance.fallback
+    )
+    return float(machine.reduce(gamma_j, "max"))
 
 
 def _parallel_primal_dual_sparse(
@@ -106,29 +188,31 @@ def _parallel_primal_dual_sparse(
     preprocess: bool,
     iter_cap: int,
     caller,
+    order: _EdgeOrder | None = None,
 ) -> FacilityLocationSolution:
     """Execute Algorithm 5.1 (see module docstring).
 
     ``caller`` is the instance the solution is reported on — ``instance``
     itself, or the dense instance it was converted from, whose costs
     are then evaluated on its own matrix and whose ``extra["H"]`` is a
-    dense boolean array.
+    dense boolean array. ``order`` is the call's edge order
+    (:func:`_edge_order`) of ``instance``'s structure, or ``None`` to
+    build it here.
     """
     nf, nc = instance.n_facilities, instance.n_clients
     f = instance.f.astype(float)
     data, indices, indptr = instance.data, instance.indices, instance.indptr
-    rows = instance.rows_flat()
     m = max(instance.m, 2)
     # Client multiplicities scale each client's payment contribution
     # (see repro.core.primal_dual); None = exact unweighted code path.
     w = None if instance.has_unit_weights else instance.client_weights
 
     start = machine.snapshot()
-    gamma = _sparse_gamma(machine, instance)
-    # Folds add each facility's terms in client order; flat order is
-    # that order unless some row stores its columns out of order.
-    sort_folds = not rows_strictly_ascending(indptr, indices)
-    machine.ledger.charge_basic("fold_order", max(instance.nnz, 1))
+    if order is None:
+        order = _edge_order(machine, instance)
+    rows, edges = order.rows, order.edges
+    gamma = _gamma(machine, instance, order)
+    sort_folds = not order.ascending_rows
     base = gamma / (m * m) if gamma > 0 else 0.0
 
     alpha = np.zeros(nc, dtype=float)
@@ -144,24 +228,26 @@ def _parallel_primal_dual_sparse(
     fallback_live = bool(np.any(np.isfinite(dmin_open)))
 
     if preprocess or gamma == 0.0:
+        # Only the edges within γ/m²·(1+10⁻¹²) pay or connect: a prefix
+        # of the order, summed in flat order. Every other term is +0.0.
+        cut = base * _REL_TOL
+        near = np.sort(edges.pos[: int(np.searchsorted(edges.d, cut, side="right"))])
+        machine.ledger.charge_sort("flat_order", max(near.size, 1), max(near.size, 2))
+        near_rows = machine.take_rows(rows, near)
+        near_cols = machine.take_rows(indices, near)
         pay0 = np.asarray(
-            machine.map(lambda d: np.maximum(0.0, base * _REL_TOL - d), data)
+            machine.map(lambda d: np.maximum(0.0, cut - d), machine.take_rows(data, near))
         )
         if w is not None:
             pay0 = np.asarray(
-                machine.map(lambda p, ww: p * ww, pay0, machine.take_rows(w, indices))
+                machine.map(lambda p, ww: p * ww, pay0, machine.take_rows(w, near_cols))
             )
-        paid0 = machine.scatter_add(pay0, rows, nf)
+        paid0 = machine.scatter_add(pay0, near_rows, nf)
         free_open = np.asarray(machine.map(lambda p, ff: p >= ff / _REL_TOL, paid0, f))
         if free_open.any():
-            near = np.asarray(
-                machine.map(
-                    lambda d, fo: fo & (d <= base * _REL_TOL),
-                    data,
-                    machine.take_rows(free_open, rows),
-                )
-            )
-            freely = machine.count_votes(indices, nc, mask=near) > 0
+            freely = machine.count_votes(
+                near_cols, nc, mask=machine.take_rows(free_open, near_rows)
+            ) > 0
             frozen |= freely  # α stays 0 for freely connected clients
             fo_idx = np.flatnonzero(free_open)
             pos0, _ = machine.segment_positions(indptr, fo_idx)
@@ -175,23 +261,23 @@ def _parallel_primal_dual_sparse(
 
     # Free facilities and freely connected clients never rejoin the
     # frontier, so the level buckets cover the edges between the rest.
-    frontier = np.asarray(
-        machine.map(
-            lambda fo, fr: ~(fo | fr),
-            machine.take_rows(free_open, rows),
-            machine.take_rows(frozen, indices),
+    if free_open.any() or frozen.any():
+        edges = edges.pack(
+            machine,
+            machine.map(
+                lambda fo, fr: ~(fo | fr),
+                machine.take_rows(free_open, edges.facility),
+                machine.take_rows(frozen, edges.client),
+            ),
         )
-    )
-    edges = machine.pack(np.arange(instance.nnz), frontier)
-    d_edges = machine.take_rows(data, edges)
     # The schedule runs until its threshold passes every frontier
     # distance and the duals' ceiling γ/min(1, w_min): by then each
     # client's cheapest facility is paid for, so every client is frozen.
     w_floor = 1.0 if w is None else min(1.0, float(w.min()))
-    horizon = max(float(d_edges.max()) if d_edges.size else -np.inf, gamma / w_floor)
+    horizon = max(float(edges.d[-1]) if edges.d.size else -np.inf, gamma / w_floor)
     # No level runs once every client is frozen.
     levels = _schedule(base, eps, horizon, 0 if frozen.all() else iter_cap, m)
-    sched = _paying_buckets(machine, d_edges, edges, levels, eps)
+    sched = _paying_buckets(machine, edges.d, levels)
 
     iterations = 0
     loc = np.zeros(nf, dtype=np.intp)  # closed facility -> its frontier row
@@ -211,24 +297,21 @@ def _parallel_primal_dual_sparse(
         if a > hi or ptr[hi] == ptr[a - 1]:
             none = np.zeros(0, dtype=np.intp)
             return {key: col[:0] for key, col in pay.items()} | {"level": none}, none, none
-        new = sched.bucket[ptr[a - 1] : ptr[hi]]
+        new = _Edges(*(col[ptr[a - 1] : ptr[hi]] for col in edges))
         level = np.repeat(np.arange(a, hi + 1), np.diff(ptr[a - 1 : hi + 1]))
-        cols = machine.take_rows(indices, new)
-        new_rows = machine.take_rows(rows, new)
-        live = ~machine.take_rows(frozen, cols)
-        to_tent = machine.take_rows(tent_open, new_rows)
+        live = ~machine.take_rows(frozen, new.client)
+        to_tent = machine.take_rows(tent_open, new.facility)
         keep = live & ~to_tent
-        pos = machine.pack(new, keep)
         added = {
-            "pos": pos,
-            "d": machine.take_rows(data, pos),
-            "loc": machine.take_rows(loc, machine.pack(new_rows, keep)),
+            "pos": machine.pack(new.pos, keep),
+            "d": machine.pack(new.d, keep),
+            "loc": machine.take_rows(loc, machine.pack(new.facility, keep)),
             "level": machine.pack(level, keep),
         }
         if w is not None:
-            added["w"] = machine.take_rows(w, machine.pack(cols, keep))
+            added["w"] = machine.take_rows(w, machine.pack(new.client, keep))
         h = live & to_tent
-        return added, machine.pack(new, h), machine.pack(level, h)
+        return added, machine.pack(new.pos, h), machine.pack(level, h)
 
     moved = True
     while not frozen.all():
@@ -262,13 +345,15 @@ def _parallel_primal_dual_sparse(
             dmin_unfro if reach_on else None, arrive,
         )
         H_mask[h_new] = True
-        while iterations < target:
-            iterations += 1
-            machine.bump_round("pd_iterations")
-            if iterations > iter_cap:
-                raise ConvergenceError(
-                    f"primal–dual exceeded {iter_cap} iterations (m={m}, eps={eps})"
-                )
+        # The levels up to the target count one by one, up to the first
+        # past the cap: one round mark for the run.
+        stop = min(target, max(iter_cap, iterations) + 1)
+        machine.bump_rounds("pd_iterations", stop - iterations)
+        iterations = stop
+        if iterations > iter_cap:
+            raise ConvergenceError(
+                f"primal–dual exceeded {iter_cap} iterations (m={m}, eps={eps})"
+            )
         t = base * (1.0 + eps) ** (iterations - 1) if base > 0 else 0.0
         c = (1.0 + eps) * t
 
@@ -409,40 +494,42 @@ def _schedule(base: float, eps: float, horizon: float, iter_cap: int, m: int) ->
     ``horizon``, and cut at the iteration cap, past which the loop
     raises. Too long a schedule is refused before anything is listed
     (:func:`schedule_length`).
+
+    They are listed one by one with Python's scalar ``**``, the body's
+    own expression: a vectorised ``np.power`` rounds some of them to
+    other bits (12–29 of the first 400 at ε ∈ {0.01, 0.1, 0.5}).
     """
     schedule_length(eps, (1.0 + eps) * base, horizon, m, iter_cap)
+    q = 1.0 + eps
     levels: list[float] = []
-    while len(levels) < iter_cap and (not levels or 0.0 < levels[-1] <= horizon):
-        levels.append((1.0 + eps) * (base * (1.0 + eps) ** len(levels)))
+    k = 0
+    while k < iter_cap:
+        levels.append(q * (base * q**k))
+        k += 1
+        if not 0.0 < levels[-1] <= horizon:
+            break
     return np.asarray(levels, dtype=float)
 
 
-def _paying_buckets(
-    machine: PramMachine,
-    d: np.ndarray,
-    edges: np.ndarray,
-    levels: np.ndarray,
-    eps: float,
-) -> _Schedule:
-    """Counting-sort ``edges`` (flat positions, ascending; distances
-    ``d``) by the level at which they start paying.
+def _paying_buckets(machine: PramMachine, d: np.ndarray, levels: np.ndarray) -> _Schedule:
+    """Bucket the frontier edges, whose distances ``d`` ascend, by the
+    level at which they start paying.
 
     Edge ``e`` starts paying at the first level ``ℓ`` with
-    ``d_e < c_ℓ``; edges the schedule never reaches (it was cut at the
-    iteration cap) are dropped.
+    ``d_e < c_ℓ``, so level ``ℓ``'s bucket is the slice between the
+    counts of distances below ``c_(ℓ−1)`` and below ``c_ℓ``; edges the
+    schedule never reaches (it was cut at the iteration cap) lie past
+    the last bound.
     """
     if not levels.size:  # a cap below 1: the loop raises before any level
         none = np.zeros(1, dtype=np.intp)
-        return _Schedule(levels, levels, True, none, none[:0], none)
+        return _Schedule(levels, levels, True, none, none)
     # pow is accurate to an ulp, so the thresholds ascend for every ε
     # whose schedule can finish; the running max makes "the first level
     # whose threshold exceeds d" exact regardless.
     thresholds = np.maximum.accumulate(levels)
-    key = machine.map(lambda dd: _levels_at_or_below(thresholds, dd, eps), d)
-    reached = key < thresholds.size
-    key = machine.pack(key, reached)
-    bucket_ptr, order = group_by_key(key, thresholds.size)
-    machine.ledger.charge_basic("counting_sort", max(key.size + thresholds.size, 1))
+    bucket_ptr = np.concatenate(([0], np.searchsorted(d, thresholds)))
+    machine.ledger.charge_basic("bucket_bounds", thresholds.size * max(d.size, 2).bit_length())
     with np.errstate(over="ignore"):  # as the body's float product, inf past the range
         reach = levels * _REL_TOL
     return _Schedule(
@@ -450,7 +537,6 @@ def _paying_buckets(
         reach=reach,
         ascending=bool(np.all(levels[1:] >= levels[:-1])),
         bucket_ptr=bucket_ptr,
-        bucket=machine.take_rows(machine.pack(edges, reached), order),
         busy=np.concatenate(([0], np.cumsum(bucket_ptr[1:] > bucket_ptr[:-1]))),
     )
 
@@ -649,25 +735,6 @@ def _flat_order(machine: PramMachine, parts: list) -> dict:
     return {key: np.concatenate([part[key] for part in parts])[order] for key in parts[0]}
 
 
-def _levels_at_or_below(thresholds: np.ndarray, d: np.ndarray, eps: float) -> np.ndarray:
-    """Per distance, the number of (ascending) thresholds ``<= d`` — an
-    edge at distance ``d`` starts paying at that level plus one.
-
-    The geometric schedule gives a log estimate, exact but for rounding
-    near a threshold; each key then steps until its thresholds bracket
-    its distance (one pass in practice, against the exact thresholds).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        est = np.floor(np.log(d / thresholds[0]) / math.log1p(eps)) + 1
-    key = np.clip(np.nan_to_num(est, nan=0.0), 0, thresholds.size).astype(np.intp)
-    bounds = np.concatenate(([-np.inf], thresholds, [np.inf]))
-    while True:
-        step = (d >= bounds[key + 1]).astype(np.intp) - (d < bounds[key])
-        if not step.any():
-            return key
-        key += step
-
-
 def _fold_sums(
     machine: PramMachine,
     terms: np.ndarray,
@@ -691,6 +758,8 @@ def _fold_sums(
 def _merge_sorted(machine: PramMachine, pay: dict, added: dict) -> dict:
     """Merge ``added`` into ``pay``: two edge sets with the same columns,
     each ascending in its ``"pos"`` column, with disjoint positions."""
+    if not pay["pos"].size:
+        return added
     slots = np.searchsorted(pay["pos"], added["pos"]) + np.arange(added["pos"].size)
     n = pay["pos"].size + added["pos"].size
     old = np.ones(n, dtype=bool)
@@ -738,11 +807,14 @@ def _finish_sparse(
         final_open[int(np.argmin(f))] = True
 
     opened_idx = np.flatnonzero(final_open)
+    # cost() is this same sum; each part is evaluated once.
+    facility_cost = caller.facility_cost(opened_idx)
+    connection_cost = caller.connection_cost(opened_idx)
     return FacilityLocationSolution(
         opened=opened_idx,
-        cost=caller.cost(opened_idx),
-        facility_cost=caller.facility_cost(opened_idx),
-        connection_cost=caller.connection_cost(opened_idx),
+        cost=facility_cost + connection_cost,
+        facility_cost=facility_cost,
+        connection_cost=connection_cost,
         alpha=alpha,
         rounds=dict(machine.ledger.rounds),
         model_costs=machine.ledger.since(start),

@@ -24,6 +24,12 @@ class RoundMark(NamedTuple):
     ``(label, index, work, wall)`` — keep working unchanged, while new
     code reads fields by name. ``work`` is cumulative ledger work at
     the bump; ``wall`` is ``time.perf_counter()`` at the bump.
+
+    ``index`` is the label's round count after the bump. A mark whose
+    index jumps by ``count > 1`` over the label's previous one records
+    a run of rounds (:meth:`CostLedger.bump_rounds`): the ``count − 1``
+    before it did no work, and :func:`repro.bench.reporting.expand_rounds`
+    lists them as such.
     """
 
     label: str
@@ -157,7 +163,16 @@ class CostLedger:
         consecutive entries into per-round ledger work and wall-clock
         (:func:`repro.bench.summarize_rounds`).
         """
-        self.rounds[label] += 1
+        return self.bump_rounds(label, 1)
+
+    def bump_rounds(self, label: str, count: int) -> int:
+        """Count ``count`` rounds of ``label`` at once and return the
+        counter: one :class:`RoundMark` whose index jumps by ``count``,
+        for a run of rounds of which only the last does any work (a
+        run of skipped primal–dual levels)."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        self.rounds[label] += count
         self.round_log.append(
             RoundMark(label, self.rounds[label], self.work, time.perf_counter())
         )

@@ -597,7 +597,12 @@ class PramMachine:
 
     def bump_round(self, label: str) -> int:
         """Count one round of the named phase (for E2 round benches)."""
-        index = self.ledger.bump_round(label)
+        return self.bump_rounds(label, 1)
+
+    def bump_rounds(self, label: str, count: int) -> int:
+        """Count a run of ``count`` rounds of the named phase, only the
+        last of which works: one ledger mark, one tracer instant."""
+        index = self.ledger.bump_rounds(label, count)
         if self.tracer.enabled:
             self.tracer.instant(
                 label, "round", args={"index": index, "work": self.ledger.work}

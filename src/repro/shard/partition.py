@@ -22,6 +22,7 @@ given its seed).
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -30,8 +31,17 @@ from repro.errors import InvalidParameterError
 from repro.util.rng import ensure_rng
 
 
+def _real_points(points) -> np.ndarray:
+    """``points`` as a float array. Other than real dtypes are refused:
+    converting complex points to float keeps only their real parts."""
+    points = np.asarray(points)
+    if points.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"points must be real numbers, got dtype {points.dtype}")
+    return points.astype(float, copy=False)
+
+
 def _check_points(points) -> np.ndarray:
-    points = np.asarray(points, dtype=float)
+    points = _real_points(points)
     if points.ndim != 2 or points.shape[0] == 0:
         raise InvalidParameterError(
             f"points must be a non-empty (n, dim) array, got shape {points.shape}"
@@ -41,11 +51,14 @@ def _check_points(points) -> np.ndarray:
     return points
 
 
-def _check_shards(shards, n: int) -> int:
-    if not (isinstance(shards, numbers.Real) and 1 <= shards <= n and shards == int(shards)):
+def _check_shards(shards, n: int | None = None) -> int:
+    """The shard count as an ``int``: a whole number ``>= 1``, and at
+    most the ``n`` points when ``n`` is given."""
+    whole = isinstance(shards, numbers.Real) and 1 <= shards < math.inf and shards == int(shards)
+    if not whole or (n is not None and shards > n):
+        most = "" if n is None else f" and at most the {n} points"
         raise InvalidParameterError(
-            f"shards must be >= 1, a whole number and at most the {n} points; "
-            f"got {shards!r}"
+            f"shards must be >= 1, a whole number{most}; got {shards!r}"
         )
     return int(shards)
 

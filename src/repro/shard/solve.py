@@ -66,6 +66,7 @@ from repro.shard.coreset import (
     supervised_shard_coresets,
 )
 from repro.shard.merge import merge_coresets
+from repro.shard.partition import _check_shards, _real_points
 from repro.shard.store import ShardStore, _ResidentShards
 from repro.util.validation import check_positive_int, check_unit_fraction
 
@@ -329,9 +330,7 @@ def shard_and_solve(
             f"unknown solver {solver!r}; expected one of {sorted(_SOLVERS)}"
         )
     run, ratio_fn = _SOLVERS[solver]
-    shards = int(shards)
-    if shards < 1:
-        raise InvalidParameterError(f"shards must be >= 1, got {shards}")
+    shards = _check_shards(shards)
     if on_shard_failure not in _FAILURE_MODES:
         raise InvalidParameterError(
             f"unknown on_shard_failure {on_shard_failure!r}; "
@@ -401,7 +400,7 @@ def shard_and_solve(
         shards = source.shards
         n = source.n
     else:
-        points = np.asarray(source, dtype=float)
+        points = _real_points(source)
         if points.ndim != 2 or points.shape[0] == 0:
             raise InvalidParameterError(
                 "source must be an (n, dim) point array, a ShardStore, or a "
@@ -546,7 +545,7 @@ def shard_and_solve(
             # Gather the failed shards' blocks and restore global point
             # order (each block's origin is ascending; a stable argsort
             # over the concatenation is the merge).
-            blocks = [source.load_shard(s) for s in failed]
+            blocks = [source.load_checked(s) for s in failed]
             forder = np.argsort(
                 np.concatenate([o for _, _, o in blocks]), kind="stable"
             )

@@ -302,13 +302,30 @@ class ShardStore:
             points, weights, origin = self.load_shard(s, mmap_mode=mmap_mode)
             yield s, points, weights, origin
 
+    def load_checked(self, s: int):
+        """:meth:`load_shard`, refusing a block :meth:`create` could not
+        have written — a point or weight that is not finite, or a weight
+        that is not positive — with
+        :class:`~repro.errors.InvalidInstanceError` naming the store and
+        the shard. :meth:`open` reads only the block headers, so this is
+        where a damaged block body shows, before a KD query meets it."""
+        points, weights, origin = self.load_shard(s)
+        if not np.isfinite(points).all() or (
+            weights is not None and not (np.isfinite(weights).all() and weights.min() > 0)
+        ):
+            raise InvalidInstanceError(
+                f"shard store {self.directory!r} shard {int(s)} holds a point or weight "
+                "that is not finite, or a weight that is not positive"
+            )
+        return points, weights, origin
+
     #: What shard ``s``'s coreset task receives: the ref, opened inside
     #: whichever process runs the task.
     task_block = shard_ref
 
     def pass_blocks(self):
-        """The blocks a full pass streams: one per shard."""
-        return (block[1:] for block in self.iter_shards())
+        """The blocks a full pass streams: one per shard, checked."""
+        return (self.load_checked(s) for s in range(self.shards))
 
     @property
     def total_weight(self) -> float:
@@ -380,6 +397,9 @@ class _ResidentShards:
     #: What shard ``s``'s coreset task receives: plain arrays, which the
     #: process pool's shared-memory transport carries.
     task_block = load_shard
+
+    #: Resident points and weights were checked at partition.
+    load_checked = load_shard
 
     def pass_blocks(self):
         """The blocks a full pass streams: one, in point order."""

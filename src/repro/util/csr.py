@@ -136,19 +136,6 @@ def csr_transpose(
     )
 
 
-def group_by_key(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stable counting sort of positions by an integer key in ``[0, n_keys)``.
-
-    Returns ``(indptr, order)``: ``order`` lists the positions of
-    ``keys`` by ascending key, ascending within a key, and
-    ``order[indptr[k]:indptr[k+1]]`` are key ``k``'s positions — the
-    transpose of a one-row structure. ``O(len(keys) + n_keys)``.
-    """
-    keys = np.asarray(keys, dtype=np.intp)
-    indptr, _, order = csr_transpose(np.array([0, keys.size]), keys, n_keys)
-    return indptr, order
-
-
 def csr_drop_diagonal(A):
     """Remove diagonal entries from a square scipy CSR matrix, in CSR.
 

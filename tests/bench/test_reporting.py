@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench.reporting import summarize_rounds
+from repro.bench.reporting import expand_rounds, summarize_rounds
 from repro.pram.ledger import CostLedger, RoundMark
 
 
@@ -75,3 +75,46 @@ class TestSummarizeRounds:
         assert s["rounds"] == 2
         assert s["work_total"] == 30.0
 
+
+class TestRunsOfRounds:
+    def test_a_run_expands_into_zero_work_rounds(self):
+        """A mark whose index jumps by 3 stands for 3 rounds: the 2
+        skipped ones start at its work and cost nothing."""
+        log = [_mark("pd", 1, 0.0), _mark("pd", 4, 10.0), _mark("x", 1, 12.0), _mark("pd", 5, 20.0)]
+        assert expand_rounds(log, "pd") == [0.0, 10.0, 10.0, 10.0, 20.0]
+        s = summarize_rounds(log, "pd", 26.0)
+        assert s == {
+            "rounds": 5, "work_total": 26.0, "work_first": 10.0,
+            "work_last": 6.0, "work_median": 6.0,
+        }
+
+    def test_the_first_mark_counts_from_zero(self):
+        assert expand_rounds([_mark("pd", 3, 5.0)], "pd") == [5.0, 5.0, 5.0]
+
+    def test_runs_summarize_like_single_bumps(self):
+        one, runs = CostLedger(), CostLedger()
+        for ledger in (one, runs):
+            ledger.charge_basic("x", 7)
+        for _ in range(4):
+            one.bump_round("pd")
+        runs.bump_rounds("pd", 4)
+        for ledger in (one, runs):
+            ledger.charge_basic("x", 9)
+            ledger.bump_round("pd")
+        assert len(runs.round_log) == 2
+        assert expand_rounds(runs.round_log, "pd") == expand_rounds(one.round_log, "pd")
+        assert summarize_rounds(runs.round_log, "pd", 20.0) == summarize_rounds(
+            one.round_log, "pd", 20.0
+        )
+
+    def test_readme_example(self):
+        """The README's round-log example: 267 levels, most of them
+        skipped, so the median level costs nothing."""
+        from repro import PramMachine, euclidean_instance, parallel_primal_dual
+
+        machine = PramMachine(seed=0)
+        parallel_primal_dual(euclidean_instance(1500, 1500, seed=0), epsilon=0.1, machine=machine)
+        s = summarize_rounds(machine.ledger.round_log, "pd_iterations", machine.ledger.work)
+        assert s["rounds"] == 267 and s["work_median"] == 0.0
+        marks = [m for m in machine.ledger.round_log if m.label == "pd_iterations"]
+        assert len(marks) < 267 / 10

@@ -81,3 +81,33 @@ def test_subnormal_epsilon_refused():
     ``log_(1+ε)`` overflows, rather than raising ``OverflowError``."""
     with pytest.raises(InvalidParameterError, match="epsilon"):
         parallel_kmedian_lagrangian(euclidean_clustering(30, 3, seed=0), epsilon=5e-324)
+
+
+def test_probes_share_one_edge_order(monkeypatch):
+    """The call sorts its edges and checks its row order once; no probe
+    re-derives γ over every edge or packs a frontier when nothing opens
+    free or freezes. Each probe re-keyed and counting-sorted all n²
+    edges, and recomputed γ and the row-order check over them."""
+    from repro.core import kmedian_lagrangian, primal_dual_sparse as pds
+    from repro.pram.machine import PramMachine
+
+    calls = {"order": 0, "ascending": 0, "gamma_pass": 0, "frontier_pack": 0}
+
+    def counted(name, real):
+        def run(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(kmedian_lagrangian, "_edge_order", counted("order", pds._edge_order))
+    monkeypatch.setattr(
+        pds, "rows_strictly_ascending", counted("ascending", pds.rows_strictly_ascending)
+    )
+    monkeypatch.setattr(pds, "_sparse_gamma", counted("gamma_pass", pds._sparse_gamma))
+    monkeypatch.setattr(pds._Edges, "pack", counted("frontier_pack", pds._Edges.pack))
+    sol = parallel_kmedian_lagrangian(
+        euclidean_clustering(60, 5, seed=3), epsilon=0.1, machine=PramMachine(seed=3)
+    )
+    assert len(sol.extra["probes"]) > 3
+    assert calls == {"order": 1, "ascending": 1, "gamma_pass": 0, "frontier_pack": 0}

@@ -13,9 +13,9 @@ from hypothesis.extra.numpy import arrays
 
 from repro.analysis.rounds import round_envelopes
 from repro.baselines.brute_force import brute_force_facility_location
-from repro.bench.reporting import summarize_rounds
+from repro.bench.reporting import expand_rounds, summarize_rounds
 from repro.core.primal_dual import check_schedule, parallel_primal_dual
-from repro.core.primal_dual_sparse import MAX_SCHEDULE_LEVELS
+from repro.core.primal_dual_sparse import MAX_SCHEDULE_LEVELS, _schedule
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.lp.duality import check_dual_feasible
 from repro.lp.solve import lp_lower_bound
@@ -126,11 +126,22 @@ class TestEventSkipping:
         inst = build()
         m = PramMachine(seed=5)
         sol = parallel_primal_dual(inst, epsilon=0.1, machine=m)
-        marks = [mark.work for mark in m.ledger.round_log if mark.label == "pd_iterations"]
+        marks = expand_rounds(m.ledger.round_log, "pd_iterations")
         work = np.diff(np.asarray(marks + [m.ledger.work]))
         every = primal_dual_levels(inst, epsilon=0.1, machine=PramMachine(seed=5))
         assert sol.rounds["pd_iterations"] == every.rounds["pd_iterations"] == len(marks)
         assert np.count_nonzero(work) < len(marks) / 10
+
+    def test_a_long_schedule_keeps_one_mark_per_event(self):
+        """548,982 levels, nearly all skipped, count in ``pd_iterations``
+        from a handful of marks. One mark per level kept 548,983 of them
+        and spent most of the solve appending them."""
+        m = PramMachine(seed=0)
+        sol = parallel_primal_dual(euclidean_instance(5, 5, seed=0), epsilon=1e-5, machine=m)
+        assert sol.rounds["pd_iterations"] == 548_982
+        marks = [mark for mark in m.ledger.round_log if mark.label == "pd_iterations"]
+        assert len(marks) <= 5 and marks[-1].index == 548_982
+        assert len(expand_rounds(m.ledger.round_log, "pd_iterations")) == 548_982
 
 
 _ROOT = Path(__file__).resolve().parents[2]
@@ -206,6 +217,25 @@ class TestScheduleGuard:
             check_schedule(eps, inst.m)
         with pytest.raises(InvalidParameterError, match="epsilon"):
             parallel_primal_dual(inst, epsilon=eps)
+
+
+class TestThresholdSchedule:
+    @pytest.mark.parametrize("eps", [0.01, 0.1, 0.5])
+    @pytest.mark.parametrize("base", [1e-9, 0.3, 7.25])
+    def test_lists_the_level_bodys_own_bits(self, eps, base):
+        """Level ℓ's threshold is ``(1+ε)·(base·(1+ε)**(ℓ−1))`` with
+        Python's scalar ``**``, the expression the level body computes.
+        A vectorised ``np.power`` rounds some of them differently (12–29
+        of 400 at these ε), which would move edges between buckets."""
+        listed = _schedule(base, eps, np.inf, 400, 10)
+        body = [(1.0 + eps) * (base * (1.0 + eps) ** (level - 1)) for level in range(1, 401)]
+        assert listed.tobytes() == np.asarray(body).tobytes()
+
+    def test_stops_past_the_horizon_and_at_the_cap(self):
+        c = _schedule(1.0, 0.1, 5.0, 1000, 10)
+        assert c[-1] > 5.0 >= c[-2]
+        assert _schedule(1.0, 0.1, 5.0, 3, 10).tobytes() == c[:3].tobytes()
+        assert _schedule(1.0, 0.1, 5.0, 0, 10).size == 0
 
 
 class TestStructure:

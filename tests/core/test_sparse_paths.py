@@ -359,3 +359,20 @@ def test_distances_on_the_thresholds(seed, preprocess):
     got = parallel_primal_dual(inst, machine=PramMachine(seed=seed), **kw)
     assert got.extra["gamma"] == 16.0
     _assert_matches(got, ref)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_client_exactly_at_the_preprocessing_radius(weighted):
+    """Client 1 sits at exactly ``γ/m²·(1+10⁻¹²)`` from facility 0, which
+    opens free (``f_0 = 0``): it is freely connected, with ``α = 0``,
+    though its edge pays nothing in the preprocessing sums."""
+    gamma, m = 10.0, 6
+    cut = gamma / (m * m) * (1.0 + 1e-12)
+    D = np.array([[10.0, cut, 3.0], [10.0, 4.0, 4.0]])
+    inst = FacilityLocationInstance(
+        D, np.array([0.0, 5.0]), client_weights=np.array([1.0, 2.0, 0.5]) if weighted else None
+    )
+    ref = primal_dual_levels(inst, epsilon=0.1, machine=PramMachine(seed=0))
+    got = parallel_primal_dual(inst, epsilon=0.1, machine=PramMachine(seed=0))
+    assert got.extra["gamma"] == gamma and got.alpha[1] == 0.0
+    _assert_matches(got, ref)

@@ -306,6 +306,12 @@ def _lagrangian_check(a, b):
     assert [(p["lambda"], p["n_open"]) for p in a.extra["probes"]] == [
         (p["lambda"], p["n_open"]) for p in b.extra["probes"]
     ]
+    for key in ("bracket_low", "bracket_high"):
+        x, y = a.extra[key], b.extra[key]
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x[:2] == y[:2] and np.array_equal(x[2], y[2])
+    assert a.rounds == b.rounds
 
 
 @pytest.mark.parametrize("name,make", CLUSTER_WORKLOADS, ids=[w[0] for w in CLUSTER_WORKLOADS])

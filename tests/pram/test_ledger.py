@@ -93,6 +93,32 @@ def test_reset_clears_but_keeps_params():
     assert led.cache_size == 2**18 and led.block_size == 32
 
 
+def test_bump_rounds_jumps_the_index_by_its_count():
+    """A run of rounds is one four-field mark whose index jumps by the
+    run's length; the counter and the totals move as if each round had
+    been bumped alone."""
+    led = CostLedger()
+    led.charge_basic("map", 10, depth=1)
+    assert led.bump_round("pd") == 1
+    led.charge_basic("map", 20, depth=1)
+    assert led.bump_rounds("pd", 5) == 6
+    assert led.bump_rounds("other", 3) == 3
+    assert led.rounds == {"pd": 6, "other": 3}
+    assert [tuple(mark[:3]) for mark in led.round_log] == [
+        ("pd", 1, 10.0), ("pd", 6, 30.0), ("other", 3, 30.0)
+    ]
+    assert all(len(mark) == 4 for mark in led.round_log)
+    assert led.work == 30.0 and led.total_calls == 2
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_bump_rounds_refuses_an_empty_run(count):
+    led = CostLedger()
+    with pytest.raises(ValueError, match="count"):
+        led.bump_rounds("pd", count)
+    assert not led.rounds and led.round_log == []
+
+
 def test_round_log_marks_work_and_wall():
     led = CostLedger()
     led.charge_basic("map", 10, depth=1)

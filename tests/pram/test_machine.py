@@ -259,6 +259,20 @@ def test_bump_round_delegates(m):
     assert m.ledger.rounds["phase"] == 1
 
 
+def test_bump_rounds_is_one_mark_and_one_trace_instant(tmp_path):
+    from repro.obs.report import load_trace
+    from repro.obs.tracer import Tracer
+
+    tracer = Tracer(tmp_path / "t.jsonl")
+    m = PramMachine(seed=0, tracer=tracer)
+    assert m.bump_rounds("pd_iterations", 7) == 7
+    tracer.close()
+    assert m.ledger.rounds["pd_iterations"] == 7
+    assert len(m.ledger.round_log) == 1
+    rounds = [e for e in load_trace(tmp_path / "t.jsonl") if e.get("cat") == "round"]
+    assert len(rounds) == 1 and rounds[0]["args"]["index"] == 7
+
+
 def test_frontier_primitives_charge(m, rng):
     a = rng.random((8, 8))
     m.take_rows(a, np.array([1, 2]))

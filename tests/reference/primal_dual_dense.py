@@ -56,36 +56,57 @@ def kmedian_lagrangian_dense(
     max_probes: int = 40,
 ) -> ClusteringSolution:
     """The Lagrangian k-median price search, each probe solved by
-    :func:`primal_dual_dense` (the probe rule of
+    :func:`primal_dual_dense` on its own dense facility-location
+    instance (the probe rule of
     :func:`repro.core.kmedian_lagrangian.parallel_kmedian_lagrangian`)."""
     eps = check_epsilon(epsilon)
     machine = ensure_machine(machine, seed=seed)
-    n, k = instance.n, instance.k
     weights = None if instance.has_unit_weights else instance.weights
+
+    def probe(lam: float) -> np.ndarray:
+        fl = FacilityLocationInstance(
+            instance.D, np.full(instance.n, lam), client_weights=weights
+        )
+        return primal_dual_dense(fl, epsilon=eps, machine=machine).opened
+
+    return lagrangian_search(instance, probe, machine, max_probes)
+
+
+def lagrangian_search(instance, probe, machine: PramMachine, max_probes: int) -> ClusteringSolution:
+    """Bisect the opening price λ over ``[0, _price_ceiling)``;
+    ``probe(λ)`` returns the facilities the LMP subroutine opens at λ.
+    Returns the best ``≤ k`` solution met, the probe trace and both
+    brackets, as the library does."""
+    k = instance.k
     lo, hi = 0.0, _price_ceiling(instance)
     best_centers, best_cost = None, np.inf
     trace: list[dict] = []
+    bracket_low = bracket_high = None
     for _ in range(max_probes):
         lam = 0.5 * (lo + hi)
         machine.bump_round("lagrangian_probe")
-        fl = FacilityLocationInstance(instance.D, np.full(n, lam), client_weights=weights)
-        sol = primal_dual_dense(fl, epsilon=eps, machine=machine)
-        n_open = sol.opened.size
-        cost = instance.kmedian_cost(sol.opened) if n_open <= k else np.inf
+        opened = probe(lam)
+        n_open = opened.size
         trace.append({"lambda": lam, "n_open": n_open})
         if n_open <= k:
+            cost = instance.kmedian_cost(opened)
             if cost < best_cost:
-                best_cost, best_centers = cost, sol.opened
+                best_cost, best_centers = cost, opened
+            bracket_low = (lam, n_open, opened)
             hi = lam
         else:
+            bracket_high = (lam, n_open, opened)
             lo = lam
         if n_open == k:
             break
     if best_centers is None:
-        raise InvalidParameterError(f"no <= k solution within {max_probes} probes")
+        raise InvalidParameterError(
+            f"no ≤ k solution within {max_probes} probes; increase max_probes"
+        )
     return ClusteringSolution(
         centers=best_centers, cost=float(best_cost), objective="kmedian",
-        rounds=dict(machine.ledger.rounds), extra={"probes": trace},
+        rounds=dict(machine.ledger.rounds),
+        extra={"probes": trace, "bracket_low": bracket_low, "bracket_high": bracket_high},
     )
 
 

@@ -8,10 +8,14 @@ the oracle for the inputs only a CSR body takes: finite fallback
 columns (kNN- and threshold-truncated instances, where clients can
 freeze from level 1), rows stored out of column order, and small
 ``max_iterations``. It is not imported by ``src/``; it shares only the
-γ bound and the §3 post-processing with the library.
+γ bound and the §3 post-processing with the library. It keeps its own
+bucketing: the frontier edges keyed by level and counting-sorted
+(:func:`group_by_key`), where the library slices one distance order.
 
 :func:`primal_dual_levels` mirrors
-:func:`repro.core.primal_dual.parallel_primal_dual`'s signature.
+:func:`repro.core.primal_dual.parallel_primal_dual`'s signature;
+:func:`kmedian_lagrangian_levels` runs the Lagrangian k-median's price
+search with it on a sparse clustering instance's relaxation.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ import numpy as np
 from repro.core.greedy_sparse import _sparse_gamma
 from repro.core.primal_dual import _iteration_cap
 from repro.core.primal_dual_sparse import _finish_sparse
-from repro.core.result import FacilityLocationSolution
+from repro.core.result import ClusteringSolution, FacilityLocationSolution
 from repro.errors import ConvergenceError
-from repro.metrics.sparse import SparseFacilityLocationInstance
+from repro.metrics.sparse import SparseClusteringInstance, SparseFacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
-from repro.util.csr import group_by_key
+from repro.util.csr import csr_transpose
 from repro.util.validation import check_epsilon
+from tests.reference.primal_dual_dense import lagrangian_search
 
 _REL_TOL = 1.0 + 1e-12
 
@@ -52,6 +57,32 @@ def primal_dual_levels(
         else SparseFacilityLocationInstance.from_instance(instance)
     )
     return _levels(sparse, eps, machine, preprocess, iter_cap, instance)
+
+
+def kmedian_lagrangian_levels(
+    instance: SparseClusteringInstance,
+    *,
+    epsilon: float = 0.1,
+    machine: PramMachine | None = None,
+    seed=None,
+    max_probes: int = 40,
+) -> ClusteringSolution:
+    """The Lagrangian k-median price search, each probe solved by
+    :func:`primal_dual_levels` on a freshly built facility-location
+    relaxation of ``instance``'s candidate structure and fallback."""
+    eps = check_epsilon(epsilon)
+    machine = ensure_machine(machine, seed=seed)
+    n = instance.n
+    weights = None if instance.has_unit_weights else instance.weights
+
+    def probe(lam: float) -> np.ndarray:
+        fl = SparseFacilityLocationInstance(
+            instance.indptr, instance.indices, instance.data, np.full(n, lam),
+            n_clients=n, fallback=instance.fallback, client_weights=weights,
+        )
+        return primal_dual_levels(fl, epsilon=eps, machine=machine).opened
+
+    return lagrangian_search(instance, probe, machine, max_probes)
 
 
 def _levels(
@@ -356,6 +387,19 @@ def _levels_at_or_below(thresholds: np.ndarray, d: np.ndarray, eps: float) -> np
         if not step.any():
             return key
         key += step
+
+
+def group_by_key(keys: np.ndarray, n_keys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stable counting sort of positions by an integer key in ``[0, n_keys)``.
+
+    Returns ``(indptr, order)``: ``order`` lists the positions of
+    ``keys`` by ascending key, ascending within a key, and
+    ``order[indptr[k]:indptr[k+1]]`` are key ``k``'s positions — the
+    transpose of a one-row structure. ``O(len(keys) + n_keys)``.
+    """
+    keys = np.asarray(keys, dtype=np.intp)
+    indptr, _, order = csr_transpose(np.array([0, keys.size]), keys, n_keys)
+    return indptr, order
 
 
 def _fold_sums(

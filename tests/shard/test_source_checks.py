@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import InvalidInstanceError, InvalidParameterError
-from repro.faults import NO_RETRY
+from repro.errors import InvalidInstanceError, InvalidParameterError, ShardFailedError
+from repro.faults import NO_RETRY, RetryPolicy
 from repro.shard import (
     ShardStore,
     partition_to_store,
@@ -127,6 +127,15 @@ def test_fractional_shard_count_is_refused():
         supervised_shard_coresets(POINTS, LABELS, 4.5, 32)
 
 
+@pytest.mark.parametrize("shards", [None, "4", 4.5, 0, math.inf, math.nan])
+def test_shard_count_that_is_no_whole_number_is_refused(shards):
+    """``int(None)`` raised a raw ``TypeError`` here, and ``int(4.5)``
+    silently solved on 4 shards."""
+    kw = dict(SOLVE_KW, shards=shards)
+    with pytest.raises(InvalidParameterError, match="shards must be >= 1"):
+        shard_and_solve(POINTS, 4, **kw)
+
+
 # -- points ---------------------------------------------------------------------
 
 
@@ -141,6 +150,49 @@ def test_nan_point_is_no_shard_failure(mode):
             points, 4, partition="random", on_shard_failure=mode,
             retry_policy=NO_RETRY, **SOLVE_KW,
         )
+
+
+@pytest.mark.parametrize(
+    "make", [lambda p: p + 1j, lambda p: p.astype(complex)], ids=["imag", "zero-imag"]
+)
+def test_complex_points_are_refused(tmp_path, make):
+    """Converting to float kept only the real parts and solved those,
+    with no more than a ``ComplexWarning``."""
+    points = make(POINTS)
+    with pytest.raises(InvalidParameterError, match="points must be real"):
+        shard_and_solve(points, 4, **SOLVE_KW)
+    with pytest.raises(InvalidParameterError, match="points must be real"):
+        supervised_shard_coresets(points, LABELS, SHARDS, 32)
+    with pytest.raises(InvalidParameterError, match="points must be real"):
+        ShardStore.create(str(tmp_path / "st"), points, LABELS, SHARDS)
+    assert not (tmp_path / "st").exists()
+
+
+@pytest.mark.parametrize(
+    "mode,error",
+    [("raise", ShardFailedError), ("retry", ShardFailedError), ("drop", InvalidInstanceError)],
+)
+def test_nan_in_a_stored_block_is_a_typed_error(tmp_path, mode, error):
+    """A store whose block body was damaged after it was written: the
+    block's coreset task fails, and under ``drop`` the true-cost pass
+    reads the block. It raised scipy's ``ValueError: 'x' must be
+    finite`` from the KD query there."""
+    directory = tmp_path / "st"
+    ShardStore.create(str(directory), POINTS, LABELS, SHARDS)
+    block = np.load(directory / "shard_00001.points.npy", mmap_mode="r+")
+    block[3, 0] = np.nan
+    block.flush()
+    del block
+    policy = NO_RETRY
+    if mode == "retry":
+        policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
+    kw = {key: value for key, value in SOLVE_KW.items() if key != "shards"}
+    with pytest.raises(error) as info:
+        shard_and_solve(
+            ShardStore.open(str(directory)), 4, on_shard_failure=mode, retry_policy=policy, **kw
+        )
+    if error is InvalidInstanceError:
+        assert str(directory) in str(info.value) and "shard 1 " in str(info.value)
 
 
 # -- the layout -------------------------------------------------------------------

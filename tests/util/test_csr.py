@@ -10,11 +10,11 @@ from repro.errors import InvalidInstanceError
 from repro.util.csr import (
     csr_drop_diagonal,
     csr_transpose,
-    group_by_key,
     rows_are_uniform,
     rows_strictly_ascending,
     validate_csr,
 )
+from tests.reference.primal_dual_levels import group_by_key
 
 
 def _accepts_by_full_check(indptr, indices, n_cols, require_sorted):
