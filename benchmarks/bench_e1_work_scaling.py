@@ -10,7 +10,7 @@ The paper's claims, in m = n_f·n_c (facility location) or n (clustering):
 
 Measured on geometric size sweeps from the PRAM ledger; fitted
 log–log slopes must land within ±0.35 of the claim (small sweeps keep
-wide tolerance; EXPERIMENTS.md records the exact numbers).
+wide tolerance; the printed table records the exact numbers).
 """
 
 import numpy as np

@@ -1,9 +1,9 @@
 """Shared benchmark fixtures.
 
-Benchmarks print their experiment tables (captured in bench logs and
-transcribed into EXPERIMENTS.md) and time the algorithm kernels with
-pytest-benchmark. Claim assertions run alongside so a regression in
-either speed *or* quality fails the bench suite.
+Benchmarks print their experiment tables (captured in bench logs) and
+time the algorithm kernels with pytest-benchmark. Claim assertions run
+alongside so a regression in either speed *or* quality fails the bench
+suite.
 """
 
 import pytest

@@ -14,8 +14,9 @@ Quickstart::
     sol = parallel_primal_dual(inst, epsilon=0.1, seed=0)
     print(sol.cost, sol.opened, sol.model_costs.work)
 
-See README.md for the architecture overview and EXPERIMENTS.md for the
-paper-claim vs. measured results.
+See README.md's "Architecture" section for the layout; the
+``benchmarks/`` experiment files print the paper-claim vs. measured
+rows.
 """
 
 from repro.errors import (

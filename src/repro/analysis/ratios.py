@@ -2,7 +2,7 @@
 
 Given an algorithm under test and a reference lower bound (exact
 optimum or LP value), runs repeated seeded trials and reports the
-worst/mean ratio — the row format used throughout EXPERIMENTS.md.
+worst/mean ratio as one formatted row (:meth:`RatioReport.row`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ class RatioReport:
         return self.worst_ratio <= self.claimed_factor * 1.001
 
     def row(self) -> str:
-        """One formatted report row (EXPERIMENTS.md table format)."""
+        """One formatted report row: name, claimed factor, worst and
+        mean ratio, and an ``ok``/``VIOLATED`` flag."""
         flag = "ok" if self.within_claim else "VIOLATED"
         return (
             f"{self.name:<28s} claim≤{self.claimed_factor:<7.3f} "

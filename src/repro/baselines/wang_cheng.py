@@ -3,9 +3,9 @@
 Wang & Cheng (IEEE SPDP 1990) gave the only prior *parallel* k-center
 result: a 2-approximation in ``O(n log² n)`` depth and ``O(n³)`` work,
 which Theorem 6.1 improves to ``O((n log n)²)`` work. Their paper
-predates easy access; per DESIGN.md's substitution rule we implement a
-faithful *work-model proxy*: a linear scan over all ``O(n²)`` candidate
-thresholds, each probed with an ``O(n²)``-work dominator-set check —
+predates easy access, so we implement a faithful *work-model proxy*
+in its place: a linear scan over all ``O(n²)`` candidate thresholds,
+each probed with an ``O(n²)``-work dominator-set check —
 the ``O(n³)``-work shape their bound describes (probes of all ``p ≤ n²``
 thresholds are independent, hence parallel, matching the polylog-depth
 claim; the scan is capped at ``O(n)`` *distinct* useful radii as in

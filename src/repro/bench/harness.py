@@ -1,8 +1,8 @@
 """Experiment table: accumulate rows, print, and compare to claims.
 
 Bench files build one :class:`ExperimentTable` per experiment ID; the
-table prints in a stable aligned format (captured into EXPERIMENTS.md)
-and exposes simple assertions for the claim checks the benches make.
+table prints in a stable aligned format and exposes simple assertions
+for the claim checks the benches make.
 """
 
 from __future__ import annotations

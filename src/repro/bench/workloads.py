@@ -20,8 +20,6 @@ from repro.metrics.generators import (
     clustered_instance,
     euclidean_clustering,
     euclidean_instance,
-    knn_clustering_instance,
-    knn_instance,
     random_metric_instance,
     star_instance,
     two_scale_instance,
@@ -60,34 +58,6 @@ def fl_scaling_suite(seed: int = 0, *, sizes=((10, 40), (14, 80), (20, 160), (28
     ]
 
 
-def sparse_scaling_suite(
-    seed: int = 0,
-    *,
-    sizes=(10_000, 30_000, 100_000),
-    k: int = 8,
-    facility_ratio: float = 0.1,
-) -> list:
-    """k-NN instances at client counts the dense path cannot touch.
-
-    Each entry is ``(name, SparseFacilityLocationInstance)`` with
-    ``n_f = facility_ratio · n_c`` facilities and ``k`` candidates per
-    client, so ``nnz = k · n_c`` while the dense matrix would need
-    ``n_f · n_c`` entries (8 GiB at the default 100k tier). Built
-    KD-tree-first — no dense intermediate ever exists.
-    """
-    out = []
-    for i, n_c in enumerate(sizes):
-        n_c = int(n_c)
-        n_f = max(int(n_c * facility_ratio), k)
-        out.append(
-            (
-                f"knn-{n_f}x{n_c}-k{k}",
-                knn_instance(n_f, n_c, k=k, seed=seed + i),
-            )
-        )
-    return out
-
-
 def clustering_ratio_suite(seed: int = 0) -> list:
     """Small clustering instances with exact optima (C(n,k) bounded)."""
     return [
@@ -104,36 +74,6 @@ def clustering_scaling_suite(seed: int = 0, *, sizes=(40, 60, 90, 135, 200), k: 
         (f"euclid-n{n}-k{k}", euclidean_clustering(int(n), k, seed=seed + i))
         for i, n in enumerate(sizes)
     ]
-
-
-def sparse_clustering_suite(
-    seed: int = 0,
-    *,
-    sizes=(10_000, 30_000, 100_000),
-    neighbors: int = 64,
-    k_ratio: float = 0.02,
-) -> list:
-    """kNN clustering instances at node counts the dense path cannot touch.
-
-    Each entry is ``(name, SparseClusteringInstance)`` with
-    ``k = k_ratio · n`` centers and ``neighbors`` candidates per node
-    (symmetrized), so ``nnz ≈ 2·neighbors·n`` while the dense matrix
-    would need ``n²`` entries (80 GiB at the 100k tier). Built
-    KD-tree-first — no dense intermediate ever exists. The defaults
-    keep ``k`` comfortably above the kNN graph's dominator count, so
-    the §6.1 bottleneck search stays feasible on the stored radius.
-    """
-    out = []
-    for i, n in enumerate(sizes):
-        n = int(n)
-        k = max(int(n * k_ratio), 2)
-        out.append(
-            (
-                f"knn-cluster-{n}-m{neighbors}-k{k}",
-                knn_clustering_instance(n, k, neighbors=neighbors, seed=seed + i),
-            )
-        )
-    return out
 
 
 def _with_weights(instance, rng, *, low=1.0, high=5.0):

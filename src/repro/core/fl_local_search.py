@@ -32,10 +32,9 @@ import math
 import numpy as np
 
 from repro.core.result import FacilityLocationSolution
-from repro.errors import InvalidParameterError
 from repro.metrics.instance import FacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
-from repro.util.validation import check_epsilon, round_cap
+from repro.util.validation import check_epsilon, check_ids, check_max_rounds, round_cap
 
 
 def _service_state(machine: PramMachine, D: np.ndarray, open_idx: np.ndarray):
@@ -96,25 +95,21 @@ def parallel_fl_local_search(
     nf, nc = D.shape
     beta = eps / (1.0 + eps)
     if max_rounds is not None:
-        cap = max_rounds
+        cap = check_max_rounds(max_rounds)
     else:
         bound = (nf / beta) * math.log(max(nc, 2) + 1)
         cap = 64 + round_cap(bound, eps, what="facility-location local-search bound")
 
     start = machine.snapshot()
+    open_mask = np.zeros(nf, dtype=bool)
     if initial is not None:
-        open_mask = np.zeros(nf, dtype=bool)
-        idx = np.unique(np.asarray(initial, dtype=int))
-        if idx.size == 0 or idx.min() < 0 or idx.max() >= nf:
-            raise InvalidParameterError(f"invalid initial facilities {initial!r}")
-        open_mask[idx] = True
+        open_mask[check_ids(initial, nf, name="initial facilities")] = True
     else:
         # Best single facility: one reduction over the m matrix.
         totals = machine.map(
             lambda d, ff: d + ff, D, np.broadcast_to(f[:, None], D.shape)
         )
         single_costs = machine.reduce(totals, "add", axis=1) - (nc - 1) * f
-        open_mask = np.zeros(nf, dtype=bool)
         open_mask[int(machine.argmin(single_costs))] = True
 
     def full_cost(mask: np.ndarray) -> float:

@@ -6,10 +6,10 @@ probe builds the threshold graph ``H_t`` (edge ⇔ ``d ≤ t``) and tests
 passing threshold yields centers covering every node within two hops,
 i.e., radius ``≤ 2t ≤ 2·opt``.
 
-Correctness with a *randomized* probe inside binary search (noted in
-DESIGN.md): for any ``t ≥ opt`` **every** maximal dominator set has at
-most ``k`` nodes (two chosen nodes in one optimal cluster would be two
-hops apart through its center), so all failures lie strictly below
+Correctness with a *randomized* probe inside binary search: for any
+``t ≥ opt`` **every** maximal dominator set has at most ``k`` nodes
+(two chosen nodes in one optimal cluster would be two hops apart
+through its center), so all failures lie strictly below
 ``opt``; the search therefore returns a threshold ``≤ opt`` no matter
 which maximal set each probe samples. Total work ``O((n log n)²)`` —
 the improvement over Wang–Cheng's ``O(n³)``.

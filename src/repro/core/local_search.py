@@ -32,7 +32,7 @@ from repro.errors import ConvergenceError, InvalidParameterError
 from repro.metrics.instance import ClusteringInstance
 from repro.metrics.sparse import SparseClusteringInstance
 from repro.pram.machine import PramMachine, ensure_machine
-from repro.util.validation import check_epsilon, round_cap
+from repro.util.validation import check_epsilon, check_ids, check_max_rounds, round_cap
 
 _OBJECTIVE_POWER = {"kmedian": 1.0, "kmeans": 2.0}
 
@@ -66,9 +66,7 @@ def _initial_centers(
     dense and sparse instance shapes.
     """
     if initial is not None:
-        centers = np.unique(np.asarray(initial, dtype=int))
-        if centers.size == 0 or centers.min() < 0 or centers.max() >= instance.n:
-            raise InvalidParameterError(f"invalid initial centers {initial!r}")
+        centers = np.unique(check_ids(initial, instance.n, name="initial centers"))
         centers = centers[: instance.k]
     else:
         centers = parallel_kcenter(instance, machine=machine).centers
@@ -154,7 +152,11 @@ def parallel_local_search(
         )
     eps = check_epsilon(epsilon, upper=1.0 - 1e-9)
     n, k = instance.n, instance.k
-    cap = max_rounds if max_rounds is not None else swap_round_cap(n, k, eps, objective)
+    cap = (
+        check_max_rounds(max_rounds)
+        if max_rounds is not None
+        else swap_round_cap(n, k, eps, objective)
+    )
     machine = ensure_machine(machine, seed=seed)
     if isinstance(instance, SparseClusteringInstance):
         from repro.core.local_search_sparse import _parallel_local_search_sparse

@@ -44,7 +44,7 @@ from repro.errors import ConvergenceError, InvalidParameterError
 from repro.lp.solve import PrimalSolution, solve_primal
 from repro.metrics.instance import FacilityLocationInstance
 from repro.pram.machine import PramMachine, ensure_machine
-from repro.util.validation import check_epsilon, round_cap
+from repro.util.validation import check_epsilon, check_max_rounds, round_cap
 
 _REL_TOL = 1.0 + 1e-12
 
@@ -84,7 +84,7 @@ def parallel_lp_rounding(
         raise InvalidParameterError(f"filter_alpha must lie in (0,1), got {filter_alpha}")
     machine = ensure_machine(machine, seed=seed)
     m = max(instance.m, 2)
-    cap = max_rounds if max_rounds is not None else 64 + 8 * round_cap(
+    cap = check_max_rounds(max_rounds) if max_rounds is not None else 64 + 8 * round_cap(
         math.log(m) / math.log1p(eps), eps, what="LP rounding round bound"
     )
     if primal is None:

@@ -20,10 +20,10 @@ Five pieces:
 - :mod:`repro.obs.report` — ``python -m repro.obs.report trace.jsonl``
   turns a trace into per-stage, per-primitive, per-lane, and
   per-fault summaries (``--trace-id`` stitches one request's
-  cross-process tree); the bench harness attaches the same summary
-  to bench JSON.
+  cross-process tree); ``--json`` prints the same summary as JSON.
 
-Plus :mod:`repro.obs.rss`, the peak-RSS sampler the bench tiers use.
+Plus :mod:`repro.obs.rss`, the peak-RSS sampler
+(:func:`run_with_peak_rss`).
 
 The load-bearing invariant (tested): observability never perturbs
 results. Seeded solver and shard outputs are byte-identical with

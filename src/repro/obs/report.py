@@ -4,9 +4,8 @@ Turns raw trace-event JSONL into the answers the bench questions ask:
 where the wall time went per shard-pipeline stage, which PRAM
 primitives dominate and with what latency distribution, how busy each
 backend lane was and who straggled, and what the supervisor had to do
-(retries, timeouts, crashes, respawns). The same summary dict is
-attached to bench JSON by ``repro.bench.sparse_bench`` when a run was
-traced.
+(retries, timeouts, crashes, respawns). ``--json`` prints the same
+summary dict, and ``--validate`` schema-checks every event.
 
 The module reads only JSON + numpy — it deliberately imports nothing
 from the solver stack, so a trace from any run (or machine) can be

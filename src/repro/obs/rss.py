@@ -1,4 +1,4 @@
-"""Resident-set-size sampling (moved out of ``repro.bench.sparse_bench``).
+"""Resident-set-size sampling.
 
 The out-of-core story (PR 7) is a memory claim, so peak RSS is a
 first-class measurement: :func:`run_with_peak_rss` runs a callable

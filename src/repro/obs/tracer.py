@@ -223,8 +223,8 @@ class Tracer:
 
     ``path=None`` is an enabled *drop sink*: instrumentation runs and
     metrics accumulate, but events are discarded instead of written.
-    The bench harness uses it to measure the wrapper overhead ceiling
-    without I/O in the loop.
+    perfbench's ``MemoryTracer`` builds on it to keep events in a list
+    instead of writing them.
 
     Thread-safe (one lock around the line write); the file opens
     lazily on first emit so constructing a tracer never touches disk.

@@ -1,8 +1,9 @@
 """Cost ledger: accumulates work, depth, and cache charges.
 
 The ledger is the measurement instrument behind every work/depth claim
-in EXPERIMENTS.md. Primitives report ``(work, depth, cache)`` charges;
-the ledger accumulates them under sequential composition (depth adds —
+the benchmarks check (README, "Frontier-compacted execution").
+Primitives report ``(work, depth, cache)`` charges; the ledger
+accumulates them under sequential composition (depth adds —
 the paper's algorithms issue primitives one after another, each itself
 fully parallel) and tracks per-primitive call counts plus named round
 counters so benchmarks can report "rounds executed" directly.

@@ -13,7 +13,7 @@ Turns the library's batch solve path into a long-lived service:
   examples, and scripts.
 - :mod:`repro.serve.loadgen` — ``python -m repro.serve.loadgen``, the
   concurrent load generator reporting throughput, failure rate, and
-  p50/p99 latency (the bench ``serving`` tier).
+  p50/p99 latency.
 
 Run a server with ``python -m repro.serve``; see ``examples/serving.py``
 for the embedded form (:func:`serve_in_thread`).

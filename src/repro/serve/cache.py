@@ -10,11 +10,9 @@ Two clients uploading the same points get the same ``instance_id``;
 a repeated identical solve request is answered from the result cache
 without touching the queue.
 
-**Admission control** reuses the costing conventions the bench layer
-already applies when it marks dense/CSR constructions infeasible
-against ``--budget-gib`` (:mod:`repro.bench.sparse_bench`): a request's
-resident footprint is estimated from the same byte formulas — raw point
-block, per-shard coreset copies, and the merged kNN CSR with the ~5
+**Admission control** estimates a request's resident footprint from
+byte formulas (:func:`estimate_request_bytes`) — raw point block,
+per-shard coreset copies, and the merged kNN CSR with the ~5
 edge-sized temporaries the solvers allocate — and requests whose
 estimate exceeds the server's budget are rejected up front (HTTP 413)
 instead of OOM-ing a worker mid-solve.
@@ -81,8 +79,7 @@ def estimate_request_bytes(
 ) -> int:
     """Resident-footprint estimate for one served solve.
 
-    The same costing the bench feasibility markers use: ``8`` bytes per
-    float64, the merged kNN CSR charged at ``2·neighbors`` directed
+    ``8`` bytes per float64, the merged kNN CSR charged at ``2·neighbors`` directed
     edges per node times ~5 edge-sized arrays (indptr/indices/data plus
     the segmented per-edge temporaries the solvers allocate), plus the
     raw point block twice (input + partition/coreset working copies).

@@ -17,8 +17,7 @@ result cache. ``--spawn`` boots an in-process server first — the
 self-contained smoke CI runs, and the reason a trace activated via
 ``REPRO_TRACE`` covers both sides of the wire in one file.
 
-The report is importable too: :func:`run_loadgen` returns the dict, and
-the bench layer wires it in as the ``serving`` tier.
+The report is importable too: :func:`run_loadgen` returns the dict.
 """
 
 from __future__ import annotations

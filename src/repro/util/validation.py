@@ -8,6 +8,9 @@ validate in one line.
 from __future__ import annotations
 
 import math
+import numbers
+
+import numpy as np
 
 from repro.errors import InvalidParameterError
 
@@ -36,6 +39,52 @@ def round_cap(bound: float, epsilon: float, *, what: str) -> int:
             "use a larger epsilon"
         )
     return math.ceil(bound)
+
+
+def check_max_rounds(value) -> int:
+    """Validate an explicit round cap: a whole number ``>= 0``.
+
+    ``0`` is a cap like any other: no round may run. A NaN cap would
+    remove the cap (``rounds > nan`` is never true), and text or a
+    fraction would fail mid-solve with a bare ``TypeError``.
+    """
+    whole = (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and 0 <= value < math.inf
+        and value == int(value)
+    )
+    if not whole:
+        raise InvalidParameterError(f"max_rounds must be a whole number >= 0, got {value!r}")
+    return int(value)
+
+
+def check_ids(ids, n: int, *, name: str) -> np.ndarray:
+    """Validate a non-empty 1-D array of ids in ``[0, n)``; returns ``intp``.
+
+    Whole-number floats (``3.0``) are ids. Fractional or NaN values,
+    booleans, non-numbers and any shape but 1-D raise
+    :class:`InvalidParameterError`: an ``int`` cast would truncate
+    ``0.7`` to id 0, read a boolean mask as ids 0 and 1, and flatten a
+    nested list.
+    """
+    try:
+        arr = np.asarray(ids)
+    except ValueError:  # a ragged nesting has no array form
+        arr = np.asarray(None)
+    kind = arr.dtype.kind
+    if (
+        kind not in "iuf"
+        or arr.ndim != 1
+        or arr.size == 0
+        or (kind == "f" and not np.array_equal(arr, np.floor(arr)))
+    ):
+        raise InvalidParameterError(
+            f"{name} must be a non-empty 1-D sequence of whole-number ids, got {ids!r}"
+        )
+    if arr.min() < 0 or arr.max() >= n:
+        raise InvalidParameterError(f"{name} must lie in [0, {n}), got {ids!r}")
+    return arr.astype(np.intp, copy=False)
 
 
 def check_k(k: int, n: int, *, name: str = "k") -> int:

@@ -70,10 +70,12 @@ class TestSummarizeRounds:
         assert s["work_median"] == 20.0
 
     def test_accepts_legacy_tuples(self):
-        log = [("outer", 1, 10.0, 0.0), ("outer", 2, 20.0, 1.0)]
+        log = [("outer", 1, 10.0, 0.0), ("outer", 2, 20.0, 1.0), ("x", 1, 25.0, 2.0)]
         s = summarize_rounds(log, "outer", 40.0)
         assert s["rounds"] == 2
         assert s["work_total"] == 30.0
+        assert s["work_first"] == 10.0
+        assert s["work_last"] == 20.0
 
 
 class TestRunsOfRounds:
@@ -116,5 +118,6 @@ class TestRunsOfRounds:
         parallel_primal_dual(euclidean_instance(1500, 1500, seed=0), epsilon=0.1, machine=machine)
         s = summarize_rounds(machine.ledger.round_log, "pd_iterations", machine.ledger.work)
         assert s["rounds"] == 267 and s["work_median"] == 0.0
+        assert 0 < s["work_total"] <= machine.ledger.work
         marks = [m for m in machine.ledger.round_log if m.label == "pd_iterations"]
         assert len(marks) < 267 / 10

@@ -82,6 +82,11 @@ class TestStructure:
         sol = parallel_fl_local_search(small_fl, epsilon=0.1, seed=0, max_rounds=0)
         assert not sol.extra["converged"]
 
+    @pytest.mark.parametrize("max_rounds", [float("nan"), "5", 2.5, -1])
+    def test_round_cap_must_be_whole(self, small_fl, max_rounds):
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            parallel_fl_local_search(small_fl, epsilon=0.1, seed=0, max_rounds=max_rounds)
+
     def test_cost_components(self, small_fl):
         sol = parallel_fl_local_search(small_fl, epsilon=0.1, seed=0)
         assert sol.cost == pytest.approx(small_fl.cost(sol.opened))

@@ -5,9 +5,10 @@ import pytest
 
 from repro.baselines.brute_force import brute_force_kmeans, brute_force_kmedian
 from repro.baselines.local_search_seq import local_search_kmedian_seq
+from repro.core.fl_local_search import parallel_fl_local_search
 from repro.core.local_search import parallel_kmeans, parallel_kmedian, parallel_local_search
 from repro.errors import ConvergenceError, InvalidParameterError
-from repro.metrics.generators import euclidean_clustering
+from repro.metrics.generators import euclidean_clustering, euclidean_instance
 from repro.metrics.instance import ClusteringInstance
 from repro.metrics.space import MetricSpace
 from repro.metrics.sparse import SparseClusteringInstance
@@ -86,6 +87,31 @@ class TestSwapSemantics:
             parallel_kmedian(small_clustering, initial=[99])
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda initial: parallel_kmedian(
+            euclidean_clustering(60, 4, seed=1), seed=1, initial=initial
+        ),
+        lambda initial: parallel_fl_local_search(
+            euclidean_instance(8, 24, seed=0), seed=1, initial=initial
+        ),
+    ],
+    ids=["kmedian", "fl"],
+)
+@pytest.mark.parametrize(
+    "initial",
+    [[0.7, 3.2], [0, float("nan")], np.ones(8, dtype=bool), [[0, 1], [2, 3]]],
+    ids=["fractional", "nan", "mask", "2d"],
+)
+def test_warm_start_ids_must_be_whole_and_1d(solve, initial):
+    """An ``int`` cast truncated 0.7 and 3.2 to ids 0 and 3, read the
+    mask as ids 0 and 1, flattened the 2-D list and met NaN with a raw
+    ``ValueError``; each is refused instead."""
+    with pytest.raises(InvalidParameterError, match="initial"):
+        solve(initial)
+
+
 class TestStructure:
     def test_budget_respected(self, small_clustering):
         sol = parallel_kmedian(small_clustering, seed=0)
@@ -115,6 +141,13 @@ class TestStructure:
     def test_round_cap_raises(self, small_clustering):
         with pytest.raises(ConvergenceError):
             parallel_kmedian(small_clustering, epsilon=0.05, seed=0, max_rounds=1)
+
+    @pytest.mark.parametrize("max_rounds", [float("nan"), "5", 2.5, -1])
+    def test_round_cap_must_be_whole(self, small_clustering, max_rounds):
+        """A NaN cap used to remove the cap; text and fractions failed
+        mid-solve with a bare ``TypeError`` or passed as caps."""
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            parallel_kmedian(small_clustering, epsilon=0.05, seed=0, max_rounds=max_rounds)
 
     @pytest.mark.parametrize("objective", ["kmedian", "kmeans"])
     @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])

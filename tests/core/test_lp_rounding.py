@@ -99,6 +99,11 @@ class TestMechanics:
         with pytest.raises(ConvergenceError):
             parallel_lp_rounding(small_fl, epsilon=0.1, max_rounds=0)
 
+    @pytest.mark.parametrize("max_rounds", [float("nan"), "5", 2.5, -1])
+    def test_round_cap_must_be_whole(self, small_fl, max_rounds):
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            parallel_lp_rounding(small_fl, epsilon=0.1, max_rounds=max_rounds)
+
     def test_subnormal_epsilon_refused_not_overflowed(self):
         """The round cap refuses an ε whose ``log_(1+ε) m`` overflows a
         float instead of raising ``OverflowError``."""

@@ -1,4 +1,4 @@
-"""Tests for repro.obs.rss — VmRSS sampling shared with the bench."""
+"""Tests for repro.obs.rss — VmRSS sampling and peak-RSS timing."""
 
 from __future__ import annotations
 
@@ -37,11 +37,3 @@ def test_run_with_peak_rss_propagates_exceptions():
     with pytest.raises(ValueError):
         run_with_peak_rss(lambda: (_ for _ in ()).throw(ValueError("boom")))
 
-
-def test_bench_aliases_point_at_obs():
-    # satellite: the bench module re-uses the extracted helpers instead
-    # of carrying its own copies.
-    from repro.bench import sparse_bench
-
-    assert sparse_bench._rss_mib is rss_mib
-    assert sparse_bench._run_with_peak_rss is run_with_peak_rss

@@ -144,6 +144,8 @@ def test_movement_bound_invariant(points):
     assert exact <= sol.true_cost + sol.movement + 1e-9
     assert sol.bound is not None
     assert sol.bound.additive_term == pytest.approx(6.5 * sol.movement)
+    # the merged instance holds at most coreset_size points per shard
+    assert sol.extra["merged_n"] <= 4 * 80
 
 
 def test_backend_scheduling_invariance(points):
