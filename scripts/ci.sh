@@ -30,7 +30,11 @@ python -m pytest -x -q
 # no-candidate sentinel and reduce empty segments, the greedy body
 # divides by prefix ranks and compares star prices against +inf, and the
 # §7 swap loop clamps infinite service costs to a finite sentinel that
-# moves with every swap, so its swap terms must never form inf - inf; a
+# moves with every swap, so its swap terms must never form inf - inf
+# (dense instances run the same loop on their full CSR, where k = 1
+# leaves no second center and so reaches the clamp; their oracle, the
+# dense O(k·n²) batch in tests/reference/local_search_dense.py, runs in
+# the oracle suite); a
 # nan or inf there would skip levels, pick dominators, open facilities
 # or swap centers wrongly without an error, so these suites run with
 # RuntimeWarning as an error.
@@ -43,7 +47,8 @@ python -X dev -W error::RuntimeWarning -m pytest -q tests/core/test_primal_dual.
     tests/integration/test_sparse_equivalence.py \
     tests/core/test_greedy.py tests/core/test_greedy_oracle.py tests/core/test_stars.py \
     tests/core/test_lp_rounding.py tests/pram/test_segmented.py tests/pram/test_machine.py \
-    tests/integration/test_weighted_solvers.py tests/core/test_local_search_oracle.py
+    tests/integration/test_weighted_solvers.py tests/core/test_local_search_oracle.py \
+    tests/core/test_local_search.py tests/integration/test_degenerate_workloads.py
 
 # The Supervisor is the one batch executor: it owns every shared-memory
 # segment and every pool respawn on the default shard path, so a segment,

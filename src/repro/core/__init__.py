@@ -34,11 +34,11 @@ Greedy, primal–dual, k-center, §7 local search and the Lagrangian
 k-median accept CSR candidate structures
 (:class:`~repro.metrics.sparse.SparseFacilityLocationInstance`,
 :class:`~repro.metrics.sparse.SparseClusteringInstance`), where the
-paper's input-size parameter ``m`` is the candidate-edge count. Greedy,
-primal–dual, k-center and the dominator sets have one body each, the
-CSR one: a dense instance runs as its full CSR (``from_instance``) and
-its solution is reported on the dense instance. §7 local search keeps a
-dense batch beside its CSR one (:mod:`repro.core.local_search_sparse`).
+paper's input-size parameter ``m`` is the candidate-edge count. They
+and the dominator sets have one body each, the CSR one (§7 local
+search's is :mod:`repro.core.local_search_sparse`): a dense instance
+runs as its full CSR (``from_instance``) and its solution is reported
+on the dense instance.
 """
 
 from repro.core.result import ClusteringSolution, FacilityLocationSolution

@@ -40,6 +40,7 @@ from scipy import sparse
 from repro.errors import ConvergenceError, InvalidParameterError
 from repro.pram.machine import PramMachine, ensure_machine
 from repro.util.csr import csr_drop_diagonal, validate_csr
+from repro.util.validation import check_max_rounds
 
 
 def _as_csr(matrix, name: str) -> sparse.csr_matrix:
@@ -192,12 +193,13 @@ def max_dominator_set_sparse(
     numpy.ndarray
         Boolean selection mask: maximal, and independent in ``G²``.
     """
+    cap = None if max_rounds is None else check_max_rounds(max_rounds)
     A = _to_csr(adjacency)
     n = A.shape[0]
     machine = ensure_machine(machine)
     if n == 0:
         return np.zeros(0, dtype=bool)
-    limit = (n + 1) if max_rounds is None else int(max_rounds)
+    limit = (n + 1) if cap is None else cap
     return _max_dominator_rounds(machine, A.indptr, A.indices, limit)
 
 
@@ -227,6 +229,7 @@ def max_u_dominator_set_sparse(
         Optional mask restricting which U-nodes may be selected (the
         §5 caller passes the tentatively open facilities).
     """
+    cap = None if max_rounds is None else check_max_rounds(max_rounds)
     B = _as_csr(biadjacency, "biadjacency")
     nu, nv = B.shape
     machine = ensure_machine(machine)
@@ -241,7 +244,7 @@ def max_u_dominator_set_sparse(
         raise InvalidParameterError(
             f"candidates mask must have shape ({nu},), got {candidate.shape}"
         )
-    limit = (nu + 1) if max_rounds is None else int(max_rounds)
+    limit = (nu + 1) if cap is None else cap
     indptr = np.asarray(B.indptr, dtype=np.intp)
 
     selected = np.zeros(nu, dtype=bool)

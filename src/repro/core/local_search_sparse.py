@@ -1,12 +1,12 @@
-"""§7 local search over sparse candidate structures.
+"""§7 local search: the one swap-loop body, over CSR.
 
-The same Theorem 7.1 swap loop as :mod:`repro.core.local_search`,
-executed on a :class:`~repro.metrics.sparse.SparseClusteringInstance`.
-The dense path evaluates every swap ``(a ∈ S, c ∉ S)`` with an
-``O(k·n²)``-work batch; here the batch decomposes over the stored
-candidate edges so per-round work is ``O(nnz)`` (plus the size of the
-swap table), which is what takes local search to 100k-node kNN
-instances.
+The Theorem 7.1 swap loop of :mod:`repro.core.local_search`, executed
+on a :class:`~repro.metrics.sparse.SparseClusteringInstance` (a dense
+instance arrives as its full CSR). The paper evaluates every swap
+``(a ∈ S, c ∉ S)`` with an ``O(k·n²)``-work batch; here the batch
+decomposes over the stored candidate edges so per-round work is
+``O(nnz)`` plus the size of the swap table — ``O(n² + k·(n−k))`` on a
+full CSR, and what takes local search to 100k-node kNN instances.
 
 **The decomposition.** With ``d1/d2`` each node's best/second-best open
 service cost (fallback-capped) and ``base_a(j) = d2(j)`` when center
@@ -26,7 +26,7 @@ best swap is ``min`` over the union of (i) pairs with nonzero ``C``
 (grouped per-key sums) and (ii) the unconstrained minimizer
 ``argmin reassign + argmin G1`` — small swap tables materialize the
 full ``k × |candidates|`` matrix instead (same argmin order as the
-dense path), large ones stay on the grouped edge list.
+dense batch), large ones stay on the grouped edge list.
 
 **Only touched rows are recomputed.** A swap ``S − a + c`` changes the
 open set only for the rows that store ``a`` or ``c``. Each row's
@@ -36,14 +36,15 @@ the sentinel, which moves with the cost) and leaves every other row
 alone. The sums keep their flat edge order, so every round computes
 the bits a full recomputation would.
 
-**Parity.** On dense-representable instances the service state
-(``d1``, ``d2``, serving slots) is computed by segmented kernels that
-see exactly the dense columns, and the warm start consumes the
-identical RNG stream through the sparse k-center — seeded solutions
-(centers, swap sequence, costs) match the dense path on every tested
-workload. The decomposed swap sums may reassociate relative to the
-dense batch sum by an ulp, which is why the equivalence suite asserts
-the returned solutions, not intermediate floats.
+**Parity.** On a dense instance's full CSR the service state (``d1``,
+``d2``, serving slots) is computed by segmented kernels that see
+exactly the matrix columns, and the warm start consumes the same RNG
+stream through the one k-center body — seeded solutions (centers, swap
+pairs, costs, round counts) match the dense ``O(k·n²)`` batch kept as
+the test suite's oracle. The decomposed swap sums may reassociate
+relative to the batch's sums by an ulp, so swap-trace objectives can
+differ from the oracle's in the last bits; on integer distances every
+sum is exact and they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -83,15 +84,17 @@ def _row_state(
     touched row's state is the one a full pass computes. Rows are never
     empty — the diagonal is always stored.
     """
-    open_e = np.asarray(machine.take_rows(open_mask, cols))
+    # ``cols`` comes from the validated structure, in range by
+    # construction, so the gather is charged directly.
+    open_e = open_mask[cols]
+    machine.ledger.charge_basic("take_rows", max(cols.size, 1), depth=1)
     val = np.asarray(machine.where(open_e, dp, np.inf))
     d1s = np.asarray(machine.segmented_reduce(val, indptr, "min"))
     near_entry = machine.segmented_argmin(val, indptr)
     # Mask each row's serving entry and reduce again.
-    val2 = val.copy()
-    val2[near_entry] = np.inf
+    val[near_entry] = np.inf
     machine.ledger.charge_basic("map", max(val.size, 1), depth=1)
-    d2s = np.asarray(machine.segmented_reduce(val2, indptr, "min"))
+    d2s = np.asarray(machine.segmented_reduce(val, indptr, "min"))
     served = np.isfinite(d1s) & (d1s <= fb)
     d1 = np.asarray(machine.map(np.minimum, d1s, fb))
     d2 = np.where(served, np.asarray(machine.map(np.minimum, d2s, fb)), d1)
@@ -163,8 +166,10 @@ def _parallel_local_search_sparse(
     machine: PramMachine,
     initial,
     cap: int,
+    caller=None,
 ) -> ClusteringSolution:
-    """Sparse execution of the §7 swap loop (see module docstring).
+    """The §7 swap loop (module docstring). ``caller`` is the instance
+    the solution's cost is evaluated on (default ``instance``).
 
     The service state (``d1``, ``d2`` and the serving center's node id
     per row) and the per-edge terms ``g_e = min(0, dᵖ − d1)`` and
@@ -212,14 +217,14 @@ def _parallel_local_search_sparse(
     big = _sentinel(d1u, dp_max)
     d1, d2 = np.minimum(d1u, big), np.minimum(d2u, big)
     machine.ledger.charge_basic("map", n, depth=1)
-    g_e = np.empty(dp.size)
-    c_e = np.empty(dp.size)
-    # The edges whose term enters G1 (resp. C) this round.
-    g_live = np.empty(dp.size, dtype=bool)
-    c_live = np.empty(dp.size, dtype=bool)
 
-    def refresh_edges(pos: np.ndarray) -> None:
-        """Recompute the terms and live flags of the edges at ``pos``.
+    def edge_terms(rows, pos, sub):
+        """The terms and live flags — whether the term enters G1
+        (resp. C) — of the edges at ``pos``: the whole segments of the
+        rows ``rows``, delimited by ``sub`` (``slice(None)``,
+        ``slice(None)`` and ``indptr`` for every edge: views, no
+        nnz-sized gathers). Each row's state is spread over its
+        segment.
 
         A dropped edge's term is an exact zero: ``g_e``/``c_e`` of ±0.0,
         or an edge into an open center, which the full pass scattered
@@ -229,18 +234,20 @@ def _parallel_local_search_sparse(
         its bits unchanged, so dropping these terms keeps every G1 and
         C sum bit-identical to the full pass.
         """
-        rows = rows_e[pos]
+        lens = np.diff(sub)
         d = dp[pos]
-        g = np.minimum(0.0, d - d1[rows])
-        c = np.minimum(0.0, d - d2[rows]) - g
+        g = d - np.repeat(d1[rows], lens)
+        np.minimum(0.0, g, out=g)
+        c = d - np.repeat(d2[rows], lens)
+        np.minimum(0.0, c, out=c)
+        c -= g
         out = ~open_mask[cols[pos]]
-        g_e[pos], c_e[pos] = g, c
-        g_live[pos] = out & (g != 0.0)
-        c_live[pos] = out & (near[rows] >= 0) & (c != 0.0)
-        machine.ledger.charge_basic("take_rows", max(4 * pos.size, 1), depth=1)
-        machine.ledger.charge_basic("map", max(4 * pos.size, 1), depth=1)
+        served = np.repeat(near[rows] >= 0, lens)
+        machine.ledger.charge_basic("take_rows", max(4 * d.size, 1), depth=1)
+        machine.ledger.charge_basic("map", max(4 * d.size, 1), depth=1)
+        return g, c, out & (g != 0.0), out & served & (c != 0.0)
 
-    refresh_edges(np.arange(dp.size))
+    g_e, c_e, g_live, c_live = edge_terms(slice(None), slice(None), indptr)
     cost = float(machine.reduce(d1, "add"))
     initial_cost = cost
     swaps: list[tuple[int, int, float]] = []
@@ -272,7 +279,7 @@ def _parallel_local_search_sparse(
         )
         machine.ledger.charge_basic("map", n, depth=1)
 
-        # Every gather index here and in refresh_edges comes from the
+        # Every gather index here and in edge_terms comes from the
         # validated structure, in range by construction, so the gathers
         # are charged directly instead of re-checked by take_rows.
         g_pos = np.flatnonzero(g_live)
@@ -325,16 +332,17 @@ def _parallel_local_search_sparse(
                 clamped = np.flatnonzero(d2u >= min(big, moved))
                 if clamped.size:
                     touched = np.union1d(touched, clamped)
-                    pos, _ = machine.segment_positions(indptr, touched)
+                    pos, sub = machine.segment_positions(indptr, touched)
                 big = moved
             d1, d2 = np.minimum(d1u, big), np.minimum(d2u, big)
             machine.ledger.charge_basic("map", n, depth=1)
-            refresh_edges(pos)
+            g_e[pos], c_e[pos], g_live[pos], c_live[pos] = edge_terms(touched, pos, sub)
             cost = best
         else:
             break
 
-    cost_fn = instance.kmedian_cost if objective == "kmedian" else instance.kmeans_cost
+    caller = instance if caller is None else caller
+    cost_fn = caller.kmedian_cost if objective == "kmedian" else caller.kmeans_cost
     return ClusteringSolution(
         centers=centers,
         cost=cost_fn(centers),

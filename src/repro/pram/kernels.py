@@ -72,26 +72,24 @@ def scatter_add(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
 
 
 def segmented_argmin(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Flat position of the *first* per-segment minimum (−1 if empty)."""
-    n_seg = indptr.size - 1
+    """Flat position of the *first* per-segment minimum (−1 if empty).
+
+    Minima of the non-empty segments (``reduceat`` needs their starts,
+    which strictly increase), the positions equal to their segment's
+    minimum, and per segment the first such position at or after its
+    start — ``−1`` when it lies past the segment's end (an empty
+    segment, or a NaN minimum, which equals nothing).
+    """
     lens = np.diff(indptr)
-    # Per-segment min, spread back over entries (identity-append
-    # keeps empty segments well-defined, as in :func:`segmented_reduce`).
-    gathered = np.append(values, np.inf)
-    if values.size == 0:
-        seg_min = np.full(n_seg, np.inf)
-    else:
-        seg_min = np.minimum.reduceat(gathered, indptr[:-1])
-        seg_min[lens == 0] = np.inf
-    hit = values == np.repeat(seg_min, lens)
-    pos = np.where(hit, np.arange(values.size, dtype=float), np.inf)
-    gathered_pos = np.append(pos, np.inf)
-    if values.size == 0:
-        first = np.full(n_seg, np.inf)
-    else:
-        first = np.minimum.reduceat(gathered_pos, indptr[:-1])
-        first[lens == 0] = np.inf
-    return np.where(np.isfinite(first), first, -1.0).astype(np.intp)
+    full = lens > 0
+    starts = indptr[:-1][full]
+    out = np.full(lens.size, -1, dtype=np.intp)
+    if starts.size:
+        seg_min = np.minimum.reduceat(values, starts)
+        hits = np.flatnonzero(values == np.repeat(seg_min, lens[full]))
+        first = np.append(hits, values.size)[np.searchsorted(hits, starts)]
+        out[full] = np.where(first < indptr[1:][full], first, -1)
+    return out
 
 
 def segmented_scan_add(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:

@@ -69,12 +69,13 @@ class TestClusteringParityAtScale:
         """Seeded k-center and k-median give the same answer on a dense
         instance and on its full CSR twin at n=1200, where threshold-graph
         degrees pass 128 and sparse MaxDom's hit counts must not wrap.
-        k-center's dense side is the test-only dense search."""
+        The dense sides are the test-only dense search and swap batch."""
         from repro.core.kcenter import parallel_kcenter
         from repro.core.local_search import parallel_kmedian
         from repro.metrics.generators import euclidean_clustering
         from repro.metrics.sparse import SparseClusteringInstance
         from tests.reference.kcenter_dense import kcenter_dense
+        from tests.reference.local_search_dense import local_search_dense
 
         dense = euclidean_clustering(1200, 8, seed=0)
         csr = SparseClusteringInstance.from_instance(dense)
@@ -82,7 +83,7 @@ class TestClusteringParityAtScale:
         b = parallel_kcenter(csr, machine=PramMachine(seed=1))
         assert a.extra["threshold"] == b.extra["threshold"]
         assert np.array_equal(a.centers, b.centers)
-        a = parallel_kmedian(dense, machine=PramMachine(seed=1))
+        a = local_search_dense(dense, machine=PramMachine(seed=1))
         b = parallel_kmedian(csr, machine=PramMachine(seed=1))
         assert np.array_equal(a.centers, b.centers)
         assert a.cost == b.cost
@@ -122,6 +123,23 @@ class TestValidation:
         A = random_graph(12, 0.3, 0)
         with pytest.raises(ConvergenceError):
             max_dominator_set_sparse(A, machine, max_rounds=0)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [max_dominator_set_sparse, max_u_dominator_set_sparse],
+        ids=["maxdom", "maxudom"],
+    )
+    @pytest.mark.parametrize("max_rounds", [float("nan"), 2.5, 0.5, "3", -1])
+    def test_round_cap_must_be_whole(self, entry, max_rounds):
+        """An ``int`` cast raised a raw ``ValueError`` for NaN, ran 2.5
+        as a cap of 2 and the text ``"3"`` as a cap of 3 on a 6-node
+        path, and stopped 0.5 with a ``ConvergenceError`` after 0
+        rounds; each is refused, as the other round caps are."""
+        path = np.zeros((6, 6), dtype=bool)
+        path[np.arange(5), np.arange(1, 6)] = True
+        path |= path.T
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            entry(path, PramMachine(seed=0), max_rounds=max_rounds)
 
 
 class TestToCsr:

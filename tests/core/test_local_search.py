@@ -6,8 +6,9 @@ import pytest
 from repro.baselines.brute_force import brute_force_kmeans, brute_force_kmedian
 from repro.baselines.local_search_seq import local_search_kmedian_seq
 from repro.core.fl_local_search import parallel_fl_local_search
+from repro.core.kcenter import parallel_kcenter
 from repro.core.local_search import parallel_kmeans, parallel_kmedian, parallel_local_search
-from repro.errors import ConvergenceError, InvalidParameterError
+from repro.errors import ConvergenceError, InvalidInstanceError, InvalidParameterError
 from repro.metrics.generators import euclidean_clustering, euclidean_instance
 from repro.metrics.instance import ClusteringInstance
 from repro.metrics.space import MetricSpace
@@ -86,6 +87,34 @@ class TestSwapSemantics:
         with pytest.raises(InvalidParameterError, match="initial"):
             parallel_kmedian(small_clustering, initial=[99])
 
+    @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
+    def test_more_initial_centers_than_k_refused(self, csr):
+        """With k = 4, ``initial=[59, 0, 1, 2, 3]`` used to start from
+        ``[0, 1, 2, 3]``, dropping id 59 by its label; repeated ids
+        still count once."""
+        inst = euclidean_clustering(60, 4, seed=1)
+        if csr:
+            inst = SparseClusteringInstance.from_instance(inst)
+        with pytest.raises(InvalidParameterError, match="initial centers hold 5 .* k=4"):
+            parallel_kmedian(inst, seed=1, initial=[59, 0, 1, 2, 3])
+        sol = parallel_kmedian(inst, seed=1, initial=[59, 59, 0, 1, 2])
+        assert sol.centers.size == 4
+
+    def test_asymmetric_unvalidated_space_refused_with_a_warm_start(self):
+        """A dense instance runs as its full CSR, whose constructor
+        refuses an asymmetric matrix that ``MetricSpace(validate=False)``
+        let through — with a warm start too, as k-center (and so the
+        default warm start) already did."""
+        D = np.array([[0.0, 1.0, 2.0], [3.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+        inst = ClusteringInstance(MetricSpace(D, validate=False), 2)
+        for solve in (
+            lambda: parallel_kmedian(inst, seed=0, initial=[0, 1]),
+            lambda: parallel_kmedian(inst, seed=0),
+            lambda: parallel_kcenter(inst, seed=0),
+        ):
+            with pytest.raises(InvalidInstanceError, match="symmetric"):
+                solve()
+
 
 @pytest.mark.parametrize(
     "solve",
@@ -152,8 +181,8 @@ class TestStructure:
     @pytest.mark.parametrize("objective", ["kmedian", "kmeans"])
     @pytest.mark.parametrize("csr", [False, True], ids=["dense", "csr"])
     def test_subnormal_epsilon_refused_not_overflowed(self, objective, csr):
-        """``k/β`` overflows a float at ε = 5e-324; both bodies' round cap
-        refuses the ε before the warm start runs."""
+        """``k/β`` overflows a float at ε = 5e-324; the round cap refuses
+        the ε before the warm start runs, on dense and CSR input."""
         inst = euclidean_clustering(30, 3, seed=0)
         if csr:
             inst = SparseClusteringInstance.from_instance(inst)

@@ -1,14 +1,19 @@
-"""The §7 CSR swap loop against the loop that recomputes everything.
+"""The §7 CSR swap loop against its two oracles.
 
-``parallel_local_search`` on a
-:class:`~repro.metrics.sparse.SparseClusteringInstance` keeps its
-service state and per-edge swap terms across swaps and refreshes only
-the rows a swap touches (:mod:`repro.core.local_search_sparse`). The
-loop in :mod:`tests.reference.local_search_full` recomputes every row
-after each swap; the two must agree field for field — centers, cost
-bytes, the swap trace (ids and objective bytes), the warm-start cost
-and the round counts — on small integer-grid kNN instances full of
-duplicate points and distance ties.
+``parallel_local_search`` runs one body, the CSR swap loop of
+:mod:`repro.core.local_search_sparse`, which keeps its service state
+and per-edge swap terms across swaps and refreshes only the rows a
+swap touches; a dense instance runs as its full CSR. It must agree
+field for field — centers, cost bytes, the swap trace (ids and
+objective bytes), the warm-start cost and the round counts — with
+
+* the loop in :mod:`tests.reference.local_search_full`, which
+  recomputes every row after each swap, on small integer-grid kNN
+  instances full of duplicate points and distance ties;
+* the dense ``O(k·n²)`` batch in
+  :mod:`tests.reference.local_search_dense`, on small dense instances
+  over an integer grid, where every distance and every sum is an exact
+  integer, so the two evaluations agree to the bit.
 """
 
 import struct
@@ -23,10 +28,13 @@ import repro.core.local_search_sparse as body
 from repro.bench.workloads import shard_scaling_suite
 from repro.core.local_search import parallel_local_search
 from repro.errors import ReproError
+from repro.metrics.instance import ClusteringInstance
+from repro.metrics.space import MetricSpace
 from repro.metrics.sparse import SparseClusteringInstance, _symmetrized_clustering_csr
 from repro.pram.machine import PramMachine
 from repro.shard import shard_and_solve
 from repro.shard import solve as shard_solve
+from tests.reference.local_search_dense import local_search_dense
 from tests.reference.local_search_full import local_search_full
 
 
@@ -38,14 +46,14 @@ def _trace(sol):
     return [(a, c, _bits(v)) for a, c, v in sol.extra["swaps"]]
 
 
-def assert_matches_oracle(instance, objective, *, seed=0, **kwargs):
+def assert_matches_oracle(instance, objective, *, oracle=local_search_full, seed=0, **kwargs):
     def solve(entry):
         try:
             return entry(instance, objective, machine=PramMachine(seed=seed), **kwargs)
         except ReproError as exc:
             return exc
 
-    want = solve(local_search_full)
+    want = solve(oracle)
     got = solve(parallel_local_search)
     if isinstance(want, Exception):
         assert type(got) is type(want) and str(got) == str(want)
@@ -121,6 +129,48 @@ def test_swap_loop_matches_full_recompute(instance, objective, epsilon, warm, gr
         )
     finally:
         body._SWAP_MATRIX_CAP = cap
+
+
+@st.composite
+def grid_dense_instances(draw):
+    """A dense instance over points on a 5×5 integer grid under the
+    ℓ1 or ℓ∞ metric (integer distances: every k-means square and
+    weighted sum is exact), with
+
+    * k = 1 (no second center), k = n − 1, or any k up to n;
+    * unit or drawn integer weights;
+    * no warm start, or 1 to k + 1 drawn ids (more than k distinct ids
+      must be refused by both).
+    """
+    n = draw(st.integers(1, 24))
+    coords = draw(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=n, max_size=n)
+    )
+    space = MetricSpace.from_points(
+        np.array(coords, dtype=float), p=draw(st.sampled_from([1.0, np.inf]))
+    )
+    k = draw(st.sampled_from([1, max(1, n - 1)]) | st.integers(1, n))
+    weights = draw(st.none() | st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    warm = draw(st.none() | st.lists(st.integers(0, n - 1), min_size=1, max_size=k + 1))
+    instance = ClusteringInstance(
+        space, k, weights=None if weights is None else np.array(weights, dtype=float)
+    )
+    return instance, warm
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    drawn=grid_dense_instances(),
+    objective=st.sampled_from(["kmedian", "kmeans"]),
+    epsilon=st.sampled_from([0.05, 0.3, 0.9]),
+    seed=st.integers(0, 2**16),
+)
+def test_dense_instances_match_the_dense_batch(drawn, objective, epsilon, seed):
+    instance, initial = drawn
+    assert_matches_oracle(
+        instance, objective, oracle=local_search_dense, seed=seed,
+        epsilon=epsilon, initial=initial,
+    )
 
 
 def test_grouped_path_runs_when_the_table_is_capped(monkeypatch):

@@ -28,6 +28,7 @@ from repro.metrics.instance import ClusteringInstance
 from repro.metrics.space import MetricSpace
 from repro.metrics.sparse import SparseClusteringInstance, knn_sparsify, threshold_sparsify
 from tests.reference.kcenter_dense import kcenter_dense
+from tests.reference.local_search_dense import local_search_dense
 
 
 @pytest.fixture
@@ -157,7 +158,7 @@ class TestClusteringDegenerate:
         a = kcenter_dense(inst, machine=PramMachine(seed=0))
         b = parallel_kcenter(sp, machine=PramMachine(seed=0))
         assert np.array_equal(a.centers, b.centers) and a.cost == b.cost
-        am = parallel_kmedian(inst, epsilon=0.3, machine=PramMachine(seed=0))
+        am = local_search_dense(inst, epsilon=0.3, machine=PramMachine(seed=0))
         bm = parallel_kmedian(sp, epsilon=0.3, machine=PramMachine(seed=0))
         assert np.array_equal(am.centers, bm.centers) and am.cost == bm.cost
 

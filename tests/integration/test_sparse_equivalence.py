@@ -2,13 +2,13 @@
 
 On dense-representable instances (full CSR, no finite fallback) the
 sparse execution paths must return **byte-identical** seeded solutions
-to the dense paths on all three execution backends. Where the library
-keeps two bodies (local search) each is the other's oracle. Greedy,
-primal–dual, k-center, the dominators and the Lagrangian k-median ship
-one body, the CSR one, so their dense side is a test-only reference:
-:mod:`tests.reference.greedy_dense`,
+to the dense paths on all three execution backends. Greedy,
+primal–dual, k-center, the dominators, §7 local search and the
+Lagrangian k-median ship one body, the CSR one, so their dense side is
+a test-only reference: :mod:`tests.reference.greedy_dense`,
 :mod:`tests.reference.primal_dual_dense`,
-:mod:`tests.reference.kcenter_dense` and
+:mod:`tests.reference.kcenter_dense`,
+:mod:`tests.reference.local_search_dense` and
 :mod:`tests.reference.dominator_dense`:
 
 * greedy and primal–dual facility location — opened set, cost, duals,
@@ -47,6 +47,7 @@ from repro.metrics.sparse import (
 from tests.reference.dominator_dense import max_dominator_set, max_u_dominator_set
 from tests.reference.greedy_dense import greedy_dense
 from tests.reference.kcenter_dense import kcenter_dense
+from tests.reference.local_search_dense import local_search_dense
 from tests.reference.primal_dual_dense import kmedian_lagrangian_dense, primal_dual_dense
 
 BACKEND_NAMES = ("serial", "thread", "process")
@@ -328,7 +329,7 @@ def test_sparse_kcenter_matches_dense(name, make):
 def test_sparse_local_search_matches_dense(name, make, objective):
     dense = make()
     sp = SparseClusteringInstance.from_instance(dense)
-    a = parallel_local_search(dense, objective, epsilon=0.3, machine=PramMachine(seed=123))
+    a = local_search_dense(dense, objective, epsilon=0.3, machine=PramMachine(seed=123))
     b = parallel_local_search(sp, objective, epsilon=0.3, machine=PramMachine(seed=123))
     _local_search_check(a, b)
 
@@ -365,10 +366,11 @@ _CLUSTER_ALGORITHMS = {
 }
 
 
-# The dense side of k-center and of the Lagrangian k-median is the
-# test-only reference.
+# The dense side of every clustering solver is its test-only reference.
 _DENSE_CLUSTER = {
     "kcenter": lambda inst, m: kcenter_dense(inst, machine=m),
+    "kmedian": lambda inst, m: local_search_dense(inst, "kmedian", epsilon=0.3, machine=m),
+    "kmeans": lambda inst, m: local_search_dense(inst, "kmeans", epsilon=0.3, machine=m),
     "lagrangian": lambda inst, m: kmedian_lagrangian_dense(
         inst, epsilon=0.2, machine=m, max_probes=15
     ),
@@ -380,7 +382,7 @@ def test_sparse_clustering_equals_dense_across_backends(backend_set, algorithm):
     """The PR-4 acceptance gate: seeded sparse clustering solutions are
     byte-identical to the dense paths on serial, thread, and process."""
     run, check = _CLUSTER_ALGORITHMS[algorithm]
-    run_dense = _DENSE_CLUSTER.get(algorithm, run)
+    run_dense = _DENSE_CLUSTER[algorithm]
     dense = euclidean_clustering(30, 3, seed=5)
     sp = SparseClusteringInstance.from_instance(dense)
     for name in BACKEND_NAMES:

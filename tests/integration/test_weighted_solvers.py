@@ -33,6 +33,7 @@ from repro.metrics.sparse import (
     SparseFacilityLocationInstance,
 )
 from tests.reference.greedy_dense import greedy_dense
+from tests.reference.local_search_dense import local_search_dense
 from tests.reference.primal_dual_dense import primal_dual_dense
 
 EPS = 0.2
@@ -165,7 +166,7 @@ def test_weighted_sparse_local_search_matches_dense():
     base = euclidean_clustering(26, 3, seed=61)
     w = np.random.default_rng(7).uniform(0.5, 3.0, 26)
     weighted = ClusteringInstance(base.space, 3, weights=w)
-    dense = parallel_kmedian(weighted, seed=8, epsilon=0.5)
+    dense = local_search_dense(weighted, seed=8, epsilon=0.5)
     sparse = parallel_kmedian(
         SparseClusteringInstance.from_instance(weighted), seed=8, epsilon=0.5
     )

@@ -43,6 +43,25 @@ class TestNumpyReference:
         )
         np.testing.assert_array_equal(out, [1, -1, 4])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_segmented_argmin_is_the_per_segment_loop(self, seed):
+        """Ties, empty runs at either end and in between, +inf, and a
+        NaN, which makes its segment's minimum NaN: equal to nothing, so
+        the segment reads −1 like an empty one."""
+        values, indptr = ragged_case(seed, n_seg=60, max_len=6)
+        values = np.floor(values * 3)
+        rng = np.random.default_rng(seed)
+        values[rng.random(values.size) < 0.1] = np.inf
+        values[rng.integers(0, values.size)] = np.nan
+        indptr = np.concatenate(([0, 0], indptr, [indptr[-1]] * 2)).astype(np.intp)
+        ref = []
+        for lo, hi in zip(indptr[:-1], indptr[1:]):
+            hits = np.flatnonzero(values[lo:hi] == np.min(values[lo:hi], initial=np.inf))
+            ref.append(lo + hits[0] if hits.size else -1)
+        out = kernels.segmented_argmin(values, indptr)
+        assert out.dtype == np.intp
+        np.testing.assert_array_equal(out, ref)
+
     def test_segmented_scan_left_to_right(self):
         values, indptr = ragged_case(4)
         out = kernels.segmented_scan_add(values.copy(), indptr)
