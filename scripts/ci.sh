@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-# Backend matrix hook: REPRO_BACKEND=serial|thread|process is the pool
+# Backend matrix hook: REPRO_BACKEND=serial|process is the pool
 # every default-constructed PramMachine carries, and so the pool
 # shard_and_solve fans out to by default (see
 # repro.pram.backends.shared_backend). Unset means serial.

@@ -87,7 +87,6 @@ from repro.pram import (
     RoundMark,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     brent_time,
     make_backend,
@@ -195,7 +194,6 @@ __all__ = [
     # pram
     "PramMachine",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "make_backend",
     "available_backends",

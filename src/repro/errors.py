@@ -70,9 +70,9 @@ class WorkerCrashError(ExecutionError):
     """A worker died while (or before) executing a task.
 
     On a process pool this wraps ``BrokenProcessPool`` — the pool is
-    unusable afterwards and the supervisor respawns it. On thread or
-    serial execution it wraps an injected/simulated crash (threads
-    cannot take the interpreter down without taking the suite with it).
+    unusable afterwards and the supervisor respawns it. On in-process
+    execution it wraps an injected/simulated crash (the caller cannot
+    take the interpreter down without taking the suite with it).
     """
 
 
@@ -80,10 +80,10 @@ class TaskTimeoutError(ExecutionError):
     """A supervised task exceeded its :class:`~repro.faults.RetryPolicy`
     timeout.
 
-    The task may still be running (neither a thread nor an already-
-    started process-pool task can be preempted); the supervisor stops
-    waiting, counts the attempt, and — on process pools — abandons and
-    respawns the pool so a hung worker cannot wedge later rounds.
+    The task may still be running (neither an in-process task nor an
+    already-started pool task can be preempted); the supervisor stops
+    waiting, counts the attempt, and — on a pool — abandons and
+    respawns it so a hung worker cannot wedge later rounds.
     """
 
 

@@ -8,9 +8,9 @@ of four kinds:
 
 * ``"crash"`` — take the worker down. Inside a process-pool worker this
   is a genuine ``os._exit`` (the parent sees ``BrokenProcessPool``); on
-  a thread or in-process run it raises :class:`InjectedCrashError`
-  instead, because a thread cannot die without taking the interpreter
-  (and the test suite) with it.
+  an in-process run it raises :class:`InjectedCrashError` instead,
+  because the caller cannot die without taking the interpreter (and the
+  test suite) with it.
 * ``"sleep"`` — stall for ``duration`` seconds before running the task,
   driving the supervisor's timeout path without flaky ad-hoc sleeps in
   tests.
@@ -54,8 +54,8 @@ class InjectedFaultError(ReproError):
 
 class InjectedCrashError(ReproError):
     """The simulated worker crash raised by a ``"crash"`` fault spec on
-    substrates where a real crash would kill the test process (threads,
-    serial in-process execution)."""
+    substrates where a real crash would kill the test process (serial
+    in-process execution)."""
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,8 @@ callers):
 * **per-task timeouts** — the supervisor stops waiting on a task after
   ``policy.timeout`` seconds (measured from when it turns to that
   task), classifies it as :class:`~repro.errors.TaskTimeoutError`, and
-  on process pools abandons + respawns the pool so the hung worker
-  cannot wedge later rounds;
+  abandons + respawns the pool so the hung worker cannot wedge later
+  rounds;
 * **crash detection and attribution** — ``BrokenProcessPool`` poisons
   every outstanding future, so the supervisor plants a *sentinel flag
   array* in shared memory that each task stamps at start and finish.
@@ -200,24 +200,24 @@ class TaskAttempt:
 
 def _supervised_call(payload):
     """Run one supervised task inside a worker (module-level: must
-    pickle to process pools). Stamps the sentinel flag array — shared
-    memory attached by name — at start and finish, applies the injected
-    fault (if any) around the real function. ``packed`` marks an item
-    whose ndarrays crossed by shared-memory name (zero-copy process
-    transport); it is materialized into read-only views here, under the
-    same tracker suppression as the flags segment — the parent owns
-    every segment's lifetime. ``trace`` asks for worker-local timing:
+    pickle to process pools). On a pool round (``flags_name`` set) it
+    stamps the sentinel flag array — shared memory attached by name — at
+    start and finish, and materializes the item's shared-memory refs
+    (zero-copy process transport) into read-only views, under the same
+    tracker suppression as the flags segment — the parent owns every
+    segment's lifetime. It applies the injected fault (if any) around
+    the real function. ``trace`` asks for worker-local timing:
     the raw result (with any injected corruption already applied, so
     fault semantics are identical either way) rides back wrapped in a
     timing envelope the parent unwraps before validation. ``trace_id``
     is the request trace id the round was dispatched under (or None);
     it rides back inside the envelope so worker spans are attributed to
     the request even across the process boundary."""
-    fn, item, spec, flags_name, slot, packed, trace, trace_id = payload
+    fn, item, spec, flags_name, slot, trace, trace_id = payload
     shm = None
     flags = None
     item_shms: list = []
-    if flags_name is not None or packed:
+    if flags_name is not None:
         # On this Python, *attaching* registers the segment with the
         # resource tracker, so a worker killed mid-task (the exact
         # event we supervise) would leave a dangling registration that
@@ -228,16 +228,14 @@ def _supervised_call(payload):
         orig_register = resource_tracker.register
         resource_tracker.register = lambda *a, **k: None
         try:
-            if flags_name is not None:
-                try:
-                    shm = shared_memory.SharedMemory(name=flags_name)
-                except (FileNotFoundError, OSError):
-                    # The segment vanished (parent already tore the round
-                    # down): run unstamped — worst case the task is reported
-                    # as a suspect and re-proven in isolation.
-                    shm = None
-            if packed:
-                item = _unpack_value(item, item_shms)
+            try:
+                shm = shared_memory.SharedMemory(name=flags_name)
+            except (FileNotFoundError, OSError):
+                # The segment vanished (parent already tore the round
+                # down): run unstamped — worst case the task is reported
+                # as a suspect and re-proven in isolation.
+                shm = None
+            item = _unpack_value(item, item_shms)
         finally:
             resource_tracker.register = orig_register
         if shm is not None:
@@ -285,9 +283,9 @@ class Supervisor:
 
     The supervisor never owns the backend — it borrows whatever pool the
     backend currently holds, falling back to in-process execution when
-    there is none (serial backend, closed backend, unpicklable ``fn`` on
-    a process pool). Every task of a batch goes to the pool, a
-    one-task batch included. Results are order-preserving;
+    there is none (serial backend, closed backend, unpicklable ``fn``).
+    Every task of a batch goes to the pool, a one-task batch included.
+    Results are order-preserving;
     :meth:`submit_batch` returns ``(results, failures)`` where a failed
     task's slot holds ``None`` and its :class:`TaskFailure` explains
     why. Every run of every task — retries behind eventual successes
@@ -503,13 +501,9 @@ class Supervisor:
     def _run_round(self, fn, items, pending, attempts, tracer) -> list[_Outcome]:
         backend = self.backend
         pool = getattr(backend, "_pool", None)
-        if pool is None or getattr(backend, "closed", False):
+        if pool is None or getattr(backend, "closed", False) or not fn_picklable(fn):
             return self._run_inline(fn, items, pending, attempts, tracer)
-        if getattr(backend, "_batch_requires_pickle", False):
-            if not fn_picklable(fn):
-                return self._run_inline(fn, items, pending, attempts, tracer)
-            return self._run_pool(fn, items, pending, attempts, tracer, pool, sentinel=True)
-        return self._run_pool(fn, items, pending, attempts, tracer, pool, sentinel=False)
+        return self._run_pool(fn, items, pending, attempts, tracer, pool)
 
     @staticmethod
     def _unwrap_traced(tracer, value, idx, attempt, submit_ts):
@@ -553,8 +547,7 @@ class Supervisor:
             t0 = time.perf_counter()
             try:
                 value = _supervised_call(
-                    (fn, items[idx], spec, None, 0, False, trace,
-                     current_trace_id())
+                    (fn, items[idx], spec, None, 0, trace, current_trace_id())
                 )
                 value = self._unwrap_traced(tracer, value, idx, attempts[idx], None)
             except Exception as exc:
@@ -578,42 +571,29 @@ class Supervisor:
                 outcomes.append(_Outcome("ok", value=value, duration=duration))
         return outcomes
 
-    def _run_pool(self, fn, items, pending, attempts, tracer, pool, *, sentinel) -> list[_Outcome]:
+    def _run_pool(self, fn, items, pending, attempts, tracer, pool) -> list[_Outcome]:
         """One round over the backend's worker pool.
 
-        ``sentinel=True`` (process pools) plants the shared flag array
-        for crash attribution and moves the round's large item arrays
-        by shared memory (:func:`~repro.pram.backends.pack_batch_items`,
-        materialized by ``_supervised_call``); thread pools deliver
-        exceptions in-band and share items directly.
+        Plants the shared flag array for crash attribution and moves the
+        round's large item arrays by shared memory
+        (:func:`~repro.pram.backends.pack_batch_items`, materialized by
+        ``_supervised_call``).
         """
         trace = tracer.enabled
-        flags_shm = None
-        flags = None
-        if sentinel:
-            flags_shm = shared_memory.SharedMemory(create=True, size=max(len(pending), 1))
-            flags = np.ndarray((flags_shm.size,), dtype=np.uint8, buffer=flags_shm.buf)
-            flags[:] = _IDLE
+        flags_shm = shared_memory.SharedMemory(create=True, size=max(len(pending), 1))
+        flags = np.ndarray((flags_shm.size,), dtype=np.uint8, buffer=flags_shm.buf)
+        flags[:] = _IDLE
         item_shms: list = []
-        round_items = [items[idx] for idx in pending]
         try:
-            if sentinel:
-                round_items, _ = pack_batch_items(round_items, item_shms)
-                _record_shm_bytes(tracer, item_shms)
+            round_items, _ = pack_batch_items([items[idx] for idx in pending], item_shms)
+            _record_shm_bytes(tracer, item_shms)
             submit_ts = tracer.now() if trace else None
             trace_id = current_trace_id()
             futures = []
             for slot, idx in enumerate(pending):
                 spec = self._spec(idx, attempts[idx])
                 payload = (
-                    fn,
-                    round_items[slot],
-                    spec,
-                    flags_shm.name if sentinel else None,
-                    slot,
-                    sentinel,
-                    trace,
-                    trace_id,
+                    fn, round_items[slot], spec, flags_shm.name, slot, trace, trace_id,
                 )
                 try:
                     futures.append(pool.submit(_supervised_call, payload))
@@ -649,7 +629,7 @@ class Supervisor:
                     # attribution is resolved below via the sentinel.
                     broke = True
                     duration = time.perf_counter() - t0
-                    started = sentinel and flags is not None and flags[slot] == _STARTED
+                    started = flags[slot] == _STARTED
                     if started and len(pending) == 1:
                         # The task was alone on the pool: exact
                         # attribution, consume its attempt.
@@ -674,7 +654,7 @@ class Supervisor:
                             duration=time.perf_counter() - t0,
                         )
                     )
-            if broke and sentinel and not any(
+            if broke and not any(
                 o.kind == "suspect"
                 or (o.kind == "fail" and isinstance(o.error, WorkerCrashError))
                 for o in raw
@@ -689,11 +669,9 @@ class Supervisor:
                 for slot, outcome in enumerate(raw):
                     if outcome.kind == "free" and futures[slot] is not None:
                         raw[slot] = _Outcome("suspect", duration=outcome.duration)
-            if broke or (timed_out and sentinel):
-                # A broken pool is unusable; a hung process worker would
-                # wedge later rounds. Respawn before retrying. (Thread
-                # pools survive both: a timed-out thread just finishes
-                # late.)
+            if broke or timed_out:
+                # A broken pool is unusable; a hung worker would wedge
+                # later rounds. Respawn before retrying.
                 respawn = getattr(self.backend, "_respawn_pool", None)
                 if respawn is not None:
                     if trace:
@@ -729,14 +707,13 @@ class Supervisor:
                     item_shm.unlink()
                 except FileNotFoundError:  # pragma: no cover - defensive
                     pass
-            if flags_shm is not None:
-                flags_shm.close()
-                try:
-                    flags_shm.unlink()
-                except FileNotFoundError:
-                    # A dying worker's dangling resource-tracker
-                    # registration can unlink first; gone is gone.
-                    pass
+            flags_shm.close()
+            try:
+                flags_shm.unlink()
+            except FileNotFoundError:
+                # A dying worker's dangling resource-tracker
+                # registration can unlink first; gone is gone.
+                pass
 
     @staticmethod
     def _classify(exc, idx) -> ExecutionError:

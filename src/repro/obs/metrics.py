@@ -9,7 +9,7 @@ is active, so a disabled run records nothing and pays nothing (call
 sites guard on ``tracer.enabled``).
 
 All instruments are thread-safe: a lone :class:`threading.Lock` per
-instrument keeps increments exact when the thread backend's pool and
+instrument keeps increments exact when the server's solve threads and
 the driver both record at once. Nothing here is wait-free fancy — the
 recording rate is per-task / per-primitive, not per-element.
 """

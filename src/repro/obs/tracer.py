@@ -333,7 +333,7 @@ class Tracer:
         """Resolve a (pid, tid) observed in a task result to a trace lane.
 
         Work executed in a pool process gets a lane per worker pid; work
-        executed in-driver (serial fallback, thread pool) gets a lane
+        executed in-driver (a serial or pool-less batch) gets a lane
         per native thread id. The first sighting of a lane emits its
         ``thread_name`` metadata so viewers label the row.
 

@@ -14,7 +14,7 @@ cache-oblivious model the cache complexities are ``O(m/B)`` and
 calling thread while charging the model costs to a :class:`CostLedger`,
 so all of the paper's asymptotic claims (work bounds, round counts,
 polylog depth, Brent speedup ``T_p = W/p + D``) become directly
-measurable quantities. A backend (serial, thread, or process) is only
+measurable quantities. A backend (serial, or a process pool) is only
 a task pool for the shard subsystem's batch jobs; no primitive depends
 on it, so results and charges are identical on every backend.
 """
@@ -25,7 +25,6 @@ from repro.pram.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     make_backend,
     shared_backend,
@@ -46,7 +45,6 @@ __all__ = [
     "RoundMark",
     "Backend",
     "SerialBackend",
-    "ThreadBackend",
     "PramMachine",
     "ensure_machine",
     "ProcessBackend",

@@ -9,18 +9,16 @@ plain NumPy in the calling thread, so seeded results and the ledger's
 model charges are identical on every backend by construction.
 
 * :class:`SerialBackend` — no pool; the Supervisor runs every task in
-  the calling thread. The default, and the reference every pool's
+  the calling thread. The default, and the reference the pool's
   batches are tested against.
-* :class:`ThreadBackend` — a ``ThreadPoolExecutor`` task pool. Tasks
-  share the caller's memory; NumPy work inside a task releases the GIL.
-* :class:`ProcessBackend` — a ``ProcessPoolExecutor`` task pool. Large
-  ndarrays inside batch items travel by shared-memory *name*, never by
-  pickled value (:func:`pack_batch_items`).
+* :class:`ProcessBackend` — the one pool: a ``ProcessPoolExecutor``.
+  Large ndarrays inside batch items travel by shared-memory *name*,
+  never by pickled value (:func:`pack_batch_items`).
 
-A closed pool backend has no pool, so its batches run in the caller.
+A closed process backend has no pool, so its batches run in the caller.
 
 Backends are constructed directly, through :func:`make_backend`
-(``"serial" | "thread" | "process"``), or implicitly via the
+(``"serial" | "process"``), or implicitly via the
 ``REPRO_BACKEND`` / ``REPRO_NUM_WORKERS`` environment variables
 consulted by :func:`shared_backend` when a
 :class:`~repro.pram.machine.PramMachine` is built without an explicit
@@ -34,12 +32,13 @@ import os
 import pickle
 import threading
 import weakref
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context, resource_tracker, shared_memory
 
 import numpy as np
 
 from repro.errors import InvalidParameterError
+from repro.util.validation import check_positive_int
 
 
 _PICKLABLE_FNS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -76,11 +75,12 @@ def fn_picklable(fn) -> bool:
 class _TracedResult:
     """Worker-side timing riding back with a batch task's result.
 
-    Created inside the worker (process or thread) by the Supervisor's
-    task shim and unwrapped by the parent, which emits the queue-wait and
-    exec spans on a per-worker lane. Timestamps are ``perf_counter_ns()``
-    microseconds — ``CLOCK_MONOTONIC``, shared across processes on the
-    same machine, so they land on the driver's time axis directly.
+    Created inside the worker process (or the caller, for a batch run
+    in place) by the Supervisor's task shim and unwrapped by the parent,
+    which emits the queue-wait and exec spans on a per-worker lane.
+    Timestamps are ``perf_counter_ns()`` microseconds —
+    ``CLOCK_MONOTONIC``, shared across processes on the same machine, so
+    they land on the driver's time axis directly.
     """
 
     __slots__ = ("value", "pid", "tid", "start_us", "end_us", "trace_id")
@@ -115,7 +115,7 @@ class Backend:
 
     The base backend owns no pool: the Supervisor runs its batch tasks
     in a plain loop on the calling thread — the serial reference.
-    Backends are context managers: ``with make_backend("thread") as b``
+    Backends are context managers: ``with make_backend("process") as b``
     guarantees the worker pool is released. ``close`` is idempotent,
     and a closed backend has no pool (see :attr:`closed`).
     """
@@ -143,103 +143,6 @@ class SerialBackend(Backend):
     (the default)."""
 
     name = "serial"
-
-
-#: The largest pool a backend builds. A forked process pool starts all
-#: its workers at the first submit, so a larger count is refused.
-MAX_WORKERS = 32 * (os.cpu_count() or 1)
-
-
-class _PoolBackend(Backend):
-    """Shared scaffolding for worker-pool backends.
-
-    Owns the pool, the close/context-manager lifecycle and the fault
-    supervisor's respawn hook. Concrete backends provide ``_make_pool``.
-    """
-
-    #: Whether batch tasks cross a pickling boundary (process pools):
-    #: gates the Supervisor's fn-picklability probe, and moves ndarray
-    #: item arguments by shared-memory segment name instead of pickled
-    #: value.
-    _batch_requires_pickle = False
-
-    def __init__(self, num_workers: int | None = None):
-        workers = num_workers if num_workers is not None else (os.cpu_count() or 1)
-        if not 1 <= workers <= MAX_WORKERS:
-            raise InvalidParameterError(
-                f"num_workers must be in [1, {MAX_WORKERS}], got {num_workers}"
-            )
-        self.num_workers = int(workers)
-        self._pool = self._make_pool() if self.num_workers > 1 else None
-        self._closed = False
-        # Guards the pool handle against a concurrent close() or respawn.
-        self._lock = threading.Lock()
-
-    def _make_pool(self):
-        raise NotImplementedError
-
-    # -- lifecycle --------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self):
-        """Shut the worker pool down (idempotent, thread-safe).
-
-        After closing there is no pool, and the Supervisor runs every
-        batch in the caller — the use-after-close contract, asserted by
-        the backend test suite. A close racing an in-flight supervised
-        batch is deterministic: tasks already running are drained
-        (``shutdown(wait=True)`` joins them), tasks still queued are
-        cancelled, and the Supervisor reruns each cancelled task in the
-        caller, exactly once and without consuming an attempt. No path
-        deadlocks: close never waits on anything the batch caller holds.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def _respawn_pool(self):
-        """Replace a broken/hung worker pool with a fresh one.
-
-        The recovery hook used by :class:`repro.faults.Supervisor`
-        after a worker crash (``BrokenProcessPool``) or a process-pool
-        timeout: the old pool is abandoned without joining (its workers
-        are dead or hung), its queued futures are cancelled, and — on a
-        still-open backend — a new pool of the same size takes its
-        place. Returns the new pool (``None`` when closed or
-        single-worker)."""
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        with self._lock:
-            if not self._closed and self._pool is None and self.num_workers > 1:
-                self._pool = self._make_pool()
-            return self._pool
-
-
-class ThreadBackend(_PoolBackend):
-    """Thread-pool task execution for supervised batches.
-
-    Batch items are passed by reference, never copied or pickled.
-
-    Parameters
-    ----------
-    num_workers:
-        Worker thread count; defaults to ``os.cpu_count()``. With one
-        worker no pool is created and batches run serially.
-    """
-
-    name = "thread"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.num_workers)
 
 
 # -- process backend: zero-copy batch transport -----------------------------
@@ -352,7 +255,12 @@ def _unpack_value(value, shms: list):
 _MP_CONTEXT = "fork"
 
 
-class ProcessBackend(_PoolBackend):
+#: The largest pool a backend builds. A forked process pool starts all
+#: its workers at the first submit, so a larger count is refused.
+MAX_WORKERS = 32 * (os.cpu_count() or 1)
+
+
+class ProcessBackend(Backend):
     """Process-pool task execution for supervised batches.
 
     The pool runs the shard subsystem's per-shard jobs, sent by the
@@ -364,36 +272,93 @@ class ProcessBackend(_PoolBackend):
     Parameters
     ----------
     num_workers:
-        Worker process count; defaults to ``os.cpu_count()``. With one
-        worker no pool is created and batches run serially.
+        Worker process count, a whole number in ``[1, MAX_WORKERS]``;
+        defaults to ``os.cpu_count()``. With one worker no pool is
+        created and batches run serially.
     """
 
     name = "process"
-    _batch_requires_pickle = True
 
-    def _make_pool(self):
+    def __init__(self, num_workers: int | None = None):
+        if num_workers is None:
+            workers = os.cpu_count() or 1
+        else:
+            workers = check_positive_int(num_workers, name="num_workers")
+        if workers > MAX_WORKERS:
+            raise InvalidParameterError(
+                f"num_workers must be in [1, {MAX_WORKERS}], got {num_workers}"
+            )
+        self.num_workers = workers
+        self._pool = None
+        self._closed = False
+        # Guards the pool handle against a concurrent close() or respawn.
+        self._lock = threading.Lock()
+        self._respawn_pool()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
+    def close(self):
+        """Shut the worker pool down (idempotent, thread-safe).
+
+        After closing there is no pool, and the Supervisor runs every
+        batch in the caller — the use-after-close contract, asserted by
+        the backend test suite. A close racing an in-flight supervised
+        batch is deterministic: tasks already running are drained
+        (``shutdown(wait=True)`` joins them), tasks still queued are
+        cancelled, and the Supervisor reruns each cancelled task in the
+        caller, exactly once and without consuming an attempt. No path
+        deadlocks: close never waits on anything the batch caller holds.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def _respawn_pool(self):
+        """Start a fresh worker pool in place of the current one.
+
+        Builds the first pool, and is the recovery hook used by
+        :class:`repro.faults.Supervisor` after a worker crash
+        (``BrokenProcessPool``) or a timeout: the old pool is abandoned
+        without joining (its workers are dead or hung), its queued
+        futures are cancelled, and — on a still-open backend — a new
+        pool of the same size takes its place. Returns the new pool
+        (``None`` when closed or single-worker)."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
+        if self.num_workers == 1:
+            return None
         try:
             ctx = get_context(_MP_CONTEXT)
         except ValueError:
             ctx = None
         # Start the shared-memory resource tracker *before* any worker
-        # forks. Workers fork lazily at first submit; if that first
-        # submit carries no shared memory (a batch of small items), the
-        # children inherit an unstarted tracker and each spawns its
+        # forks: a child that inherits an unstarted tracker spawns its
         # own on first attach — an orphan that only ever sees REGISTERs
         # and warns about phantom "leaked" segments at shutdown.
         try:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - tracker unavailable
             pass
-        return ProcessPoolExecutor(max_workers=self.num_workers, mp_context=ctx)
+        with self._lock:
+            if not self._closed and self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.num_workers, mp_context=ctx
+                )
+            return self._pool
 
 
 # -- registry & factory -----------------------------------------------------
 
 _BACKEND_REGISTRY: dict = {
     "serial": lambda num_workers: SerialBackend(),
-    "thread": ThreadBackend,
     "process": ProcessBackend,
 }
 
@@ -409,14 +374,15 @@ def make_backend(spec: "str | Backend" = "serial", *, num_workers: int | None = 
     Parameters
     ----------
     spec:
-        ``"serial"``, ``"thread"``, ``"process"``, or an existing
+        ``"serial"``, ``"process"``, or an existing
         :class:`Backend` (returned unchanged). Any other name raises
         :class:`~repro.errors.InvalidParameterError`.
     num_workers:
-        Forwarded to pool backends; ``None`` keeps their default.
+        Forwarded to :class:`ProcessBackend`; ``None`` keeps its
+        default. The serial backend has no workers.
 
     The caller owns the result: close it (or use it as a context
-    manager) when a pool backend is no longer needed.
+    manager) when a process backend is no longer needed.
     """
     if isinstance(spec, Backend):
         return spec

@@ -29,7 +29,7 @@ sorts               ``m log r``     ``log r``      ``(m/B) log_{M/B} m``
 segment for ``argsort_segments``, the vector for ``sort`` — or the vote
 range.) Charges are computed from the array sizes a primitive
 touches, never from how it executed. Because no primitive depends on
-the backend, serial, thread, and process runs of the same seeded
+the backend, serial and process-pool runs of the same seeded
 algorithm return identical results and report identical
 work/depth/cache totals.
 ``count_votes``, ``take_rows``, ``pack``, ``segment_positions`` and
@@ -156,7 +156,7 @@ class PramMachine:
         its coreset builds to when handed this machine (the primitives
         never use it): a :class:`Backend` instance, kept as given and
         closed by whoever created it, a backend name
-        (``"serial"``/``"thread"``/``"process"``, resolved to the
+        (``"serial"``/``"process"``, resolved to the
         process-wide :func:`~repro.pram.backends.shared_backend` for
         that configuration), or ``None`` for the environment default
         (``REPRO_BACKEND``, serial unless set). Shared backends are

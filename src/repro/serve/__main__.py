@@ -35,7 +35,7 @@ def main(argv=None) -> None:
     parser.add_argument("--queue-size", type=int, default=64)
     parser.add_argument(
         "--backend", default="process",
-        help="execution backend shared by all solves (serial/thread/process)",
+        help="execution backend shared by all solves (serial/process)",
     )
     parser.add_argument("--backend-workers", type=int, default=None)
     parser.add_argument(

@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--spawn-backend", default="process",
-        help="execution backend for the spawned server",
+        help="execution backend for the spawned server (serial/process)",
     )
     parser.add_argument("--spawn-workers", type=int, default=2)
     parser.add_argument("--spawn-backend-workers", type=int, default=None)

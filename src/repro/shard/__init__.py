@@ -15,7 +15,7 @@ This package implements that pipeline on top of the existing machinery:
   (KD-median) shard assignment over raw point coordinates;
 * :mod:`repro.shard.coreset` — Gonzalez-seeded and sampling-based
   weighted coresets per shard, executed shard-parallel over the
-  serial/thread/process backends with per-shard PRAM ledger charges
+  serial or process backend with per-shard PRAM ledger charges
   folded into the global ledger under parallel composition;
 * :mod:`repro.shard.merge` — concatenate the shard coresets into one
   *weighted* :class:`~repro.metrics.sparse.SparseClusteringInstance`

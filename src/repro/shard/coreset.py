@@ -48,6 +48,7 @@ from repro.pram.ledger import CostLedger, CostSnapshot
 from repro.pram.machine import PramMachine
 from repro.shard.partition import _check_points, _check_weights
 from repro.shard.store import ShardStore, StoredShard, _ResidentShards
+from repro.util.validation import check_positive_int
 
 _METHODS = ("gonzalez", "sample", "none")
 
@@ -87,14 +88,30 @@ def farthest_point_seeds(
 ) -> np.ndarray:
     """Farthest-point traversal from ``start`` — the shared Gonzalez
     kernel behind the coreset seeder and the driver's merged-instance
-    warm start. ``O(size · n)``; charged to ``ledger`` when given."""
+    warm start. ``O(size · n)``; charged to ``ledger`` when given.
+
+    Column by column into preallocated ``(n,)`` buffers: per seed, one
+    subtract/square/add per coordinate, one ``sqrt`` and one in-place
+    ``minimum``, so no ``(n, dim)`` temporary is built. The squares add
+    left to right like ``np.linalg.norm(axis=1)`` below 8 coordinates,
+    so the distances match it to the bit there; from 8 on, norm's
+    pairwise row sum may differ in the last bits."""
     n = points.shape[0]
+    cols = np.ascontiguousarray(points.T, dtype=float)
     seeds = np.empty(size, dtype=np.intp)
     seeds[0] = int(start)
-    d = np.linalg.norm(points - points[seeds[0]], axis=1)
-    for t in range(1, size):
-        seeds[t] = int(np.argmax(d))
-        np.minimum(d, np.linalg.norm(points - points[seeds[t]], axis=1), out=d)
+    d = np.full(n, np.inf)
+    dist = np.empty(n)
+    diff = np.empty(n)
+    for t in range(size - 1):
+        dist.fill(0.0)
+        for col, c in zip(cols, cols[:, seeds[t]]):
+            np.subtract(col, c, out=diff)
+            np.multiply(diff, diff, out=diff)
+            np.add(dist, diff, out=dist)
+        np.sqrt(dist, out=dist)
+        np.minimum(d, dist, out=d)
+        seeds[t + 1] = int(np.argmax(d))
     if ledger is not None:
         ledger.charge_basic("coreset_seed[gonzalez]", size * n)
     return seeds
@@ -137,9 +154,7 @@ def build_coreset(
         raise InvalidParameterError(
             f"unknown coreset method {method!r}; expected one of {_METHODS}"
         )
-    size = int(size)
-    if size < 1:
-        raise InvalidParameterError(f"coreset size must be >= 1, got {size}")
+    size = check_positive_int(size, name="coreset size")
     weights = np.ones(n) if weights is None else _check_weights(weights, n).copy()
     origin = (
         np.arange(n, dtype=np.intp)
@@ -277,7 +292,7 @@ def supervised_shard_coresets(
     (non-finite/non-positive weights, broken weight conservation).
     Shard seeds derive from one :class:`numpy.random.SeedSequence`
     spawn, so results are identical however the backend schedules the
-    tasks (serial loop, thread pool, or process pool) and wherever the
+    tasks (serial loop or process pool) and wherever the
     blocks live (resident or stored). Resident inputs pass the
     partition checks before any task runs, so a bad label, weight or
     point is an :class:`~repro.errors.InvalidParameterError`, never a

@@ -98,11 +98,17 @@ def check_k(k: int, n: int, *, name: str = "k") -> int:
 
 
 def check_positive_int(value: int, *, name: str) -> int:
-    """Validate a strictly positive integer parameter."""
-    v = int(value)
-    if v != value or v <= 0:
-        raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
-    return v
+    """Validate a strictly positive whole number: an integer, or a
+    whole float such as ``3.0``. Bools, text, NaN, infinities and
+    fractions are refused."""
+    if (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and (isinstance(value, numbers.Integral) or float(value).is_integer())
+        and value > 0
+    ):
+        return int(value)
+    raise InvalidParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
 def check_probability(p: float, *, name: str = "p") -> float:

@@ -1,6 +1,6 @@
 """The fault matrix over ``shard_and_solve``:
 
-{thread, process} × {crash, timeout, transient-raise, corrupt-result}
+the process pool × {crash, timeout, transient-raise, corrupt-result}
 × {raise, retry, drop} — plus the headline determinism property: a
 recovered run is byte-identical to one that never failed, and a
 degraded run carries a valid widened certificate.
@@ -15,7 +15,7 @@ import pytest
 from repro.analysis import DegradedCoresetBound
 from repro.errors import InvalidParameterError, ShardFailedError
 from repro.faults import NO_RETRY, FaultPlan, RetryPolicy
-from repro.pram.backends import ProcessBackend, ThreadBackend
+from repro.pram.backends import ProcessBackend, SerialBackend
 from repro.pram.machine import PramMachine
 from repro.shard import shard_and_solve
 
@@ -33,7 +33,7 @@ SOLVE_KW = dict(
 
 
 def _backend(name):
-    return ThreadBackend(3) if name == "thread" else ProcessBackend(3)
+    return SerialBackend() if name == "serial" else ProcessBackend(3)
 
 
 def _solve(backend, **kw):
@@ -103,7 +103,7 @@ def _assert_valid_degradation(sol, base):
     assert sol.true_cost >= base.true_cost * 0.5
 
 
-@pytest.mark.parametrize("backend_name", ["thread", "process"])
+@pytest.mark.parametrize("backend_name", ["process"])
 @pytest.mark.parametrize("kind", ["crash", "sleep", "raise", "corrupt"])
 class TestFaultMatrix:
     def test_raise_mode_surfaces_shard_failure(self, backend_name, kind):
@@ -139,7 +139,7 @@ class TestFaultMatrix:
 
 
 class TestSupervisedCleanRuns:
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
+    @pytest.mark.parametrize("backend_name", ["process"])
     def test_zero_faults_byte_identical_to_unsupervised(self, backend_name):
         with _backend(backend_name) as b:
             sol = _solve(b, on_shard_failure="retry")
@@ -149,10 +149,10 @@ class TestSupervisedCleanRuns:
 class TestDegradationProperties:
     def test_drop_deterministic_across_backends(self):
         """Dropping the same shard yields byte-identical degraded
-        results on thread and process pools — surviving coresets are
-        seed-determined, never scheduling-determined."""
+        results in the caller and on the process pool — surviving
+        coresets are seed-determined, never scheduling-determined."""
         sols = []
-        for name in ("thread", "process"):
+        for name in ("serial", "process"):
             with _backend(name) as b:
                 sols.append(
                     _solve(
@@ -173,7 +173,7 @@ class TestDegradationProperties:
                 FaultPlan.single("raise", s, attempt=None).specs[0] for s in (0, 1, 2)
             )
         )
-        with _backend("thread") as b:
+        with _backend("process") as b:
             with pytest.raises(ShardFailedError, match="coverage_floor"):
                 _solve(
                     b,
@@ -190,7 +190,7 @@ class TestDegradationProperties:
                 for s in range(SHARDS)
             )
         )
-        with _backend("thread") as b:
+        with _backend("process") as b:
             with pytest.raises(ShardFailedError, match="every shard"):
                 _solve(
                     b,
@@ -202,13 +202,13 @@ class TestDegradationProperties:
 
     def test_env_fault_plan_activates_supervision(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", f"raise@{TARGET}#*")
-        with _backend("thread") as b:
+        with _backend("process") as b:
             sol = _solve(b, on_shard_failure="drop", retry_policy=NO_RETRY)
         assert sol.degraded and sol.failed_shards.tolist() == [TARGET]
 
     def test_weighted_input_coverage_accounting(self):
         w = np.ones(POINTS.shape[0])
-        with _backend("thread") as b:
+        with _backend("process") as b:
             sol = _solve(
                 b,
                 weights=w * 2.0,

@@ -21,7 +21,7 @@ from repro.faults import (
     TaskFailure,
     supervised_submit_batch,
 )
-from repro.pram.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.pram.backends import ProcessBackend, SerialBackend
 
 FAST = RetryPolicy(base_delay=0.0, jitter=0.0)
 
@@ -35,14 +35,9 @@ def _sleepy(x):
     return x
 
 
-@pytest.fixture(params=["serial", "thread", "process"])
+@pytest.fixture(params=["serial", "process"])
 def backend(request):
-    b = {
-        "serial": SerialBackend,
-        "thread": lambda: ThreadBackend(2),
-        "process": lambda: ProcessBackend(2),
-    }[request.param]
-    b = b() if request.param != "serial" else SerialBackend()
+    b = SerialBackend() if request.param == "serial" else ProcessBackend(2)
     yield b
     b.close()
 
@@ -136,10 +131,8 @@ class TestTransientFaults:
 
 
 class TestCrashFaults:
-    @pytest.mark.parametrize("make", [lambda: ThreadBackend(2),
-                                      lambda: ProcessBackend(2)])
-    def test_crash_retried_to_success(self, make):
-        with make() as b:
+    def test_crash_retried_to_success(self):
+        with ProcessBackend(2) as b:
             results, failures = Supervisor(b, FAST, FaultPlan.single("crash", 1)).submit_batch(
                 _square, list(range(6))
             )

@@ -3,16 +3,16 @@
 A backend is a task pool; the machine's primitives run as plain NumPy
 in the calling thread, so the backend must never change results or
 model charges. The first half sweeps the satellite algorithms
-serial-vs-thread; the second half is the parity gate: seeded runs of
+serial-vs-pool; the second half is the parity gate: seeded runs of
 greedy, primal–dual, and both dominator variants must be
-**byte-identical** on serial, thread, and process backends. Last, a
-spy on each pool checks that no core solver sends it a task at all.
+**byte-identical** on serial and process backends. Last, a spy on the
+pool checks that no core solver sends it a task at all.
 """
 
 import numpy as np
 import pytest
 
-from repro import PramMachine, ProcessBackend, SerialBackend, ThreadBackend
+from repro import PramMachine, ProcessBackend, SerialBackend
 from repro.core.dominator import max_dominator_set, max_u_dominator_set
 from repro.core.dominator_sparse import (
     max_dominator_set_sparse,
@@ -31,53 +31,53 @@ from repro.metrics.generators import euclidean_clustering, euclidean_instance
 
 @pytest.fixture
 def pair():
-    """Matched (serial, threaded) machines with identical seeds."""
-    with ThreadBackend(2) as backend:
+    """Matched (serial, pooled) machines with identical seeds."""
+    with ProcessBackend(2) as backend:
         yield PramMachine(seed=77), PramMachine(backend=backend, seed=77)
 
 
 def test_lp_rounding_backend_equivalence(pair):
-    serial, threaded = pair
+    serial, pooled = pair
     inst = euclidean_instance(10, 40, seed=5)
     primal = solve_primal(inst)
     a = parallel_lp_rounding(inst, primal, epsilon=0.1, machine=serial)
-    b = parallel_lp_rounding(inst, primal, epsilon=0.1, machine=threaded)
+    b = parallel_lp_rounding(inst, primal, epsilon=0.1, machine=pooled)
     assert np.array_equal(a.opened, b.opened)
     assert a.cost == pytest.approx(b.cost)
-    assert serial.ledger.work == pytest.approx(threaded.ledger.work)
+    assert serial.ledger.work == pytest.approx(pooled.ledger.work)
 
 
 def test_kmedian_backend_equivalence(pair):
-    serial, threaded = pair
+    serial, pooled = pair
     inst = euclidean_clustering(40, 4, seed=5)
     a = parallel_kmedian(inst, epsilon=0.3, machine=serial)
-    b = parallel_kmedian(inst, epsilon=0.3, machine=threaded)
+    b = parallel_kmedian(inst, epsilon=0.3, machine=pooled)
     assert np.array_equal(a.centers, b.centers)
     assert a.cost == pytest.approx(b.cost)
 
 
 def test_kmeans_backend_equivalence(pair):
-    serial, threaded = pair
+    serial, pooled = pair
     inst = euclidean_clustering(36, 3, seed=6)
     a = parallel_kmeans(inst, epsilon=0.3, machine=serial)
-    b = parallel_kmeans(inst, epsilon=0.3, machine=threaded)
+    b = parallel_kmeans(inst, epsilon=0.3, machine=pooled)
     assert np.array_equal(a.centers, b.centers)
 
 
 def test_fl_local_search_backend_equivalence(pair):
-    serial, threaded = pair
+    serial, pooled = pair
     inst = euclidean_instance(9, 30, seed=7)
     a = parallel_fl_local_search(inst, epsilon=0.1, machine=serial)
-    b = parallel_fl_local_search(inst, epsilon=0.1, machine=threaded)
+    b = parallel_fl_local_search(inst, epsilon=0.1, machine=pooled)
     assert np.array_equal(a.opened, b.opened)
     assert a.extra["moves"] == b.extra["moves"]
 
 
 def test_lagrangian_backend_equivalence(pair):
-    serial, threaded = pair
+    serial, pooled = pair
     inst = euclidean_clustering(25, 3, seed=8)
     a = parallel_kmedian_lagrangian(inst, epsilon=0.2, machine=serial, max_probes=10)
-    b = parallel_kmedian_lagrangian(inst, epsilon=0.2, machine=threaded, max_probes=10)
+    b = parallel_kmedian_lagrangian(inst, epsilon=0.2, machine=pooled, max_probes=10)
     assert np.array_equal(a.centers, b.centers)
     assert [p["lambda"] for p in a.extra["probes"]] == [
         p["lambda"] for p in b.extra["probes"]
@@ -85,18 +85,18 @@ def test_lagrangian_backend_equivalence(pair):
 
 
 def test_depth_charges_backend_independent(pair):
-    serial, threaded = pair
+    serial, pooled = pair
     inst = euclidean_instance(10, 40, seed=9)
     primal = solve_primal(inst)
     parallel_lp_rounding(inst, primal, epsilon=0.1, machine=serial)
-    parallel_lp_rounding(inst, primal, epsilon=0.1, machine=threaded)
-    assert serial.ledger.depth == pytest.approx(threaded.ledger.depth)
-    assert serial.ledger.cache == pytest.approx(threaded.ledger.cache)
+    parallel_lp_rounding(inst, primal, epsilon=0.1, machine=pooled)
+    assert serial.ledger.depth == pytest.approx(pooled.ledger.depth)
+    assert serial.ledger.cache == pytest.approx(pooled.ledger.cache)
 
 
-# -- PR-2 parity gate: byte-identical across serial/thread/process ------------
+# -- PR-2 parity gate: byte-identical across serial/process -------------------
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,6 @@ def backend_set():
     """One pool per backend for the whole module (machines share them)."""
     backends = {
         "serial": SerialBackend(),
-        "thread": ThreadBackend(2),
         "process": ProcessBackend(2),
     }
     yield backends
@@ -233,9 +232,9 @@ def _core_solves():
     }
 
 
-@pytest.mark.parametrize("make_pool", [ThreadBackend, ProcessBackend], ids=["thread", "process"])
+@pytest.mark.parametrize("make_pool", [ProcessBackend], ids=["process"])
 def test_primitives_never_reach_the_pool(monkeypatch, make_pool):
-    """Every backend is a task pool only, and no core solver sends it a
+    """A backend is a task pool only, and no core solver sends it a
     task. Each core entry point (greedy and primal-dual on dense
     400 × 400 matrices, k-center, k-median, k-means, the Lagrangian, LP
     rounding, FL local search, MaxDom and MaxUDom) solves on a machine

@@ -1,8 +1,8 @@
 """Metamorphic property suite for the clustering solvers.
 
 Three families of invariants, asserted for every clustering solver on
-dense, full-CSR sparse, and kNN-truncated sparse instances, across
-execution backends:
+dense, full-CSR sparse, and kNN-truncated sparse instances (no solver
+reads the machine's pool, so one serial machine covers every backend):
 
 * **Permutation equivariance** — relabeling the nodes (and relabeling
   the per-node randomness consistently) permutes the returned centers
@@ -23,7 +23,7 @@ execution backends:
 import numpy as np
 import pytest
 
-from repro import PramMachine, SerialBackend, ThreadBackend
+from repro import PramMachine, SerialBackend
 from repro.baselines.brute_force import (
     brute_force_kcenter,
     brute_force_kmeans,
@@ -37,12 +37,12 @@ from repro.metrics.instance import ClusteringInstance
 from repro.metrics.space import MetricSpace
 from repro.metrics.sparse import SparseClusteringInstance, knn_sparsify
 
-BACKEND_NAMES = ("serial", "thread")
+BACKEND_NAMES = ("serial",)
 
 
 @pytest.fixture(scope="module")
 def backend_set():
-    backends = {"serial": SerialBackend(), "thread": ThreadBackend(2)}
+    backends = {"serial": SerialBackend()}
     yield backends
     for backend in backends.values():
         backend.close()

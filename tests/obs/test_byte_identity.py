@@ -21,7 +21,7 @@ from repro.obs.tracer import NULL_TRACER, set_tracer, trace_to
 from repro.pram.backends import make_backend
 from tests.pool_lanes import assert_coreset_batch_on_pool
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 @pytest.fixture(autouse=True)
@@ -101,7 +101,7 @@ def test_shard_and_solve_identical_with_tracing(tmp_path, backend_name):
 
     def solve(machine):
         # coreset_size below every shard's size: the fan-out seeds, so a
-        # thread or process machine sends it to its pool
+        # process machine sends it to its pool
         return shard_and_solve(points, 4, shards=4, coreset_size=64, seed=11, machine=machine)
 
     off = _run(solve, backend_name)
@@ -112,9 +112,7 @@ def test_shard_and_solve_identical_with_tracing(tmp_path, backend_name):
     assert np.array_equal(off.coreset_sizes, on.coreset_sizes)
     assert off.model_costs.work == on.model_costs.work
     if backend_name != "serial":
-        assert_coreset_batch_on_pool(
-            tmp_path / "shard.jsonl", process=backend_name == "process"
-        )
+        assert_coreset_batch_on_pool(tmp_path / "shard.jsonl")
 
 
 @pytest.mark.parametrize("backend_name", ["serial", "process"])
@@ -145,7 +143,7 @@ def test_shard_identical_under_fault_retry(tmp_path, backend_name):
     events = load_trace(tmp_path / "fault.jsonl")
     assert any(e.get("cat") == "fault" and e["name"] == "task_fail" for e in events)
     if backend_name == "process":
-        assert_coreset_batch_on_pool(tmp_path / "fault.jsonl", process=True)
+        assert_coreset_batch_on_pool(tmp_path / "fault.jsonl")
 
 
 def test_env_var_tracing_identical(tmp_path, monkeypatch):

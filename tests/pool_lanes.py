@@ -2,9 +2,8 @@
 
 An identity coreset fan-out runs in the caller, so a test that means to
 exercise a pool must say so: every ``exec`` span (one per task run that
-returned) must sit on a lane other than the caller's — by default the
-lane of the traced ``shard.coreset`` stage — and on a process pool
-every such lane is a ``worker-<pid>`` lane.
+returned) must sit on a ``worker-<pid>`` lane, never on the caller's —
+by default the lane of the traced ``shard.coreset`` stage.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from repro.obs.report import load_trace
 
 
-def assert_coreset_batch_on_pool(path, *, process: bool, caller=None) -> list:
+def assert_coreset_batch_on_pool(path, *, caller=None) -> list:
     """Assert the traced batch ran on pool lanes; return its exec lanes.
 
     ``caller`` is the native thread id the batch was submitted from;
@@ -34,7 +33,6 @@ def assert_coreset_batch_on_pool(path, *, process: bool, caller=None) -> list:
     ]
     assert callers and execs, "no traced coreset stage or exec span"
     assert not callers & set(execs), "a coreset task ran in the caller"
-    if process:
-        labels = [names[lane] for lane in execs]
-        assert all(label.startswith("worker-") for label in labels), labels
+    labels = [names[lane] for lane in execs]
+    assert all(label.startswith("worker-") for label in labels), labels
     return execs

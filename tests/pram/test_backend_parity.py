@@ -1,27 +1,27 @@
-"""Machine primitives against NumPy references, on every pool backend.
+"""Machine primitives against NumPy references, on the pool backend.
 
 Property sweeps over mixed broadcast shapes, masked_axpy mask/clamp
 combinations, bool reductions, empty inputs, a 3-D reduce and an
 axis-0 scan. Every primitive runs as plain NumPy in the calling
 thread, whatever the machine's backend, so each case must equal its
 NumPy reference exactly (``array_equal``, never ``allclose``). Each
-case runs on a machine built on a thread pool and on a process pool:
-a primitive that reached the pool, or depended on it, would show here.
+case runs on a machine built on a process pool: a primitive that
+reached the pool, or depended on it, would show here.
 
-Pool backends are module-scoped so the whole sweep shares two worker
-pools instead of spawning one per test.
+The pool is module-scoped so the whole sweep shares one worker pool
+instead of spawning one per test.
 """
 
 import numpy as np
 import pytest
 
-from repro.pram.backends import ProcessBackend, ThreadBackend
+from repro.pram.backends import ProcessBackend
 from repro.pram.machine import PramMachine
 
 
-@pytest.fixture(scope="module", params=["thread", "process"])
+@pytest.fixture(scope="module", params=["process"])
 def pool(request):
-    with (ThreadBackend(3) if request.param == "thread" else ProcessBackend(2)) as backend:
+    with ProcessBackend(2) as backend:
         yield PramMachine(backend=backend, seed=0)
 
 

@@ -1,6 +1,6 @@
 """Backends are task pools; machine primitives agree with plain NumPy on each.
 
-Every backend — serial, thread, and process — is only the pool that
+Every backend — serial, or the process pool — is only the pool that
 :meth:`repro.faults.Supervisor.submit_batch`, the one batch executor,
 sends tasks to. No backend class carries a primitive or a batch method
 of its own (pinned below): a :class:`PramMachine` runs the primitives
@@ -10,6 +10,7 @@ pool lifecycle, the factory and environment default, and the batch
 contract the Supervisor keeps on each pool.
 """
 
+import os
 import threading
 import time
 
@@ -23,7 +24,6 @@ from repro.pram.backends import (
     Backend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     available_backends,
     make_backend,
     shared_backend,
@@ -38,16 +38,9 @@ KERNEL_NAMES = (
 )
 
 
-@pytest.fixture(params=["serial", "thread1", "thread3", "process2"])
+@pytest.fixture(params=["serial", "process2"])
 def backend(request):
-    if request.param == "serial":
-        b = SerialBackend()
-    elif request.param == "thread1":
-        b = ThreadBackend(1)
-    elif request.param == "thread3":
-        b = ThreadBackend(3)
-    else:
-        b = ProcessBackend(2)
+    b = SerialBackend() if request.param == "serial" else ProcessBackend(2)
     yield b
     b.close()
 
@@ -104,17 +97,26 @@ def test_argsort_matches(machine, data):
     assert np.array_equal(data.ravel()[got].reshape(data.shape), np.sort(data, axis=1))
 
 
-@pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("cls", [ProcessBackend])
 def test_pool_backend_worker_validation(cls):
     with pytest.raises(InvalidParameterError):
         cls(0)
+
+
+@pytest.mark.parametrize("bad", [2.5, "2", True, False, float("nan"), float("inf")])
+def test_worker_count_must_be_a_whole_number(no_pool_starts, bad):
+    """``num_workers`` goes through the one integer check before the
+    ceiling: a fraction is not rounded down, text and bools are not
+    counts, and nothing is built for any of them."""
+    with pytest.raises(InvalidParameterError, match="num_workers must be a positive integer"):
+        make_backend("process", num_workers=bad)
 
 
 def test_process_backend_runs_the_serial_kernels(rng):
     """ProcessBackend is a task pool only: like every backend it carries
     no primitive, so a machine on it runs the same NumPy primitives in
     the calling process as a serial machine, with the same charges."""
-    for cls in (Backend, SerialBackend, ThreadBackend, ProcessBackend):
+    for cls in (Backend, SerialBackend, ProcessBackend):
         for kernel in KERNEL_NAMES + ("submit_batch",):
             assert not hasattr(cls, kernel), (cls.__name__, kernel)
     a = rng.random((40, 12))
@@ -130,7 +132,7 @@ def test_process_backend_runs_the_serial_kernels(rng):
     assert pm.ledger.work == serial.ledger.work
 
 
-@pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("cls", [ProcessBackend])
 def test_pool_backend_close_idempotent(cls):
     b = cls(2)
     assert not b.closed
@@ -139,7 +141,7 @@ def test_pool_backend_close_idempotent(cls):
     assert b.closed
 
 
-@pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("cls", [ProcessBackend])
 def test_use_after_close_is_serial_but_correct(cls, rng):
     """Pinned-down contract: a closed pool backend keeps running every
     batch correctly in the caller (no exception, no pool), and a
@@ -158,7 +160,7 @@ def test_use_after_close_is_serial_but_correct(cls, rng):
     assert b._pool is None  # the fallback really is pool-less
 
 
-@pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("cls", [ProcessBackend])
 def test_backend_context_manager(cls):
     with cls(2) as b:
         assert _run(b, _square, range(4)) == [0, 1, 4, 9]
@@ -167,7 +169,6 @@ def test_backend_context_manager(cls):
 
 def test_names():
     assert SerialBackend().name == "serial"
-    assert ThreadBackend(1).name == "thread"
     assert ProcessBackend(1).name == "process"
 
 
@@ -211,9 +212,6 @@ def test_fused_axpy_scalar_y_and_broadcast(machine, rng):
 
 def test_make_backend_names_and_passthrough():
     assert isinstance(make_backend("serial"), SerialBackend)
-    with make_backend("thread", num_workers=2) as b:
-        assert isinstance(b, ThreadBackend)
-        assert b.num_workers == 2
     with make_backend("process", num_workers=2) as b:
         assert isinstance(b, ProcessBackend)
         assert b.num_workers == 2
@@ -223,26 +221,41 @@ def test_make_backend_names_and_passthrough():
 
 def test_make_backend_unknown_name_rejected():
     for name in ("gpu", "auto"):
-        with pytest.raises(InvalidParameterError, match="'process', 'serial', 'thread'"):
+        with pytest.raises(InvalidParameterError, match=r"\['process', 'serial'\]"):
             make_backend(name)
     with pytest.raises(InvalidParameterError, match="unknown backend 'auto'"):
         ensure_machine(backend="auto")
 
 
 def test_available_backends_lists_builtins():
-    assert available_backends() == ["process", "serial", "thread"]
+    assert available_backends() == ["process", "serial"]
+
+
+def test_thread_is_no_backend_name(monkeypatch):
+    """The thread pool is gone: its name is refused like any unknown
+    one, from the factory, the environment and a server config."""
+    from repro.serve import SolveServer, ServerConfig
+
+    listing = r"expected one of \['process', 'serial'\]"
+    with pytest.raises(InvalidParameterError, match=listing):
+        make_backend("thread")
+    monkeypatch.setenv("REPRO_BACKEND", "thread")
+    with pytest.raises(InvalidParameterError, match=listing):
+        shared_backend()
+    with pytest.raises(InvalidParameterError, match=listing):
+        SolveServer(ServerConfig(backend="thread"))
 
 
 def test_shared_backend_env_default(monkeypatch):
     from repro.pram.backends import _SHARED_BACKENDS
 
-    monkeypatch.setenv("REPRO_BACKEND", "thread")
+    monkeypatch.setenv("REPRO_BACKEND", "process")
     monkeypatch.setenv("REPRO_NUM_WORKERS", "2")
     b = shared_backend()
-    assert isinstance(b, ThreadBackend)
+    assert isinstance(b, ProcessBackend)
     assert b.num_workers == 2
     # cached per (name, workers): same configuration -> same instance
-    assert _SHARED_BACKENDS[("thread", 2)] is b
+    assert _SHARED_BACKENDS[("process", 2)] is b
     assert shared_backend() is b
     # a closed shared backend is transparently rebuilt
     b.close()
@@ -255,7 +268,7 @@ def test_shared_backend_rejects_bad_env(monkeypatch):
     monkeypatch.setenv("REPRO_BACKEND", "warp-drive")
     with pytest.raises(InvalidParameterError):
         shared_backend()
-    monkeypatch.setenv("REPRO_BACKEND", "thread")
+    monkeypatch.setenv("REPRO_BACKEND", "process")
     monkeypatch.setenv("REPRO_NUM_WORKERS", "lots")
     with pytest.raises(InvalidParameterError):
         shared_backend()
@@ -263,13 +276,16 @@ def test_shared_backend_rejects_bad_env(monkeypatch):
 
 @pytest.fixture
 def no_pool_starts(monkeypatch):
-    """Fail the test if any pool backend gets as far as building a pool."""
-    for cls in (ThreadBackend, ProcessBackend):
-        monkeypatch.setattr(cls, "_make_pool", lambda self: pytest.fail("pool built"))
+    """Fail the test if the process backend gets as far as building a pool."""
+    import repro.pram.backends as backends_mod
+
+    monkeypatch.setattr(
+        backends_mod, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("pool built")
+    )
 
 
 @pytest.mark.parametrize("workers", [10**6, 10**20])
-@pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("cls", [ProcessBackend])
 def test_pool_size_above_ceiling_refused_before_any_pool(no_pool_starts, cls, workers):
     with pytest.raises(InvalidParameterError, match=rf"\[1, {MAX_WORKERS}\], got {workers}"):
         cls(workers)
@@ -286,7 +302,7 @@ def test_env_pool_size_above_ceiling_refused(no_pool_starts, monkeypatch):
 
 
 def test_pool_size_ceiling_admits_the_documented_count():
-    with make_backend("thread", num_workers=8) as b:  # the README's pool size
+    with make_backend("process", num_workers=8) as b:  # the README's pool size
         assert b.num_workers == 8
 
 
@@ -338,7 +354,7 @@ def test_close_shared_backends_tolerates_late_registration(monkeypatch):
                 super().close()
 
         _SHARED_BACKENDS[("first", None)] = RegistersOnClose("first")
-        dead = ThreadBackend(1)
+        dead = ProcessBackend(1)
         dead.close()  # already closed by its owner: the sweep re-close is a no-op
         _SHARED_BACKENDS[("dead", None)] = dead
         _close_shared_backends()
@@ -355,8 +371,8 @@ def _square(x):
     return x * x
 
 
-def _thread_name(_):
-    return threading.current_thread().name
+def _pid(_):
+    return os.getpid()
 
 
 def _run(backend, fn, items) -> list:
@@ -370,16 +386,12 @@ class TestSubmitBatch:
     def test_serial_runs_in_order(self):
         assert _run(SerialBackend(), _square, [1, 2, 3]) == [1, 4, 9]
 
-    def test_thread_pool_matches_serial(self):
-        with ThreadBackend(num_workers=2) as b:
-            assert _run(b, _square, range(10)) == [x * x for x in range(10)]
-
     def test_process_pool_matches_serial(self):
         with ProcessBackend(num_workers=2) as b:
             assert _run(b, _square, range(6)) == [x * x for x in range(6)]
 
     def test_closed_backend_falls_back_to_serial(self):
-        b = ThreadBackend(num_workers=2)
+        b = ProcessBackend(num_workers=2)
         b.close()
         assert _run(b, _square, [4, 5]) == [16, 25]
 
@@ -395,9 +407,11 @@ class TestSubmitBatch:
         assert captured == [1, 2]
 
     def test_single_item_runs_on_the_pool(self):
-        """A one-task batch goes to the pool like any other batch."""
-        with ThreadBackend(num_workers=2) as b:
-            assert _run(b, _thread_name, [7]) != [threading.current_thread().name]
+        """A one-task batch goes to the pool like any other batch. (A
+        process worker's thread is also named ``MainThread``, so the
+        pid tells the two apart.)"""
+        with ProcessBackend(num_workers=2) as b:
+            assert _run(b, _pid, [7]) != [os.getpid()]
 
 
 # -- failure reporting + close-under-in-flight -------------------------------
@@ -418,7 +432,7 @@ class TestSubmitBatchFailures:
     item index and the raised exception as the cause, the other tasks
     return, and the pool serves the next batch."""
 
-    @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+    @pytest.mark.parametrize("cls", [ProcessBackend])
     def test_backend_usable_after_batch_failure(self, cls):
         with cls(num_workers=2) as b:
             results, failures = Supervisor(b, NO_RETRY).submit_batch(_boom_on_two, [2, 3])
@@ -433,7 +447,7 @@ class TestCloseUnderInflightBatch:
     nor lose results: cancelled tasks are re-run in the caller, so the
     batch still returns the full, correct output."""
 
-    @pytest.mark.parametrize("cls", [ThreadBackend, ProcessBackend])
+    @pytest.mark.parametrize("cls", [ProcessBackend])
     def test_close_midbatch_drains_and_completes(self, cls):
         b = cls(num_workers=2)
         out: dict = {}
@@ -451,7 +465,7 @@ class TestCloseUnderInflightBatch:
         assert b.closed and b._pool is None
 
     def test_close_midbatch_is_reentrant_safe(self):
-        b = ThreadBackend(num_workers=3)
+        b = ProcessBackend(num_workers=3)
         outs = []
         threads = [
             threading.Thread(
@@ -613,19 +627,6 @@ class TestZeroCopyTransport:
         for name in created:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
-
-    def test_thread_backend_never_packs(self, monkeypatch):
-        import repro.faults.supervisor as supervisor_mod
-
-        def no_pack(*args, **kwargs):
-            raise AssertionError("a thread pool packed its batch items")
-
-        # the name the Supervisor calls, so the patch sees every pack
-        monkeypatch.setattr(supervisor_mod, "pack_batch_items", no_pack)
-        items = [(self._big(9), 2.0), (self._big(10), 3.0)]
-        with ThreadBackend(2) as b:
-            got = _run(b, _sum_scaled, items)
-        assert got == [_sum_scaled(item) for item in items]
 
 
 class TestPicklabilityProbeCache:

@@ -4,15 +4,15 @@ The kernels are the only implementation of the segmented scatter/scan
 primitives: scatters combine in flat array order (``ufunc.at``), the
 ragged scan accumulates left-to-right per segment. A machine runs them
 in the calling thread whatever its backend, so each primitive is
-byte-identical, with identical ledger charges, on serial, thread and
-process machines.
+byte-identical, with identical ledger charges, on serial and process
+machines.
 """
 
 import numpy as np
 import pytest
 
 from repro.pram import kernels
-from repro.pram.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.pram.backends import ProcessBackend, SerialBackend
 from repro.pram.machine import PramMachine
 
 from tests.pram.test_segmented import ragged_case
@@ -72,7 +72,7 @@ class TestNumpyReference:
 
 
 class TestBackendParityMatrix:
-    """{serial, thread, process}: every segmented primitive, and every
+    """{serial, process}: every segmented primitive, and every
     seeded solve built on them, byte-identical to the serial machine,
     with identical ledger charges."""
 
@@ -80,14 +80,13 @@ class TestBackendParityMatrix:
     def backends(self):
         pool = {
             "serial": SerialBackend(),
-            "thread": ThreadBackend(2),
             "process": ProcessBackend(2),
         }
         yield pool
         for b in pool.values():
             b.close()
 
-    @pytest.mark.parametrize("backend_name", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend_name", ["serial", "process"])
     @pytest.mark.parametrize("seed", [0, 7])
     def test_primitives_byte_identical(self, backends, backend_name, seed):
         values, indptr = ragged_case(seed, n_seg=40, max_len=12)
@@ -135,7 +134,7 @@ class TestBackendParityMatrix:
         np.testing.assert_array_equal(m.scatter_min(v, idx, 2), [0.1, 0.2])
         np.testing.assert_array_equal(m.scatter_add(v, idx, 2), [0.2, 0.5])
 
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
+    @pytest.mark.parametrize("backend_name", ["process"])
     def test_seeded_solver_outputs_byte_identical(self, backends, backend_name):
         """The acceptance invariant: a seeded sparse solve is
         byte-identical whichever backend runs the machine."""
@@ -151,7 +150,7 @@ class TestBackendParityMatrix:
         assert got.cost == want.cost
         assert m.ledger.work == ref_m.ledger.work
 
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
+    @pytest.mark.parametrize("backend_name", ["process"])
     def test_sharded_solve_byte_identical(self, backends, backend_name):
         from repro.shard import shard_and_solve
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import InvalidParameterError
-from repro.pram.backends import SerialBackend, ThreadBackend
+from repro.pram.backends import SerialBackend
 from repro.pram.machine import PramMachine, ensure_machine
 
 
@@ -56,13 +56,6 @@ def test_reduce_3d(m, rng, axis):
     a = rng.random((4, 5, 6))
     assert np.allclose(m.reduce(a, "add", axis=axis), a.sum(axis=axis))
     assert np.allclose(m.reduce(a, "min", axis=axis), a.min(axis=axis))
-
-
-def test_reduce_3d_thread_backend(rng):
-    with ThreadBackend(2) as backend:
-        tm = PramMachine(backend=backend, seed=0)
-        a = rng.random((6, 7, 8))
-        assert np.allclose(tm.reduce(a, "add", axis=2), a.sum(axis=2))
 
 
 def test_argmin_argmax(m, rng):

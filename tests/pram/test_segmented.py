@@ -4,7 +4,7 @@ The segmented kernels are the sparse subsystem's counterpart of the
 dense row reductions: per-segment min/sum/or over a flat CSR layout,
 frontier-restricted segment gathers, and scatter combines for the
 column axis. The primitives run as plain NumPy in the calling thread,
-so they must be byte-identical on machines built on every backend, and
+so they must be byte-identical on machines built on either backend, and
 the uniform-segment fast path must match the dense 2-D reduction
 bit-for-bit.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.pram.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.pram.backends import ProcessBackend, SerialBackend
 from repro.pram.kernels import segmented_reduce
 from repro.pram.machine import PramMachine
 from repro.pram.operators import get_operator
@@ -69,7 +69,6 @@ class TestBackendParity:
     def backends(self):
         pool = {
             "serial": SerialBackend(),
-            "thread": ThreadBackend(2),
             "process": ProcessBackend(2),
         }
         yield pool
@@ -83,13 +82,12 @@ class TestBackendParity:
         if op == "or":
             values = values < 0.3
         ref = PramMachine(backend=backends["serial"]).segmented_reduce(values, indptr, op)
-        for name in ("thread", "process"):
-            out = PramMachine(backend=backends[name]).segmented_reduce(values, indptr, op)
-            assert out.dtype == ref.dtype, name
-            np.testing.assert_array_equal(out, ref, err_msg=name)
+        out = PramMachine(backend=backends["process"]).segmented_reduce(values, indptr, op)
+        assert out.dtype == ref.dtype
+        np.testing.assert_array_equal(out, ref)
 
     def test_closed_backend_still_reduces(self):
-        b = ThreadBackend(2)
+        b = ProcessBackend(2)
         m = PramMachine(backend=b)
         values, indptr = ragged_case(3)
         ref = m.segmented_reduce(values, indptr, "add")
@@ -236,7 +234,7 @@ class TestMachineSegmented:
         outs = {}
         for name, backend in (
             ("serial", SerialBackend()),
-            ("thread", ThreadBackend(2)),
+            ("process", ProcessBackend(2)),
         ):
             with backend:
                 m = PramMachine(backend=backend, seed=1)
@@ -245,9 +243,9 @@ class TestMachineSegmented:
                     m.segmented_scan(values, indptr, "add"),
                     m.ledger.work,
                 )
-        np.testing.assert_array_equal(outs["serial"][0], outs["thread"][0])
-        np.testing.assert_array_equal(outs["serial"][1], outs["thread"][1])
-        assert outs["serial"][2] == outs["thread"][2]
+        np.testing.assert_array_equal(outs["serial"][0], outs["process"][0])
+        np.testing.assert_array_equal(outs["serial"][1], outs["process"][1])
+        assert outs["serial"][2] == outs["process"][2]
 
 
 # --------------------------------------------------------------------------

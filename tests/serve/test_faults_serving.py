@@ -34,7 +34,7 @@ def _solve_on(config, points, trace_path, **params):
         job = client.solve_and_wait(points=points, **params)
         assert job["status"] == "done"
         result, counters = job["result"], client.metrics()["counters"]
-    assert_coreset_batch_on_pool(trace_path, process=config.backend == "process")
+    assert_coreset_batch_on_pool(trace_path)
     return result, counters
 
 
@@ -51,14 +51,14 @@ def test_injected_fault_returns_byte_identical_solution(kind, tmp_path):
     pts = _points()
     params = dict(k=4, shards=3, coreset_size=32, seed=11)
     clean, _ = _solve_on(
-        ServerConfig(backend="thread", backend_workers=2, workers=1),
+        ServerConfig(backend="process", backend_workers=2, workers=1),
         pts,
         tmp_path / "clean.jsonl",
         **params,
     )
     faulty, counters = _solve_on(
         ServerConfig(
-            backend="thread",
+            backend="process",
             backend_workers=2,
             workers=1,
             fault_plan=FaultPlan.single(kind, index=0),
@@ -76,7 +76,7 @@ def test_injected_fault_returns_byte_identical_solution(kind, tmp_path):
 def test_fault_on_every_attempt_fails_the_job_not_the_server(tmp_path):
     pts = _points(seed=1)
     config = ServerConfig(
-        backend="thread",
+        backend="process",
         backend_workers=2,
         workers=1,
         fault_plan=FaultPlan.single("crash", index=0, attempt=None),  # every attempt
@@ -92,8 +92,8 @@ def test_fault_on_every_attempt_fails_the_job_not_the_server(tmp_path):
         assert client.metrics()["counters"]["serve.jobs_failed"] == 1
         # the server is still healthy and can serve an unfaulted shard count
         assert client.health()["status"] == "ok"
-    # shard 1's build returned from a pool thread
-    assert_coreset_batch_on_pool(trace_path, process=False)
+    # shard 1's build returned from a pool worker
+    assert_coreset_batch_on_pool(trace_path)
 
 
 def test_process_backend_crash_recovers_byte_identical(tmp_path):

@@ -13,7 +13,7 @@ from repro.serve.loadgen import run_loadgen
 
 @pytest.fixture(scope="module")
 def served():
-    config = ServerConfig(backend="thread", backend_workers=2, workers=2)
+    config = ServerConfig(backend="serial", workers=2)
     with serve_in_thread(config) as handle:
         yield handle
 
@@ -104,7 +104,7 @@ def test_cli_spawn_smoke(tmp_path, capsys):
         [
             "--spawn",
             "--spawn-backend",
-            "thread",
+            "serial",
             "--clients",
             "2",
             "--requests",
@@ -128,7 +128,7 @@ def test_report_scrapes_server_slo(tmp_path):
     from repro.obs import SloTarget
 
     config = ServerConfig(
-        backend="thread", backend_workers=2, workers=2,
+        backend="serial", workers=2,
         slo=SloTarget(p99_latency_s=60.0, min_samples=1),
     )
     with serve_in_thread(config) as handle:
@@ -150,7 +150,7 @@ def test_cli_exits_zero_within_thresholds(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = loadgen_main(
         [
-            "--spawn", "--spawn-backend", "thread",
+            "--spawn", "--spawn-backend", "serial",
             "--clients", "2", "--requests", "4", "--n", "120", "--k", "2",
             "--slo-p99", "60", "--max-failure-rate", "0.5",
             "--out", str(out),
@@ -166,7 +166,7 @@ def test_cli_exits_nonzero_on_slo_breach(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = loadgen_main(
         [
-            "--spawn", "--spawn-backend", "thread",
+            "--spawn", "--spawn-backend", "serial",
             "--clients", "2", "--requests", "4", "--n", "120", "--k", "2",
             "--slo-p99", "0.000001",  # impossible target
             "--out", str(out),

@@ -1,6 +1,6 @@
 """End-to-end API tests against a thread-hosted server.
 
-A module-scoped server (thread backend — fast, and crash injection in
+A module-scoped server (serial backend — fast, and crash injection in
 the fault tests goes through the same supervised path) serves the
 read-mostly cases; behaviors that need clean counters or a rigged
 solver (backpressure, coalescing, shutdown ordering) boot their own.
@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.pram.backends import ThreadBackend
+from repro.pram.backends import ProcessBackend
 from repro.serve import ServeClient, ServeError, ServerConfig, serve_in_thread
 
 
@@ -38,7 +38,7 @@ def _raw_exchange(client, request: bytes, timeout=10.0):
 
 @pytest.fixture(scope="module")
 def served():
-    config = ServerConfig(backend="thread", backend_workers=2, workers=2)
+    config = ServerConfig(backend="serial", workers=2)
     with serve_in_thread(config) as handle:
         yield ServeClient(handle.host, handle.port)
 
@@ -47,7 +47,7 @@ class TestBasicApi:
     def test_health(self, served):
         health = served.health()
         assert health["status"] == "ok"
-        assert health["backend"] == "thread"
+        assert health["backend"] == "serial"
         assert health["queue_capacity"] == 64
 
     def test_metrics_endpoint(self, served):
@@ -289,7 +289,7 @@ class TestTypedEdgeErrors:
 
 class TestConcurrency:
     def test_concurrent_identical_submits_share_one_solve(self):
-        config = ServerConfig(backend="thread", backend_workers=2, workers=2)
+        config = ServerConfig(backend="serial", workers=2)
         with serve_in_thread(config) as handle:
             client = ServeClient(handle.host, handle.port)
             inst = client.submit_points(_points(seed=7, n=200))
@@ -322,7 +322,7 @@ class TestConcurrency:
             assert shared == 5
 
     def test_concurrent_distinct_submits_all_solve_fresh(self):
-        config = ServerConfig(backend="thread", backend_workers=2, workers=2)
+        config = ServerConfig(backend="serial", workers=2)
         with serve_in_thread(config) as handle:
             client = ServeClient(handle.host, handle.port)
             inst = client.submit_points(_points(seed=8, n=200))
@@ -442,7 +442,7 @@ class TestLifecycle:
         assert handle.server.jobs.get(job["job_id"]).status == "done"
 
     def test_borrowed_backend_stays_open(self):
-        backend = ThreadBackend(2)
+        backend = ProcessBackend(2)
         try:
             config = ServerConfig(backend=backend, workers=1)
             with serve_in_thread(config) as handle:
@@ -454,7 +454,7 @@ class TestLifecycle:
             backend.close()
 
     def test_owned_backend_closes_on_stop(self):
-        config = ServerConfig(backend="thread", backend_workers=2, workers=1)
+        config = ServerConfig(backend="process", backend_workers=2, workers=1)
         handle = serve_in_thread(config)
         ServeClient(handle.host, handle.port).health()
         backend = handle.server.backend

@@ -10,17 +10,24 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
 from repro.faults import NO_RETRY, FaultPlan, RetryPolicy
 from repro.obs import trace_to
-from repro.pram.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.pram.backends import ProcessBackend, SerialBackend
 from repro.pram.ledger import CostLedger
 from repro.pram.machine import PramMachine
 from repro.shard import ShardStore
-from repro.shard.coreset import build_coreset, supervised_shard_coresets
+from repro.shard.coreset import (
+    build_coreset,
+    farthest_point_seeds,
+    supervised_shard_coresets,
+)
 from repro.shard.partition import random_partition
 from tests.pool_lanes import assert_coreset_batch_on_pool
+from tests.reference.farthest_point_norm import farthest_point_seeds_norm
 
 
 @pytest.fixture
@@ -88,6 +95,57 @@ def test_gonzalez_movement_beats_sampling_typically(points):
     assert g.movement <= 2.0 * s.movement
 
 
+# -- the column-wise seeding kernel against the row-norm oracle -------------
+
+@st.composite
+def traversals(draw, dims, grid):
+    """``(points, size, start)``: normal clouds at a drawn scale, or
+    points on a small integer grid (duplicates and tied distances, and
+    every sum of squares exact)."""
+    n = draw(st.integers(1, 300))
+    dim = draw(st.integers(*dims))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if grid:
+        pts = rng.integers(0, draw(st.integers(1, 5)), size=(n, dim)).astype(float)
+    else:
+        pts = rng.normal(size=(n, dim)) * 10.0 ** draw(st.integers(-3, 3))
+    return pts, draw(st.integers(1, n)), draw(st.integers(0, n - 1))
+
+
+_SEED_PROPERTY = settings(max_examples=150, deadline=None)
+
+
+@_SEED_PROPERTY
+@given(traversals(dims=(1, 7), grid=False))
+def test_seeds_equal_the_norm_oracle_below_eight_dims(case):
+    pts, size, start = case
+    got = farthest_point_seeds(pts, size, start)
+    assert got.tobytes() == farthest_point_seeds_norm(pts, size, start).tobytes()
+
+
+@_SEED_PROPERTY
+@given(traversals(dims=(1, 16), grid=True))
+def test_seeds_equal_the_norm_oracle_on_integer_grids(case):
+    pts, size, start = case
+    got = farthest_point_seeds(pts, size, start)
+    assert got.tobytes() == farthest_point_seeds_norm(pts, size, start).tobytes()
+
+
+@_SEED_PROPERTY
+@given(traversals(dims=(8, 16), grid=False))
+def test_each_pick_is_farthest_under_the_norm_oracle(case):
+    """From 8 coordinates on, ``np.linalg.norm`` sums a row pairwise, so
+    a distance may differ from the kernel's in the last bits: each pick
+    must then be the oracle's farthest point to a relative 1e-12."""
+    pts, size, start = case
+    seeds = farthest_point_seeds(pts, size, start)
+    assert seeds[0] == start
+    d = np.linalg.norm(pts - pts[start], axis=1)
+    for s in seeds[1:]:
+        assert d[s] >= d.max() * (1.0 - 1e-12)
+        np.minimum(d, np.linalg.norm(pts - pts[s], axis=1), out=d)
+
+
 # -- shard-parallel builds & the ledger aggregation seam --------------------
 
 def test_shard_coresets_independent_of_backend_scheduling(points):
@@ -96,11 +154,11 @@ def test_shard_coresets_independent_of_backend_scheduling(points):
     serial = supervised_shard_coresets(
         points, labels, 4, 40, machine=PramMachine(SerialBackend()), **kwargs
     )[0]
-    with ThreadBackend(num_workers=2) as tb:
-        threaded = supervised_shard_coresets(
-            points, labels, 4, 40, machine=PramMachine(tb), **kwargs
+    with ProcessBackend(num_workers=2) as pool:
+        pooled = supervised_shard_coresets(
+            points, labels, 4, 40, machine=PramMachine(pool), **kwargs
         )[0]
-    for a, b in zip(serial, threaded):
+    for a, b in zip(serial, pooled):
         assert np.array_equal(a.origin, b.origin)
         assert np.array_equal(a.weights, b.weights)
         assert a.movement == b.movement
@@ -221,7 +279,7 @@ def test_identity_fanout_starts_no_pool_worker(points, tmp_path, source, spec, p
     assert all(c.movement == 0.0 for c in got)
 
 
-@pytest.mark.parametrize("pool_cls", [ThreadBackend, ProcessBackend])
+@pytest.mark.parametrize("pool_cls", [ProcessBackend])
 def test_one_shard_above_budget_sends_the_whole_batch_to_the_pool(points, tmp_path, pool_cls):
     """Four shards fit the budget and one holds a point more: the batch
     is not split, all five builds run on pool workers, and the answer
@@ -236,7 +294,5 @@ def test_one_shard_above_budget_sends_the_whole_batch_to_the_pool(points, tmp_pa
         got, _ = supervised_shard_coresets(points, labels, 5, machine=PramMachine(pool), **kwargs)
     assert _coreset_bytes(got) == _coreset_bytes(want)
     assert [c.size for c in got] == [99, 100, 99, 100, 1]  # shard 3 seeded
-    lanes = assert_coreset_batch_on_pool(
-        path, process=pool_cls is ProcessBackend, caller=threading.get_native_id()
-    )
+    lanes = assert_coreset_batch_on_pool(path, caller=threading.get_native_id())
     assert len(lanes) == 5

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import InvalidInstanceError, InvalidParameterError
 from repro.faults import NO_RETRY, FaultPlan
-from repro.pram.backends import ProcessBackend, ThreadBackend
+from repro.pram.backends import ProcessBackend
 from repro.pram.machine import PramMachine
 from repro.shard import (
     STORE_VERSION,
@@ -280,15 +280,10 @@ class TestCoresetParity:
             np.testing.assert_array_equal(a.points, b.points)
             np.testing.assert_array_equal(a.weights, b.weights)
 
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
+    @pytest.mark.parametrize("backend_name", ["process"])
     def test_store_coresets_parallel_backends(self, store, backend_name):
         res = _coresets(POINTS, LABELS, SHARDS, 32, seed=SEED)
-        backend = (
-            ThreadBackend(2)
-            if backend_name == "thread"
-            else ProcessBackend(2)
-        )
-        with backend as b:
+        with ProcessBackend(2) as b:
             m = PramMachine(backend=b, seed=0)
             via = _coresets(store, size=32, seed=SEED, machine=m)
         for a, b_ in zip(via, res):
@@ -303,7 +298,7 @@ class TestCoresetParity:
 
     def test_supervised_store_coresets_match_unsupervised(self, store):
         res = _coresets(store, size=32, seed=SEED)
-        with ThreadBackend(2) as b:
+        with ProcessBackend(2) as b:
             m = PramMachine(backend=b, seed=0)
             via, failures = supervised_shard_coresets(store, size=32, seed=SEED, machine=m)
         assert failures == []
@@ -345,19 +340,14 @@ class TestDriverParity:
         re = ShardStore.open(str(tmp_path / "spill"))
         assert re.n == POINTS.shape[0] and re.shards == SHARDS
 
-    @pytest.mark.parametrize("backend_name", ["thread", "process"])
+    @pytest.mark.parametrize("backend_name", ["process"])
     def test_store_source_parallel_backends(self, tmp_path, backend_name):
         resident = shard_and_solve(POINTS, K, **SOLVE_KW)
         st = partition_to_store(
             POINTS, SHARDS, str(tmp_path / "bk"), partition="locality", seed=SEED
         )
-        backend = (
-            ThreadBackend(3)
-            if backend_name == "thread"
-            else ProcessBackend(3)
-        )
         kw = {k: v for k, v in SOLVE_KW.items() if k != "shards"}
-        with backend as b:
+        with ProcessBackend(3) as b:
             m = PramMachine(backend=b, seed=SEED)
             via = shard_and_solve(st, K, machine=m, **kw)
         _assert_same_solution(via, resident)
@@ -398,14 +388,14 @@ class TestDriverParity:
             retry_policy=NO_RETRY,
             coverage_floor=0.1,
         )
-        with ThreadBackend(3) as b:
+        with ProcessBackend(3) as b:
             m = PramMachine(backend=b, seed=SEED)
             resident = shard_and_solve(POINTS, K, machine=m, **SOLVE_KW, **common)
         st = partition_to_store(
             POINTS, SHARDS, str(tmp_path / "deg"), partition="locality", seed=SEED
         )
         kw = {k: v for k, v in SOLVE_KW.items() if k != "shards"}
-        with ThreadBackend(3) as b:
+        with ProcessBackend(3) as b:
             m = PramMachine(backend=b, seed=SEED)
             via = shard_and_solve(st, K, machine=m, **kw, **common)
         assert via.degraded and resident.degraded

@@ -56,10 +56,40 @@ class TestCheckPositiveInt:
     def test_accepts(self):
         assert check_positive_int(5, name="n") == 5
 
+    @pytest.mark.parametrize("whole", [3.0, np.int64(3), np.float64(3.0), np.uint8(3)])
+    def test_whole_numbers_are_ints(self, whole):
+        got = check_positive_int(whole, name="n")
+        assert got == 3 and type(got) is int
+
     @pytest.mark.parametrize("bad", [0, -3, 2.5])
     def test_rejects(self, bad):
         with pytest.raises(InvalidParameterError):
             check_positive_int(bad, name="n")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [True, False, np.bool_(True), float("nan"), float("inf"), -float("inf"),
+         "3", None, 1e-300, np.float64("nan")],
+    )
+    def test_refuses_what_is_not_a_count(self, bad):
+        """Bools, text, NaN, ±inf and fractions are typed errors, never
+        a raw ``ValueError``/``OverflowError`` or a silent 1."""
+        with pytest.raises(InvalidParameterError, match="n must be a positive integer"):
+            check_positive_int(bad, name="n")
+
+    def test_callers_refuse_nan_and_bool(self):
+        from repro.faults import RetryPolicy
+        from repro.shard import build_coreset, shard_and_solve
+
+        pts = np.random.default_rng(0).random((40, 2))
+        with pytest.raises(InvalidParameterError, match="coreset_size"):
+            shard_and_solve(pts, 2, shards=2, coreset_size=float("nan"))
+        for bad in (float("nan"), 2.5, True):
+            with pytest.raises(InvalidParameterError, match="coreset size"):
+                build_coreset(pts, bad)
+        for bad in (float("nan"), True):
+            with pytest.raises(InvalidParameterError, match="max_attempts"):
+                RetryPolicy(max_attempts=bad)
 
 
 class TestCheckProbability:
